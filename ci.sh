@@ -61,13 +61,17 @@ python3 -m json.tool "$lint_dir/findings.json" > /dev/null || {
 }
 rm -rf "$lint_dir"
 
-echo "== repro --analyze (static analysis of registered use cases) =="
+echo "== pfm-analyze (static analysis of registered use cases) =="
 cargo build -q --release -p pfm-bench
-"$PWD/target/release/repro" --analyze > /dev/null
+analyze_bin="$PWD/target/release/pfm-analyze"
+# Every check must come back clean, including interface inference:
+# each hand-built component watchlist entry is derived or carries a
+# typed divergence, since any coverage gap is a derived-watch-gap.
+"$analyze_bin" > /dev/null
 # The analyzer must have teeth: a corrupted watch PC must fail, and it
 # must be flagged by the watch cross-checks specifically (mismatch
 # against the kernel, and a gap in the derived watch set).
-corrupt_out="$("$PWD/target/release/pfm-analyze" --corrupt-watch astar 2>&1)" && {
+corrupt_out="$("$analyze_bin" --corrupt-watch astar 2>&1)" && {
     echo "pfm-analyze failed to flag a corrupted watch PC" >&2
     exit 1
 }
@@ -75,15 +79,10 @@ echo "$corrupt_out" | grep -q "derived-watch-gap" || {
     echo "corrupted watch PC did not surface as a derived-watch-gap" >&2
     exit 1
 }
-
-echo "== repro --derive (derived vs hand-built watchlists) =="
-# Interface inference must fully cover every registered component's
-# hand-built watchlist (or record a typed divergence) — zero gaps.
-"$PWD/target/release/repro" --derive > /dev/null
 # The pfm-analyze/2 profile report round-trips through the atomic -o
 # writer.
 derive_dir="$(mktemp -d)"
-"$PWD/target/release/pfm-analyze" --profile all --json -o "$derive_dir/profiles.json" 2>/dev/null
+"$analyze_bin" --profile all --json -o "$derive_dir/profiles.json" 2>/dev/null
 grep -q '"schema":"pfm-analyze/2"' "$derive_dir/profiles.json" || {
     echo "pfm-analyze --profile -o did not write a pfm-analyze/2 report" >&2
     exit 1
@@ -102,17 +101,17 @@ echo "== functional/detailed equivalence gate (two-speed smoke) =="
 # both baseline and PFM modes.
 cargo test -q --release -p pfm-sim --test functional_equivalence
 
-echo "== repro --chaos-smoke (graceful degradation under faults) =="
+echo "== repro chaos-smoke (graceful degradation under faults) =="
 repro_bin="$PWD/target/release/repro"
-"$repro_bin" --chaos-smoke --quick --jobs 4 > /dev/null
+"$repro_bin" chaos-smoke --quick --jobs 4 > /dev/null
 
-echo "== repro --context-switch (chaos-swap gate) =="
+echo "== repro context-switch (chaos-swap gate) =="
 # Mid-swap fault scenarios on the two-tenant plan: every arm —
 # fault-free scheduler and all four chaos scenarios — must report a
 # commit checksum bit-identical to the no-fabric baseline, and the
 # fault-free scheduler must not thrash (only corrupt-signature is
 # allowed to swap beyond the phase count).
-cs_out="$("$repro_bin" --context-switch --quick --jobs 4 --no-store)"
+cs_out="$("$repro_bin" context-switch --quick --jobs 4 --no-store)"
 cs_ok="$(echo "$cs_out" | grep -c "checksum OK" || true)"
 cs_bad="$(echo "$cs_out" | grep -c "checksum MISMATCH" || true)"
 [ "$cs_bad" -eq 0 ] && [ "$cs_ok" -ge 8 ] || {
@@ -126,13 +125,6 @@ sched_swaps="$(echo "$cs_out" \
     echo "fault-free scheduler thrash bound violated (swaps=$sched_swaps, want 1..16)" >&2
     exit 1
 }
-
-echo "== repro --bench smoke (simulator MKIPS) =="
-# Runs in a temp dir: the smoke's quick-scale JSON must not clobber the
-# committed paper-scale BENCH_sim_throughput.json at the repo root.
-smoke_dir="$(mktemp -d)"
-(cd "$smoke_dir" && "$repro_bin" --bench --functional --quick --jobs 4 2>/dev/null | grep -E "MKIPS")
-rm -rf "$smoke_dir"
 
 echo "== result store warm-cache gate =="
 # Same smoke plan twice against a fresh store: the second run must be
@@ -160,51 +152,6 @@ echo "$warm_plan" | grep -q "(0.0s simulated)" || {
 diff <(grep -v '^plan:' "$store_dir/cold.out") \
      <(grep -v '^plan:' "$store_dir/warm.out") || {
     echo "warm-cache stats differ from the cold run" >&2
-    exit 1
-}
-
-echo "== experiment service gate (--serve / --worker) =="
-# A daemon in front of a fresh store must shard a cold request across
-# at least two worker processes, answer the repeated request without
-# simulating, and return identical assembled stats.
-sock="$store_dir/repro.sock"
-"$repro_bin" --serve --store "$store_dir/serve-store" --socket "$sock" --jobs 4 \
-    > "$store_dir/serve.log" 2>&1 &
-serve_pid=$!
-# Never leak the daemon: any exit from here on tears it down, and
-# every client call plus the shutdown wait is bounded, so a wedged
-# daemon fails the gate instead of hanging CI.
-trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.1; done
-[ -S "$sock" ] || { echo "daemon never bound $sock" >&2; exit 1; }
-timeout 120 "$repro_bin" fig8 --quick --connect --socket "$sock" \
-    > "$store_dir/serve-cold.out" 2> "$store_dir/serve-cold.log"
-timeout 120 "$repro_bin" fig8 --quick --connect --socket "$sock" \
-    > "$store_dir/serve-warm.out" 2> "$store_dir/serve-warm.log"
-timeout 30 "$repro_bin" --connect --shutdown --socket "$sock" > /dev/null 2>&1
-for _ in $(seq 100); do kill -0 "$serve_pid" 2>/dev/null || break; sleep 0.1; done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    echo "daemon did not exit after --shutdown" >&2
-    exit 1
-fi
-wait "$serve_pid"
-trap - EXIT
-grep -Eq "sharding across ([2-9]|[0-9]{2,}) worker process" "$store_dir/serve-cold.log" || {
-    echo "cold request did not shard across >=2 worker processes" >&2
-    cat "$store_dir/serve-cold.log" >&2
-    exit 1
-}
-grep -q "0 simulated" "$store_dir/serve-warm.out" || {
-    echo "warm serve request still simulated" >&2
-    exit 1
-}
-grep -q "answering entirely from the store" "$store_dir/serve-warm.log" || {
-    echo "warm serve request probed past the store" >&2
-    exit 1
-}
-diff <(grep -v '^serve:' "$store_dir/serve-cold.out") \
-     <(grep -v '^serve:' "$store_dir/serve-warm.out") || {
-    echo "serve stats differ between cold and warm requests" >&2
     exit 1
 }
 rm -rf "$store_dir"

@@ -10,39 +10,46 @@
 //! repro --quick fig12        # smaller instruction budget
 //! repro --all --jobs 4       # four worker threads
 //! repro --list               # what can be regenerated (+ store hit/miss)
-//! repro --bench              # simulator MKIPS throughput benchmark
-//! repro --bench --functional # + functional-executor batch and speedup
 //! repro --sampled libquantum # sampled run: fast-forward + detailed intervals
-//! repro --analyze            # static analysis of every use case
-//! repro --derive             # derived-vs-configured watchlist gate
-//! repro --chaos              # fault-injection suite (checksum proof)
-//! repro --chaos-smoke        # CI-sized chaos subset
-//! repro --context-switch     # two tenants time-sharing the fabric slot
+//! repro chaos                # fault-injection suite (checksum proof)
+//! repro chaos-smoke          # CI-sized chaos subset
+//! repro context-switch       # two tenants time-sharing the fabric slot
 //! repro --all --keep-going   # don't stop claiming runs on failure
 //! repro --store <dir>        # result store directory (default .pfm-store)
 //! repro --no-store           # disable the result store
 //! repro --store-stats        # print store contents and exit
-//! repro --serve              # experiment-service daemon (Unix socket)
-//! repro --connect [ids...]   # send a plan request to a running daemon
-//! repro --connect --shutdown # stop the daemon
-//! repro --socket <path>      # socket path for --serve/--connect
 //! ```
 //!
 //! Results are cached in a content-addressed store keyed by
 //! `(spec content key, code fingerprint)`: a warm invocation serves
 //! hits at memory speed and only simulates what the store has never
-//! seen. `--serve` puts a daemon in front of the same store, sharding
-//! cache-missing runs across `repro --worker` child processes.
+//! seen.
 //!
 //! A failed, panicked or hung run never aborts the process: the
 //! executor isolates it, the remaining experiments still assemble, and
 //! `repro` prints a failure table and exits non-zero.
+//!
+//! Static analysis of the use cases is the `pfm-analyze` binary's job;
+//! simulator throughput is measured by the standalone `benchmark/`
+//! package.
 
 use pfm_sim::experiments::{plan_for, ALL_IDS, EXTRA_IDS};
 use pfm_sim::store::{find_workspace_root, CodeFingerprint, ResultStore};
-use pfm_sim::{run_bench, run_plans, run_sampled, service, ExecOptions, RunConfig, SampledConfig};
+use pfm_sim::{run_plans, run_sampled, ExecOptions, RunConfig, SampledConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Instruction budget per run under `--quick`.
+const QUICK_MAX_INSTRS: u64 = 300_000;
+
+/// The run configuration the `--quick` flag selects.
+fn run_config_for(quick: bool) -> RunConfig {
+    let mut rc = RunConfig::paper_scale();
+    if quick {
+        rc.max_instrs = QUICK_MAX_INSTRS;
+    }
+    rc
+}
 
 /// Exits with a contextual message on stderr; used for conditions the
 /// user cannot distinguish from a hang otherwise (broken pipe aside,
@@ -132,71 +139,30 @@ fn open_store(choice: &StoreChoice) -> Option<Arc<ResultStore>> {
     }
 }
 
-/// The socket a daemon/client pair agrees on when `--socket` is not
-/// given: `repro.sock` inside the store directory (explicit or the
-/// workspace default). `None` when no directory can be derived.
-fn default_socket(choice: &StoreChoice) -> Option<PathBuf> {
-    let dir = match choice {
-        StoreChoice::Explicit(dir) => dir.clone(),
-        StoreChoice::Default | StoreChoice::Disabled => find_workspace_root()?.join(".pfm-store"),
-    };
-    Some(dir.join("repro.sock"))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Worker role first: the child must never parse user-facing flags
-    // or touch the store — its whole world is the stdin assignment.
-    if args.iter().any(|a| a == "--worker") {
-        std::process::exit(service::worker_main());
-    }
-
     let mut quick = false;
     let mut all = false;
     let mut list = false;
-    let mut bench = false;
-    let mut functional = false;
     let mut sampled: Option<String> = None;
-    let mut analyze = false;
-    let mut derive = false;
     let mut keep_going = false;
-    let mut serve = false;
-    let mut connect = false;
-    let mut shutdown = false;
     let mut store_stats = false;
     let mut store_choice = StoreChoice::Default;
-    let mut socket: Option<PathBuf> = None;
     let mut jobs: Option<usize> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut bad_args: Vec<String> = Vec::new();
 
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--all" => all = true,
             "--list" => list = true,
-            "--bench" => bench = true,
-            "--functional" => functional = true,
-            "--analyze" => analyze = true,
-            "--derive" => derive = true,
             "--keep-going" => keep_going = true,
-            "--serve" => serve = true,
-            "--connect" => connect = true,
-            "--shutdown" => shutdown = true,
             "--store-stats" => store_stats = true,
             "--no-store" => store_choice = StoreChoice::Disabled,
-            "--chaos" => ids.push("chaos".to_string()),
-            "--chaos-smoke" => ids.push("chaos-smoke".to_string()),
-            "--context-switch" => ids.push("context-switch".to_string()),
             "--store" => match it.next() {
                 Some(dir) => store_choice = StoreChoice::Explicit(PathBuf::from(dir)),
                 None => bad_args.push("--store <dir>".to_string()),
-            },
-            "--socket" => match it.next() {
-                Some(path) => socket = Some(PathBuf::from(path)),
-                None => bad_args.push("--socket <path>".to_string()),
             },
             "--sampled" => match it.next() {
                 Some(name) => sampled = Some(name),
@@ -223,40 +189,16 @@ fn main() {
         }
     }
 
-    let rc_for_menu = service::run_config_for(quick);
+    let rc = run_config_for(quick);
     if !bad_args.is_empty() {
         eprintln!("unknown argument(s): {}", bad_args.join(", "));
         eprintln!();
-        print_menu(&mut std::io::stderr(), None, &rc_for_menu);
+        print_menu(&mut std::io::stderr(), None, &rc);
         eprintln!(
-            "\nflags: --all --quick --list --bench --functional --sampled <usecase> \
-             --analyze --derive --chaos --chaos-smoke --context-switch --keep-going \
-             --jobs <N> --store <dir> --no-store --store-stats --serve --connect \
-             --shutdown --socket <path>"
+            "\nflags: --all --quick --list --sampled <usecase> --keep-going --jobs <N> \
+             --store <dir> --no-store --store-stats"
         );
         std::process::exit(1);
-    }
-
-    // Client role: ship the request to a daemon and stream its answer.
-    // The daemon owns the store; the client needs only the socket.
-    if connect {
-        let sock = socket.clone().unwrap_or_else(|| {
-            default_socket(&store_choice)
-                .unwrap_or_else(|| fail("--connect needs a socket", "pass --socket <path>"))
-        });
-        let req = if shutdown {
-            service::Request::Shutdown
-        } else {
-            service::Request::Plan(service::PlanRequest {
-                ids: ids.clone(),
-                quick,
-                jobs: jobs.unwrap_or(0),
-            })
-        };
-        match service::request(&sock, &req) {
-            Ok(code) => std::process::exit(code),
-            Err(e) => fail(&format!("cannot reach daemon at {}", sock.display()), e),
-        }
     }
 
     let store = open_store(&store_choice);
@@ -269,112 +211,8 @@ fn main() {
         return;
     }
 
-    // Server role: bind the socket and answer plan requests until a
-    // client sends --shutdown.
-    if serve {
-        let sock = socket.clone().unwrap_or_else(|| {
-            default_socket(&store_choice)
-                .unwrap_or_else(|| fail("--serve needs a socket", "pass --socket <path>"))
-        });
-        if let Some(parent) = sock.parent() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                fail("cannot create socket directory", e);
-            }
-        }
-        let opts = service::ServeOptions {
-            socket: sock,
-            jobs: jobs.unwrap_or_else(|| ExecOptions::default().jobs),
-            store,
-            worker_exe: None,
-        };
-        if let Err(e) = service::serve(&opts) {
-            fail("experiment service failed", e);
-        }
-        return;
-    }
-
     if list {
-        print_menu(&mut std::io::stdout(), store.as_deref(), &rc_for_menu);
-        return;
-    }
-
-    // Static analysis gate: cross-check every registered use case's
-    // configuration against its assembled kernel (same suite as the
-    // `pfm-analyze` binary). Any finding is a failure.
-    if analyze {
-        let report = pfm_sim::analyze::analyze_all(None);
-        let mut total = 0usize;
-        for (name, findings) in &report {
-            if findings.is_empty() {
-                println!("analyze {name}: clean");
-            } else {
-                total += findings.len();
-                println!("analyze {name}: {} finding(s)", findings.len());
-                for f in findings {
-                    println!("  {f}");
-                }
-            }
-        }
-        if total > 0 {
-            fail(
-                "static analysis found defects",
-                format!("{total} finding(s) across {} program(s)", report.len()),
-            );
-        }
-        println!("analyze: {} program(s) clean", report.len());
-        return;
-    }
-
-    // Interface-inference gate: derive every use case's watch set and
-    // stream/branch profile by abstract interpretation and require the
-    // configured component watchlists to be fully covered (or carry a
-    // typed divergence). Any coverage gap is a failure.
-    if derive {
-        let report = pfm_sim::analyze::derive_all(None);
-        let mut gaps = 0usize;
-        for (name, p) in &report {
-            println!("derive {name}: {}", p.summary());
-            for c in &p.coverage {
-                gaps += c.gaps.len();
-                for (pc, kind) in &c.gaps {
-                    println!("  gap: {} watches {kind} @ {pc:#x} — not derived", c.origin);
-                }
-            }
-        }
-        if gaps > 0 {
-            fail(
-                "interface inference left configured watch entries underived",
-                format!("{gaps} coverage gap(s) across {} program(s)", report.len()),
-            );
-        }
-        println!(
-            "derive: {} program(s), every configured watch entry derived or explained",
-            report.len()
-        );
-        return;
-    }
-
-    if ids.is_empty() && !all {
-        all = true;
-    }
-
-    let rc = service::run_config_for(quick);
-
-    if bench {
-        let opts = ExecOptions {
-            jobs: jobs.unwrap_or_else(|| ExecOptions::default().jobs),
-            progress: true,
-            keep_going,
-            store: None, // the benchmark times real simulation
-            ..ExecOptions::default()
-        };
-        let report = run_bench(&rc, &opts, functional);
-        println!("{}", report.render());
-        const OUT: &str = "BENCH_sim_throughput.json";
-        if let Err(e) = std::fs::write(OUT, report.to_json()) {
-            fail(&format!("cannot write {OUT}"), e);
-        }
-        eprintln!("wrote {OUT}");
+        print_menu(&mut std::io::stdout(), store.as_deref(), &rc);
         return;
     }
 
@@ -422,6 +260,10 @@ fn main() {
         return;
     }
 
+    if ids.is_empty() && !all {
+        all = true;
+    }
+
     // Paper order regardless of argument order, as before the planner;
     // the chaos family (never part of `--all`) runs after the paper
     // set, in EXTRA_IDS order.
@@ -436,7 +278,7 @@ fn main() {
         jobs: jobs.unwrap_or_else(|| ExecOptions::default().jobs),
         progress: true,
         keep_going,
-        store: store.clone(),
+        store,
         ..ExecOptions::default()
     };
     let unique: usize = {

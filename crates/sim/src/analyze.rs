@@ -5,11 +5,10 @@
 //! [`WatchEntry`] list and runs the `pfm-analyze` check suite over the
 //! assembled kernel and its initial memory image.
 //!
-//! This is the CI teeth behind the watchlist contract: `repro
-//! --analyze` (and the `pfm-analyze` binary) call [`analyze_usecase`]
-//! for every factory in
+//! This is the CI teeth behind the watchlist contract: the
+//! `pfm-analyze` binary calls [`analyze_usecase`] for every factory in
 //! [`usecases::throughput_suite_factories`](crate::usecases::throughput_suite_factories)
-//! and fail on any finding, so a kernel edit that silently strands a
+//! and fails on any finding, so a kernel edit that silently strands a
 //! snoop PC breaks the build instead of the results.
 
 use pfm_analyze::{Analysis, WatchEntry};

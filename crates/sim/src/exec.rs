@@ -253,16 +253,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Executes one spec in isolation at the default retry factor (the
-/// worker-process entry point, which has no [`ExecOptions`]).
-pub(crate) fn run_isolated(spec: &RunSpec) -> (RunOutcome, u32) {
-    run_isolated_with(spec, RETRY_WATCHDOG_FACTOR)
-}
-
 /// Executes one spec in isolation: panics are caught, and a
 /// watchdog-tripped run gets one retry at a cap raised by `factor`.
 /// Returns the outcome and the number of retries performed.
-pub(crate) fn run_isolated_with(spec: &RunSpec, factor: u64) -> (RunOutcome, u32) {
+fn run_isolated_with(spec: &RunSpec, factor: u64) -> (RunOutcome, u32) {
     match catch_unwind(AssertUnwindSafe(|| spec.execute())) {
         Err(payload) => (RunOutcome::Panicked(panic_message(payload)), 0),
         Ok(Ok(r)) => (RunOutcome::Ok(r), 0),

@@ -849,8 +849,8 @@ pub const ALL_IDS: [&str; 13] = [
 /// Extra (non-paper) experiment ids `plan_for` also knows: the chaos
 /// fault-injection family and the multi-tenant context-switch family.
 /// Not part of [`ALL_IDS`] so `repro --all` keeps its paper scale;
-/// requested explicitly via `repro chaos` / `repro --chaos` /
-/// `repro --chaos-smoke` / `repro --context-switch`.
+/// requested explicitly by id: `repro chaos`, `repro chaos-smoke`,
+/// `repro context-switch`.
 pub const EXTRA_IDS: [&str; 3] = ["chaos", "chaos-smoke", "context-switch"];
 
 /// The plan for one experiment id.

@@ -24,18 +24,15 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod bench;
 pub mod exec;
 pub mod experiments;
 pub mod plan;
 pub mod runner;
 pub mod sampled;
 pub mod schedule;
-pub mod service;
 pub mod store;
 pub mod usecases;
 
-pub use bench::{run_bench, BenchReport, BenchRow};
 pub use exec::{run_plans, ExecOptions, ExecReport, FailureReport};
 pub use experiments::{Experiment, Row};
 pub use plan::{ExperimentPlan, PlanError, RunOutcome, RunSet, RunSpec};

@@ -380,9 +380,9 @@ impl RunOutcome {
     }
 
     /// Serializes the outcome (tag byte + payload) for the result
-    /// store and the worker-process protocol. Deterministic failures
-    /// serialize too: a structured simulator error replays identically
-    /// and is as cacheable as a success.
+    /// store. Deterministic failures serialize too: a structured
+    /// simulator error replays identically and is as cacheable as a
+    /// success.
     pub fn snapshot_encode(&self, e: &mut Enc) {
         match self {
             RunOutcome::Ok(r) => {

@@ -163,8 +163,7 @@ impl RunError {
 }
 
 impl RunError {
-    /// Serializes the error (tag byte + fields) for the result store
-    /// and the worker-process protocol.
+    /// Serializes the error (tag byte + fields) for the result store.
     pub fn snapshot_encode(&self, e: &mut Enc) {
         match self {
             RunError::Exec(msg) => {
@@ -419,10 +418,10 @@ pub struct RunResult {
 
 impl RunResult {
     /// Serializes the full result (all statistics layers) for the
-    /// result store and the worker-process protocol. The layout is
-    /// covered by [`crate::store::STATS_SCHEMA_VERSION`]: bump that
-    /// constant whenever this encoding (or any nested stats codec)
-    /// changes shape or meaning.
+    /// result store. The layout is covered by
+    /// [`crate::store::STATS_SCHEMA_VERSION`]: bump that constant
+    /// whenever this encoding (or any nested stats codec) changes
+    /// shape or meaning.
     pub fn snapshot_encode(&self, e: &mut Enc) {
         e.str(&self.name);
         self.stats.snapshot_encode(e);
@@ -793,6 +792,8 @@ pub fn run_context_switch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::RunSpec;
+    use crate::usecases;
     use pfm_fabric::FaultScenario;
     use pfm_workloads::{astar, AstarParams};
 
@@ -841,5 +842,39 @@ mod tests {
         off.commit_watchdog = None;
         assert_ne!(rc.key(), off.key());
         assert!(rc.key().contains("wd1000000"));
+    }
+
+    #[test]
+    fn completed_flag_tracks_kernel_halt_not_budget() {
+        // leslie halts at ~1.22M retired instructions — the only suite
+        // kernel that finishes under the paper budget. Its run must
+        // report completed at a budget above the halt point and
+        // not-completed below it (regression: a committed throughput
+        // record once showed every run as not-completed because it
+        // was generated at quick scale).
+        let uc = usecases::leslie_factory();
+        let over = RunSpec::functional(
+            uc.clone(),
+            &RunConfig {
+                max_instrs: 1_500_000,
+                ..RunConfig::test_scale()
+            },
+        )
+        .execute()
+        .unwrap();
+        assert!(over.completed, "leslie halts under a 1.5M budget");
+        assert!(over.stats.retired < 1_500_000);
+
+        let under = RunSpec::functional(
+            uc,
+            &RunConfig {
+                max_instrs: 300_000,
+                ..RunConfig::test_scale()
+            },
+        )
+        .execute()
+        .unwrap();
+        assert!(!under.completed, "300k instrs cannot finish leslie");
+        assert!(under.stats.retired >= 300_000);
     }
 }

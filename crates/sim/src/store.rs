@@ -30,7 +30,7 @@
 //! [`pfm_isa::snap`] codec):
 //!
 //! * `store.log` — append-only record log. A fixed header, then one
-//!   checksummed frame per completed run (see [`write_frame`]):
+//!   checksummed frame per completed run (see [`frame_bytes`]):
 //!   `magic, payload_len, fnv64(payload), payload`. The payload is
 //!   `fingerprint, spec key, serialized RunOutcome`. Records are
 //!   appended with a single `write` on an `O_APPEND` handle, so
@@ -53,7 +53,7 @@ use crate::plan::RunOutcome;
 use pfm_isa::snap::{content_key, Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -95,13 +95,13 @@ const FRAME_HEADER_LEN: usize = 16;
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 // ---------------------------------------------------------------------
-// Frames (shared by the log and the worker-process stdio protocol)
+// Frames
 // ---------------------------------------------------------------------
 
-/// Appends one checksummed frame (`magic, len, fnv64, payload`) to
-/// `buf`. The whole frame is assembled in memory so callers can emit
-/// it with a single `write` (atomic record-granularity interleaving on
-/// `O_APPEND` files and pipes).
+/// Builds one checksummed frame (`magic, len, fnv64, payload`). The
+/// whole frame is assembled in memory so it can be appended with a
+/// single `write` (atomic record-granularity interleaving on the
+/// `O_APPEND` log).
 pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
@@ -109,57 +109,6 @@ pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&content_key(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-/// Writes one checksummed frame to `w` with a single `write_all`.
-///
-/// # Errors
-/// Propagates the underlying IO error.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&frame_bytes(payload))
-}
-
-/// Reads one checksummed frame from a stream. Returns `Ok(None)` on a
-/// clean EOF at a frame boundary.
-///
-/// # Errors
-/// `InvalidData` on a bad magic, an oversized length, a checksum
-/// mismatch, or a mid-frame EOF; other IO errors are propagated.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    let mut got = 0;
-    while got < header.len() {
-        let n = r.read(&mut header[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(bad_data("frame truncated mid-header"));
-        }
-        got += n;
-    }
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&header[8..16]);
-    let checksum = u64::from_le_bytes(sum);
-    if magic != FRAME_MAGIC {
-        return Err(bad_data("frame magic mismatch"));
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(bad_data("frame length implausible"));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)
-        .map_err(|_| bad_data("frame truncated mid-payload"))?;
-    if content_key(&payload) != checksum {
-        return Err(bad_data("frame checksum mismatch"));
-    }
-    Ok(Some(payload))
-}
-
-fn bad_data(what: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -1148,27 +1097,5 @@ mod tests {
         assert_eq!(report.skipped, 1);
         assert!(store.get("k3").is_none());
         assert!(store.get("k1").is_some());
-    }
-
-    #[test]
-    fn frame_stream_roundtrip_and_corruption() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"alpha").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, b"omega").unwrap();
-        let mut r = std::io::Cursor::new(buf.clone());
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"alpha");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"omega");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-
-        // Flip one payload byte: checksum mismatch, typed error.
-        let mut bad = buf.clone();
-        bad[FRAME_HEADER_LEN] ^= 0xff;
-        assert!(read_frame(&mut std::io::Cursor::new(bad)).is_err());
-
-        // Truncate mid-payload: typed error, not a hang or panic.
-        let cut = &buf[..FRAME_HEADER_LEN + 2];
-        assert!(read_frame(&mut std::io::Cursor::new(cut.to_vec())).is_err());
     }
 }

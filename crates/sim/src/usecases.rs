@@ -250,9 +250,10 @@ pub fn prefetch_suite_factories() -> Vec<UseCaseFactory> {
 }
 
 /// Every distinct use-case the experiment suite simulates, one factory
-/// each. This is the workload mix behind both the golden-stats
-/// regression test and the `repro --bench` throughput harness, so the
-/// two measure exactly the code paths the experiments exercise.
+/// each. This is the workload mix behind the golden-stats regression
+/// test, the functional-equivalence gate and the static-analysis
+/// gates, so all of them cover exactly the code paths the experiments
+/// exercise.
 pub fn throughput_suite_factories() -> Vec<UseCaseFactory> {
     vec![
         astar_custom_factory(),

@@ -57,7 +57,7 @@ fn derived_profile_summaries_are_pinned() {
 
 /// The corrupt-watch seam redirects a component watch entry to a PC
 /// no derivation can explain, which must surface as a coverage gap —
-/// the CI gate behind `repro --derive`.
+/// the CI gate behind `pfm-analyze --corrupt-watch astar`.
 #[test]
 fn corrupted_watch_entry_becomes_a_coverage_gap() {
     let report = derive_all(Some("astar"));

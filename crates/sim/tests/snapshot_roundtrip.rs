@@ -160,8 +160,7 @@ fn libquantum_pfm_roundtrip_is_bit_identical() {
 // (Draining, then Loading) must restore and continue bit-identically:
 // the residency machine, the remaining drain/load window, and the
 // swap counters are all part of the snapshot. This is what lets the
-// sampled-run mode (and the experiment service's warm restarts) cut a
-// run anywhere, even inside a swap.
+// sampled-run mode cut a run anywhere, even inside a swap.
 
 const SWAP_AT: u64 = 6_000;
 const SWAP_LOAD_CYCLES: u64 = 2_000;

@@ -10,6 +10,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --release --all-targets -- -D warnings
+# pfm-bench (repro, pfm-analyze, the criterion benches) is outside the
+# default members, so the step above does not reach it.
+cargo clippy --release -p pfm-bench --all-targets -- -D warnings
 
 echo "== pfm-lint (workspace invariants) =="
 cargo run -q --release -p pfm-lint -- --workspace

@@ -24,7 +24,7 @@ fn bench_sparse_mem(c: &mut Criterion) {
     g.bench_function("read8_mostly_same_page", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);
-            let addr = ((i >> 9) << 12 | (i & 0x1FF) * 8) & ((1 << 20) - 8);
+            let addr = (((i >> 9) << 12) | ((i & 0x1FF) * 8)) & ((1 << 20) - 8);
             m.read_cached(addr, 8)
         })
     });

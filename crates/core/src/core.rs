@@ -22,7 +22,7 @@ use crate::hooks::{
 };
 use crate::stats::SimStats;
 use pfm_bpred::{BranchKind, Btb, Checkpoint, Prediction, Predictor, Ras};
-use pfm_isa::fxhash::{FxHashMap, FxHashSet};
+use pfm_isa::fxhash::FxHashMap;
 use pfm_isa::inst::{ExecClass, Inst};
 use pfm_isa::machine::{ExecError, Machine, StepOut};
 use pfm_isa::program::Program;
@@ -75,7 +75,9 @@ enum InstState {
     Completed,
 }
 
-/// One in-flight dynamic instruction.
+/// One in-flight dynamic instruction. A conditional branch's predictor
+/// state lives in the core's branch queue ([`BranchEntry`]), not here,
+/// which keeps the entries the window moves around small.
 #[derive(Clone, Debug)]
 struct DynInst {
     step: StepOut,
@@ -96,9 +98,33 @@ struct DynInst {
     target_mispredicted: bool,
     /// Prediction was supplied by the Fetch Agent.
     from_fabric: bool,
-    prediction: Option<Prediction>,
-    checkpoint: Option<Checkpoint>,
     ras_snap: Option<(usize, usize)>,
+}
+
+/// Predictor state of one unretired conditional branch. The core keeps
+/// these in program order from fetch to retire: retire pops the head to
+/// train, mispredict recovery takes the checkpoint by seq, and a squash
+/// truncates the queue.
+#[derive(Clone, Debug)]
+struct BranchEntry {
+    seq: u64,
+    prediction: Prediction,
+    /// Speculative-history checkpoint from before the prediction;
+    /// `None` once mispredict recovery has consumed it.
+    checkpoint: Option<Checkpoint>,
+}
+
+/// Scheduler state of one window slot, in a ring indexed by
+/// `seq & slot_mask`. The ROB never holds more than `rob_size`
+/// consecutive seqs, so no two in-window instructions share a slot.
+#[derive(Clone, Debug, Default)]
+struct Slot {
+    /// Source producers still `Waiting` or `Issued` (a `Waiting`
+    /// instruction is ready when this reaches zero).
+    pending: u8,
+    /// Younger `Waiting` instructions to wake when this one completes,
+    /// in dispatch (seq) order; one entry per source operand.
+    dependents: Vec<u64>,
 }
 
 impl DynInst {
@@ -108,14 +134,18 @@ impl DynInst {
     fn is_store(&self) -> bool {
         self.info.class == ExecClass::Store
     }
+    fn is_incomplete(&self) -> bool {
+        matches!(self.state, InstState::Waiting | InstState::Issued)
+    }
     fn mem_range(&self) -> Option<(u64, u64)> {
         self.step.mem.map(|m| (m.addr, m.addr + m.size))
     }
 
-    /// Serializes one in-flight instruction's timing state. The decoded
-    /// [`InstInfo`] is not serialized: it is a pure function of the
-    /// instruction, re-derived at decode.
-    fn snapshot_encode(&self, e: &mut Enc) {
+    /// Serializes one in-flight instruction's timing state, with its
+    /// branch-queue entry (if any) inline. The decoded [`InstInfo`] is
+    /// not serialized: it is a pure function of the instruction,
+    /// re-derived at decode.
+    fn snapshot_encode(&self, branch: Option<&BranchEntry>, e: &mut Enc) {
         self.step.snapshot_encode(e);
         e.u8(match self.state {
             InstState::InFront => 0,
@@ -140,14 +170,14 @@ impl DynInst {
         e.bool(self.mispredicted);
         e.bool(self.target_mispredicted);
         e.bool(self.from_fabric);
-        match &self.prediction {
+        match branch {
             None => e.u8(0),
-            Some(p) => {
+            Some(b) => {
                 e.u8(1);
-                p.snapshot_encode(e);
+                b.prediction.snapshot_encode(e);
             }
         }
-        match &self.checkpoint {
+        match branch.and_then(|b| b.checkpoint.as_ref()) {
             None => e.u8(0),
             Some(cp) => {
                 e.u8(1);
@@ -166,8 +196,11 @@ impl DynInst {
 
     /// Decodes an instruction serialized by
     /// [`DynInst::snapshot_encode`], re-fetching the instruction from
-    /// `program`.
-    fn snapshot_decode(program: &Program, d: &mut Dec<'_>) -> Result<DynInst, SnapError> {
+    /// `program`, with its branch-queue entry if it carried one.
+    fn snapshot_decode(
+        program: &Program,
+        d: &mut Dec<'_>,
+    ) -> Result<(DynInst, Option<BranchEntry>), SnapError> {
         let step = StepOut::snapshot_decode(program, d)?;
         let info = step.inst.info();
         let state = match d.u8()? {
@@ -208,7 +241,17 @@ impl DynInst {
             1 => Some((d.usize()?, d.usize()?)),
             _ => return Err(SnapError::Corrupt("ras snapshot tag")),
         };
-        Ok(DynInst {
+        let branch = match (prediction, checkpoint) {
+            (Some(prediction), checkpoint) if info.is_cond_branch => Some(BranchEntry {
+                seq: step.seq,
+                prediction,
+                checkpoint,
+            }),
+            (Some(_), _) => return Err(SnapError::Corrupt("prediction on a non-branch")),
+            (None, Some(_)) => return Err(SnapError::Corrupt("checkpoint without prediction")),
+            (None, None) => None,
+        };
+        let inst = DynInst {
             step,
             info,
             state,
@@ -221,10 +264,9 @@ impl DynInst {
             mispredicted,
             target_mispredicted,
             from_fabric,
-            prediction,
-            checkpoint,
             ras_snap,
-        })
+        };
+        Ok((inst, branch))
     }
 }
 
@@ -301,10 +343,24 @@ pub struct Core {
     event_pool: Vec<Vec<u64>>,
     fabric_load_events: FxHashMap<u64, Vec<(u64, u64, u64)>>, // cycle -> (id, addr, size)
     fabric_load_pool: Vec<Vec<(u64, u64, u64)>>,
-    inflight_incomplete: FxHashSet<u64>,
     last_writer: [Option<u64>; NUM_ARCH_REGS],
     /// Reused squash scratch: avoids a fresh allocation per squash.
     squash_scratch: Vec<StepOut>,
+
+    /// Unretired conditional branches (front end and ROB), in program
+    /// order.
+    branches: VecDeque<BranchEntry>,
+    /// Scheduler ring, `rob_size.next_power_of_two()` slots.
+    slots: Vec<Slot>,
+    slot_mask: u64,
+    /// Seqs of the `Waiting` instructions whose producers have all
+    /// completed (or left the window), ascending: issue walks only
+    /// these, oldest first.
+    ready: Vec<u64>,
+    /// Seqs of the in-window loads and stores, ascending (the load and
+    /// store queues).
+    loads: VecDeque<u64>,
+    stores: VecDeque<u64>,
 
     /// Issue-queue occupancy as of the last dispatch (deliberately
     /// *stale* during a cycle: issue() frees IQ entries mid-cycle, but
@@ -316,8 +372,6 @@ pub struct Core {
     /// from this at the end of every dispatch, replacing what used to
     /// be an O(ROB) recount per cycle.
     waiting_count: usize,
-    lq_count: usize,
-    sq_count: usize,
     dest_count: usize,
 
     fetch_stall_until: u64,
@@ -363,6 +417,7 @@ impl Core {
     pub fn new(config: CoreConfig, machine: Machine, hierarchy: Hierarchy) -> Core {
         let bp = Predictor::new(config.predictor);
         let ras_depth = config.ras_depth;
+        let ring = config.rob_size.next_power_of_two();
         Core {
             config,
             machine,
@@ -379,13 +434,16 @@ impl Core {
             event_pool: Vec::new(),
             fabric_load_events: FxHashMap::default(),
             fabric_load_pool: Vec::new(),
-            inflight_incomplete: FxHashSet::default(),
             last_writer: [None; NUM_ARCH_REGS],
             squash_scratch: Vec::new(),
+            branches: VecDeque::new(),
+            slots: vec![Slot::default(); ring],
+            slot_mask: ring as u64 - 1,
+            ready: Vec::new(),
+            loads: VecDeque::new(),
+            stores: VecDeque::new(),
             iq_count: 0,
             waiting_count: 0,
-            lq_count: 0,
-            sq_count: 0,
             dest_count: 0,
             fetch_stall_until: 0,
             fetch_blocked_on: None,
@@ -474,8 +532,9 @@ impl Core {
     /// is *not* serialized: it comes from the run key and is passed back
     /// to [`Core::restore`]. Scratch pools (event buckets, squash
     /// scratch) and bookkeeping that is a pure function of the window
-    /// (rename map, in-flight set, queue occupancy counts) are rebuilt
-    /// at decode rather than serialized.
+    /// (rename map, load/store queues, wakeup lists, ready list,
+    /// occupancy counts) are rebuilt at decode rather than serialized;
+    /// branch-queue entries are encoded inline with their instructions.
     ///
     /// The encoding is canonical: equal state always produces equal
     /// bytes, so `content_key` over the stream is a stable dedup key.
@@ -488,11 +547,11 @@ impl Core {
         e.u64(self.cycle);
         e.usize(self.front.len());
         for d in &self.front {
-            d.snapshot_encode(e);
+            d.snapshot_encode(self.branch_pos(d.step.seq).map(|i| &self.branches[i]), e);
         }
         e.usize(self.rob.len());
         for d in &self.rob {
-            d.snapshot_encode(e);
+            d.snapshot_encode(self.branch_pos(d.step.seq).map(|i| &self.branches[i]), e);
         }
         e.usize(self.replay.len());
         for s in &self.replay {
@@ -595,14 +654,22 @@ impl Core {
         core.cycle = d.u64()?;
 
         let program = core.machine.program().clone();
+        // Front-end branches are younger than the ROB's, so they join
+        // the branch queue after it.
+        let mut front_branches = Vec::new();
         let n = d.seq_len()?;
         for _ in 0..n {
-            core.front.push_back(DynInst::snapshot_decode(&program, d)?);
+            let (inst, branch) = DynInst::snapshot_decode(&program, d)?;
+            core.front.push_back(inst);
+            front_branches.extend(branch);
         }
         let n = d.seq_len()?;
         for _ in 0..n {
-            core.rob.push_back(DynInst::snapshot_decode(&program, d)?);
+            let (inst, branch) = DynInst::snapshot_decode(&program, d)?;
+            core.rob.push_back(inst);
+            core.branches.extend(branch);
         }
+        core.branches.extend(front_branches);
         let n = d.seq_len()?;
         for _ in 0..n {
             core.replay
@@ -613,21 +680,34 @@ impl Core {
             1 => Some(StepOut::snapshot_decode(&program, d)?),
             _ => return Err(SnapError::Corrupt("peeked record tag")),
         };
-        let ascending = |seqs: &mut dyn Iterator<Item = u64>| {
-            let mut prev = None;
-            for s in seqs {
-                if prev.is_some_and(|p| p >= s) {
-                    return false;
-                }
-                prev = Some(s);
+        // The seq-indexed window (`rob_pos`, the slot ring) relies on
+        // the ROB holding at most `rob_size` consecutive seqs. Dispatch
+        // keeps it so as long as the records behind it — front end,
+        // peeked record, replay queue, then the machine — continue the
+        // sequence, so the whole chain must be consecutive.
+        if core.rob.len() > core.config.rob_size {
+            return Err(SnapError::Corrupt("rob occupancy"));
+        }
+        let chain = (core.rob.iter().chain(&core.front).map(|d| d.step.seq))
+            .chain(core.peeked.iter().chain(&core.replay).map(|s| s.seq));
+        let mut next = None;
+        for s in chain {
+            if next.is_some_and(|n| n != s) {
+                return Err(SnapError::Corrupt("window seqs not consecutive"));
             }
-            true
-        };
-        if !ascending(&mut core.rob.iter().map(|d| d.step.seq))
-            || !ascending(&mut core.front.iter().map(|d| d.step.seq))
-            || !ascending(&mut core.replay.iter().map(|s| s.seq))
+            next = Some(s.checked_add(1).ok_or(SnapError::Corrupt("window seq"))?);
+        }
+        if next.is_some_and(|n| n != core.machine.next_seq()) {
+            return Err(SnapError::Corrupt("window seqs not consecutive"));
+        }
+        // Producers precede their consumers (rename only ever names
+        // older instructions), which the wakeup rebuild below assumes.
+        if core
+            .rob
+            .iter()
+            .any(|di| di.srcs.iter().flatten().any(|&p| p >= di.step.seq))
         {
-            return Err(SnapError::Corrupt("window order"));
+            return Err(SnapError::Corrupt("source producer order"));
         }
 
         let n = d.seq_len()?;
@@ -681,18 +761,26 @@ impl Core {
         core.stats = SimStats::snapshot_decode(d)?;
 
         // Rebuild the window bookkeeping that is a pure function of the
-        // ROB (exactly the squash-path rebuild): rename map, in-flight
-        // set, and occupancy counts.
-        for di in &core.rob {
+        // ROB: rename map, occupancy counts, load/store queues, and the
+        // scheduler (each `Waiting` instruction registered on its
+        // incomplete producers, or ready), as dispatch left them.
+        for pos in 0..core.rob.len() {
+            let di = &core.rob[pos];
+            let seq = di.step.seq;
             if let Some((reg, _)) = di.step.wrote {
-                core.last_writer[reg.index()] = Some(di.step.seq);
+                core.last_writer[reg.index()] = Some(seq);
             }
-            core.lq_count += usize::from(di.is_load());
-            core.sq_count += usize::from(di.is_store());
+            if di.is_load() {
+                core.loads.push_back(seq);
+            }
+            if di.is_store() {
+                core.stores.push_back(seq);
+            }
             core.dest_count += usize::from(di.has_dst);
-            core.waiting_count += usize::from(di.state == InstState::Waiting);
-            if matches!(di.state, InstState::Waiting | InstState::Issued) {
-                core.inflight_incomplete.insert(di.step.seq);
+            if di.state == InstState::Waiting {
+                core.waiting_count += 1;
+                let srcs = di.srcs;
+                core.register_waiting(seq, srcs);
             }
         }
         core.iq_count = core.waiting_count;
@@ -869,11 +957,13 @@ impl Core {
                 let m = inst.step.mem.expect("store has a memory access");
                 self.hierarchy.access(m.addr, AccessKind::Store, self.cycle);
                 self.stats.stores += 1;
-                self.sq_count -= 1;
+                debug_assert_eq!(self.stores.front(), Some(&seq));
+                self.stores.pop_front();
             }
             if inst.is_load() {
                 self.stats.loads += 1;
-                self.lq_count -= 1;
+                debug_assert_eq!(self.loads.front(), Some(&seq));
+                self.loads.pop_front();
             }
             if inst.has_dst {
                 self.dest_count -= 1;
@@ -891,8 +981,8 @@ impl Core {
                 if inst.from_fabric {
                     self.stats.fabric_predictions_used += 1;
                 }
-                if let Some(pred) = &inst.prediction {
-                    self.bp.train(inst.step.pc, inst.step.taken, pred);
+                if let Some(b) = self.branches.pop_front_if(|b| b.seq == seq) {
+                    self.bp.train(inst.step.pc, inst.step.taken, &b.prediction);
                 }
             }
             if inst.target_mispredicted {
@@ -921,7 +1011,6 @@ impl Core {
                     self.last_writer[reg.index()] = None;
                 }
             }
-            self.inflight_incomplete.remove(&seq);
 
             self.stats.retired += 1;
             if self.stats.retired <= self.checksum_cap {
@@ -962,8 +1051,88 @@ impl Core {
     // Complete / writeback
     // ------------------------------------------------------------------
 
+    /// ROB position of `seq`: its offset from the head, since the ROB
+    /// holds consecutive seqs.
     fn rob_pos(&self, seq: u64) -> Option<usize> {
-        self.rob.binary_search_by_key(&seq, |d| d.step.seq).ok()
+        let pos = seq.checked_sub(self.rob.front()?.step.seq)?;
+        usize::try_from(pos).ok().filter(|&p| p < self.rob.len())
+    }
+
+    /// The in-window instruction `seq` (which must be in the ROB).
+    fn inst(&self, seq: u64) -> &DynInst {
+        let pos = seq - self.rob[0].step.seq;
+        &self.rob[pos as usize]
+    }
+
+    /// Whether `seq` is in the window and has not completed.
+    fn executing(&self, seq: u64) -> bool {
+        self.rob_pos(seq)
+            .is_some_and(|pos| self.rob[pos].is_incomplete())
+    }
+
+    fn slot(&mut self, seq: u64) -> &mut Slot {
+        &mut self.slots[(seq & self.slot_mask) as usize]
+    }
+
+    /// Branch-queue index of conditional branch `seq`.
+    fn branch_pos(&self, seq: u64) -> Option<usize> {
+        self.branches.binary_search_by_key(&seq, |b| b.seq).ok()
+    }
+
+    /// Enters `Waiting` instruction `seq` (the youngest in the window)
+    /// into the scheduler: registered on each source producer that is
+    /// still `Waiting` or `Issued`, or straight onto the ready list.
+    fn register_waiting(&mut self, seq: u64, srcs: [Option<u64>; 2]) {
+        self.slot(seq).dependents.clear();
+        let mut pending = 0;
+        for p in srcs.into_iter().flatten() {
+            if self.executing(p) {
+                pending += 1;
+                self.slot(p).dependents.push(seq);
+            }
+        }
+        self.slot(seq).pending = pending;
+        if pending == 0 {
+            debug_assert!(self.ready.last().is_none_or(|&r| r < seq));
+            self.ready.push(seq);
+        }
+    }
+
+    /// Wakes the dependents of `seq`, which just completed: each whose
+    /// last pending producer this was joins the ready list in seq order.
+    fn wake_dependents(&mut self, seq: u64) {
+        let mut deps = std::mem::take(&mut self.slot(seq).dependents);
+        for &c in &deps {
+            let slot = self.slot(c);
+            debug_assert!(slot.pending > 0, "dependent {c} woken twice");
+            slot.pending -= 1;
+            if slot.pending == 0 {
+                let at = self.ready.partition_point(|&r| r < c);
+                self.ready.insert(at, c);
+            }
+        }
+        deps.clear();
+        self.slot(seq).dependents = deps;
+    }
+
+    /// Debug oracle for the scheduler: the ready list must be exactly
+    /// what a full-window scan finds — every `Waiting` instruction
+    /// whose producers are all `Completed` or out of the window, in
+    /// ROB order.
+    #[cfg(debug_assertions)]
+    fn debug_check_ready(&self) {
+        let scan = self
+            .rob
+            .iter()
+            .filter(|d| d.state == InstState::Waiting)
+            .filter(|d| !d.srcs.iter().flatten().any(|&p| self.executing(p)))
+            .map(|d| d.step.seq);
+        debug_assert!(
+            scan.eq(self.ready.iter().copied()),
+            "ready list {:?} diverged from the window scan at cycle {}",
+            self.ready,
+            self.cycle
+        );
     }
 
     fn complete(&mut self, hooks: &mut dyn PfmHooks) {
@@ -994,31 +1163,24 @@ impl Core {
                 continue; // stale event from a squashed incarnation
             }
             self.rob[pos].state = InstState::Completed;
-            self.inflight_incomplete.remove(&seq);
+            self.wake_dependents(seq);
 
             let is_store = self.rob[pos].is_store();
             let mispredicted = self.rob[pos].mispredicted || self.rob[pos].target_mispredicted;
 
             if is_store {
-                // Memory-disambiguation check: a younger load that
-                // already executed and overlaps this store's bytes
+                // Memory-disambiguation check: the oldest younger load
+                // that already executed and overlaps this store's bytes
                 // violated the dependence.
                 // pfm-lint: allow(hygiene): stores always carry a memory range
                 let range = self.rob[pos].mem_range().expect("store range");
-                let mut violator = None;
-                for d in self.rob.iter().skip(pos + 1) {
-                    if d.is_load()
-                        && matches!(d.state, InstState::Issued | InstState::Completed)
+                let younger = self.loads.partition_point(|&l| l < seq);
+                let violator = self.loads.range(younger..).copied().find(|&l| {
+                    let d = self.inst(l);
+                    matches!(d.state, InstState::Issued | InstState::Completed)
                         && d.issue_cycle < self.cycle
-                    {
-                        if let Some(lr) = d.mem_range() {
-                            if overlaps(range, lr) {
-                                violator = Some(d.step.seq);
-                                break;
-                            }
-                        }
-                    }
-                }
+                        && d.mem_range().is_some_and(|lr| overlaps(range, lr))
+                });
                 if let Some(v) = violator {
                     self.stats.squash_disambiguation += 1;
                     self.squash_from(v, SquashKind::Disambiguation, hooks);
@@ -1032,13 +1194,11 @@ impl Core {
                 // pfm-lint: allow(hygiene): seq was found in the ROB this cycle
                 let pos = self.rob_pos(seq).expect("still present");
                 let actual = self.rob[pos].step.taken;
-                let is_cond = self.rob[pos].info.is_cond_branch;
-                if let Some(cp) = self.rob[pos].checkpoint.take() {
-                    if is_cond {
-                        self.bp.recover(&cp, actual);
-                    } else {
-                        self.bp.restore(&cp);
-                    }
+                let checkpoint = self
+                    .branch_pos(seq)
+                    .and_then(|i| self.branches[i].checkpoint.take());
+                if let Some(cp) = checkpoint {
+                    self.bp.recover(&cp, actual);
                 }
                 if let Some(snap) = self.rob[pos].ras_snap.take() {
                     self.ras.restore(snap);
@@ -1063,10 +1223,6 @@ impl Core {
     // Issue / execute
     // ------------------------------------------------------------------
 
-    fn src_ready(&self, src: Option<u64>) -> bool {
-        src.is_none_or(|s| !self.inflight_incomplete.contains(&s))
-    }
-
     fn lane_for(class: ExecClass) -> LaneClass {
         match class {
             ExecClass::Load | ExecClass::Store => LaneClass::LoadStore,
@@ -1076,28 +1232,28 @@ impl Core {
     }
 
     fn issue(&mut self, hooks: &mut dyn PfmHooks) {
+        #[cfg(debug_assertions)]
+        self.debug_check_ready();
         let mut lane_free: [usize; 3] = [4, 2, 2]; // SimpleAlu, LoadStore, Complex
         let mut issued = 0usize;
         let cycle = self.cycle;
 
-        for pos in 0..self.rob.len() {
-            if issued >= self.config.issue_width {
-                break;
-            }
+        // Select: the ready list, oldest first. Issued entries leave it;
+        // the rest stay for a later cycle.
+        let head = self.rob.front().map_or(0, |d| d.step.seq);
+        let mut i = 0;
+        while i < self.ready.len() && issued < self.config.issue_width {
+            let seq = self.ready[i];
+            let pos = (seq - head) as usize;
             let d = &self.rob[pos];
-            if d.state != InstState::Waiting || d.dispatch_ready > cycle {
-                continue;
-            }
-            if !(self.src_ready(d.srcs[0]) && self.src_ready(d.srcs[1])) {
-                continue;
-            }
             let lane = Self::lane_for(d.info.class);
             let lane_idx = match lane {
                 LaneClass::SimpleAlu => 0,
                 LaneClass::LoadStore => 1,
                 LaneClass::Complex => 2,
             };
-            if lane_free[lane_idx] == 0 {
+            if d.dispatch_ready > cycle || lane_free[lane_idx] == 0 {
+                i += 1;
                 continue;
             }
 
@@ -1109,18 +1265,15 @@ impl Core {
                     // Store-to-load forwarding: an older in-flight store
                     // with a known (executed) address that overlaps.
                     let lr = (m.addr, m.addr + m.size);
-                    let mut forwarded = false;
-                    for s in self.rob.iter().take(pos) {
-                        if s.is_store()
-                            && matches!(s.state, InstState::Issued | InstState::Completed)
-                        {
-                            if let Some(sr) = s.mem_range() {
-                                if overlaps(sr, lr) {
-                                    forwarded = true;
-                                }
-                            }
-                        }
-                    }
+                    let forwarded = self
+                        .stores
+                        .iter()
+                        .take_while(|&&s| s < seq)
+                        .map(|&s| self.inst(s))
+                        .any(|s| {
+                            matches!(s.state, InstState::Issued | InstState::Completed)
+                                && s.mem_range().is_some_and(|sr| overlaps(sr, lr))
+                        });
                     if forwarded {
                         cycle + self.hierarchy.config().l1d.latency
                     } else {
@@ -1155,7 +1308,7 @@ impl Core {
             d.state = InstState::Issued;
             d.issue_cycle = cycle;
             d.complete_cycle = complete_at;
-            let seq = d.step.seq;
+            self.ready.remove(i);
             self.waiting_count -= 1;
             let pool = &mut self.event_pool;
             self.events
@@ -1214,14 +1367,19 @@ impl Core {
             // Structural resources.
             if self.rob.len() >= self.config.rob_size
                 || self.iq_count >= self.config.iq_size
-                || (head.is_load() && self.lq_count >= self.config.ldq_size)
-                || (head.is_store() && self.sq_count >= self.config.stq_size)
+                || (head.is_load() && self.loads.len() >= self.config.ldq_size)
+                || (head.is_store() && self.stores.len() >= self.config.stq_size)
                 || (head.has_dst && self.dest_count >= self.config.rename_regs())
             {
                 break;
             }
             // pfm-lint: allow(hygiene): the loop guard checked front() is Some
             let mut d = self.front.pop_front().expect("head exists");
+            let seq = d.step.seq;
+            debug_assert!(
+                self.rob.back().is_none_or(|b| b.step.seq + 1 == seq),
+                "ROB seqs must be consecutive"
+            );
             // Rename: source producers from the last-writer map.
             for (i, src) in d.info.srcs.iter().enumerate() {
                 d.srcs[i] = src
@@ -1229,21 +1387,22 @@ impl Core {
                     .and_then(|r| self.last_writer[r.index()]);
             }
             if let Some((reg, _)) = d.step.wrote {
-                self.last_writer[reg.index()] = Some(d.step.seq);
+                self.last_writer[reg.index()] = Some(seq);
                 self.dest_count += 1;
                 d.has_dst = true;
             }
             if d.is_load() {
-                self.lq_count += 1;
+                self.loads.push_back(seq);
             }
             if d.is_store() {
-                self.sq_count += 1;
+                self.stores.push_back(seq);
             }
             self.iq_count += 1;
             self.waiting_count += 1;
             d.state = InstState::Waiting;
-            self.inflight_incomplete.insert(d.step.seq);
+            let srcs = d.srcs;
             self.rob.push_back(d);
+            self.register_waiting(seq, srcs);
         }
         // IQ entries free at issue; approximate by counting Waiting.
         // `waiting_count` tracks that exactly, so the refresh is O(1).
@@ -1338,8 +1497,6 @@ impl Core {
                 mispredicted: false,
                 target_mispredicted: false,
                 from_fabric: false,
-                prediction: None,
-                checkpoint: None,
                 ras_snap: None,
             };
 
@@ -1362,8 +1519,12 @@ impl Core {
                 }
                 d.pred_taken = used;
                 d.mispredicted = used != rec.taken;
-                d.prediction = Some(pred);
-                d.checkpoint = Some(cp);
+                debug_assert!(self.branches.back().is_none_or(|b| b.seq < rec.seq));
+                self.branches.push_back(BranchEntry {
+                    seq: rec.seq,
+                    prediction: pred,
+                    checkpoint: Some(cp),
+                });
             } else if info.is_control {
                 // jal/jalr: direction always taken; model RAS for
                 // returns and BTB for other indirect targets.
@@ -1424,20 +1585,23 @@ impl Core {
         // Split the ROB. Everything at `cut` and beyond is squashed,
         // but the tail is walked in place and truncated rather than
         // moved out, so a squash allocates nothing.
-        let cut = self.rob.partition_point(|d| d.step.seq < boundary);
+        let head = self.rob.front().map_or(boundary, |d| d.step.seq);
+        let cut = boundary.saturating_sub(head).min(self.rob.len() as u64) as usize;
+        let first_branch = self.branches.partition_point(|b| b.seq < boundary);
 
-        // Repair predictor/RAS speculative state using the oldest
-        // squashed control instruction's checkpoint.
-        for d in self.rob.iter().skip(cut).chain(self.front.iter()) {
-            if let Some(cp) = &d.checkpoint {
-                self.bp.restore(cp);
-                break;
-            }
-            if let Some(snap) = d.ras_snap {
-                self.ras.restore(snap);
-                break;
-            }
+        // Repair predictor/RAS speculative state from the oldest
+        // squashed control instruction: a conditional branch's
+        // checkpoint or a jump's RAS snapshot, whichever is older.
+        let cp = (self.branches.range(first_branch..))
+            .find_map(|b| b.checkpoint.as_ref().map(|cp| (b.seq, cp)));
+        let ras = (self.rob.range(cut..).chain(&self.front))
+            .find_map(|d| d.ras_snap.map(|snap| (d.step.seq, snap)));
+        match (cp, ras) {
+            (Some((seq, cp)), ras) if ras.is_none_or(|(r, _)| seq < r) => self.bp.restore(cp),
+            (_, Some((_, snap))) => self.ras.restore(snap),
+            _ => {}
         }
+        self.branches.truncate(first_branch);
 
         // Records back to replay, in order, via the reusable scratch
         // buffer. Squashed bookkeeping rides along in the same pass.
@@ -1445,7 +1609,6 @@ impl Core {
         scratch.clear();
         for d in self.rob.iter().skip(cut).chain(self.front.iter()) {
             scratch.push(d.step);
-            self.inflight_incomplete.remove(&d.step.seq);
             if d.step.halted {
                 self.halt_fetched = false;
             }
@@ -1470,20 +1633,28 @@ impl Core {
         }
         self.squash_scratch = scratch;
 
-        // Bookkeeping rebuilds over the surviving window (single pass).
+        // The seq-ordered lists drop their squashed tails.
+        let older = |s: &u64| *s < boundary;
+        self.loads.truncate(self.loads.partition_point(older));
+        self.stores.truncate(self.stores.partition_point(older));
+        self.ready.truncate(self.ready.partition_point(older));
+
+        // Bookkeeping rebuilds over the surviving window (single pass),
+        // including pruning squashed consumers from the wakeup lists of
+        // producers that are still executing.
         self.last_writer = [None; NUM_ARCH_REGS];
-        self.lq_count = 0;
-        self.sq_count = 0;
         self.dest_count = 0;
         self.waiting_count = 0;
         for d in &self.rob {
             if let Some((reg, _)) = d.step.wrote {
                 self.last_writer[reg.index()] = Some(d.step.seq);
             }
-            self.lq_count += usize::from(d.is_load());
-            self.sq_count += usize::from(d.is_store());
             self.dest_count += usize::from(d.has_dst);
             self.waiting_count += usize::from(d.state == InstState::Waiting);
+            if d.is_incomplete() {
+                let deps = &mut self.slots[(d.step.seq & self.slot_mask) as usize].dependents;
+                deps.truncate(deps.partition_point(|&c| c < boundary));
+            }
         }
         self.iq_count = self.waiting_count;
 
@@ -1878,6 +2049,75 @@ mod tests {
             restored.machine().arch_checksum()
         );
         assert_eq!(core.hierarchy().stats(), restored.hierarchy().stats());
+    }
+
+    /// A core mid-way through a branchy load/store loop, with a full
+    /// window to snapshot.
+    fn mid_run_core() -> (Core, Program) {
+        let mut a = Asm::new(0x1000);
+        let top = a.label();
+        let skip = a.label();
+        a.li(S0, 12345);
+        a.li(S1, 6364136223846793005);
+        a.li(A0, 0x40_0000);
+        a.li(T0, 10_000);
+        a.bind(top).unwrap();
+        a.mul(S0, S0, S1);
+        a.srli(T1, S0, 62);
+        a.andi(T1, T1, 1);
+        a.beq(T1, X0, skip);
+        a.sd(S0, A0, 0);
+        a.ld(T2, A0, 0);
+        a.addi(A0, A0, 64);
+        a.bind(skip).unwrap();
+        a.addi(T0, T0, -1);
+        a.bne(T0, X0, top);
+        a.halt();
+        let program = a.finish().unwrap();
+        let machine = Machine::new(program.clone(), SpecMemory::new());
+        let mut core = Core::new(
+            CoreConfig::micro21(),
+            machine,
+            Hierarchy::new(HierarchyConfig::micro21()),
+        );
+        for _ in 0..3_000 {
+            core.tick(&mut NoPfm).unwrap();
+        }
+        assert!(!core.finished() && core.rob.len() >= 3);
+        (core, program)
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_a_window_with_a_gap() {
+        let (mut core, program) = mid_run_core();
+        let mid = core.rob.len() / 2;
+        core.rob.remove(mid);
+        let bytes = core.snapshot();
+        let err = Core::restore(
+            CoreConfig::micro21(),
+            HierarchyConfig::micro21(),
+            program,
+            &bytes,
+        )
+        .unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("window seqs not consecutive"));
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_a_window_larger_than_the_rob() {
+        let (core, program) = mid_run_core();
+        let bytes = core.snapshot();
+        let mut small = CoreConfig::micro21();
+        small.rob_size = core.rob.len() - 1;
+        let err = Core::restore(small, HierarchyConfig::micro21(), program, &bytes).unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("rob occupancy"));
+    }
+
+    #[test]
+    fn window_entries_stay_small() {
+        // Predictor state lives in the branch queue, not in every
+        // window entry.
+        assert!(std::mem::size_of::<DynInst>() <= 256);
     }
 
     #[test]

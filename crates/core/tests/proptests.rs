@@ -191,6 +191,48 @@ proptest! {
         );
     }
 
+    /// Snapshot and restore at a random cycle are invisible: the split
+    /// run ends with the uninterrupted run's statistics and commit
+    /// checksum, for window sizes that are and are not powers of two.
+    /// Restore rebuilds the ready list, wakeup lists and branch queue
+    /// from the encoded window, so every cut point is a fresh check of
+    /// that rebuild.
+    #[test]
+    fn split_run_equals_straight_run(
+        ops in prop::collection::vec(op_strategy(), 1..16),
+        iters in 1i64..40,
+        rob in 0usize..3,
+        cut_permille in 1u64..1000,
+    ) {
+        let program = build_program(&ops, iters);
+        let mut cfg = CoreConfig::micro21();
+        cfg.rob_size = [12, 37, 224][rob];
+        let fresh = || {
+            Core::new(
+                cfg.clone(),
+                Machine::new(program.clone(), SpecMemory::new()),
+                Hierarchy::new(HierarchyConfig::micro21()),
+            )
+        };
+        let mut straight = fresh();
+        straight.run(&mut NoPfm, u64::MAX, 50_000_000).unwrap();
+        prop_assert!(straight.finished());
+
+        let mut first = fresh();
+        let cut = straight.stats().cycles * cut_permille / 1000;
+        while first.cycle() < cut {
+            first.tick(&mut NoPfm).unwrap();
+        }
+        let bytes = first.snapshot();
+        let mut second =
+            Core::restore(cfg.clone(), HierarchyConfig::micro21(), program.clone(), &bytes).unwrap();
+        prop_assert_eq!(second.snapshot(), bytes);
+        second.run(&mut NoPfm, u64::MAX, 50_000_000).unwrap();
+        prop_assert!(second.finished());
+        prop_assert_eq!(second.stats(), straight.stats());
+        prop_assert_eq!(second.commit_checksum(), straight.commit_checksum());
+    }
+
     /// Perfect branch prediction never mispredicts and never loses to
     /// the real predictor.
     #[test]

@@ -294,6 +294,10 @@ pub struct Fabric {
     /// Missed loads with their earliest-replay cycle.
     mlb: VecDeque<(FabricLoad, u64)>,
     inflight_loads: BTreeMap<u64, FabricLoad>,
+    /// Reused component-tick outputs (empty between RF ticks), so an RF
+    /// tick allocates nothing.
+    pred_scratch: Vec<PredPacket>,
+    load_scratch: Vec<FabricLoad>,
 
     // Squash protocol.
     squash_pending: bool,
@@ -353,6 +357,8 @@ impl Fabric {
             obs_ex: VecDeque::new(),
             mlb: VecDeque::new(),
             inflight_loads: BTreeMap::new(),
+            pred_scratch: Vec::new(),
+            load_scratch: Vec::new(),
             squash_pending: false,
             squash_done_at: None,
             residency: Residency::Resident,
@@ -930,26 +936,24 @@ impl Fabric {
         // the queue it drains into) back-pressures the component.
         let pred_space = q.saturating_sub(self.intq_f.len().max(self.pred_delay.len()));
         let load_space = q.saturating_sub(self.intq_is.len().max(self.load_delay.len()));
-        let mut preds = Vec::new();
-        let mut loads = Vec::new();
         {
             let mut io = FabricIo::new(
                 self.params.width,
                 self.rf_cycle,
                 &mut self.obs_q,
                 &mut self.obs_ex,
-                &mut preds,
-                &mut loads,
+                &mut self.pred_scratch,
+                &mut self.load_scratch,
                 pred_space,
                 load_space,
             );
             self.component.tick(&mut io);
         }
         let due = self.rf_cycle + self.params.delay;
-        for p in preds {
+        for p in self.pred_scratch.drain(..) {
             self.pred_delay.push_back((due, p));
         }
-        for l in loads {
+        for l in self.load_scratch.drain(..) {
             self.load_delay.push_back((due, l));
         }
     }
@@ -1169,8 +1173,7 @@ impl PfmHooks for Fabric {
         // queued (the paper's astar design records final predictions in
         // an extra queue for exactly this replay).
         let cut = self.delivered.partition_point(|&(s, _)| s < boundary);
-        let replayed: Vec<PredPacket> = self.delivered.drain(cut..).map(|(_, p)| p).collect();
-        for p in replayed.into_iter().rev() {
+        for (_, p) in self.delivered.drain(cut..).rev() {
             self.intq_f.push_front(p);
         }
     }

@@ -117,6 +117,11 @@ impl Machine {
         self.halted
     }
 
+    /// Sequence number the next [`Machine::step`] will carry.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Reads an integer register.
     pub fn reg(&self, r: Reg) -> u64 {
         if r.is_zero() {

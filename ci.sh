@@ -96,13 +96,8 @@ echo "== cargo build --release =="
 cargo build --release
 
 echo "== cargo test =="
+# Includes the two-speed equivalence gate (pfm-sim's functional_equivalence).
 cargo test -q --release
-
-echo "== functional/detailed equivalence gate (two-speed smoke) =="
-# Truncated-budget gate: the functional executor must retire the exact
-# committed stream the detailed core retires, for every use case in
-# both baseline and PFM modes.
-cargo test -q --release -p pfm-sim --test functional_equivalence
 
 echo "== repro chaos-smoke (graceful degradation under faults) =="
 repro_bin="$PWD/target/release/repro"

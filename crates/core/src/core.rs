@@ -26,7 +26,7 @@ use pfm_isa::fxhash::FxHashMap;
 use pfm_isa::inst::{ExecClass, Inst};
 use pfm_isa::machine::{ExecError, Machine, StepOut};
 use pfm_isa::program::Program;
-use pfm_isa::snap::{read_version, write_version, Dec, Enc, SnapError};
+use pfm_isa::snap::{read_version, write_version, Dec, Enc, SnapError, FNV_OFFSET};
 use pfm_isa::InstInfo;
 use pfm_mem::cache::line_of;
 use pfm_mem::{AccessKind, Hierarchy, HierarchyConfig, HitLevel};
@@ -383,8 +383,8 @@ pub struct Core {
     lane_busy: [bool; NUM_LANES],
     lane_busy_prev: [bool; NUM_LANES],
 
-    /// Running FNV fold over the committed instruction stream (PC,
-    /// branch outcome, destination write, store), capped at
+    /// Running [`StepOut::fold_commit`] over the committed instruction
+    /// stream (PC, branch outcome, destination write, store), capped at
     /// `checksum_cap` retired instructions. Unlike the live
     /// [`Machine::arch_checksum`] — which includes speculated-ahead
     /// state — this fingerprints exactly what retired, so two runs of
@@ -397,10 +397,6 @@ pub struct Core {
 
     stats: SimStats,
 }
-
-/// FNV-1a constants for the commit-stream checksum.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -485,37 +481,6 @@ impl Core {
     /// reached architectural state.
     pub fn commit_checksum(&self) -> u64 {
         self.commit_checksum
-    }
-
-    /// Folds one retired instruction's architectural effects into the
-    /// commit-stream checksum. Tags keep absent/present fields from
-    /// aliasing (e.g. a store of 0 vs. no store).
-    fn fold_commit(&mut self, step: &StepOut) {
-        let mut h = self.commit_checksum;
-        let mut fold = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        fold(step.pc);
-        fold(step.next_pc);
-        fold(u64::from(step.taken));
-        match step.wrote {
-            Some((reg, value)) => {
-                fold(1 + reg.index() as u64);
-                fold(value);
-            }
-            None => fold(0),
-        }
-        match step.mem {
-            Some(m) if m.is_store => {
-                fold(1);
-                fold(m.addr);
-                fold(m.size);
-                fold(m.value);
-            }
-            _ => fold(0),
-        }
-        self.commit_checksum = h;
     }
 
     /// Current cycle.
@@ -1014,7 +979,7 @@ impl Core {
 
             self.stats.retired += 1;
             if self.stats.retired <= self.checksum_cap {
-                self.fold_commit(&inst.step);
+                self.commit_checksum = inst.step.fold_commit(self.commit_checksum);
             }
 
             // Retire Agent observation.
@@ -2101,6 +2066,48 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SnapError::Corrupt("window seqs not consecutive"));
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_a_record_that_disagrees_with_its_instruction() {
+        // Each record below names an access or a destination write its
+        // instruction does not perform. It would decode, then trip the
+        // pipeline (a store without its access panics at retirement),
+        // so restore refuses it.
+        let restore = |core: &Core, program: Program| {
+            Core::restore(
+                CoreConfig::micro21(),
+                HierarchyConfig::micro21(),
+                program,
+                &core.snapshot(),
+            )
+            .unwrap_err()
+        };
+
+        let (mut core, program) = mid_run_core();
+        let store = core.rob.iter_mut().find(|d| d.step.inst.is_store());
+        store.expect("a store in flight").step.mem = None;
+        assert_eq!(
+            restore(&core, program),
+            SnapError::Corrupt("mem op disagrees with instruction")
+        );
+
+        let (mut core, program) = mid_run_core();
+        let load = core.rob.iter_mut().find(|d| d.step.inst.is_load());
+        let access = load.and_then(|d| d.step.mem.as_mut());
+        access.expect("a load in flight").size = 4;
+        assert_eq!(
+            restore(&core, program),
+            SnapError::Corrupt("mem op disagrees with instruction")
+        );
+
+        let (mut core, program) = mid_run_core();
+        let writer = core.rob.iter_mut().find(|d| d.step.wrote.is_some());
+        writer.expect("a write-back in flight").step.wrote = None;
+        assert_eq!(
+            restore(&core, program),
+            SnapError::Corrupt("dest write disagrees with instruction")
+        );
     }
 
     #[test]

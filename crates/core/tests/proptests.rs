@@ -8,11 +8,13 @@ use pfm_isa::asm::Asm;
 use pfm_isa::machine::Machine;
 use pfm_isa::mem::SpecMemory;
 use pfm_isa::reg::names::*;
+use pfm_isa::FastExec;
 use pfm_mem::{Hierarchy, HierarchyConfig};
 use proptest::prelude::*;
 
 /// A structured random program: a loop over a mix of ALU ops,
-/// loads/stores to a small arena, and data-dependent branches.
+/// loads/stores to a small arena, FP load-op-store chains, calls to
+/// leaf functions, and data-dependent branches.
 #[derive(Clone, Debug)]
 enum Op {
     Add(u8, u8, u8),
@@ -20,6 +22,16 @@ enum Op {
     Xor(u8, u8, u8),
     Load(u8, u16),
     Store(u8, u16),
+    /// `lb`/`lbu`/`lh`/`lw`/`lwu` (by kind) at arena slot + byte
+    /// offset, so some accesses straddle two words.
+    LoadSub(u8, u8, u16, u8),
+    /// `sb`/`sh`/`sw` (by kind) at arena slot + byte offset.
+    StoreSub(u8, u8, u16, u8),
+    /// Two `fld`s, `fadd`/`fsub`/`fmul`/`fdiv` (by kind), one `fsd`,
+    /// over three arena slots.
+    Fp(u8, u16, u16, u16),
+    /// `call` to a leaf that bumps a register and returns.
+    Call(u8),
     CondSkip(u8),
 }
 
@@ -33,6 +45,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (r.clone(), r.clone(), r.clone()).prop_map(|(a, b, c)| Op::Xor(a, b, c)),
         (r.clone(), 0u16..64).prop_map(|(a, o)| Op::Load(a, o)),
         (r.clone(), 0u16..64).prop_map(|(a, o)| Op::Store(a, o)),
+        (0u8..5, r.clone(), 0u16..64, 0u8..8).prop_map(|(k, d, o, b)| Op::LoadSub(k, d, o, b)),
+        (0u8..3, r.clone(), 0u16..64, 0u8..8).prop_map(|(k, s, o, b)| Op::StoreSub(k, s, o, b)),
+        (0u8..4, 0u16..64, 0u16..64, 0u16..64).prop_map(|(k, x, y, d)| Op::Fp(k, x, y, d)),
+        r.clone().prop_map(Op::Call),
         r.prop_map(Op::CondSkip),
     ]
 }
@@ -45,6 +61,7 @@ fn reg(i: u8) -> pfm_isa::Reg {
 fn build_program(ops: &[Op], iters: i64) -> pfm_isa::Program {
     let mut a = Asm::new(0x1000);
     let top = a.label();
+    let mut leaves = Vec::new();
     a.li(A0, 0x10_0000); // arena base
     a.li(T0, iters);
     // Seed the working registers.
@@ -69,6 +86,40 @@ fn build_program(ops: &[Op], iters: i64) -> pfm_isa::Program {
             Op::Store(s, off) => {
                 a.sd(reg(s), A0, (off as i64) * 8);
             }
+            Op::LoadSub(kind, d, off, byte) => {
+                let (rd, off) = (reg(d), off as i64 * 8 + byte as i64);
+                match kind {
+                    0 => a.lb(rd, A0, off),
+                    1 => a.lbu(rd, A0, off),
+                    2 => a.lh(rd, A0, off),
+                    3 => a.lw(rd, A0, off),
+                    _ => a.lwu(rd, A0, off),
+                };
+            }
+            Op::StoreSub(kind, s, off, byte) => {
+                let (src, off) = (reg(s), off as i64 * 8 + byte as i64);
+                match kind {
+                    0 => a.sb(src, A0, off),
+                    1 => a.sh(src, A0, off),
+                    _ => a.sw(src, A0, off),
+                };
+            }
+            Op::Fp(kind, x, y, d) => {
+                a.fld(FT0, A0, x as i64 * 8);
+                a.fld(FT1, A0, y as i64 * 8);
+                match kind {
+                    0 => a.fadd(FT2, FT0, FT1),
+                    1 => a.fsub(FT2, FT0, FT1),
+                    2 => a.fmul(FT2, FT0, FT1),
+                    _ => a.fdiv(FT2, FT0, FT1),
+                };
+                a.fsd(FT2, A0, d as i64 * 8);
+            }
+            Op::Call(r) => {
+                let leaf = a.label();
+                a.call(leaf);
+                leaves.push((leaf, reg(r)));
+            }
             Op::CondSkip(s) => {
                 let skip = a.label();
                 a.andi(T1, reg(s), 1);
@@ -81,6 +132,11 @@ fn build_program(ops: &[Op], iters: i64) -> pfm_isa::Program {
     a.addi(T0, T0, -1);
     a.bne(T0, X0, top);
     a.halt();
+    for (leaf, r) in leaves {
+        a.bind(leaf).unwrap();
+        a.addi(r, r, 1);
+        a.ret();
+    }
     a.finish().unwrap()
 }
 
@@ -96,7 +152,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The timing model never changes architectural results: the core's
-    /// final registers and memory equal a pure functional run.
+    /// final registers and memory equal a pure functional run, and it
+    /// retires the functional executor's commit stream. The core's
+    /// machine executes over the speculative overlay, the functional
+    /// runs over the committed image.
     #[test]
     fn core_is_architecturally_transparent(
         ops in prop::collection::vec(op_strategy(), 1..20),
@@ -108,6 +167,10 @@ proptest! {
         pure.run(10_000_000).unwrap();
         prop_assert!(pure.halted());
 
+        let mut fx = FastExec::new(program.clone(), SpecMemory::new());
+        fx.run(10_000_000).unwrap();
+        prop_assert!(fx.halted());
+
         let machine = Machine::new(program, SpecMemory::new());
         let mut core = Core::new(
             CoreConfig::micro21(),
@@ -116,6 +179,10 @@ proptest! {
         );
         core.run(&mut NoPfm, u64::MAX, 50_000_000).unwrap();
         prop_assert!(core.finished());
+        prop_assert_eq!(core.commit_checksum(), fx.commit_checksum());
+        prop_assert_eq!(core.stats().retired, fx.retired());
+        prop_assert_eq!(core.stats().loads, fx.loads());
+        prop_assert_eq!(core.stats().stores, fx.stores());
 
         for i in 0..8u8 {
             prop_assert_eq!(core.machine().reg(reg(i)), pure.reg(reg(i)), "reg {}", i);

@@ -1,211 +1,29 @@
-//! Pre-decoded functional-only execution — the fast speed of the
-//! two-speed simulator.
+//! Functional-only execution — the fast speed of the two-speed
+//! simulator.
 //!
-//! [`FastExec`] decodes a program once into a dense array of [`Op`]s —
-//! operands, immediates and the handler discriminant resolved up front
-//! — and executes it in a tight interpreter loop with no per-cycle
-//! structures, no speculation and no timing model. Stores commit
-//! immediately (exactly like [`Machine::run`]), so architectural state
-//! evolves identically to the detailed core's committed view.
+//! [`FastExec`] is a [`Machine`] running its functional loop
+//! ([`Machine::run`]): the instruction semantics the detailed core
+//! steps through, executed against the committed image with no
+//! per-cycle structures, no speculation and no timing model, plus the
+//! counts a functional run reports.
 //!
 //! Two invariants tie the fast path to the detailed model:
 //!
-//! * **The committed stream is bit-identical.** The interpreter folds
-//!   every retired instruction into the same FNV-1a commit-stream
-//!   checksum the cycle core computes at retirement
-//!   (`Core::fold_commit`): PC, next PC, taken flag, destination
-//!   write, store effects — in that order. The functional/detailed
-//!   equivalence gate pins this for every use case.
-//! * **Snapshots are interchangeable.** [`FastExec::snapshot`] emits
-//!   the same byte layout as [`Machine::snapshot`], so a fast-forward
-//!   position can seed a detailed interval via [`Machine::restore`]
-//!   (the sampled-run mode in `pfm-sim`).
-//!
-//! Immediates are pre-cast to `u64` at decode; `x0` is kept hardwired
-//! to zero by never writing slot 0, so reads skip the zero test.
+//! * **The committed stream is bit-identical.** Every retired record
+//!   is folded by [`fold_commit`](crate::machine::StepOut::fold_commit),
+//!   the fold the cycle core applies at retirement. The
+//!   functional/detailed equivalence gate pins this for every use case.
+//! * **Snapshots are interchangeable.** [`FastExec::snapshot`] is
+//!   [`Machine::snapshot`], so a fast-forward position can seed a
+//!   detailed interval via [`Machine::restore`] (the sampled-run mode
+//!   in `pfm-sim`).
 
-use crate::inst::{AluOp, BranchCond, FAluOp, Inst, MemWidth, INST_BYTES};
-use crate::machine::{alu, extend, ExecError, Machine};
+use crate::machine::{ExecError, Machine};
 use crate::mem::SpecMemory;
-use crate::program::{Program, ProgramError};
-use crate::reg::{FReg, Reg, NUM_FP_REGS, NUM_INT_REGS};
-use crate::snap::{self, Enc, FNV_OFFSET, FNV_PRIME};
+use crate::program::Program;
+use crate::snap::FNV_OFFSET;
 
-/// One pre-decoded instruction. Register operands are raw indices
-/// (guaranteed in range by construction from [`Inst`]), immediates and
-/// offsets are pre-cast to the `u64` arithmetic domain.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Alu {
-        op: AluOp,
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    AluImm {
-        op: AluOp,
-        rd: u8,
-        rs1: u8,
-        imm: u64,
-    },
-    Li {
-        rd: u8,
-        imm: u64,
-    },
-    Load {
-        width: MemWidth,
-        signed: bool,
-        rd: u8,
-        base: u8,
-        offset: u64,
-    },
-    Store {
-        width: MemWidth,
-        src: u8,
-        base: u8,
-        offset: u64,
-    },
-    Branch {
-        cond: BranchCond,
-        rs1: u8,
-        rs2: u8,
-        target: u64,
-    },
-    Jal {
-        rd: u8,
-        target: u64,
-    },
-    Jalr {
-        rd: u8,
-        base: u8,
-        offset: u64,
-    },
-    FLoad {
-        fd: u8,
-        base: u8,
-        offset: u64,
-    },
-    FStore {
-        fs: u8,
-        base: u8,
-        offset: u64,
-    },
-    FAlu {
-        op: FAluOp,
-        fd: u8,
-        fs1: u8,
-        fs2: u8,
-    },
-    FMvToF {
-        fd: u8,
-        rs1: u8,
-    },
-    FMvToX {
-        rd: u8,
-        fs1: u8,
-    },
-    Nop,
-    Halt,
-}
-
-fn compile(inst: Inst) -> Op {
-    match inst {
-        Inst::Alu { op, rd, rs1, rs2 } => Op::Alu {
-            op,
-            rd: rd.num(),
-            rs1: rs1.num(),
-            rs2: rs2.num(),
-        },
-        Inst::AluImm { op, rd, rs1, imm } => Op::AluImm {
-            op,
-            rd: rd.num(),
-            rs1: rs1.num(),
-            imm: imm as u64,
-        },
-        Inst::Li { rd, imm } => Op::Li {
-            rd: rd.num(),
-            imm: imm as u64,
-        },
-        Inst::Load {
-            width,
-            signed,
-            rd,
-            base,
-            offset,
-        } => Op::Load {
-            width,
-            signed,
-            rd: rd.num(),
-            base: base.num(),
-            offset: offset as u64,
-        },
-        Inst::Store {
-            width,
-            src,
-            base,
-            offset,
-        } => Op::Store {
-            width,
-            src: src.num(),
-            base: base.num(),
-            offset: offset as u64,
-        },
-        Inst::Branch {
-            cond,
-            rs1,
-            rs2,
-            target,
-        } => Op::Branch {
-            cond,
-            rs1: rs1.num(),
-            rs2: rs2.num(),
-            target,
-        },
-        Inst::Jal { rd, target } => Op::Jal {
-            rd: rd.num(),
-            target,
-        },
-        Inst::Jalr { rd, base, offset } => Op::Jalr {
-            rd: rd.num(),
-            base: base.num(),
-            offset: offset as u64,
-        },
-        Inst::FLoad { fd, base, offset } => Op::FLoad {
-            fd: fd.num(),
-            base: base.num(),
-            offset: offset as u64,
-        },
-        Inst::FStore { fs, base, offset } => Op::FStore {
-            fs: fs.num(),
-            base: base.num(),
-            offset: offset as u64,
-        },
-        Inst::FAlu { op, fd, fs1, fs2 } => Op::FAlu {
-            op,
-            fd: fd.num(),
-            fs1: fs1.num(),
-            fs2: fs2.num(),
-        },
-        Inst::FMvToF { fd, rs1 } => Op::FMvToF {
-            fd: fd.num(),
-            rs1: rs1.num(),
-        },
-        Inst::FMvToX { rd, fs1 } => Op::FMvToX {
-            rd: rd.num(),
-            fs1: fs1.num(),
-        },
-        Inst::Nop => Op::Nop,
-        Inst::Halt => Op::Halt,
-    }
-}
-
-#[inline(always)]
-fn fold(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = h.wrapping_mul(FNV_PRIME);
-}
-
-/// The pre-decoded functional executor.
+/// The functional executor.
 ///
 /// ```
 /// use pfm_isa::{Asm, FastExec, SpecMemory};
@@ -221,15 +39,7 @@ fn fold(h: &mut u64, v: u64) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FastExec {
-    base: u64,
-    ops: Box<[Op]>,
-    program: Program,
-    regs: [u64; NUM_INT_REGS],
-    fregs: [u64; NUM_FP_REGS],
-    pc: u64,
-    next_seq: u64,
-    halted: bool,
-    mem: SpecMemory,
+    machine: Machine,
     checksum: u64,
     retired: u64,
     loads: u64,
@@ -237,8 +47,8 @@ pub struct FastExec {
 }
 
 impl FastExec {
-    /// Pre-decodes `program` and positions the executor at its base
-    /// address over the given data memory.
+    /// Positions the executor at `program`'s base address over the
+    /// given data memory.
     ///
     /// # Panics
     /// Panics if `mem` has unretired speculative stores (fresh
@@ -250,17 +60,8 @@ impl FastExec {
             0,
             "functional execution starts from committed state"
         );
-        let ops: Vec<Op> = program.insts().iter().map(|&i| compile(i)).collect();
         FastExec {
-            base: program.base(),
-            ops: ops.into_boxed_slice(),
-            pc: program.base(),
-            program,
-            regs: [0; NUM_INT_REGS],
-            fregs: [0; NUM_FP_REGS],
-            next_seq: 1,
-            halted: false,
-            mem,
+            machine: Machine::new(program, mem),
             checksum: FNV_OFFSET,
             retired: 0,
             loads: 0,
@@ -275,196 +76,21 @@ impl FastExec {
     /// [`ExecError::Program`] if the PC leaves the program; state up
     /// to the faulting instruction is retained.
     pub fn run(&mut self, max_steps: u64) -> Result<u64, ExecError> {
-        let base = self.base;
-        let len = self.ops.len() as u64;
-        let ops = &self.ops;
-        let regs = &mut self.regs;
-        let fregs = &mut self.fregs;
-        let mem = self.mem.committed_mut();
-        let mut pc = self.pc;
-        let mut h = self.checksum;
-        let mut loads = 0u64;
-        let mut stores = 0u64;
-        let mut n = 0u64;
-        let mut halted = self.halted;
-        let mut fault = None;
-
-        while n < max_steps && !halted {
-            let off = pc.wrapping_sub(base);
-            let idx = off / INST_BYTES;
-            if !off.is_multiple_of(INST_BYTES) || idx >= len {
-                fault = Some(pc);
-                break;
+        let (mut h, mut loads, mut stores) = (self.checksum, 0, 0);
+        let first = self.machine.next_seq();
+        let result = self.machine.run_with(max_steps, |s| {
+            h = s.fold_commit(h);
+            match s.mem {
+                Some(m) if m.is_store => stores += 1,
+                Some(_) => loads += 1,
+                None => {}
             }
-            let fall = pc + INST_BYTES;
-            let mut next = fall;
-            let mut taken = false;
-            // `1 + RegRef::index()` and value, exactly as the core's
-            // commit fold encodes destination writes.
-            let mut wrote: Option<(u64, u64)> = None;
-            let mut store: Option<(u64, u64, u64)> = None;
-            match ops[idx as usize] {
-                Op::Alu { op, rd, rs1, rs2 } => {
-                    let v = alu(op, regs[rs1 as usize], regs[rs2 as usize]);
-                    if rd != 0 {
-                        regs[rd as usize] = v;
-                        wrote = Some((1 + rd as u64, v));
-                    }
-                }
-                Op::AluImm { op, rd, rs1, imm } => {
-                    let v = alu(op, regs[rs1 as usize], imm);
-                    if rd != 0 {
-                        regs[rd as usize] = v;
-                        wrote = Some((1 + rd as u64, v));
-                    }
-                }
-                Op::Li { rd, imm } => {
-                    if rd != 0 {
-                        regs[rd as usize] = imm;
-                        wrote = Some((1 + rd as u64, imm));
-                    }
-                }
-                Op::Load {
-                    width,
-                    signed,
-                    rd,
-                    base,
-                    offset,
-                } => {
-                    let addr = regs[base as usize].wrapping_add(offset);
-                    let raw = mem.read_cached(addr, width.bytes());
-                    let v = extend(raw, width, signed);
-                    if rd != 0 {
-                        regs[rd as usize] = v;
-                        wrote = Some((1 + rd as u64, v));
-                    }
-                    loads += 1;
-                }
-                Op::Store {
-                    width,
-                    src,
-                    base,
-                    offset,
-                } => {
-                    let addr = regs[base as usize].wrapping_add(offset);
-                    let size = width.bytes();
-                    let v = regs[src as usize];
-                    mem.write(addr, size, v);
-                    store = Some((addr, size, v));
-                    stores += 1;
-                }
-                Op::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                } => {
-                    taken = cond.eval(regs[rs1 as usize], regs[rs2 as usize]);
-                    if taken {
-                        next = target;
-                    }
-                }
-                Op::Jal { rd, target } => {
-                    if rd != 0 {
-                        regs[rd as usize] = fall;
-                        wrote = Some((1 + rd as u64, fall));
-                    }
-                    taken = true;
-                    next = target;
-                }
-                Op::Jalr { rd, base, offset } => {
-                    let target = regs[base as usize].wrapping_add(offset) & !1u64;
-                    if rd != 0 {
-                        regs[rd as usize] = fall;
-                        wrote = Some((1 + rd as u64, fall));
-                    }
-                    taken = true;
-                    next = target;
-                }
-                Op::FLoad { fd, base, offset } => {
-                    let addr = regs[base as usize].wrapping_add(offset);
-                    let bits = mem.read_cached(addr, 8);
-                    fregs[fd as usize] = bits;
-                    wrote = Some((1 + NUM_INT_REGS as u64 + fd as u64, bits));
-                    loads += 1;
-                }
-                Op::FStore { fs, base, offset } => {
-                    let addr = regs[base as usize].wrapping_add(offset);
-                    let bits = fregs[fs as usize];
-                    mem.write(addr, 8, bits);
-                    store = Some((addr, 8, bits));
-                    stores += 1;
-                }
-                Op::FAlu { op, fd, fs1, fs2 } => {
-                    let a = f64::from_bits(fregs[fs1 as usize]);
-                    let b = f64::from_bits(fregs[fs2 as usize]);
-                    let r = match op {
-                        FAluOp::Fadd => a + b,
-                        FAluOp::Fsub => a - b,
-                        FAluOp::Fmul => a * b,
-                        FAluOp::Fdiv => a / b,
-                        FAluOp::Fmin => a.min(b),
-                        FAluOp::Fmax => a.max(b),
-                    };
-                    let bits = r.to_bits();
-                    fregs[fd as usize] = bits;
-                    wrote = Some((1 + NUM_INT_REGS as u64 + fd as u64, bits));
-                }
-                Op::FMvToF { fd, rs1 } => {
-                    let bits = regs[rs1 as usize];
-                    fregs[fd as usize] = bits;
-                    wrote = Some((1 + NUM_INT_REGS as u64 + fd as u64, bits));
-                }
-                Op::FMvToX { rd, fs1 } => {
-                    let bits = fregs[fs1 as usize];
-                    if rd != 0 {
-                        regs[rd as usize] = bits;
-                        wrote = Some((1 + rd as u64, bits));
-                    }
-                }
-                Op::Nop => {}
-                Op::Halt => {
-                    halted = true;
-                }
-            }
-
-            // Commit-stream fold, field order identical to the detailed
-            // core's retirement fold.
-            fold(&mut h, pc);
-            fold(&mut h, next);
-            fold(&mut h, u64::from(taken));
-            match wrote {
-                Some((ri, v)) => {
-                    fold(&mut h, ri);
-                    fold(&mut h, v);
-                }
-                None => fold(&mut h, 0),
-            }
-            match store {
-                Some((addr, size, v)) => {
-                    fold(&mut h, 1);
-                    fold(&mut h, addr);
-                    fold(&mut h, size);
-                    fold(&mut h, v);
-                }
-                None => fold(&mut h, 0),
-            }
-
-            pc = next;
-            n += 1;
-        }
-
-        self.pc = pc;
+        });
         self.checksum = h;
-        self.retired += n;
-        self.next_seq += n;
+        self.retired += self.machine.next_seq() - first;
         self.loads += loads;
         self.stores += stores;
-        self.halted = halted;
-        match fault {
-            Some(pc) => Err(ExecError::Program(ProgramError::BadPc(pc))),
-            None => Ok(n),
-        }
+        result
     }
 
     /// Instructions retired since construction.
@@ -474,12 +100,7 @@ impl FastExec {
 
     /// Whether `Halt` has executed.
     pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Current PC.
-    pub fn pc(&self) -> u64 {
-        self.pc
+        self.machine.halted()
     }
 
     /// Committed-stream checksum over every retired instruction —
@@ -499,63 +120,21 @@ impl FastExec {
         self.stores
     }
 
-    /// Reads an integer register.
-    pub fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.num() as usize]
+    /// The architectural machine.
+    pub fn machine(&self) -> &Machine {
+        &self.machine
     }
 
-    /// Reads a floating-point register as raw bits.
-    pub fn freg_bits(&self, r: FReg) -> u64 {
-        self.fregs[r.num() as usize]
-    }
-
-    /// A cheap fingerprint of architectural state, identical to
-    /// [`Machine::arch_checksum`] over the same state.
+    /// [`Machine::arch_checksum`] of the current state.
     pub fn arch_checksum(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &r in &self.regs {
-            fold(&mut h, r);
-        }
-        for &f in &self.fregs {
-            fold(&mut h, f);
-        }
-        fold(&mut h, self.pc);
-        fold(&mut h, self.mem.committed().generation());
-        h
+        self.machine.arch_checksum()
     }
 
-    /// An architectural snapshot in the same byte layout as
-    /// [`Machine::snapshot`] — restorable via [`Machine::restore`] to
-    /// seed a detailed interval from this fast-forward position.
+    /// [`Machine::snapshot`] of the current state — restorable via
+    /// [`Machine::restore`] to seed a detailed interval from this
+    /// fast-forward position.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        snap::write_version(&mut e);
-        for &r in &self.regs {
-            e.u64(r);
-        }
-        for &f in &self.fregs {
-            e.u64(f);
-        }
-        e.u64(self.pc);
-        e.u64(self.next_seq);
-        e.bool(self.halted);
-        self.mem.snapshot_encode(&mut e);
-        e.finish()
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// A [`Machine`] positioned at this executor's exact architectural
-    /// state (for interoperability tests and detailed continuation).
-    pub fn to_machine(&self) -> Machine {
-        // The snapshot layouts are locked together by construction
-        // (and by the cross-layout test below), so this cannot fail.
-        Machine::restore(self.program.clone(), &self.snapshot())
-            // pfm-lint: allow(hygiene): layout equality is a construction invariant
-            .expect("FastExec snapshot is Machine-layout")
+        self.machine.snapshot()
     }
 }
 
@@ -563,7 +142,9 @@ impl FastExec {
 mod tests {
     use super::*;
     use crate::asm::Asm;
+    use crate::program::ProgramError;
     use crate::reg::names::*;
+    use crate::reg::{FReg, Reg};
 
     fn program(f: impl FnOnce(&mut Asm)) -> Program {
         let mut a = Asm::new(0x1000);
@@ -605,21 +186,33 @@ mod tests {
 
     #[test]
     fn matches_machine_stream_and_state() {
+        // The machine steps over the speculative overlay and commits
+        // its stores only after halting, so every load reads through
+        // pending stores; the executor runs over the committed image.
         let p = program(mixed_kernel);
         let mut m = Machine::new(p.clone(), SpecMemory::new());
         let mut fx = FastExec::new(p, SpecMemory::new());
-        let steps = m.run(10_000).unwrap();
+        let (mut steps, mut checksum, mut pending) = (0, FNV_OFFSET, Vec::new());
+        while !m.halted() {
+            let s = m.step().unwrap();
+            if s.mem.is_some_and(|a| a.is_store) {
+                pending.push(s.seq);
+            }
+            checksum = s.fold_commit(checksum);
+            steps += 1;
+        }
+        for seq in pending {
+            m.mem_mut().commit_store(seq);
+        }
         let fast_steps = fx.run(10_000).unwrap();
         assert_eq!(steps, fast_steps);
         assert!(m.halted() && fx.halted());
+        assert_eq!(checksum, fx.commit_checksum());
         assert_eq!(m.arch_checksum(), fx.arch_checksum());
         for i in 0..32 {
-            assert_eq!(m.reg(Reg::new(i)), fx.reg(Reg::new(i)), "x{i}");
-            assert_eq!(
-                m.freg_bits(FReg::new(i)),
-                fx.freg_bits(FReg::new(i)),
-                "f{i}"
-            );
+            let f = fx.machine();
+            assert_eq!(m.reg(Reg::new(i)), f.reg(Reg::new(i)), "x{i}");
+            assert_eq!(m.freg_bits(FReg::new(i)), f.freg_bits(FReg::new(i)), "f{i}");
         }
     }
 
@@ -645,8 +238,8 @@ mod tests {
         let mut fx = FastExec::new(p.clone(), SpecMemory::new());
         fx.run(50).unwrap();
         assert!(!fx.halted());
-        let m = fx.to_machine();
-        assert_eq!(m.pc(), fx.pc());
+        let m = Machine::restore(p, &fx.snapshot()).unwrap();
+        assert_eq!(m.pc(), fx.machine().pc());
         assert_eq!(m.arch_checksum(), fx.arch_checksum());
 
         // Continue both to completion: identical final state.
@@ -666,7 +259,7 @@ mod tests {
         let err = fx.run(10).unwrap_err();
         assert!(matches!(err, ExecError::Program(ProgramError::BadPc(_))));
         assert_eq!(fx.retired(), 2);
-        assert_eq!(fx.reg(A0), 7);
+        assert_eq!(fx.machine().reg(A0), 7);
     }
 
     #[test]
@@ -689,7 +282,7 @@ mod tests {
         });
         let mut fx = FastExec::new(p, SpecMemory::new());
         fx.run(10).unwrap();
-        assert_eq!(fx.reg(X0), 0);
-        assert_eq!(fx.reg(A0), 1);
+        assert_eq!(fx.machine().reg(X0), 0);
+        assert_eq!(fx.machine().reg(A0), 1);
     }
 }

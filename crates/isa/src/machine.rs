@@ -1,18 +1,27 @@
-//! Functional (architectural) execution.
+//! Functional (architectural) execution: the one instruction semantics.
 //!
-//! [`Machine`] walks the correct execution path one instruction at a
-//! time. The cycle-level core consumes the produced [`StepOut`] records
-//! ("functional-first" simulation): values are architecturally exact,
-//! while the timing model separately accounts for speculation, squashes
-//! and replay. Stores are registered in the speculative overlay of
-//! [`SpecMemory`] at execution and must be committed by the timing model
-//! at retirement (see [`SpecMemory::commit_store`]).
+//! `execute` is the only place an [`Inst`] is executed. It runs over
+//! one of two views of data memory:
+//!
+//! * **The speculative overlay** of [`SpecMemory`], driven by
+//!   [`Machine::step`]. The cycle-level core consumes the produced
+//!   [`StepOut`] records ("functional-first" simulation): values are
+//!   architecturally exact, while the timing model separately accounts
+//!   for speculation, squashes and replay. Stores stay in the overlay
+//!   until the timing model commits them at retirement (see
+//!   [`SpecMemory::commit_store`]).
+//! * **The committed image** ([`SparseMem`]), driven by the functional
+//!   loop [`Machine::run`], which [`FastExec`](crate::fast::FastExec)
+//!   also runs. Stores take effect at once.
+//!
+//! Both speeds fold every retired record into their commit-stream
+//! checksum with [`StepOut::fold_commit`].
 
-use crate::inst::{AluOp, FAluOp, Inst, MemWidth};
-use crate::mem::SpecMemory;
+use crate::inst::{FAluOp, Inst, MemWidth, INST_BYTES};
+use crate::mem::{SparseMem, SpecMemory};
 use crate::program::{Program, ProgramError};
 use crate::reg::{FReg, Reg, RegRef, NUM_FP_REGS, NUM_INT_REGS};
-use crate::snap::{Dec, Enc, SnapError};
+use crate::snap::{Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
 
 /// A functional memory access performed by one instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,6 +83,225 @@ impl From<ProgramError> for ExecError {
     }
 }
 
+/// A view of data memory that instructions execute against.
+trait DataMem {
+    /// Reads `size` bytes at `addr`, zero-extended.
+    fn load(&mut self, addr: u64, size: u64) -> u64;
+    /// Writes the low `size` bytes of `value` at `addr` for the store
+    /// with sequence number `seq`.
+    fn store(&mut self, seq: u64, addr: u64, size: u64, value: u64);
+}
+
+/// Loads see unretired stores; stores stay pending until committed.
+impl DataMem for SpecMemory {
+    #[inline(always)]
+    fn load(&mut self, addr: u64, size: u64) -> u64 {
+        self.read_spec(addr, size)
+    }
+
+    #[inline(always)]
+    fn store(&mut self, seq: u64, addr: u64, size: u64, value: u64) {
+        self.write_spec(seq, addr, size, value);
+    }
+}
+
+/// Stores take effect immediately.
+impl DataMem for SparseMem {
+    #[inline(always)]
+    fn load(&mut self, addr: u64, size: u64) -> u64 {
+        self.read_cached(addr, size)
+    }
+
+    #[inline(always)]
+    fn store(&mut self, _seq: u64, addr: u64, size: u64, value: u64) {
+        self.write(addr, size, value);
+    }
+}
+
+/// Reads an integer register. Slot 0 is never written, so `x0` reads
+/// as zero without a test.
+#[inline(always)]
+fn x(regs: &[u64; NUM_INT_REGS], r: Reg) -> u64 {
+    regs[r.num() as usize]
+}
+
+/// Writes `rd` (dropping writes to `x0`) and returns the record's
+/// destination write.
+#[inline(always)]
+fn set_x(regs: &mut [u64; NUM_INT_REGS], rd: Reg, v: u64) -> Option<(RegRef, u64)> {
+    if rd.is_zero() {
+        return None;
+    }
+    regs[rd.num() as usize] = v;
+    Some((rd.into(), v))
+}
+
+/// Writes `fd` and returns the record's destination write.
+#[inline(always)]
+fn set_f(fregs: &mut [u64; NUM_FP_REGS], fd: FReg, bits: u64) -> Option<(RegRef, u64)> {
+    fregs[fd.num() as usize] = bits;
+    Some((fd.into(), bits))
+}
+
+/// Executes `inst`, the instruction at `pc` with sequence number `seq`,
+/// against the register files and `mem`, and returns its effects.
+///
+/// `retire` sees the record at the end of each arm rather than once
+/// after the `match`: inlined into each arm, the commit fold's tags and
+/// absent fields are constants, so the functional loop folds with code
+/// specialised per instruction kind. A shared tail after the `match`
+/// compiles to one generic fold and slows that loop down.
+#[inline(always)]
+fn execute<M: DataMem>(
+    regs: &mut [u64; NUM_INT_REGS],
+    fregs: &mut [u64; NUM_FP_REGS],
+    mem: &mut M,
+    seq: u64,
+    pc: u64,
+    inst: Inst,
+    retire: impl FnOnce(&StepOut),
+) -> StepOut {
+    let fall = pc + INST_BYTES;
+    let mut out = StepOut {
+        seq,
+        pc,
+        inst,
+        next_pc: fall,
+        taken: false,
+        mem: None,
+        wrote: None,
+        halted: false,
+    };
+    match inst {
+        Inst::Alu { op, rd, rs1, rs2 } => {
+            out.wrote = set_x(regs, rd, op.eval(x(regs, rs1), x(regs, rs2)));
+            retire(&out);
+        }
+        Inst::AluImm { op, rd, rs1, imm } => {
+            out.wrote = set_x(regs, rd, op.eval(x(regs, rs1), imm as u64));
+            retire(&out);
+        }
+        Inst::Li { rd, imm } => {
+            out.wrote = set_x(regs, rd, imm as u64);
+            retire(&out);
+        }
+        Inst::Load {
+            width,
+            signed,
+            rd,
+            base,
+            offset,
+        } => {
+            let addr = x(regs, base).wrapping_add(offset as u64);
+            let size = width.bytes();
+            let value = extend(mem.load(addr, size), width, signed);
+            out.mem = Some(MemOp {
+                is_store: false,
+                addr,
+                size,
+                value,
+            });
+            out.wrote = set_x(regs, rd, value);
+            retire(&out);
+        }
+        Inst::Store {
+            width,
+            src,
+            base,
+            offset,
+        } => {
+            let addr = x(regs, base).wrapping_add(offset as u64);
+            let size = width.bytes();
+            let value = x(regs, src);
+            mem.store(seq, addr, size, value);
+            out.mem = Some(MemOp {
+                is_store: true,
+                addr,
+                size,
+                value,
+            });
+            retire(&out);
+        }
+        Inst::Branch {
+            cond,
+            rs1,
+            rs2,
+            target,
+        } => {
+            out.taken = cond.eval(x(regs, rs1), x(regs, rs2));
+            if out.taken {
+                out.next_pc = target;
+            }
+            retire(&out);
+        }
+        Inst::Jal { rd, target } => {
+            out.wrote = set_x(regs, rd, fall);
+            out.taken = true;
+            out.next_pc = target;
+            retire(&out);
+        }
+        Inst::Jalr { rd, base, offset } => {
+            // The target reads `base` before `rd` is written.
+            out.next_pc = x(regs, base).wrapping_add(offset as u64) & !1u64;
+            out.wrote = set_x(regs, rd, fall);
+            out.taken = true;
+            retire(&out);
+        }
+        Inst::FLoad { fd, base, offset } => {
+            let addr = x(regs, base).wrapping_add(offset as u64);
+            let bits = mem.load(addr, 8);
+            out.mem = Some(MemOp {
+                is_store: false,
+                addr,
+                size: 8,
+                value: bits,
+            });
+            out.wrote = set_f(fregs, fd, bits);
+            retire(&out);
+        }
+        Inst::FStore { fs, base, offset } => {
+            let addr = x(regs, base).wrapping_add(offset as u64);
+            let bits = fregs[fs.num() as usize];
+            mem.store(seq, addr, 8, bits);
+            out.mem = Some(MemOp {
+                is_store: true,
+                addr,
+                size: 8,
+                value: bits,
+            });
+            retire(&out);
+        }
+        Inst::FAlu { op, fd, fs1, fs2 } => {
+            let a = f64::from_bits(fregs[fs1.num() as usize]);
+            let b = f64::from_bits(fregs[fs2.num() as usize]);
+            let r = match op {
+                FAluOp::Fadd => a + b,
+                FAluOp::Fsub => a - b,
+                FAluOp::Fmul => a * b,
+                FAluOp::Fdiv => a / b,
+                FAluOp::Fmin => a.min(b),
+                FAluOp::Fmax => a.max(b),
+            };
+            out.wrote = set_f(fregs, fd, r.to_bits());
+            retire(&out);
+        }
+        Inst::FMvToF { fd, rs1 } => {
+            out.wrote = set_f(fregs, fd, x(regs, rs1));
+            retire(&out);
+        }
+        Inst::FMvToX { rd, fs1 } => {
+            out.wrote = set_x(regs, rd, fregs[fs1.num() as usize]);
+            retire(&out);
+        }
+        Inst::Nop => retire(&out),
+        Inst::Halt => {
+            out.halted = true;
+            retire(&out);
+        }
+    }
+    out
+}
+
 /// Architectural machine state: registers, PC, and data memory.
 #[derive(Clone, Debug)]
 pub struct Machine {
@@ -124,18 +352,12 @@ impl Machine {
 
     /// Reads an integer register.
     pub fn reg(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[r.num() as usize]
-        }
+        x(&self.regs, r)
     }
 
     /// Writes an integer register (writes to `x0` are ignored).
     pub fn set_reg(&mut self, r: Reg, v: u64) {
-        if !r.is_zero() {
-            self.regs[r.num() as usize] = v;
-        }
+        set_x(&mut self.regs, r, v);
     }
 
     /// Reads a floating-point register as raw bits.
@@ -174,8 +396,6 @@ impl Machine {
     /// microarchitecturally only). The timing core cross-checks this in
     /// debug builds around every hook call.
     pub fn arch_checksum(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut h = FNV_OFFSET;
         let mut fold = |v: u64| {
             h ^= v;
@@ -192,7 +412,9 @@ impl Machine {
         h
     }
 
-    /// Executes one instruction at the current PC.
+    /// Executes one instruction at the current PC against the
+    /// speculative overlay: a store stays pending until the timing
+    /// model commits it.
     ///
     /// # Errors
     /// Returns [`ExecError::Halted`] if the machine already halted, or
@@ -201,175 +423,84 @@ impl Machine {
         if self.halted {
             return Err(ExecError::Halted);
         }
-        let pc = self.pc;
-        let inst = self.program.fetch(pc)?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let fall = pc + crate::inst::INST_BYTES;
-
-        let mut out = StepOut {
-            seq,
-            pc,
+        let inst = self.program.fetch(self.pc)?;
+        let out = execute(
+            &mut self.regs,
+            &mut self.fregs,
+            &mut self.mem,
+            self.next_seq,
+            self.pc,
             inst,
-            next_pc: fall,
-            taken: false,
-            mem: None,
-            wrote: None,
-            halted: false,
-        };
-
-        match inst {
-            Inst::Alu { op, rd, rs1, rs2 } => {
-                let v = alu(op, self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-                out.wrote = wrote_int(rd, v);
-            }
-            Inst::AluImm { op, rd, rs1, imm } => {
-                let v = alu(op, self.reg(rs1), imm as u64);
-                self.set_reg(rd, v);
-                out.wrote = wrote_int(rd, v);
-            }
-            Inst::Li { rd, imm } => {
-                self.set_reg(rd, imm as u64);
-                out.wrote = wrote_int(rd, imm as u64);
-            }
-            Inst::Load {
-                width,
-                signed,
-                rd,
-                base,
-                offset,
-            } => {
-                let addr = self.reg(base).wrapping_add(offset as u64);
-                let size = width.bytes();
-                let raw = self.mem.read_spec(addr, size);
-                let v = extend(raw, width, signed);
-                self.set_reg(rd, v);
-                out.mem = Some(MemOp {
-                    is_store: false,
-                    addr,
-                    size,
-                    value: v,
-                });
-                out.wrote = wrote_int(rd, v);
-            }
-            Inst::Store {
-                width,
-                src,
-                base,
-                offset,
-            } => {
-                let addr = self.reg(base).wrapping_add(offset as u64);
-                let size = width.bytes();
-                let v = self.reg(src);
-                self.mem.write_spec(seq, addr, size, v);
-                out.mem = Some(MemOp {
-                    is_store: true,
-                    addr,
-                    size,
-                    value: v,
-                });
-            }
-            Inst::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                let taken = cond.eval(self.reg(rs1), self.reg(rs2));
-                out.taken = taken;
-                out.next_pc = if taken { target } else { fall };
-            }
-            Inst::Jal { rd, target } => {
-                self.set_reg(rd, fall);
-                out.wrote = wrote_int(rd, fall);
-                out.taken = true;
-                out.next_pc = target;
-            }
-            Inst::Jalr { rd, base, offset } => {
-                let target = self.reg(base).wrapping_add(offset as u64) & !1u64;
-                self.set_reg(rd, fall);
-                out.wrote = wrote_int(rd, fall);
-                out.taken = true;
-                out.next_pc = target;
-            }
-            Inst::FLoad { fd, base, offset } => {
-                let addr = self.reg(base).wrapping_add(offset as u64);
-                let bits = self.mem.read_spec(addr, 8);
-                self.set_freg_bits(fd, bits);
-                out.mem = Some(MemOp {
-                    is_store: false,
-                    addr,
-                    size: 8,
-                    value: bits,
-                });
-                out.wrote = Some((fd.into(), bits));
-            }
-            Inst::FStore { fs, base, offset } => {
-                let addr = self.reg(base).wrapping_add(offset as u64);
-                let bits = self.freg_bits(fs);
-                self.mem.write_spec(seq, addr, 8, bits);
-                out.mem = Some(MemOp {
-                    is_store: true,
-                    addr,
-                    size: 8,
-                    value: bits,
-                });
-            }
-            Inst::FAlu { op, fd, fs1, fs2 } => {
-                let a = f64::from_bits(self.freg_bits(fs1));
-                let b = f64::from_bits(self.freg_bits(fs2));
-                let r = match op {
-                    FAluOp::Fadd => a + b,
-                    FAluOp::Fsub => a - b,
-                    FAluOp::Fmul => a * b,
-                    FAluOp::Fdiv => a / b,
-                    FAluOp::Fmin => a.min(b),
-                    FAluOp::Fmax => a.max(b),
-                };
-                let bits = r.to_bits();
-                self.set_freg_bits(fd, bits);
-                out.wrote = Some((fd.into(), bits));
-            }
-            Inst::FMvToF { fd, rs1 } => {
-                let bits = self.reg(rs1);
-                self.set_freg_bits(fd, bits);
-                out.wrote = Some((fd.into(), bits));
-            }
-            Inst::FMvToX { rd, fs1 } => {
-                let bits = self.freg_bits(fs1);
-                self.set_reg(rd, bits);
-                out.wrote = wrote_int(rd, bits);
-            }
-            Inst::Nop => {}
-            Inst::Halt => {
-                out.halted = true;
-                self.halted = true;
-            }
-        }
-
+            |_| {},
+        );
+        self.next_seq += 1;
         self.pc = out.next_pc;
+        self.halted = out.halted;
         Ok(out)
     }
 
     /// Runs until `Halt` or `max_steps`, returning the number of
-    /// instructions executed. Commits every store immediately
-    /// (pure-functional mode, no timing model attached).
+    /// instructions executed: the functional loop, with no timing model
+    /// attached. It executes against the committed image, so every
+    /// store takes effect at once.
     ///
     /// # Errors
-    /// Propagates any [`ExecError`] from `step`.
+    /// [`ExecError::Program`] if the PC leaves the program; state up
+    /// to the faulting instruction is retained.
+    ///
+    /// # Panics
+    /// Panics if the memory has unretired speculative stores.
     pub fn run(&mut self, max_steps: u64) -> Result<u64, ExecError> {
+        self.run_with(max_steps, |_| {})
+    }
+
+    /// [`Machine::run`], handing every retired record to `retire`.
+    ///
+    /// Always inlined, so the state `retire` updates stays in
+    /// registers instead of behind the closure's captured pointers.
+    #[inline(always)]
+    pub(crate) fn run_with(
+        &mut self,
+        max_steps: u64,
+        mut retire: impl FnMut(&StepOut),
+    ) -> Result<u64, ExecError> {
+        assert_eq!(
+            self.mem.pending_stores(),
+            0,
+            "functional execution starts from committed state"
+        );
+        let mem = self.mem.committed_mut();
+        let mut pc = self.pc;
+        let mut halted = self.halted;
         let mut n = 0;
-        while !self.halted && n < max_steps {
-            let out = self.step()?;
-            if let Some(m) = out.mem {
-                if m.is_store {
-                    self.mem.commit_store(out.seq);
-                }
-            }
+        let mut fault = None;
+        while n < max_steps && !halted {
+            // Read in place rather than copied out by `fetch`, so each
+            // arm loads only the fields it uses.
+            let Some(inst) = self.program.get(pc) else {
+                fault = Some(ProgramError::BadPc(pc));
+                break;
+            };
+            let out = execute(
+                &mut self.regs,
+                &mut self.fregs,
+                mem,
+                self.next_seq + n,
+                pc,
+                *inst,
+                &mut retire,
+            );
+            pc = out.next_pc;
+            halted = out.halted;
             n += 1;
         }
-        Ok(n)
+        self.pc = pc;
+        self.next_seq += n;
+        self.halted = halted;
+        match fault {
+            Some(e) => Err(e.into()),
+            None => Ok(n),
+        }
     }
 
     /// Serializes the architectural state — registers, PC, sequence
@@ -449,6 +580,32 @@ impl Machine {
 }
 
 impl StepOut {
+    /// Folds this retired instruction's architectural effects into the
+    /// commit-stream checksum `h` (FNV-1a, seeded with
+    /// [`FNV_OFFSET`]): PC, next PC, taken flag, destination write,
+    /// store — in that order. Tags keep absent/present fields from
+    /// aliasing (e.g. a store of 0 vs. no store). The detailed core and
+    /// the functional loop both fold through here, so their checksums
+    /// are equal exactly when they retired the same stream.
+    #[inline(always)]
+    pub fn fold_commit(&self, h: u64) -> u64 {
+        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
+        let mut h = fold(h, self.pc);
+        h = fold(h, self.next_pc);
+        h = fold(h, u64::from(self.taken));
+        h = match self.wrote {
+            Some((reg, value)) => fold(fold(h, 1 + reg.index() as u64), value),
+            None => fold(h, 0),
+        };
+        match self.mem {
+            Some(m) if m.is_store => {
+                let h = fold(fold(h, 1), m.addr);
+                fold(fold(h, m.size), m.value)
+            }
+            _ => fold(h, 0),
+        }
+    }
+
     /// Serializes everything but the instruction itself (re-fetched
     /// from the program at decode, keyed by `pc`).
     pub fn snapshot_encode(&self, e: &mut Enc) {
@@ -488,7 +645,8 @@ impl StepOut {
     ///
     /// # Errors
     /// Typed [`SnapError`] on truncated input, a PC outside the
-    /// program, or an out-of-range register number.
+    /// program, an out-of-range register number, or a memory access or
+    /// destination write the re-fetched instruction does not perform.
     pub fn snapshot_decode(program: &Program, d: &mut Dec<'_>) -> Result<StepOut, SnapError> {
         let seq = d.u64()?;
         let pc = d.u64()?;
@@ -499,18 +657,12 @@ impl StepOut {
         let taken = d.bool()?;
         let mem = match d.u8()? {
             0 => None,
-            1 => {
-                let m = MemOp {
-                    is_store: d.bool()?,
-                    addr: d.u64()?,
-                    size: d.u64()?,
-                    value: d.u64()?,
-                };
-                if !matches!(m.size, 1 | 2 | 4 | 8) {
-                    return Err(SnapError::Corrupt("mem op size"));
-                }
-                Some(m)
-            }
+            1 => Some(MemOp {
+                is_store: d.bool()?,
+                addr: d.u64()?,
+                size: d.u64()?,
+                value: d.u64()?,
+            }),
             _ => return Err(SnapError::Corrupt("mem op tag")),
         };
         let wrote = match d.u8()? {
@@ -532,6 +684,13 @@ impl StepOut {
             _ => return Err(SnapError::Corrupt("dest write tag")),
         };
         let halted = d.bool()?;
+        let access = inst.mem_access().map(|a| (a.is_store, a.width.bytes()));
+        if mem.map(|m| (m.is_store, m.size)) != access {
+            return Err(SnapError::Corrupt("mem op disagrees with instruction"));
+        }
+        if wrote.map(|(r, _)| r) != inst.info().dst {
+            return Err(SnapError::Corrupt("dest write disagrees with instruction"));
+        }
         Ok(StepOut {
             seq,
             pc,
@@ -545,15 +704,7 @@ impl StepOut {
     }
 }
 
-fn wrote_int(rd: Reg, v: u64) -> Option<(RegRef, u64)> {
-    if rd.is_zero() {
-        None
-    } else {
-        Some((rd.into(), v))
-    }
-}
-
-pub(crate) fn extend(raw: u64, width: MemWidth, signed: bool) -> u64 {
+fn extend(raw: u64, width: MemWidth, signed: bool) -> u64 {
     if !signed {
         return raw;
     }
@@ -565,14 +716,11 @@ pub(crate) fn extend(raw: u64, width: MemWidth, signed: bool) -> u64 {
     }
 }
 
-pub(crate) fn alu(op: AluOp, a: u64, b: u64) -> u64 {
-    op.eval(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Asm;
+    use crate::inst::AluOp;
     use crate::reg::names::*;
 
     fn machine(f: impl FnOnce(&mut Asm)) -> Machine {
@@ -690,15 +838,15 @@ mod tests {
 
     #[test]
     fn riscv_division_semantics() {
-        assert_eq!(alu(AluOp::Div, 7, 0), u64::MAX);
-        assert_eq!(alu(AluOp::Rem, 7, 0), 7);
+        assert_eq!(AluOp::Div.eval(7, 0), u64::MAX);
+        assert_eq!(AluOp::Rem.eval(7, 0), 7);
         assert_eq!(
-            alu(AluOp::Div, i64::MIN as u64, (-1i64) as u64),
+            AluOp::Div.eval(i64::MIN as u64, (-1i64) as u64),
             i64::MIN as u64
         );
-        assert_eq!(alu(AluOp::Rem, i64::MIN as u64, (-1i64) as u64), 0);
-        assert_eq!(alu(AluOp::Divu, 7, 0), u64::MAX);
-        assert_eq!(alu(AluOp::Remu, 7, 0), 7);
+        assert_eq!(AluOp::Rem.eval(i64::MIN as u64, (-1i64) as u64), 0);
+        assert_eq!(AluOp::Divu.eval(7, 0), u64::MAX);
+        assert_eq!(AluOp::Remu.eval(7, 0), 7);
     }
 
     #[test]

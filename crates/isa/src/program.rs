@@ -70,11 +70,28 @@ impl Program {
     /// # Errors
     /// Returns [`ProgramError::BadPc`] if `pc` is unaligned or outside
     /// the program.
+    #[inline]
     pub fn fetch(&self, pc: u64) -> Result<Inst, ProgramError> {
-        if pc < self.base || pc >= self.end() || !(pc - self.base).is_multiple_of(INST_BYTES) {
-            return Err(ProgramError::BadPc(pc));
+        match self.slot(pc) {
+            Some(i) => Ok(self.insts[i]),
+            None => Err(ProgramError::BadPc(pc)),
         }
-        Ok(self.insts[((pc - self.base) / INST_BYTES) as usize])
+    }
+
+    /// The instruction at `pc` in place, or `None` where
+    /// [`Program::fetch`] fails.
+    #[inline]
+    pub(crate) fn get(&self, pc: u64) -> Option<&Inst> {
+        self.slot(pc).map(|i| &self.insts[i])
+    }
+
+    /// Index of `pc`'s instruction, if `pc` is aligned and inside the
+    /// program. A `pc` below `base` wraps to an offset past the end.
+    #[inline]
+    fn slot(&self, pc: u64) -> Option<usize> {
+        let off = pc.wrapping_sub(self.base);
+        let idx = off / INST_BYTES;
+        (off.is_multiple_of(INST_BYTES) && idx < self.insts.len() as u64).then_some(idx as usize)
     }
 
     /// All instructions, in address order.

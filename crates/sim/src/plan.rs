@@ -107,7 +107,7 @@ impl std::error::Error for PlanError {}
 
 /// Which execution speed a [`RunSpec`] runs at. Detailed specs
 /// cycle-simulate on the out-of-order core; functional specs retire the
-/// same committed stream on the pre-decoded fast executor; interval
+/// same committed stream on the functional executor; interval
 /// specs restore an architectural snapshot and cycle-simulate a
 /// bounded detailed window (the sampled-run building block).
 #[derive(Clone, Debug)]
@@ -165,7 +165,7 @@ impl RunSpec {
     }
 
     /// A functional-only run: the same use-case and instruction budget,
-    /// retired on the pre-decoded fast executor instead of the detailed
+    /// retired on the functional executor instead of the detailed
     /// core. Produces the same committed-stream checksum as its
     /// detailed counterparts, at interpreter speed.
     pub fn functional(usecase: UseCaseFactory, rc: &RunConfig) -> RunSpec {

@@ -543,8 +543,8 @@ pub fn run_pfm(uc: &UseCase, params: FabricParams, rc: &RunConfig) -> Result<Run
     drive(uc, Some(uc.fabric(params)), rc)
 }
 
-/// Runs the use-case functionally only, on the pre-decoded fast
-/// executor: no timing, no speculation, no memory hierarchy — just the
+/// Runs the use-case functionally only, on the functional executor:
+/// no timing, no speculation, no memory hierarchy — just the
 /// committed architectural stream, at interpreter speed.
 ///
 /// The result's `arch_checksum` is the same commit-stream fold the

@@ -99,6 +99,11 @@ echo "== cargo test =="
 # Includes the two-speed equivalence gate (pfm-sim's functional_equivalence).
 cargo test -q --release
 
+echo "== benchmark smoke tests =="
+# benchmark/ is its own workspace, so the step above does not build it;
+# it reaches pfm-workloads and pfm-sim only through their public APIs.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== repro chaos-smoke (graceful degradation under faults) =="
 repro_bin="$PWD/target/release/repro"
 "$repro_bin" chaos-smoke --quick --jobs 4 > /dev/null

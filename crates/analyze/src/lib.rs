@@ -48,7 +48,7 @@ use pfm_isa::Program;
 use std::collections::BTreeMap;
 
 /// One watched PC with the instruction kind its owner assumes, plus a
-/// human-readable origin ("component astar-custom-bp", "fst", "rst")
+/// human-readable origin ("component templated-runahead", "fst", "rst")
 /// so a finding names who made the broken assumption.
 #[derive(Clone, Debug)]
 pub struct WatchEntry {

@@ -12,9 +12,11 @@
 //! touches mispredict — one reason this design trails the load-based
 //! one (125% vs 154% IPC improvement in the paper).
 
-use crate::astar::NEIGHBORS;
 use pfm_fabric::{CustomComponent, FabricIo, ObsPacket, PredPacket, WatchKind};
 use std::collections::VecDeque;
+
+/// Neighbors per worklist index (the 2D grid's 8-neighborhood).
+pub const NEIGHBORS: usize = 8;
 
 const MIRROR_LOG2: usize = 16; // 64K entries per table (§5 scale: two 32KB-class tables)
 

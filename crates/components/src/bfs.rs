@@ -230,7 +230,10 @@ impl BfsComponent {
 
     fn retire_node(&mut self) {
         self.commit_u += 1;
-        while self.base_u < self.commit_u && !self.window.is_empty() {
+        // The base follows the commit head even past nodes T0 never
+        // allocated (the core ran ahead on fallback predictions), so the
+        // bumps below skip what the core retired first.
+        while self.base_u < self.commit_u {
             self.window.pop_front();
             self.base_u += 1;
         }
@@ -847,6 +850,31 @@ mod tests {
                 taken: true
             }]
         );
+    }
+
+    #[test]
+    fn t0_skips_nodes_the_core_retired_first() {
+        // Two frontier nodes retire before T0 allocated any: T0 must
+        // start at frontier[2], not load (and predict) retired nodes.
+        let mut c = BfsComponent::new(cfg());
+        let mut h = Harness::new();
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x100,
+            value: 0x500_0000,
+        });
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x104,
+            value: 4,
+        });
+        for i in 1..=2 {
+            h.obs.push_back(ObsPacket::DestValue {
+                pc: 0x108,
+                value: i,
+            });
+        }
+        h.tick(&mut c, 8);
+        let addrs: Vec<u64> = h.loads.iter().map(|l| l.addr).collect();
+        assert_eq!(addrs, vec![0x500_0000 + 4 * 2, 0x500_0000 + 4 * 3]);
     }
 
     #[test]

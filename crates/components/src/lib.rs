@@ -3,11 +3,14 @@
 //! Application-specific components synthesized into the reconfigurable
 //! fabric, as evaluated in §4/§5 of the paper:
 //!
-//! * [`astar::AstarPredictor`] — the three-engine custom branch
-//!   predictor for astar's `makebound2` wave expansion (Figure 7),
-//!   with the index1_CAM store-inference machinery. Disabling the
-//!   inference and the maparp predictions reproduces the slipstream
-//!   2.0 limitation discussed in §1.1 (see [`slipstream`]).
+//! * [`template::TemplateComponent`] — the three-engine run-ahead
+//!   predictor of Figure 7 as a declarative template (the §7
+//!   future-work direction): astar's `makebound2` wave expansion runs
+//!   it, with the index1_CAM store inference as its entered set, from
+//!   the same spec static analysis derives
+//!   ([`template::spec_from_profile`]). Clearing the inference and the
+//!   maparp predictions reproduces the slipstream 2.0 limitation
+//!   discussed in §1.1 (see [`slipstream`]).
 //! * [`bfs::BfsComponent`] — the four-engine bfs component (Figure 11)
 //!   combining high-MLP load running-ahead with trip-count and
 //!   visited-branch predictions.
@@ -16,22 +19,16 @@
 //!   into the libquantum/bwaves/lbm/milc/leslie use-cases.
 //! * [`astar_alt::AstarAltPredictor`] — the EXACT-inspired
 //!   table-mimicking variant of §5 (Table 4's `astar-alt` row).
-//! * [`template::TemplateComponent`] — the §7 future-work direction: a
-//!   declarative template for the run-ahead strategy astar and bfs
-//!   share, whose astar instantiation reproduces the hand-built
-//!   design's prediction stream exactly.
 
 #![warn(missing_docs)]
 
-pub mod astar;
 pub mod astar_alt;
 pub mod bfs;
 pub mod prefetch;
 pub mod slipstream;
 pub mod template;
 
-pub use astar::{AstarConfig, AstarPredictor};
 pub use astar_alt::{AstarAltConfig, AstarAltPredictor};
 pub use bfs::{BfsComponent, BfsConfig};
 pub use prefetch::{AdaptiveDistance, CustomPrefetcher, EngineConfig};
-pub use template::{astar_template, LaneSpec, Predicate, TemplateComponent, TemplateSpec};
+pub use template::{LaneSpec, Predicate, TemplateComponent, TemplateSpec};

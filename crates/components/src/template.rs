@@ -1,27 +1,40 @@
-//! A *templated* run-ahead predictor — the paper's §7 future work.
+//! The templated run-ahead engine — the paper's §7 future work, and
+//! the one engine behind the astar use cases.
 //!
 //! §7: "the astar and bfs designs presented in this paper follow a
 //! similar strategy. If this could be templated, it suggests a path
-//! toward automation." This module is that first step: a declarative
-//! template for the family of designs that
+//! toward automation." A [`TemplateSpec`] declares one design of that
+//! family, which
 //!
-//! 1. walk an input worklist ahead of the core (T0),
-//! 2. fan each element out into a fixed set of derived loads (T1),
-//! 3. convert loaded values into branch predicates (T2), and
-//! 4. infer not-yet-retired stores via a sticky "recently predicted
-//!    entered" search, exactly like astar's index1_CAM and bfs's
-//!    neighbor-window search.
+//! 1. walks an input worklist ahead of the core (T0),
+//! 2. fans each element out into a fixed set of derived loads (T1),
+//! 3. converts loaded values into branch predictions (T2), and
+//! 4. infers not-yet-retired stores via a sticky "recently predicted
+//!    entered" set (astar's index1_CAM).
 //!
-//! A compiler (or a tool reading profiles) could emit a
-//! [`TemplateSpec`] instead of hand-writing a component; instantiating
-//! the template for astar's ROI reproduces the hand-built
-//! [`crate::astar::AstarPredictor`]'s prediction stream exactly (see
-//! the tests). Patterns with data-dependent trip counts (bfs's
-//! neighbor loop) need the nested-walk extension, which is why the
-//! dedicated [`crate::bfs::BfsComponent`] still exists.
+//! [`spec_from_profile`] derives the spec from static analysis alone;
+//! for astar's ROI it equals the spec the astar use case runs. The
+//! engine runs Figure 7's synthesized design cycle for cycle, and
+//! slipstream's restricted form of it is a spec transform
+//! ([`crate::slipstream`]). bfs's neighbor loop has data-dependent trip
+//! counts the template cannot express, so [`crate::bfs::BfsComponent`]
+//! stays separate.
 
 use pfm_fabric::{CustomComponent, FabricIo, FabricLoad, ObsPacket, PredPacket, WatchKind};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Worklist loads T0 issues per RF cycle, as in Figure 7's synthesized
+/// design.
+const T0_LOADS_PER_CYCLE: usize = 1;
+/// Lane groups T1 completes per RF cycle: Figure 7's synthesized design
+/// handles "two index1s / four loads per RF cycle".
+const T1_GROUPS_PER_CYCLE: usize = 2;
+
+/// A load id packs the call generation (bits 40..64), the iteration
+/// (bits 16..40) and the lane + 1 (bits 0..16; 0 is T0's worklist
+/// load), so a response finds its slot without a lookup table.
+const ID_GEN_SHIFT: u32 = 40;
+const ID_ITER_SHIFT: u32 = 16;
 
 /// How a derived lane turns its loaded value into a branch predicate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,6 +94,26 @@ pub struct LaneSpec {
     /// index as "entered" (sticky-visited inference) and override
     /// future first-lane predictions for it to taken.
     pub infer_store_on_all_not_taken: bool,
+    /// Send this lane's prediction. A non-predicting lane still loads,
+    /// and emission waits for its value before moving on (slipstream's
+    /// maparp lanes, whose branches are left to the core predictor).
+    pub predict: bool,
+}
+
+impl LaneSpec {
+    /// The derived index for worklist element `index`. Wrapping:
+    /// `index` is a load response, and a faulty fabric (the chaos
+    /// harness) can return garbage. Hardware adders wrap; the wild
+    /// address simply misses in the cache.
+    fn key(&self, index: u64) -> u64 {
+        (index as i64).wrapping_add(self.offset) as u64
+    }
+
+    fn addr(&self, key: u64) -> u64 {
+        (self.table_base as i64)
+            .wrapping_add((key as i64).wrapping_mul(self.elem_scale as i64))
+            .wrapping_add(self.elem_offset) as u64
+    }
 }
 
 /// The declarative component description (the artifact a generator
@@ -99,7 +132,8 @@ pub struct TemplateSpec {
     pub wl_elem_size: u64,
     /// The derived lanes, in program order.
     pub lanes: Vec<LaneSpec>,
-    /// Speculative scope (worklist elements in flight).
+    /// Speculative scope (worklist elements in flight; astar's
+    /// index_queue size).
     pub scope: usize,
 }
 
@@ -107,7 +141,6 @@ pub struct TemplateSpec {
 struct IterState {
     index: Option<u64>,
     values: Vec<Option<u64>>,
-    issued: Vec<bool>,
 }
 
 /// The instantiated template component.
@@ -117,10 +150,14 @@ pub struct TemplateComponent {
     wl_base: u64,
     wl_len: u64,
     have_call: bool,
+    /// Call generation, modulo the id's 24-bit field.
     call_gen: u64,
 
+    /// Absolute iteration numbers, `base ≤ emit ≤ issue ≤ alloc`, with
+    /// lane cursors for the partially issued and emitted iterations.
+    /// `base_iter` is also the commit head: the window holds
+    /// iterations `[base_iter, alloc_iter)`.
     base_iter: u64,
-    commit_iter: u64,
     alloc_iter: u64,
     issue_iter: u64,
     issue_lane: usize,
@@ -128,11 +165,9 @@ pub struct TemplateComponent {
     emit_lane: usize,
     window: VecDeque<IterState>,
 
-    /// Sticky entered-set (the generalized index1_CAM).
+    /// Sticky entered-set (the generalized index1_CAM): derived index
+    /// -> inserting iteration.
     entered: BTreeMap<u64, u64>,
-
-    next_id: u64,
-    tags: BTreeMap<u64, (u64, usize)>, // id -> (iter, lane or usize::MAX for T0)
 }
 
 impl std::fmt::Debug for TemplateComponent {
@@ -155,7 +190,6 @@ impl TemplateComponent {
             have_call: false,
             call_gen: 0,
             base_iter: 0,
-            commit_iter: 0,
             alloc_iter: 0,
             issue_iter: 0,
             issue_lane: 0,
@@ -163,16 +197,13 @@ impl TemplateComponent {
             emit_lane: 0,
             window: VecDeque::new(),
             entered: BTreeMap::new(),
-            next_id: 0,
-            tags: BTreeMap::new(),
         }
     }
 
     fn reset_call(&mut self) {
-        self.call_gen += 1;
+        self.call_gen = (self.call_gen + 1) % (1 << (64 - ID_GEN_SHIFT));
         self.have_call = false;
         self.base_iter = 0;
-        self.commit_iter = 0;
         self.alloc_iter = 0;
         self.issue_iter = 0;
         self.issue_lane = 0;
@@ -180,7 +211,12 @@ impl TemplateComponent {
         self.emit_lane = 0;
         self.window.clear();
         self.entered.clear();
-        self.tags.clear();
+    }
+
+    /// The id of the load for `iter`'s lane `code - 1` (`code` 0: its
+    /// worklist element).
+    fn load_id(&self, iter: u64, code: usize) -> u64 {
+        (self.call_gen << ID_GEN_SHIFT) | (iter << ID_ITER_SHIFT) | code as u64
     }
 
     fn slot(&self, iter: u64) -> Option<&IterState> {
@@ -198,32 +234,39 @@ impl TemplateComponent {
         self.window.get_mut((iter - b) as usize)
     }
 
-    fn derived_key(&self, index: u64, lane: &LaneSpec) -> u64 {
-        // Wrapping: `index` is a load response, and a faulty fabric
-        // (the chaos harness) can return garbage. Hardware adders wrap.
-        (index as i64).wrapping_add(lane.offset) as u64
+    /// One past the last lane of `lane`'s group.
+    fn group_end(&self, lane: usize) -> usize {
+        let lanes = &self.spec.lanes;
+        (lane + 1..lanes.len())
+            .find(|&l| lanes[l].group != lanes[lane].group)
+            .unwrap_or(lanes.len())
     }
 
+    /// The core retired the iteration at the commit head. The base
+    /// advances even past iterations the component never allocated
+    /// (the core ran ahead on fallback predictions), and every engine
+    /// skips what the core retired first.
     fn retire(&mut self) {
-        self.commit_iter += 1;
-        while self.base_iter < self.commit_iter && !self.window.is_empty() {
-            self.window.pop_front();
-            self.base_iter += 1;
-        }
-        for p in [
-            &mut self.alloc_iter,
-            &mut self.issue_iter,
-            &mut self.emit_iter,
+        self.window.pop_front();
+        self.base_iter += 1;
+        let base = self.base_iter;
+        self.alloc_iter = self.alloc_iter.max(base);
+        for (iter, lane) in [
+            (&mut self.issue_iter, &mut self.issue_lane),
+            (&mut self.emit_iter, &mut self.emit_lane),
         ] {
-            if *p < self.base_iter {
-                *p = self.base_iter;
+            if *iter < base {
+                *iter = base;
+                *lane = 0;
             }
         }
-        // Sticky lifetime: one extra scope beyond retirement (see the
-        // astar component's CAM discussion).
+        // Entered keys live one extra scope beyond retirement: a T1
+        // load issued before the store committed may only be converted
+        // by T2 after the store retires, and "entered" is sticky within
+        // a call, so the longer lifetime is always safe (a bounded CAM
+        // of groups × 2·scope entries).
         let scope = self.spec.scope as u64;
-        let commit = self.commit_iter;
-        self.entered.retain(|_, &mut it| it + scope >= commit);
+        self.entered.retain(|_, &mut it| it + scope >= base);
     }
 
     fn observations(&mut self, io: &mut FabricIo<'_>) {
@@ -246,140 +289,135 @@ impl TemplateComponent {
 
     fn responses(&mut self, io: &mut FabricIo<'_>) {
         while let Some(r) = io.pop_load_resp() {
-            let Some(&(iter, lane)) = self.tags.get(&r.id) else {
+            // A response issued before the current call began, or for
+            // an iteration that already retired, finds no slot.
+            if r.id >> ID_GEN_SHIFT != self.call_gen {
+                continue;
+            }
+            let iter = (r.id % (1 << ID_GEN_SHIFT)) >> ID_ITER_SHIFT;
+            let code = (r.id % (1 << ID_ITER_SHIFT)) as usize;
+            let Some(s) = self.slot_mut(iter) else {
                 continue;
             };
-            self.tags.remove(&r.id);
-            if let Some(s) = self.slot_mut(iter) {
-                if lane == usize::MAX {
-                    s.index = Some(r.value);
-                } else {
-                    s.values[lane] = Some(r.value);
-                }
+            if code == 0 {
+                s.index = Some(r.value);
+            } else if let Some(v) = s.values.get_mut(code - 1) {
+                *v = Some(r.value);
             }
         }
     }
 
+    /// T0: allocate the next worklist element within the scope and
+    /// load it.
     fn t0(&mut self, io: &mut FabricIo<'_>) {
-        if !self.have_call {
-            return;
-        }
-        while self.alloc_iter < self.wl_len
-            && ((self.alloc_iter - self.base_iter) as usize) < self.spec.scope
-        {
-            self.next_id += 1;
-            let id = (self.call_gen << 40) | self.next_id;
+        for _ in 0..T0_LOADS_PER_CYCLE {
+            if !self.have_call
+                || self.alloc_iter >= self.wl_len
+                || (self.alloc_iter - self.base_iter) as usize >= self.spec.scope
+            {
+                return;
+            }
             let addr = self.wl_base + self.spec.wl_elem_size * self.alloc_iter;
             if !io.push_load(FabricLoad {
-                id,
+                id: self.load_id(self.alloc_iter, 0),
                 addr,
                 size: self.spec.wl_elem_size,
                 is_prefetch: false,
             }) {
                 return;
             }
-            self.tags.insert(id, (self.alloc_iter, usize::MAX));
             self.window.push_back(IterState {
                 index: None,
                 values: vec![None; self.spec.lanes.len()],
-                issued: vec![false; self.spec.lanes.len()],
             });
             self.alloc_iter += 1;
         }
     }
 
+    /// T1: issue the lanes' derived loads in order once an element's
+    /// value is back. A push that fails mid-group resumes at the same
+    /// lane next cycle, and that group counts toward the next cycle's
+    /// [`T1_GROUPS_PER_CYCLE`].
     fn t1(&mut self, io: &mut FabricIo<'_>) {
-        while self.issue_iter < self.alloc_iter {
+        let mut groups = 0;
+        while groups < T1_GROUPS_PER_CYCLE && self.issue_iter < self.alloc_iter {
             let Some(index) = self.slot(self.issue_iter).and_then(|s| s.index) else {
                 return;
             };
-            while self.issue_lane < self.spec.lanes.len() {
-                let lane_idx = self.issue_lane;
-                let lane = self.spec.lanes[lane_idx].clone();
-                let already = self
-                    .slot(self.issue_iter)
-                    .is_some_and(|s| s.issued[lane_idx]);
-                if !already {
-                    let key = self.derived_key(index, &lane);
-                    let addr = (lane.table_base as i64)
-                        .wrapping_add((key as i64).wrapping_mul(lane.elem_scale as i64))
-                        .wrapping_add(lane.elem_offset) as u64;
-                    self.next_id += 1;
-                    let id = (self.call_gen << 40) | self.next_id;
-                    if !io.push_load(FabricLoad {
-                        id,
-                        addr,
-                        size: lane.size,
-                        is_prefetch: false,
-                    }) {
-                        return;
-                    }
-                    self.tags.insert(id, (self.issue_iter, lane_idx));
-                    if let Some(s) = self.slot_mut(self.issue_iter) {
-                        s.issued[lane_idx] = true;
-                    }
-                }
-                self.issue_lane += 1;
+            let Some(lane) = self.spec.lanes.get(self.issue_lane) else {
+                return;
+            };
+            if !io.push_load(FabricLoad {
+                id: self.load_id(self.issue_iter, self.issue_lane + 1),
+                addr: lane.addr(lane.key(index)),
+                size: lane.size,
+                is_prefetch: false,
+            }) {
+                return;
             }
-            self.issue_lane = 0;
-            self.issue_iter += 1;
+            self.issue_lane += 1;
+            if self.issue_lane == self.group_end(self.issue_lane - 1) {
+                groups += 1;
+            }
+            if self.issue_lane == self.spec.lanes.len() {
+                self.issue_lane = 0;
+                self.issue_iter += 1;
+            }
         }
     }
 
+    /// T2: convert loaded values into predictions in program order,
+    /// overriding a group's first lane to taken when its derived index
+    /// was entered. A group is emitted only after T1 has issued all of
+    /// its lanes.
     fn t2(&mut self, io: &mut FabricIo<'_>) {
-        'outer: loop {
-            if self.emit_iter >= self.alloc_iter || self.emit_iter >= self.wl_len {
-                return;
-            }
-            let Some(index) = self.slot(self.emit_iter).and_then(|s| s.index) else {
+        while self.emit_iter < self.alloc_iter && self.emit_iter < self.wl_len {
+            let lanes = &self.spec.lanes;
+            let Some(lane) = lanes.get(self.emit_lane) else {
                 return;
             };
-            while self.emit_lane < self.spec.lanes.len() {
-                let lane_idx = self.emit_lane;
-                let lane = self.spec.lanes[lane_idx].clone();
-                let key = self.derived_key(index, &lane);
-                // First lane of a group may be overridden by the
-                // sticky entered-set.
-                let group_start =
-                    lane_idx == 0 || self.spec.lanes[lane_idx - 1].group != lane.group;
-                let inferred =
-                    group_start && lane.taken_skips_group && self.entered.contains_key(&key);
-                let taken = if inferred {
-                    true
-                } else {
-                    let Some(v) = self.slot(self.emit_iter).and_then(|s| s.values[lane_idx]) else {
-                        return;
-                    };
-                    lane.predicate.eval(v, lane.size, self.tag)
+            let end = self.group_end(self.emit_lane);
+            // T1's cursor must be past the group: issue_iter is ahead,
+            // or equal with issue_lane at or past the group's end.
+            if (self.emit_iter, end) > (self.issue_iter, self.issue_lane) {
+                return;
+            }
+            let Some(s) = self.slot(self.emit_iter) else {
+                return;
+            };
+            let Some(index) = s.index else {
+                return;
+            };
+            let key = lane.key(index);
+            let leader = self.emit_lane == 0 || lanes[self.emit_lane - 1].group != lane.group;
+            let taken = if leader && lane.taken_skips_group && self.entered.contains_key(&key) {
+                true
+            } else {
+                let Some(v) = s.values[self.emit_lane] else {
+                    return;
                 };
-                if !io.push_pred(PredPacket {
+                lane.predicate.eval(v, lane.size, self.tag)
+            };
+            if lane.predict
+                && !io.push_pred(PredPacket {
                     pc: lane.branch_pc,
                     taken,
-                }) {
-                    return;
-                }
-                if taken && lane.taken_skips_group {
-                    // Skip the remaining lanes of this group.
-                    let g = lane.group;
-                    let mut next = lane_idx + 1;
-                    while next < self.spec.lanes.len() && self.spec.lanes[next].group == g {
-                        next += 1;
-                    }
-                    self.emit_lane = next;
-                    continue;
-                }
-                // Group completed with this lane not-taken: store
-                // inference when it was the group's last lane.
-                let last_of_group = lane_idx + 1 == self.spec.lanes.len()
-                    || self.spec.lanes[lane_idx + 1].group != lane.group;
-                if !taken && last_of_group && lane.infer_store_on_all_not_taken {
+                })
+            {
+                return;
+            }
+            if taken && lane.taken_skips_group {
+                self.emit_lane = end;
+            } else {
+                if !taken && self.emit_lane + 1 == end && lane.infer_store_on_all_not_taken {
                     self.entered.insert(key, self.emit_iter);
                 }
                 self.emit_lane += 1;
-                continue 'outer;
             }
-            self.emit_lane = 0;
-            self.emit_iter += 1;
+            if self.emit_lane == lanes.len() {
+                self.emit_lane = 0;
+                self.emit_iter += 1;
+            }
         }
     }
 }
@@ -408,48 +446,6 @@ impl CustomComponent for TemplateComponent {
             w.push((lane.branch_pc, WatchKind::CondBranch));
         }
         w
-    }
-}
-
-/// Generates the astar instantiation of the template from the same
-/// configuration the hand-built component uses — what §7's imagined
-/// generator would produce for this ROI.
-pub fn astar_template(cfg: &crate::astar::AstarConfig) -> TemplateSpec {
-    let mut lanes = Vec::new();
-    for k in 0..crate::astar::NEIGHBORS {
-        lanes.push(LaneSpec {
-            offset: cfg.offsets[k],
-            table_base: cfg.waymap_base,
-            elem_scale: 8,
-            elem_offset: 0,
-            size: 4,
-            branch_pc: cfg.waymap_branch_pcs[k],
-            predicate: Predicate::EqualsTag,
-            taken_skips_group: true,
-            group: k as u32,
-            infer_store_on_all_not_taken: false,
-        });
-        lanes.push(LaneSpec {
-            offset: cfg.offsets[k],
-            table_base: cfg.maparp_base,
-            elem_scale: 1,
-            elem_offset: 0,
-            size: 1,
-            branch_pc: cfg.maparp_branch_pcs[k],
-            predicate: Predicate::NonZero,
-            taken_skips_group: true,
-            group: k as u32,
-            infer_store_on_all_not_taken: true,
-        });
-    }
-    TemplateSpec {
-        tag_pc: cfg.fillnum_pc,
-        wl_base_pc: cfg.wl_base_pc,
-        wl_len_pc: cfg.wl_len_pc,
-        induction_pc: cfg.induction_pc,
-        wl_elem_size: 4,
-        lanes,
-        scope: cfg.index_queue_size,
     }
 }
 
@@ -707,6 +703,7 @@ pub fn spec_from_profile(
                 taken_skips_group: true,
                 group: gi as u32,
                 infer_store_on_all_not_taken: infer && i + 1 == g.len(),
+                predict: true,
             });
         }
     }
@@ -725,6 +722,7 @@ pub fn spec_from_profile(
 mod tests {
     use super::*;
     use pfm_fabric::LoadResponse;
+    use std::collections::BTreeSet;
 
     fn spec_two_lane() -> TemplateSpec {
         TemplateSpec {
@@ -745,6 +743,7 @@ mod tests {
                     taken_skips_group: true,
                     group: 0,
                     infer_store_on_all_not_taken: false,
+                    predict: true,
                 },
                 LaneSpec {
                     offset: 1,
@@ -757,23 +756,68 @@ mod tests {
                     taken_skips_group: true,
                     group: 0,
                     infer_store_on_all_not_taken: true,
+                    predict: true,
                 },
             ],
             scope: 8,
         }
     }
 
-    /// Drives a component over the scripted worklist; iterations
+    /// astar's spec on a 64-wide grid: per neighbor `k`, the `waymap`
+    /// lane (branch `0x200 + 0x10k`, taken = visited) then the `maparp`
+    /// lane (branch 4 bytes on, taken = blocked).
+    fn astar_spec(store_inference: bool) -> TemplateSpec {
+        let offsets = [-65, -64, -63, -1, 1, 63, 64, 65];
+        let mut lanes = Vec::new();
+        for (k, &offset) in offsets.iter().enumerate() {
+            let lane = |table_base, elem_scale, size, branch_pc, predicate, infer| LaneSpec {
+                offset,
+                table_base,
+                elem_scale,
+                elem_offset: 0,
+                size,
+                branch_pc,
+                predicate,
+                taken_skips_group: true,
+                group: k as u32,
+                infer_store_on_all_not_taken: infer,
+                predict: true,
+            };
+            let pc = 0x200 + 0x10 * k as u64;
+            lanes.push(lane(0x10_0000, 8, 4, pc, Predicate::EqualsTag, false));
+            lanes.push(lane(
+                0x20_0000,
+                1,
+                1,
+                pc + 4,
+                Predicate::NonZero,
+                store_inference,
+            ));
+        }
+        TemplateSpec {
+            lanes,
+            ..spec_two_lane()
+        }
+    }
+
+    /// Drives the template over the scripted worklist; iterations
     /// retire only after all their group-leader predictions were
     /// emitted, as the core would (it cannot retire unfetched code).
-    fn drive_component(
-        c: &mut dyn CustomComponent,
+    fn drive(
+        spec: TemplateSpec,
         worklist: &[u64],
-        answer: &dyn Fn(u64) -> u64,
+        answer: impl Fn(u64) -> u64,
         tag: u64,
-        leader_pcs: &[u64],
-        groups_per_iter: u64,
     ) -> Vec<PredPacket> {
+        let leaders: BTreeSet<u64> = spec
+            .lanes
+            .iter()
+            .enumerate()
+            .filter(|&(i, l)| i == 0 || spec.lanes[i - 1].group != l.group)
+            .map(|(_, l)| l.branch_pc)
+            .collect();
+        let groups = leaders.len() as u64;
+        let mut c = TemplateComponent::new(spec);
         let mut obs: VecDeque<ObsPacket> = VecDeque::new();
         obs.push_back(ObsPacket::DestValue {
             pc: 0x100,
@@ -808,8 +852,8 @@ mod tests {
                 resp.push_back(LoadResponse { id: l.id, value });
             }
             preds.extend(out_p);
-            let leaders = preds.iter().filter(|p| leader_pcs.contains(&p.pc)).count() as u64;
-            if leaders >= (retired + 1) * groups_per_iter && (retired as usize) < worklist.len() {
+            let emitted = preds.iter().filter(|p| leaders.contains(&p.pc)).count() as u64;
+            if emitted >= (retired + 1) * groups && (retired as usize) < worklist.len() {
                 retired += 1;
                 obs.push_back(ObsPacket::DestValue {
                     pc: 0x10c,
@@ -818,28 +862,6 @@ mod tests {
             }
         }
         preds
-    }
-
-    fn drive(
-        spec: TemplateSpec,
-        worklist: &[u64],
-        answer: impl Fn(u64) -> u64,
-        tag: u64,
-    ) -> Vec<PredPacket> {
-        let leaders: Vec<u64> = {
-            let mut v = Vec::new();
-            let mut last_group = u32::MAX;
-            for l in &spec.lanes {
-                if l.group != last_group {
-                    v.push(l.branch_pc);
-                    last_group = l.group;
-                }
-            }
-            v
-        };
-        let groups = leaders.len() as u64;
-        let mut c = TemplateComponent::new(spec);
-        drive_component(&mut c, worklist, &answer, tag, &leaders, groups)
     }
 
     #[test]
@@ -885,46 +907,344 @@ mod tests {
         );
     }
 
-    #[test]
-    fn template_reproduces_handbuilt_astar_stream() {
-        // Instantiate the template for astar's ROI and compare its
-        // full prediction stream against the dedicated component on a
-        // scripted input.
-        let acfg = crate::astar::AstarConfig {
-            fillnum_pc: 0x100,
-            wl_base_pc: 0x104,
-            wl_len_pc: 0x108,
-            induction_pc: 0x10c,
-            waymap_base: 0x10_0000,
-            maparp_base: 0x20_0000,
-            offsets: [-17, -16, -15, -1, 1, 15, 16, 17],
-            waymap_branch_pcs: [0x200, 0x210, 0x220, 0x230, 0x240, 0x250, 0x260, 0x270],
-            maparp_branch_pcs: [0x204, 0x214, 0x224, 0x234, 0x244, 0x254, 0x264, 0x274],
-            index_queue_size: 8,
-            store_inference: true,
-            predict_maparp: true,
-            t1_width: 2,
-        };
-        let worklist: Vec<u64> = vec![100, 101, 130, 100];
-        let blocked = [99u64, 116, 131];
-        let answer = |addr: u64| -> u64 {
-            if addr >= 0x20_0000 {
-                blocked.contains(&(addr - 0x20_0000)) as u64
-            } else {
-                0 // waymap: all unvisited
+    /// Worklist loads go to `0x50_0000`/`0x60_0000`, table loads below.
+    fn is_worklist(l: &FabricLoad) -> bool {
+        l.addr >= 0x50_0000
+    }
+
+    struct Harness {
+        obs: VecDeque<ObsPacket>,
+        resp: VecDeque<LoadResponse>,
+        preds: Vec<PredPacket>,
+        loads: Vec<FabricLoad>,
+    }
+
+    impl Harness {
+        fn new() -> Harness {
+            Harness {
+                obs: VecDeque::new(),
+                resp: VecDeque::new(),
+                preds: Vec::new(),
+                loads: Vec::new(),
             }
-        };
+        }
 
-        let template_preds = drive(astar_template(&acfg), &worklist, answer, 7);
+        fn tick(&mut self, c: &mut TemplateComponent, width: usize) {
+            let mut preds = Vec::new();
+            let mut loads = Vec::new();
+            {
+                let mut io = FabricIo::new(
+                    width,
+                    0,
+                    &mut self.obs,
+                    &mut self.resp,
+                    &mut preds,
+                    &mut loads,
+                    64,
+                    64,
+                );
+                c.tick(&mut io);
+            }
+            self.preds.extend(preds);
+            self.loads.extend(loads);
+        }
 
-        // Drive the hand-built component under the same pacing.
-        let leaders: Vec<u64> = acfg.waymap_branch_pcs.to_vec();
-        let mut c = crate::astar::AstarPredictor::new(acfg);
-        let hand = drive_component(&mut c, &worklist, &answer, 7, &leaders, 8);
-        assert_eq!(
-            template_preds, hand,
-            "the template must reproduce the hand-built design"
+        /// Answers every table load not answered yet with `value(load)`.
+        fn answer_tables(
+            &mut self,
+            answered: &mut BTreeSet<u64>,
+            value: impl Fn(&FabricLoad) -> u64,
+        ) {
+            for l in self.loads.iter().filter(|l| !is_worklist(l)) {
+                if answered.insert(l.id) {
+                    self.resp.push_back(LoadResponse {
+                        id: l.id,
+                        value: value(l),
+                    });
+                }
+            }
+        }
+    }
+
+    fn setup_call(h: &mut Harness, c: &mut TemplateComponent, fillnum: u64, base: u64, len: u64) {
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x100,
+            value: fillnum,
+        });
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x104,
+            value: base,
+        });
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x108,
+            value: len,
+        });
+        h.tick(c, 4);
+    }
+
+    #[test]
+    fn t0_issues_worklist_loads_up_to_scope() {
+        let mut c = TemplateComponent::new(astar_spec(true));
+        let mut h = Harness::new();
+        setup_call(&mut h, &mut c, 5, 0x50_0000, 100);
+        let mut t0_loads = h.loads.iter().filter(|l| is_worklist(l)).count();
+        for _ in 0..20 {
+            h.tick(&mut c, 4);
+            t0_loads = h.loads.iter().filter(|l| is_worklist(l)).count();
+        }
+        // Scope is 8: T0 must stop at 8 outstanding iterations.
+        assert_eq!(t0_loads, 8);
+        assert_eq!(h.loads[0].addr, 0x50_0000);
+        assert_eq!(h.loads[0].size, 4);
+    }
+
+    #[test]
+    fn t1_issues_neighbor_load_pairs_in_order() {
+        let mut c = TemplateComponent::new(astar_spec(true));
+        let mut h = Harness::new();
+        setup_call(&mut h, &mut c, 5, 0x50_0000, 4);
+        h.tick(&mut c, 4);
+        // Return the first worklist index (cell 1000).
+        let t0 = h.loads.iter().find(|l| is_worklist(l)).unwrap();
+        h.resp.push_back(LoadResponse {
+            id: t0.id,
+            value: 1000,
+        });
+        h.tick(&mut c, 4);
+        h.tick(&mut c, 4);
+        let t1: Vec<_> = h.loads.iter().filter(|l| !is_worklist(l)).collect();
+        assert!(
+            t1.len() >= 4,
+            "expected waymap/maparp pairs, got {}",
+            t1.len()
         );
+        // First pair: neighbor 0 => idx1 = 1000 - 65 = 935.
+        assert_eq!(t1[0].addr, 0x10_0000 + 8 * 935);
+        assert_eq!(t1[0].size, 4);
+        assert_eq!(t1[1].addr, 0x20_0000 + 935);
+        assert_eq!(t1[1].size, 1);
+    }
+
+    /// Drives one full iteration at worklist index 1000 and returns the
+    /// emitted predictions.
+    fn run_iteration(
+        wvals: [u32; 8],
+        mvals: [u8; 8],
+        fillnum: u64,
+        store_inf: bool,
+    ) -> Vec<PredPacket> {
+        let spec = astar_spec(store_inf);
+        let offsets: Vec<i64> = spec.lanes.iter().step_by(2).map(|l| l.offset).collect();
+        let mut c = TemplateComponent::new(spec);
+        let mut h = Harness::new();
+        setup_call(&mut h, &mut c, fillnum, 0x50_0000, 1);
+        h.tick(&mut c, 8);
+        let t0 = h.loads.iter().find(|l| is_worklist(l)).unwrap();
+        h.resp.push_back(LoadResponse {
+            id: t0.id,
+            value: 1000,
+        });
+        // Tick until all loads issued, answering as they appear.
+        let mut answered = BTreeSet::new();
+        for _ in 0..40 {
+            h.tick(&mut c, 8);
+            h.answer_tables(&mut answered, |l| {
+                let is_m = l.addr >= 0x20_0000;
+                let idx1 = if is_m {
+                    l.addr - 0x20_0000
+                } else {
+                    (l.addr - 0x10_0000) / 8
+                };
+                let k = offsets
+                    .iter()
+                    .position(|&o| 1000 + o == idx1 as i64)
+                    .unwrap();
+                if is_m {
+                    mvals[k] as u64
+                } else {
+                    wvals[k] as u64
+                }
+            });
+        }
+        h.preds.clone()
+    }
+
+    #[test]
+    fn predictions_follow_loaded_predicates() {
+        // Neighbor 0: visited (waymap == fillnum) => [T] only.
+        // Neighbor 1: unvisited, passable => [NT, NT].
+        // Neighbor 2: unvisited, blocked => [NT, T].
+        let mut wvals = [5u32; 8];
+        wvals[1] = 0;
+        wvals[2] = 0;
+        let mut mvals = [0u8; 8];
+        mvals[2] = 1;
+        let preds = run_iteration(wvals, mvals, 5, true);
+        assert_eq!(
+            preds[0],
+            PredPacket {
+                pc: 0x200,
+                taken: true
+            }
+        );
+        assert_eq!(
+            preds[1],
+            PredPacket {
+                pc: 0x210,
+                taken: false
+            }
+        );
+        assert_eq!(
+            preds[2],
+            PredPacket {
+                pc: 0x214,
+                taken: false
+            }
+        );
+        assert_eq!(
+            preds[3],
+            PredPacket {
+                pc: 0x220,
+                taken: false
+            }
+        );
+        assert_eq!(
+            preds[4],
+            PredPacket {
+                pc: 0x224,
+                taken: true
+            }
+        );
+        // Remaining 5 neighbors visited => single taken preds.
+        assert_eq!(preds.len(), 5 + 5);
+    }
+
+    /// Runs worklist [1000, 1002] with every cell unvisited and
+    /// passable: any taken prediction was inferred from the entered set.
+    fn run_repeat(store_inference: bool) -> Vec<PredPacket> {
+        let mut c = TemplateComponent::new(astar_spec(store_inference));
+        let mut h = Harness::new();
+        setup_call(&mut h, &mut c, 5, 0x50_0000, 2);
+        h.tick(&mut c, 8);
+        let t0s: Vec<_> = h.loads.iter().filter(|l| is_worklist(l)).copied().collect();
+        h.resp.push_back(LoadResponse {
+            id: t0s[0].id,
+            value: 1000,
+        });
+        for _ in 0..3 {
+            h.tick(&mut c, 8);
+        }
+        let t0s: Vec<_> = h.loads.iter().filter(|l| is_worklist(l)).copied().collect();
+        assert_eq!(t0s.len(), 2);
+        h.resp.push_back(LoadResponse {
+            id: t0s[1].id,
+            value: 1002,
+        });
+        let mut answered = BTreeSet::new();
+        for _ in 0..80 {
+            h.tick(&mut c, 8);
+            // Everything unvisited (0 != fillnum 5) and passable.
+            h.answer_tables(&mut answered, |_| 0);
+        }
+        h.preds
+    }
+
+    #[test]
+    fn cam_infers_unretired_store_for_repeated_index1() {
+        // Offsets -1 (k=3) and +1 (k=4) of indices 1000 and 1002 both
+        // touch cell 1001. All cells unvisited & passable: the first
+        // visit to 1001 stores fillnum, so the second visit's waymap
+        // branch must be overridden to taken.
+        let preds = run_repeat(true);
+        assert!(
+            preds.iter().any(|p| p.taken),
+            "expected an entered-set override"
+        );
+        // Iteration 0 neighbor k=4 (1000+1) => [NT,NT].
+        let it0_k4: Vec<_> = preds
+            .iter()
+            .filter(|p| p.pc == 0x240 || p.pc == 0x244)
+            .collect();
+        assert!(!it0_k4[0].taken);
+        // The second iteration's k=3 waymap branch (pc 0x230) appears
+        // twice across the two iterations; its second instance must be
+        // taken via the entered set.
+        let k3: Vec<_> = preds.iter().filter(|p| p.pc == 0x230).collect();
+        assert_eq!(k3.len(), 2);
+        assert!(!k3[0].taken, "first visit to some cell at k=3 enters");
+        assert!(
+            k3[1].taken,
+            "second visit to cell 1001 must be inferred visited"
+        );
+    }
+
+    #[test]
+    fn no_store_inference_misses_the_repeat() {
+        let preds = run_repeat(false);
+        let k3: Vec<_> = preds.iter().filter(|p| p.pc == 0x230).collect();
+        assert_eq!(k3.len(), 2);
+        assert!(
+            !k3[1].taken,
+            "without inference the stale load value wins (wrongly)"
+        );
+        assert!(preds.iter().all(|p| !p.taken), "no entered-set override");
+    }
+
+    #[test]
+    fn induction_retirement_frees_scope() {
+        let mut c = TemplateComponent::new(astar_spec(true));
+        let mut h = Harness::new();
+        setup_call(&mut h, &mut c, 5, 0x50_0000, 100);
+        for _ in 0..20 {
+            h.tick(&mut c, 4);
+        }
+        assert_eq!(c.alloc_iter, 8, "scope full");
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x10c,
+            value: 1,
+        });
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x10c,
+            value: 2,
+        });
+        for _ in 0..10 {
+            h.tick(&mut c, 4);
+        }
+        assert_eq!(
+            c.alloc_iter, 10,
+            "two slots freed, two new iterations allocated"
+        );
+    }
+
+    #[test]
+    fn new_call_resets_state() {
+        let mut c = TemplateComponent::new(astar_spec(true));
+        let mut h = Harness::new();
+        setup_call(&mut h, &mut c, 5, 0x50_0000, 100);
+        for _ in 0..10 {
+            h.tick(&mut c, 4);
+        }
+        let gen_before = c.call_gen;
+        let old_loads = h.loads.len();
+        setup_call(&mut h, &mut c, 5, 0x60_0000, 50);
+        assert_eq!(c.call_gen, gen_before + 1);
+        assert_eq!(c.wl_base, 0x60_0000);
+        // T0 restarts from iteration 0 of the new worklist.
+        let new_call_t0: Vec<_> = h.loads[old_loads..]
+            .iter()
+            .filter(|l| is_worklist(l))
+            .collect();
+        assert!(new_call_t0.iter().all(|l| l.addr >= 0x60_0000));
+        // A stale response from the old call (its iteration-0 load) is
+        // ignored.
+        h.resp.push_back(LoadResponse {
+            id: h.loads[0].id,
+            value: 7,
+        });
+        h.tick(&mut c, 4);
+        assert!(c
+            .slot(0)
+            .is_none_or(|e| e.index.is_none() || e.index != Some(7)));
     }
 
     #[test]
@@ -993,6 +1313,7 @@ mod tests {
             taken_skips_group: true,
             group: gi as u32,
             infer_store_on_all_not_taken: !way,
+            predict: true,
         };
         assert_eq!(
             spec,

@@ -1,12 +1,17 @@
 //! Property-based tests for the custom components: the astar
-//! predictor's output must match a software oracle over arbitrary
+//! template's output must match a software oracle over arbitrary
 //! grids/worklists, the bfs component's stream must match a reference
 //! walk over arbitrary graphs, and the prefetch engine's affine walk
 //! must enumerate exactly the program's addresses.
 
-use pfm_components::astar::{AstarConfig, AstarPredictor, NEIGHBORS};
+mod common;
+
+use common::{
+    astar_spec, maparp_pc, waymap_pc, INDUCTION_PC, MAPARP_BASE, OFFSETS, TAG_PC, WAYMAP_BASE,
+    WL_BASE_PC, WL_LEN_PC,
+};
 use pfm_components::bfs::{BfsComponent, BfsConfig};
-use pfm_components::{CustomPrefetcher, EngineConfig};
+use pfm_components::{CustomPrefetcher, EngineConfig, TemplateComponent};
 use pfm_fabric::{CustomComponent, FabricIo, LoadResponse, ObsPacket, PredPacket};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -15,25 +20,7 @@ use std::collections::{HashMap, VecDeque};
 // astar
 // ---------------------------------------------------------------------
 
-fn astar_cfg() -> AstarConfig {
-    AstarConfig {
-        fillnum_pc: 0x100,
-        wl_base_pc: 0x104,
-        wl_len_pc: 0x108,
-        induction_pc: 0x10c,
-        waymap_base: 0x10_0000,
-        maparp_base: 0x20_0000,
-        offsets: [-17, -16, -15, -1, 1, 15, 16, 17],
-        waymap_branch_pcs: [0x200, 0x210, 0x220, 0x230, 0x240, 0x250, 0x260, 0x270],
-        maparp_branch_pcs: [0x204, 0x214, 0x224, 0x234, 0x244, 0x254, 0x264, 0x274],
-        index_queue_size: 8,
-        store_inference: true,
-        predict_maparp: true,
-        t1_width: 2,
-    }
-}
-
-/// Drives the astar component against an in-memory grid, answering its
+/// Drives the astar template against an in-memory grid, answering its
 /// loads from `waymap`/`maparp`, and collects its predictions.
 fn drive_astar(
     worklist: &[u64],
@@ -41,7 +28,6 @@ fn drive_astar(
     maparp: &HashMap<u64, u8>,
     fillnum: u64,
 ) -> Vec<PredPacket> {
-    let cfg = astar_cfg();
     // Stores performed by each iteration (the oracle's semantics):
     // applied to the component-visible (committed) waymap when the
     // iteration retires, exactly as the core commits them.
@@ -50,7 +36,7 @@ fn drive_astar(
         let mut visited: HashMap<u64, u32> = waymap.clone();
         for &index in worklist {
             let mut stores = Vec::new();
-            for &off in cfg.offsets.iter() {
+            for &off in OFFSETS.iter() {
                 let idx1 = (index as i64 + off) as u64;
                 let wtaken = *visited.get(&idx1).unwrap_or(&0) as u64 == fillnum;
                 if !wtaken && *maparp.get(&idx1).unwrap_or(&0) == 0 {
@@ -62,18 +48,18 @@ fn drive_astar(
         }
     }
     let mut committed_waymap = waymap.clone();
-    let mut c = AstarPredictor::new(cfg.clone());
+    let mut c = TemplateComponent::new(astar_spec(8, true));
     let mut obs: VecDeque<ObsPacket> = VecDeque::new();
     obs.push_back(ObsPacket::DestValue {
-        pc: cfg.fillnum_pc,
+        pc: TAG_PC,
         value: fillnum,
     });
     obs.push_back(ObsPacket::DestValue {
-        pc: cfg.wl_base_pc,
+        pc: WL_BASE_PC,
         value: 0x50_0000,
     });
     obs.push_back(ObsPacket::DestValue {
-        pc: cfg.wl_len_pc,
+        pc: WL_LEN_PC,
         value: worklist.len() as u64,
     });
     let mut resp: VecDeque<LoadResponse> = VecDeque::new();
@@ -95,26 +81,26 @@ fn drive_astar(
         for l in pending.drain(..) {
             let value = if l.addr >= 0x50_0000 && l.addr < 0x60_0000 {
                 worklist[((l.addr - 0x50_0000) / 4) as usize]
-            } else if l.addr >= 0x20_0000 {
-                *maparp.get(&(l.addr - 0x20_0000)).unwrap_or(&0) as u64
+            } else if l.addr >= MAPARP_BASE {
+                *maparp.get(&(l.addr - MAPARP_BASE)).unwrap_or(&0) as u64
             } else {
                 *committed_waymap
-                    .get(&((l.addr - 0x10_0000) / 8))
+                    .get(&((l.addr - WAYMAP_BASE) / 8))
                     .unwrap_or(&0) as u64
             };
             resp.push_back(LoadResponse { id: l.id, value });
         }
         // Retire an iteration only once all of its waymap predictions
         // were emitted (the core cannot retire what it has not fetched).
-        let waymap_pcs: Vec<u64> = cfg.waymap_branch_pcs.to_vec();
+        let waymap_pcs: Vec<u64> = (0..8).map(waymap_pc).collect();
         let emitted_w = preds.iter().filter(|p| waymap_pcs.contains(&p.pc)).count() as u64;
-        if emitted_w >= (retired + 1) * NEIGHBORS as u64 && (retired as usize) < worklist.len() {
+        if emitted_w >= (retired + 1) * 8 && (retired as usize) < worklist.len() {
             for &idx1 in &stores_per_iter[retired as usize] {
                 committed_waymap.insert(idx1, fillnum as u32);
             }
             retired += 1;
             obs.push_back(ObsPacket::DestValue {
-                pc: cfg.induction_pc,
+                pc: INDUCTION_PC,
                 value: retired,
             });
         }
@@ -132,16 +118,15 @@ fn astar_oracle(
     maparp: &HashMap<u64, u8>,
     fillnum: u64,
 ) -> Vec<PredPacket> {
-    let cfg = astar_cfg();
     let mut visited: HashMap<u64, u32> = waymap.clone();
     let mut preds = Vec::new();
     for &index in worklist {
-        for (k, &off) in cfg.offsets.iter().enumerate() {
+        for (k, &off) in OFFSETS.iter().enumerate() {
             let idx1 = (index as i64 + off) as u64;
             let vtag = *visited.get(&idx1).unwrap_or(&0);
             let wtaken = vtag as u64 == fillnum;
             preds.push(PredPacket {
-                pc: cfg.waymap_branch_pcs[k],
+                pc: waymap_pc(k),
                 taken: wtaken,
             });
             if wtaken {
@@ -149,7 +134,7 @@ fn astar_oracle(
             }
             let blocked = *maparp.get(&idx1).unwrap_or(&0) != 0;
             preds.push(PredPacket {
-                pc: cfg.maparp_branch_pcs[k],
+                pc: maparp_pc(k),
                 taken: blocked,
             });
             if !blocked {

@@ -1,20 +1,19 @@
 //! Interface inference over the registered use cases: the derived
 //! profile summaries are pinned, the profile-seeded astar template
-//! reproduces the hand-built component's prediction stream bit for
-//! bit, the seeded component's watchlist is fully covered by the
-//! derived watch set, and the computed-dispatch kernel's `jalr` edge
-//! resolves to a profiled handler.
+//! equals the spec the astar use case runs, the seeded component's
+//! watchlist is fully covered by the derived watch set, and the
+//! computed-dispatch kernel's `jalr` edge resolves to a profiled
+//! handler.
 
 use pfm_analyze::cfg::Cfg;
 use pfm_analyze::profile::StreamClass;
-use pfm_components::astar::NEIGHBORS;
+use pfm_components::astar_alt::NEIGHBORS;
 use pfm_components::template::spec_from_profile;
-use pfm_components::{astar_template, AstarConfig, AstarPredictor, TemplateComponent};
-use pfm_fabric::{CustomComponent, FabricIo, LoadResponse, ObsPacket, PredPacket};
+use pfm_components::TemplateComponent;
+use pfm_fabric::CustomComponent;
 use pfm_sim::analyze::{analyze_usecase, derive_all};
 use pfm_sim::usecases;
-use pfm_workloads::astar::{MAPARP_BASE, WAYMAP_BASE};
-use std::collections::VecDeque;
+use pfm_workloads::astar::{template_spec, AstarParams};
 
 /// The derived profile of every registered use case, pinned as its
 /// PC-free summary line. A kernel or analyzer change that alters loop
@@ -77,154 +76,18 @@ fn corrupted_watch_entry_becomes_a_coverage_gap() {
     }
 }
 
-/// Reconstructs the hand-maintained astar configuration the same way
-/// the workload builder does: snoop PCs from the assembled program's
-/// symbol table, array bases and neighbor offsets from the workload's
-/// constants (default 256-wide grid).
-fn handbuilt_astar_config(prog: &pfm_isa::Program) -> AstarConfig {
-    let w = 256i64;
-    let mut waymap_branch_pcs = [0u64; NEIGHBORS];
-    let mut maparp_branch_pcs = [0u64; NEIGHBORS];
-    for k in 0..NEIGHBORS {
-        waymap_branch_pcs[k] = prog.require_symbol(&format!("waymap_branch_pc_{k}"));
-        maparp_branch_pcs[k] = prog.require_symbol(&format!("maparp_branch_pc_{k}"));
-    }
-    AstarConfig {
-        fillnum_pc: prog.require_symbol("fillnum_pc"),
-        wl_base_pc: prog.require_symbol("wl_base_pc"),
-        wl_len_pc: prog.require_symbol("wl_len_pc"),
-        induction_pc: prog.require_symbol("induction_pc"),
-        waymap_base: WAYMAP_BASE,
-        maparp_base: MAPARP_BASE,
-        offsets: [-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1],
-        waymap_branch_pcs,
-        maparp_branch_pcs,
-        index_queue_size: 8,
-        store_inference: true,
-        predict_maparp: true,
-        t1_width: 2,
-    }
-}
-
-/// §7's generator gate, spec level: feeding the derived profile of the
-/// real astar kernel to `spec_from_profile` recovers exactly the
-/// template instantiation the hand-read configuration produces — every
-/// snoop PC, table base, neighbor offset, lane predicate, and the
-/// store-inference flags.
+/// §7's generator gate: feeding the derived profile of the real astar
+/// kernel to `spec_from_profile` recovers exactly the spec the astar
+/// use case runs — every snoop PC, table base, neighbor offset, lane
+/// predicate, and the store-inference flags.
 #[test]
-fn profile_seeded_spec_equals_handbuilt_astar_template() {
+fn profile_seeded_spec_equals_the_spec_astar_runs() {
     let uc = usecases::astar_custom();
-    let cfg = handbuilt_astar_config(&uc.program);
+    let params = AstarParams::default();
     let profile = analyze_usecase(&uc).profile;
-    let spec = spec_from_profile(&profile, cfg.index_queue_size)
+    let spec = spec_from_profile(&profile, params.scope)
         .expect("the astar kernel matches the template shape");
-    assert_eq!(spec, astar_template(&cfg));
-}
-
-/// Worklist base value handed to the components under test; above
-/// both arrays so the load router can tell worklist reads apart.
-const WL_VALUE_BASE: u64 = 0x5000_0000;
-
-/// Drives one component over a scripted worklist through a standalone
-/// `FabricIo` harness (same pacing discipline as the template crate's
-/// unit tests, with the snoop PCs taken from the real kernel):
-/// iterations retire only after all their group-leader predictions
-/// were emitted, as the core would.
-#[allow(clippy::too_many_arguments)]
-fn drive_component(
-    c: &mut dyn CustomComponent,
-    cfg: &AstarConfig,
-    worklist: &[u64],
-    answer: &dyn Fn(u64) -> u64,
-    tag: u64,
-    leader_pcs: &[u64],
-    groups_per_iter: u64,
-) -> Vec<PredPacket> {
-    let mut obs: VecDeque<ObsPacket> = VecDeque::new();
-    obs.push_back(ObsPacket::DestValue {
-        pc: cfg.fillnum_pc,
-        value: tag,
-    });
-    obs.push_back(ObsPacket::DestValue {
-        pc: cfg.wl_base_pc,
-        value: WL_VALUE_BASE,
-    });
-    obs.push_back(ObsPacket::DestValue {
-        pc: cfg.wl_len_pc,
-        value: worklist.len() as u64,
-    });
-    let mut resp: VecDeque<LoadResponse> = VecDeque::new();
-    let mut preds: Vec<PredPacket> = Vec::new();
-    let mut retired = 0u64;
-    for tick in 0..2000 {
-        let mut out_p = Vec::new();
-        let mut out_l = Vec::new();
-        {
-            let mut io = FabricIo::new(
-                8, tick, &mut obs, &mut resp, &mut out_p, &mut out_l, 512, 512,
-            );
-            c.tick(&mut io);
-        }
-        for l in out_l {
-            let value = if l.addr >= WL_VALUE_BASE {
-                worklist[((l.addr - WL_VALUE_BASE) / 4) as usize]
-            } else {
-                answer(l.addr)
-            };
-            resp.push_back(LoadResponse { id: l.id, value });
-        }
-        preds.extend(out_p);
-        let leaders = preds.iter().filter(|p| leader_pcs.contains(&p.pc)).count() as u64;
-        if leaders >= (retired + 1) * groups_per_iter && (retired as usize) < worklist.len() {
-            retired += 1;
-            obs.push_back(ObsPacket::DestValue {
-                pc: cfg.induction_pc,
-                value: retired,
-            });
-        }
-    }
-    preds
-}
-
-/// §7's generator gate, stream level: the component instantiated from
-/// the *derived* spec emits the same prediction stream as the
-/// hand-built `AstarPredictor`, bit for bit, over a scripted worklist
-/// with visited cells, blocked cells, and a revisit (exercising tag
-/// match, maparp test, and inferred stores).
-#[test]
-fn profile_seeded_template_reproduces_handbuilt_stream() {
-    let uc = usecases::astar_custom();
-    let cfg = handbuilt_astar_config(&uc.program);
-    let profile = analyze_usecase(&uc).profile;
-    let spec = spec_from_profile(&profile, cfg.index_queue_size)
-        .expect("the astar kernel matches the template shape");
-
-    let worklist: Vec<u64> = vec![1000, 1001, 1300, 1000];
-    let blocked = [999u64, 1256, 1301];
-    let answer = |addr: u64| -> u64 {
-        if addr >= MAPARP_BASE {
-            blocked.contains(&(addr - MAPARP_BASE)) as u64
-        } else {
-            0 // waymap: all unvisited
-        }
-    };
-    let leaders: Vec<u64> = cfg.waymap_branch_pcs.to_vec();
-
-    let mut seeded = TemplateComponent::new(spec);
-    let template_preds = drive_component(&mut seeded, &cfg, &worklist, &answer, 7, &leaders, 8);
-
-    let mut hand = AstarPredictor::new(cfg.clone());
-    let hand_preds = drive_component(&mut hand, &cfg, &worklist, &answer, 7, &leaders, 8);
-
-    assert!(
-        template_preds.len() >= worklist.len() * NEIGHBORS,
-        "the drive must exercise every neighbor group ({} preds)",
-        template_preds.len()
-    );
-    assert_eq!(
-        template_preds, hand_preds,
-        "the profile-seeded template must reproduce the hand-built stream bit for bit"
-    );
+    assert_eq!(spec, template_spec(&uc.program, &params));
 }
 
 /// The seeded component is a valid fifth component: every PC/kind it

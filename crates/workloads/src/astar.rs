@@ -10,12 +10,11 @@
 //! defeats the baseline TAGE-SC-L predictor.
 
 use crate::usecase::UseCase;
-use pfm_components::astar::{AstarConfig, NEIGHBORS};
-use pfm_components::astar_alt::{AstarAltConfig, AstarAltPredictor};
-use pfm_components::slipstream::slipstream_astar;
-use pfm_components::AstarPredictor;
+use pfm_components::astar_alt::{AstarAltConfig, AstarAltPredictor, NEIGHBORS};
+use pfm_components::slipstream::slipstream_template;
+use pfm_components::{LaneSpec, Predicate, TemplateComponent, TemplateSpec};
 use pfm_fabric::RstEntry;
-use pfm_isa::{Asm, SpecMemory};
+use pfm_isa::{Asm, Program, SpecMemory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,7 +34,8 @@ pub const SEEDS_BASE: u64 = 0x3800_0000;
 /// Which astar machinery to ship with the executable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AstarVariant {
-    /// The paper's load-based three-engine custom predictor (§4.1).
+    /// The paper's load-based three-engine custom predictor (§4.1),
+    /// run by the template engine.
     Custom,
     /// Slipstream-2.0-style pre-execution: branch 1 only, no store
     /// inference (§1.1's comparison).
@@ -72,8 +72,6 @@ pub struct AstarParams {
     pub seed: u64,
     /// index_queue entries (the component's speculative scope).
     pub scope: usize,
-    /// T1 width (index1s per RF cycle).
-    pub t1_width: usize,
     /// Component variant.
     pub variant: AstarVariant,
     /// Ablation: disable the index1_CAM store inference while keeping
@@ -91,7 +89,6 @@ impl Default for AstarParams {
             num_seeds: 4,
             seed: 0xA57A,
             scope: 8,
-            t1_width: 2,
             variant: AstarVariant::Custom,
             store_inference: true,
         }
@@ -104,7 +101,7 @@ impl AstarParams {
     /// run deduplication relies on this).
     pub fn key(&self) -> String {
         format!(
-            "astar[{}x{}_b{}_f{}_s{}_seed{:x}_scope{}_t1w{}_{}{}]",
+            "astar[{}x{}_b{}_f{}_s{}_seed{:x}_scope{}_{}{}]",
             self.grid_w,
             self.grid_h,
             self.block_pct,
@@ -112,7 +109,6 @@ impl AstarParams {
             self.num_seeds,
             self.seed,
             self.scope,
-            self.t1_width,
             self.variant.label(),
             if self.store_inference { "" } else { "_noinf" }
         )
@@ -181,16 +177,7 @@ pub fn astar(params: &AstarParams) -> UseCase {
     }
 
     // ---- kernel ----
-    let offsets: [i64; NEIGHBORS] = [
-        -(w as i64) - 1,
-        -(w as i64),
-        -(w as i64) + 1,
-        -1,
-        1,
-        w as i64 - 1,
-        w as i64,
-        w as i64 + 1,
-    ];
+    let offsets = neighbor_offsets(w);
 
     use pfm_isa::reg::names::*;
     let mut a = Asm::new(0x1000);
@@ -357,22 +344,6 @@ pub fn astar(params: &AstarParams) -> UseCase {
         AstarVariant::Custom | AstarVariant::Slipstream => {}
     }
 
-    let cfg = AstarConfig {
-        fillnum_pc,
-        wl_base_pc,
-        wl_len_pc,
-        induction_pc,
-        waymap_base: WAYMAP_BASE,
-        maparp_base: MAPARP_BASE,
-        offsets,
-        waymap_branch_pcs,
-        maparp_branch_pcs,
-        index_queue_size: params.scope,
-        store_inference: params.store_inference,
-        predict_maparp: true,
-        t1_width: params.t1_width,
-    };
-
     let name = match params.variant {
         AstarVariant::Custom => "astar",
         AstarVariant::Slipstream => "astar-slipstream",
@@ -380,13 +351,9 @@ pub fn astar(params: &AstarParams) -> UseCase {
     };
 
     let factory: crate::usecase::ComponentFactory = match params.variant {
-        AstarVariant::Custom => {
-            let cfg = cfg.clone();
-            Arc::new(move || Box::new(AstarPredictor::new(cfg.clone())))
-        }
-        AstarVariant::Slipstream => {
-            let cfg = slipstream_astar(cfg.clone());
-            Arc::new(move || Box::new(AstarPredictor::new(cfg.clone())))
+        AstarVariant::Custom | AstarVariant::Slipstream => {
+            let spec = template_spec(&program, params);
+            Arc::new(move || Box::new(TemplateComponent::new(spec.clone())))
         }
         AstarVariant::Alt => {
             let mut worklist_store_pcs = out_store_pcs.clone();
@@ -406,6 +373,55 @@ pub fn astar(params: &AstarParams) -> UseCase {
     };
 
     UseCase::new(name, program, mem, fst, rst, factory)
+}
+
+/// `index1 = index + offset` for the eight neighbors of a `w`-wide grid.
+fn neighbor_offsets(w: usize) -> [i64; NEIGHBORS] {
+    let w = w as i64;
+    [-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1]
+}
+
+/// The template spec the astar use case runs (Figure 7): per neighbor,
+/// the `waymap` lane (taken = already visited) then the `maparp` lane
+/// (taken = blocked), whose all-not-taken outcome infers the
+/// `waymap[index1].fillnum` store unless `store_inference` is off.
+/// Snoop PCs come from `program`'s symbols. The slipstream variant
+/// gets the restricted form; astar-alt runs its own design instead.
+/// `spec_from_profile` derives the default spec from the kernel alone.
+pub fn template_spec(program: &Program, params: &AstarParams) -> TemplateSpec {
+    let mut lanes = Vec::with_capacity(2 * NEIGHBORS);
+    for (k, offset) in neighbor_offsets(params.grid_w).into_iter().enumerate() {
+        let lane = |table_base, elem_scale, size, branch: String, predicate, infer| LaneSpec {
+            offset,
+            table_base,
+            elem_scale,
+            elem_offset: 0,
+            size,
+            branch_pc: program.require_symbol(&branch),
+            predicate,
+            taken_skips_group: true,
+            group: k as u32,
+            infer_store_on_all_not_taken: infer,
+            predict: true,
+        };
+        let (way, map) = (sym::waymap_branch(k), sym::maparp_branch(k));
+        let infer = params.store_inference;
+        lanes.push(lane(WAYMAP_BASE, 8, 4, way, Predicate::EqualsTag, false));
+        lanes.push(lane(MAPARP_BASE, 1, 1, map, Predicate::NonZero, infer));
+    }
+    let spec = TemplateSpec {
+        tag_pc: program.require_symbol(sym::FILLNUM),
+        wl_base_pc: program.require_symbol(sym::WL_BASE),
+        wl_len_pc: program.require_symbol(sym::WL_LEN),
+        induction_pc: program.require_symbol(sym::INDUCTION),
+        wl_elem_size: 4,
+        lanes,
+        scope: params.scope,
+    };
+    match params.variant {
+        AstarVariant::Slipstream => slipstream_template(spec),
+        AstarVariant::Custom | AstarVariant::Alt => spec,
+    }
 }
 
 /// Software reference of the kernel, for functional validation: runs
@@ -434,16 +450,7 @@ pub fn astar_reference(params: &AstarParams) -> Vec<u32> {
             seeds.push(idx);
         }
     }
-    let offsets: [i64; 8] = [
-        -(w as i64) - 1,
-        -(w as i64),
-        -(w as i64) + 1,
-        -1,
-        1,
-        w as i64 - 1,
-        w as i64,
-        w as i64 + 1,
-    ];
+    let offsets = neighbor_offsets(w);
     let mut waymap = vec![0u32; ncells];
     for fill in 1..=params.fills {
         let fillnum = fill as u32;
@@ -516,7 +523,7 @@ mod tests {
                 .count()
                 >= 5
         );
-        assert_eq!(uc.component().name(), "astar-custom-bp");
+        assert_eq!(uc.component().name(), "templated-runahead");
     }
 
     #[test]
@@ -525,6 +532,7 @@ mod tests {
         p.variant = AstarVariant::Slipstream;
         let uc = astar(&p);
         assert_eq!(uc.fst.len(), 8, "only the waymap branches are pre-executed");
+        assert_eq!(uc.component().name(), "templated-runahead");
     }
 
     #[test]

@@ -10,8 +10,8 @@ cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --release --all-targets -- -D warnings
-# pfm-bench (repro, pfm-analyze, the criterion benches) is outside the
-# default members, so the step above does not reach it.
+# pfm-bench (repro, pfm-analyze) is outside the default members, so the
+# step above does not reach it.
 cargo clippy --release -p pfm-bench --all-targets -- -D warnings
 
 echo "== pfm-lint (workspace invariants) =="
@@ -128,6 +128,21 @@ sched_swaps="$(echo "$cs_out" \
     echo "fault-free scheduler thrash bound violated (swaps=$sched_swaps, want 1..16)" >&2
     exit 1
 }
+
+echo "== repro --all reproduces repro_output.txt =="
+# The committed tables and figures must be what the code computes: any
+# drift fails the run and prints the diff. Only the plan: line, which
+# carries wall-clock time, may differ.
+repro_all="$(mktemp)"
+"$repro_bin" --all --no-store --jobs 4 > "$repro_all" 2> "$repro_all.log" || {
+    cat "$repro_all.log" >&2
+    exit 1
+}
+diff <(grep -v '^plan:' repro_output.txt) <(grep -v '^plan:' "$repro_all") || {
+    echo "repro --all no longer reproduces repro_output.txt (diff above)" >&2
+    exit 1
+}
+rm -f "$repro_all" "$repro_all.log"
 
 echo "== result store warm-cache gate =="
 # Same smoke plan twice against a fresh store: the second run must be

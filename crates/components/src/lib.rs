@@ -3,17 +3,16 @@
 //! Application-specific components synthesized into the reconfigurable
 //! fabric, as evaluated in §4/§5 of the paper:
 //!
-//! * [`template::TemplateComponent`] — the three-engine run-ahead
-//!   predictor of Figure 7 as a declarative template (the §7
-//!   future-work direction): astar's `makebound2` wave expansion runs
-//!   it, with the index1_CAM store inference as its entered set, from
-//!   the same spec static analysis derives
-//!   ([`template::spec_from_profile`]). Clearing the inference and the
-//!   maparp predictions reproduces the slipstream 2.0 limitation
-//!   discussed in §1.1 (see [`slipstream`]).
-//! * [`bfs::BfsComponent`] — the four-engine bfs component (Figure 11)
-//!   combining high-MLP load running-ahead with trip-count and
-//!   visited-branch predictions.
+//! * [`template::TemplateComponent`] — the run-ahead predictors of
+//!   Figure 7 (astar) and Figure 11 (bfs) as one declarative template
+//!   (the §7 future-work direction): a chain of load stages with
+//!   branch predictions and an entered set for store inference.
+//!   astar's `makebound2` wave expansion runs it from the same spec
+//!   static analysis derives ([`template::spec_from_profile`]); bfs
+//!   runs it with a range stage whose trip count comes from two loads.
+//!   Clearing the inference and the non-leading predictions reproduces
+//!   the slipstream 2.0 limitation discussed in §1.1 (see
+//!   [`slipstream`]).
 //! * [`prefetch::CustomPrefetcher`] — Prefetch Generation Engines with
 //!   the epoch-based adaptive-distance feedback (Figure 16), composing
 //!   into the libquantum/bwaves/lbm/milc/leslie use-cases.
@@ -23,12 +22,12 @@
 #![warn(missing_docs)]
 
 pub mod astar_alt;
-pub mod bfs;
 pub mod prefetch;
 pub mod slipstream;
 pub mod template;
 
 pub use astar_alt::{AstarAltConfig, AstarAltPredictor};
-pub use bfs::{BfsComponent, BfsConfig};
 pub use prefetch::{AdaptiveDistance, CustomPrefetcher, EngineConfig};
-pub use template::{LaneSpec, Predicate, TemplateComponent, TemplateSpec};
+pub use template::{
+    BranchSpec, Infer, LaneSpec, Predicate, Source, StageSpec, TemplateComponent, TemplateSpec,
+};

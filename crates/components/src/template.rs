@@ -1,42 +1,49 @@
 //! The templated run-ahead engine — the paper's §7 future work, and
-//! the one engine behind the astar use cases.
+//! the one engine behind the astar and bfs use cases.
 //!
 //! §7: "the astar and bfs designs presented in this paper follow a
 //! similar strategy. If this could be templated, it suggests a path
 //! toward automation." A [`TemplateSpec`] declares one design of that
-//! family, which
+//! family as a short chain of stages. The engine
 //!
 //! 1. walks an input worklist ahead of the core (T0),
-//! 2. fans each element out into a fixed set of derived loads (T1),
-//! 3. converts loaded values into branch predictions (T2), and
+//! 2. issues each stage's derived loads per element of the stage's
+//!    source: each element of the previous stage, or a `[lo, hi)`
+//!    range read from two of its loads (a data-dependent trip count),
+//! 3. converts loaded values into branch predictions in program order,
+//!    a range's loop branch included, and
 //! 4. infers not-yet-retired stores via a sticky "recently predicted
-//!    entered" set (astar's index1_CAM).
+//!    entered" set (astar's index1_CAM, bfs's neighbor-window search).
 //!
-//! [`spec_from_profile`] derives the spec from static analysis alone;
-//! for astar's ROI it equals the spec the astar use case runs. The
-//! engine runs Figure 7's synthesized design cycle for cycle, and
-//! slipstream's restricted form of it is a spec transform
-//! ([`crate::slipstream`]). bfs's neighbor loop has data-dependent trip
-//! counts the template cannot express, so [`crate::bfs::BfsComponent`]
-//! stays separate.
+//! astar (Figure 7) is the worklist and one stage of eight two-lane
+//! groups; bfs (Figure 11) is the frontier, then the offsets pair, the
+//! neighbor range and the property stage. Their rates, inference rule
+//! and emission gate are spec values too. [`spec_from_profile`] derives
+//! astar's spec from static analysis alone, and slipstream's restricted
+//! form of either design is a spec transform ([`crate::slipstream`]).
 
 use pfm_fabric::{CustomComponent, FabricIo, FabricLoad, ObsPacket, PredPacket, WatchKind};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Worklist loads T0 issues per RF cycle, as in Figure 7's synthesized
-/// design.
-const T0_LOADS_PER_CYCLE: usize = 1;
-/// Lane groups T1 completes per RF cycle: Figure 7's synthesized design
-/// handles "two index1s / four loads per RF cycle".
-const T1_GROUPS_PER_CYCLE: usize = 2;
+/// A load id packs, from the low bits up, the lane (6 bits), the
+/// element (24), the stage code (2; 0 is T0's worklist load, `s + 1`
+/// stage `s`), the iteration (20) and the call generation (12), so a
+/// response finds its slot without a lookup table. The iteration is
+/// decoded relative to the window base, so only the scope must fit.
+const ELEM_SHIFT: u32 = 6;
+const STAGE_SHIFT: u32 = 30;
+const ITER_SHIFT: u32 = 32;
+const GEN_SHIFT: u32 = 52;
 
-/// A load id packs the call generation (bits 40..64), the iteration
-/// (bits 16..40) and the lane + 1 (bits 0..16; 0 is T0's worklist
-/// load), so a response finds its slot without a lookup table.
-const ID_GEN_SHIFT: u32 = 40;
-const ID_ITER_SHIFT: u32 = 16;
+/// Stages a spec may chain (the id's stage codes 1..=3).
+pub const MAX_STAGES: usize = 3;
 
-/// How a derived lane turns its loaded value into a branch predicate.
+/// The low `bits` bits.
+fn mask(bits: u32) -> u64 {
+    (1 << bits) - 1
+}
+
+/// How a lane's branch turns its loaded value into a direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Predicate {
     /// Taken iff the loaded value equals the snooped tag (astar's
@@ -46,7 +53,7 @@ pub enum Predicate {
     /// `maparp[index1] == 0` obstacle test).
     NonZero,
     /// Taken iff the loaded value, sign-extended, is non-negative
-    /// (bfs-style `parent[v] >= 0` visited test).
+    /// (bfs's `parent[v] >= 0` visited test).
     NonNegative,
 }
 
@@ -63,65 +70,105 @@ impl Predicate {
     }
 }
 
-/// One derived load + prediction lane: for worklist element `x`, load
-/// `table_base + (x + offset) * elem_scale + elem_offset` and emit a
-/// prediction for `branch_pc`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The branch a lane predicts from its value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BranchSpec {
+    /// Branch PC.
+    pub pc: u64,
+    /// Predicate mapping the value to a direction.
+    pub predicate: Predicate,
+    /// Send the prediction. A non-predicting branch still waits for its
+    /// value before emission moves on (slipstream's maparp lanes, whose
+    /// branches are left to the core predictor).
+    pub predict: bool,
+}
+
+/// One derived load: for stage input `x`, load
+/// `table_base + (x + offset) * elem_scale`, and predict `branch` from
+/// the value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaneSpec {
-    /// Added to the worklist element before scaling (astar's neighbor
-    /// offsets).
+    /// Added to the input before scaling (astar's neighbor offsets).
     pub offset: i64,
     /// Table base address.
     pub table_base: u64,
     /// Bytes per table element.
     pub elem_scale: u64,
-    /// Byte offset within the element.
-    pub elem_offset: i64,
     /// Load size in bytes.
     pub size: u64,
-    /// Branch this lane predicts.
-    pub branch_pc: u64,
-    /// Predicate mapping the value to a direction.
-    pub predicate: Predicate,
-    /// A taken prediction from this lane skips the rest of the
-    /// element's lane group (astar: visited ⇒ the maparp branch is
-    /// never fetched).
-    pub taken_skips_group: bool,
+    /// The branch this lane predicts; `None` for a lane that only
+    /// feeds a later stage (bfs's offsets and neighbor loads).
+    pub branch: Option<BranchSpec>,
     /// Group id: lanes with the same group form a short-circuit chain
-    /// in order.
+    /// in order, and a taken prediction skips the rest of the group
+    /// (astar: visited ⇒ the maparp branch is never fetched).
     pub group: u32,
-    /// When the whole group predicts not-taken, record the derived
-    /// index as "entered" (sticky-visited inference) and override
-    /// future first-lane predictions for it to taken.
-    pub infer_store_on_all_not_taken: bool,
-    /// Send this lane's prediction. A non-predicting lane still loads,
-    /// and emission waits for its value before moving on (slipstream's
-    /// maparp lanes, whose branches are left to the core predictor).
-    pub predict: bool,
 }
 
 impl LaneSpec {
-    /// The derived index for worklist element `index`. Wrapping:
-    /// `index` is a load response, and a faulty fabric (the chaos
-    /// harness) can return garbage. Hardware adders wrap; the wild
-    /// address simply misses in the cache.
-    fn key(&self, index: u64) -> u64 {
-        (index as i64).wrapping_add(self.offset) as u64
+    /// The derived index for input `x`. Wrapping: `x` is a load
+    /// response, and a faulty fabric (the chaos harness) can return
+    /// garbage. Hardware adders wrap; the wild address simply misses in
+    /// the cache.
+    fn key(&self, x: u64) -> u64 {
+        (x as i64).wrapping_add(self.offset) as u64
     }
 
-    fn addr(&self, key: u64) -> u64 {
+    fn addr(&self, x: u64) -> u64 {
         (self.table_base as i64)
-            .wrapping_add((key as i64).wrapping_mul(self.elem_scale as i64))
-            .wrapping_add(self.elem_offset) as u64
+            .wrapping_add((self.key(x) as i64).wrapping_mul(self.elem_scale as i64)) as u64
     }
+}
+
+/// Where a stage's elements come from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Source {
+    /// One element per element of the previous stage, whose first
+    /// lane's value is the input (the first stage: the worklist
+    /// element).
+    Each,
+    /// Elements `lo..hi`, read from the previous stage's lanes 0 and 1
+    /// (bfs's `offsets[u]`, `offsets[u + 1]`); element `j`'s input is
+    /// `lo + j`. The loop branch is predicted not-taken before each
+    /// element and taken after the last.
+    Range {
+        /// PC of the loop branch (taken = exit).
+        loop_pc: u64,
+        /// Send the loop-branch predictions.
+        predict: bool,
+    },
+}
+
+/// One stage of the chain.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StageSpec {
+    /// Where the stage's elements come from.
+    pub source: Source,
+    /// The derived lanes per element, in program order (at least one).
+    pub lanes: Vec<LaneSpec>,
+    /// Lane groups the stage issues per RF cycle.
+    pub groups_per_cycle: usize,
+}
+
+/// When an emitted prediction records its derived index as entered,
+/// so that later group leaders on the same index predict taken.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Infer {
+    /// When a whole group predicts not-taken (astar: the cell is
+    /// entered and its visited mark stored).
+    AllNotTaken,
+    /// On every outcome (bfs: a neighbor is visited once any frontier
+    /// node has looked at it).
+    EveryOutcome,
 }
 
 /// The declarative component description (the artifact a generator
 /// would emit).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TemplateSpec {
-    /// PC whose destination value is the sticky tag (astar's fillnum).
-    pub tag_pc: u64,
+    /// PC whose destination value is the sticky tag (astar's fillnum),
+    /// for [`Predicate::EqualsTag`].
+    pub tag_pc: Option<u64>,
     /// PC whose destination value is the worklist base.
     pub wl_base_pc: u64,
     /// PC whose destination value is the worklist length.
@@ -130,50 +177,82 @@ pub struct TemplateSpec {
     pub induction_pc: u64,
     /// Worklist element size in bytes.
     pub wl_elem_size: u64,
-    /// The derived lanes, in program order.
-    pub lanes: Vec<LaneSpec>,
+    /// Worklist loads T0 issues per RF cycle.
+    pub wl_loads_per_cycle: usize,
+    /// The stages in program order: at most [`MAX_STAGES`], and at
+    /// most one [`Source::Range`], which follows a stage of at least
+    /// two lanes.
+    pub stages: Vec<StageSpec>,
     /// Speculative scope (worklist elements in flight; astar's
-    /// index_queue size).
+    /// index_queue, bfs's frontier window).
     pub scope: usize,
+    /// Store inference through the entered set, if any.
+    pub infer: Option<Infer>,
+    /// A group's predictions also wait until its stage has issued the
+    /// whole group (Figure 7's T2), not only for the values they read.
+    pub emit_after_issue: bool,
 }
 
 #[derive(Clone, Debug)]
 struct IterState {
+    /// The worklist element.
     index: Option<u64>,
-    values: Vec<Option<u64>>,
+    /// Per stage, the loaded values by element, then lane. A slot is
+    /// added as its load issues, so a wild trip count costs nothing
+    /// until its loads go out.
+    values: [Vec<Option<u64>>; MAX_STAGES],
 }
+
+/// One position of an iteration's emission walk: a stage's lane, or a
+/// range's loop branch. The steps from the loop branch on repeat per
+/// range element.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Lane(usize, usize),
+    Loop {
+        stage: usize,
+        pc: u64,
+        predict: bool,
+    },
+}
+
+/// An (iteration, element, lane or step) position; cursors advance in
+/// this lexicographic order.
+type Cursor = (u64, u64, usize);
 
 /// The instantiated template component.
 pub struct TemplateComponent {
     spec: TemplateSpec,
+    /// The range stage, and the step of its loop branch.
+    range: Option<(usize, usize)>,
+    steps: Vec<Step>,
     tag: u64,
     wl_base: u64,
     wl_len: u64,
     have_call: bool,
-    /// Call generation, modulo the id's 24-bit field.
+    /// Call generation, modulo the id's 12-bit field.
     call_gen: u64,
 
-    /// Absolute iteration numbers, `base ≤ emit ≤ issue ≤ alloc`, with
-    /// lane cursors for the partially issued and emitted iterations.
-    /// `base_iter` is also the commit head: the window holds
-    /// iterations `[base_iter, alloc_iter)`.
+    /// The window holds iterations `[base_iter, alloc_iter)`;
+    /// `base_iter` is also the commit head. Every cursor stays at or
+    /// past the base.
     base_iter: u64,
     alloc_iter: u64,
-    issue_iter: u64,
-    issue_lane: usize,
-    emit_iter: u64,
-    emit_lane: usize,
+    /// Per stage, the next load to issue.
+    issue: [Cursor; MAX_STAGES],
+    /// The next step to emit.
+    emit: Cursor,
     window: VecDeque<IterState>,
 
     /// Sticky entered-set (the generalized index1_CAM): derived index
-    /// -> inserting iteration.
+    /// -> latest inserting iteration.
     entered: BTreeMap<u64, u64>,
 }
 
 impl std::fmt::Debug for TemplateComponent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TemplateComponent")
-            .field("lanes", &self.spec.lanes.len())
+            .field("stages", &self.spec.stages.len())
             .field("scope", &self.spec.scope)
             .finish()
     }
@@ -181,9 +260,28 @@ impl std::fmt::Debug for TemplateComponent {
 
 impl TemplateComponent {
     /// Instantiates the template.
+    ///
+    /// # Panics
+    /// Panics if the spec chains more than [`MAX_STAGES`] stages.
     pub fn new(spec: TemplateSpec) -> TemplateComponent {
+        assert!(spec.stages.len() <= MAX_STAGES, "too many stages");
+        let mut range = None;
+        let mut steps = Vec::new();
+        for (s, stage) in spec.stages.iter().enumerate() {
+            if let Source::Range { loop_pc, predict } = stage.source {
+                range = Some((s, steps.len()));
+                steps.push(Step::Loop {
+                    stage: s,
+                    pc: loop_pc,
+                    predict,
+                });
+            }
+            steps.extend((0..stage.lanes.len()).map(|l| Step::Lane(s, l)));
+        }
         TemplateComponent {
             spec,
+            range,
+            steps,
             tag: 0,
             wl_base: 0,
             wl_len: 0,
@@ -191,32 +289,31 @@ impl TemplateComponent {
             call_gen: 0,
             base_iter: 0,
             alloc_iter: 0,
-            issue_iter: 0,
-            issue_lane: 0,
-            emit_iter: 0,
-            emit_lane: 0,
+            issue: [(0, 0, 0); MAX_STAGES],
+            emit: (0, 0, 0),
             window: VecDeque::new(),
             entered: BTreeMap::new(),
         }
     }
 
     fn reset_call(&mut self) {
-        self.call_gen = (self.call_gen + 1) % (1 << (64 - ID_GEN_SHIFT));
+        self.call_gen = (self.call_gen + 1) & mask(64 - GEN_SHIFT);
         self.have_call = false;
         self.base_iter = 0;
         self.alloc_iter = 0;
-        self.issue_iter = 0;
-        self.issue_lane = 0;
-        self.emit_iter = 0;
-        self.emit_lane = 0;
+        self.issue = [(0, 0, 0); MAX_STAGES];
+        self.emit = (0, 0, 0);
         self.window.clear();
         self.entered.clear();
     }
 
-    /// The id of the load for `iter`'s lane `code - 1` (`code` 0: its
-    /// worklist element).
-    fn load_id(&self, iter: u64, code: usize) -> u64 {
-        (self.call_gen << ID_GEN_SHIFT) | (iter << ID_ITER_SHIFT) | code as u64
+    /// The id of `iter`'s load for stage code `code`, `elem`, `lane`.
+    fn load_id(&self, iter: u64, code: usize, elem: u64, lane: usize) -> u64 {
+        (self.call_gen << GEN_SHIFT)
+            | ((iter & mask(GEN_SHIFT - ITER_SHIFT)) << ITER_SHIFT)
+            | ((code as u64) << STAGE_SHIFT)
+            | ((elem & mask(STAGE_SHIFT - ELEM_SHIFT)) << ELEM_SHIFT)
+            | lane as u64
     }
 
     fn slot(&self, iter: u64) -> Option<&IterState> {
@@ -234,37 +331,58 @@ impl TemplateComponent {
         self.window.get_mut((iter - b) as usize)
     }
 
-    /// One past the last lane of `lane`'s group.
-    fn group_end(&self, lane: usize) -> usize {
-        let lanes = &self.spec.lanes;
-        (lane + 1..lanes.len())
-            .find(|&l| lanes[l].group != lanes[lane].group)
-            .unwrap_or(lanes.len())
+    /// Stage `s`'s loaded value for (`elem`, `lane`).
+    fn value(&self, slot: &IterState, s: usize, elem: u64, lane: usize) -> Option<u64> {
+        let at = elem as usize * self.spec.stages[s].lanes.len() + lane;
+        slot.values[s].get(at).copied().flatten()
+    }
+
+    /// Stage `s`'s elements: one before the range, the trip count from
+    /// the range on (`None` until both bounds are back).
+    fn count(&self, slot: &IterState, s: usize) -> Option<u64> {
+        match self.range {
+            Some((r, _)) if s >= r => {
+                let (lo, hi) = self.bounds(slot, r)?;
+                Some(hi.saturating_sub(lo))
+            }
+            _ => Some(1),
+        }
+    }
+
+    /// The range stage `r`'s `[lo, hi)`.
+    fn bounds(&self, slot: &IterState, r: usize) -> Option<(u64, u64)> {
+        let prev = r.checked_sub(1)?;
+        Some((self.value(slot, prev, 0, 0)?, self.value(slot, prev, 0, 1)?))
+    }
+
+    /// The input of stage `s`'s element `elem`.
+    fn input(&self, slot: &IterState, s: usize, elem: u64) -> Option<u64> {
+        match self.spec.stages[s].source {
+            Source::Each if s == 0 => slot.index,
+            Source::Each => self.value(slot, s - 1, elem, 0),
+            Source::Range { .. } => Some(self.bounds(slot, s)?.0.wrapping_add(elem)),
+        }
     }
 
     /// The core retired the iteration at the commit head. The base
     /// advances even past iterations the component never allocated
-    /// (the core ran ahead on fallback predictions), and every engine
+    /// (the core ran ahead on fallback predictions), and every cursor
     /// skips what the core retired first.
     fn retire(&mut self) {
         self.window.pop_front();
         self.base_iter += 1;
         let base = self.base_iter;
         self.alloc_iter = self.alloc_iter.max(base);
-        for (iter, lane) in [
-            (&mut self.issue_iter, &mut self.issue_lane),
-            (&mut self.emit_iter, &mut self.emit_lane),
-        ] {
-            if *iter < base {
-                *iter = base;
-                *lane = 0;
+        for c in self.issue.iter_mut().chain([&mut self.emit]) {
+            if c.0 < base {
+                *c = (base, 0, 0);
             }
         }
-        // Entered keys live one extra scope beyond retirement: a T1
-        // load issued before the store committed may only be converted
-        // by T2 after the store retires, and "entered" is sticky within
-        // a call, so the longer lifetime is always safe (a bounded CAM
-        // of groups × 2·scope entries).
+        // Entered keys live one extra scope beyond retirement: a load
+        // issued before the store committed may only be converted into
+        // a prediction after the store retires, and "entered" is
+        // sticky within a call, so the longer lifetime is always safe
+        // (a bounded CAM of 2·scope iterations' keys).
         let scope = self.spec.scope as u64;
         self.entered.retain(|_, &mut it| it + scope >= base);
     }
@@ -272,7 +390,7 @@ impl TemplateComponent {
     fn observations(&mut self, io: &mut FabricIo<'_>) {
         while let Some(obs) = io.pop_obs() {
             if let ObsPacket::DestValue { pc, value } = obs {
-                if pc == self.spec.tag_pc {
+                if self.spec.tag_pc == Some(pc) {
                     self.tag = value;
                 } else if pc == self.spec.wl_base_pc {
                     self.reset_call();
@@ -291,17 +409,25 @@ impl TemplateComponent {
         while let Some(r) = io.pop_load_resp() {
             // A response issued before the current call began, or for
             // an iteration that already retired, finds no slot.
-            if r.id >> ID_GEN_SHIFT != self.call_gen {
+            if r.id >> GEN_SHIFT != self.call_gen {
                 continue;
             }
-            let iter = (r.id % (1 << ID_GEN_SHIFT)) >> ID_ITER_SHIFT;
-            let code = (r.id % (1 << ID_ITER_SHIFT)) as usize;
-            let Some(s) = self.slot_mut(iter) else {
+            let field = |lo: u32, hi: u32| (r.id >> lo) & mask(hi - lo);
+            let ahead = field(ITER_SHIFT, GEN_SHIFT).wrapping_sub(self.base_iter);
+            let iter = self.base_iter + (ahead & mask(GEN_SHIFT - ITER_SHIFT));
+            let stage = (field(STAGE_SHIFT, ITER_SHIFT) as usize).checked_sub(1);
+            let at = stage.map_or(0, |s| {
+                let lanes = self.spec.stages[s].lanes.len();
+                field(ELEM_SHIFT, STAGE_SHIFT) as usize * lanes + field(0, ELEM_SHIFT) as usize
+            });
+            let Some(slot) = self.slot_mut(iter) else {
                 continue;
             };
-            if code == 0 {
-                s.index = Some(r.value);
-            } else if let Some(v) = s.values.get_mut(code - 1) {
+            let v = match stage {
+                Some(s) => slot.values[s].get_mut(at),
+                None => Some(&mut slot.index),
+            };
+            if let Some(v) = v {
                 *v = Some(r.value);
             }
         }
@@ -310,7 +436,7 @@ impl TemplateComponent {
     /// T0: allocate the next worklist element within the scope and
     /// load it.
     fn t0(&mut self, io: &mut FabricIo<'_>) {
-        for _ in 0..T0_LOADS_PER_CYCLE {
+        for _ in 0..self.spec.wl_loads_per_cycle {
             if !self.have_call
                 || self.alloc_iter >= self.wl_len
                 || (self.alloc_iter - self.base_iter) as usize >= self.spec.scope
@@ -319,115 +445,160 @@ impl TemplateComponent {
             }
             let addr = self.wl_base + self.spec.wl_elem_size * self.alloc_iter;
             if !io.push_load(FabricLoad {
-                id: self.load_id(self.alloc_iter, 0),
+                id: self.load_id(self.alloc_iter, 0, 0, 0),
                 addr,
                 size: self.spec.wl_elem_size,
                 is_prefetch: false,
             }) {
                 return;
             }
+            let stages = &self.spec.stages;
             self.window.push_back(IterState {
                 index: None,
-                values: vec![None; self.spec.lanes.len()],
+                values: std::array::from_fn(|s| {
+                    Vec::with_capacity(stages.get(s).map_or(0, |st| st.lanes.len()))
+                }),
             });
             self.alloc_iter += 1;
         }
     }
 
-    /// T1: issue the lanes' derived loads in order once an element's
-    /// value is back. A push that fails mid-group resumes at the same
-    /// lane next cycle, and that group counts toward the next cycle's
-    /// [`T1_GROUPS_PER_CYCLE`].
-    fn t1(&mut self, io: &mut FabricIo<'_>) {
+    /// Issues stage `s`'s loads in order, each once its input is back.
+    /// A push that fails mid-group resumes at the same lane next cycle,
+    /// and that group counts toward the next cycle's rate.
+    fn issue(&mut self, s: usize, io: &mut FabricIo<'_>) {
         let mut groups = 0;
-        while groups < T1_GROUPS_PER_CYCLE && self.issue_iter < self.alloc_iter {
-            let Some(index) = self.slot(self.issue_iter).and_then(|s| s.index) else {
+        while groups < self.spec.stages[s].groups_per_cycle {
+            let (iter, elem, l) = self.issue[s];
+            let Some(slot) = self.slot(iter) else {
                 return;
             };
-            let Some(lane) = self.spec.lanes.get(self.issue_lane) else {
+            let Some(count) = self.count(slot, s) else {
                 return;
             };
+            if elem >= count {
+                self.issue[s] = (iter + 1, 0, 0);
+                continue;
+            }
+            let Some(x) = self.input(slot, s, elem) else {
+                return;
+            };
+            let lanes = &self.spec.stages[s].lanes;
             if !io.push_load(FabricLoad {
-                id: self.load_id(self.issue_iter, self.issue_lane + 1),
-                addr: lane.addr(lane.key(index)),
-                size: lane.size,
+                id: self.load_id(iter, s + 1, elem, l),
+                addr: lanes[l].addr(x),
+                size: lanes[l].size,
                 is_prefetch: false,
             }) {
                 return;
             }
-            self.issue_lane += 1;
-            if self.issue_lane == self.group_end(self.issue_lane - 1) {
+            if l + 1 == group_end(lanes, l) {
                 groups += 1;
             }
-            if self.issue_lane == self.spec.lanes.len() {
-                self.issue_lane = 0;
-                self.issue_iter += 1;
+            self.issue[s] = if l + 1 < lanes.len() {
+                (iter, elem, l + 1)
+            } else {
+                (iter, elem + 1, 0)
+            };
+            if let Some(slot) = self.slot_mut(iter) {
+                slot.values[s].push(None);
             }
         }
     }
 
-    /// T2: convert loaded values into predictions in program order,
-    /// overriding a group's first lane to taken when its derived index
-    /// was entered. A group is emitted only after T1 has issued all of
-    /// its lanes.
-    fn t2(&mut self, io: &mut FabricIo<'_>) {
-        while self.emit_iter < self.alloc_iter && self.emit_iter < self.wl_len {
-            let lanes = &self.spec.lanes;
-            let Some(lane) = lanes.get(self.emit_lane) else {
-                return;
-            };
-            let end = self.group_end(self.emit_lane);
-            // T1's cursor must be past the group: issue_iter is ahead,
-            // or equal with issue_lane at or past the group's end.
-            if (self.emit_iter, end) > (self.issue_iter, self.issue_lane) {
+    /// Converts loaded values into predictions in program order. A
+    /// group leader whose derived index was entered predicts taken
+    /// without its value.
+    fn emit(&mut self, io: &mut FabricIo<'_>) {
+        loop {
+            let (iter, elem, k) = self.emit;
+            if iter >= self.wl_len {
                 return;
             }
-            let Some(s) = self.slot(self.emit_iter) else {
+            let Some(slot) = self.slot(iter) else {
                 return;
             };
-            let Some(index) = s.index else {
-                return;
-            };
-            let key = lane.key(index);
-            let leader = self.emit_lane == 0 || lanes[self.emit_lane - 1].group != lane.group;
-            let taken = if leader && lane.taken_skips_group && self.entered.contains_key(&key) {
-                true
-            } else {
-                let Some(v) = s.values[self.emit_lane] else {
-                    return;
-                };
-                lane.predicate.eval(v, lane.size, self.tag)
-            };
-            if lane.predict
-                && !io.push_pred(PredPacket {
-                    pc: lane.branch_pc,
-                    taken,
-                })
-            {
-                return;
-            }
-            if taken && lane.taken_skips_group {
-                self.emit_lane = end;
-            } else {
-                if !taken && self.emit_lane + 1 == end && lane.infer_store_on_all_not_taken {
-                    self.entered.insert(key, self.emit_iter);
+            self.emit = match self.steps.get(k) {
+                None => match self.range {
+                    Some((_, body)) => (iter, elem + 1, body),
+                    None => (iter + 1, 0, 0),
+                },
+                Some(&Step::Loop { stage, pc, predict }) => {
+                    let Some(count) = self.count(slot, stage) else {
+                        return;
+                    };
+                    let taken = elem >= count;
+                    if predict && !io.push_pred(PredPacket { pc, taken }) {
+                        return;
+                    }
+                    if taken {
+                        (iter + 1, 0, 0)
+                    } else {
+                        (iter, elem, k + 1)
+                    }
                 }
-                self.emit_lane += 1;
-            }
-            if self.emit_lane == lanes.len() {
-                self.emit_lane = 0;
-                self.emit_iter += 1;
-            }
+                Some(&Step::Lane(s, l)) => {
+                    let lanes = &self.spec.stages[s].lanes;
+                    let end = group_end(lanes, l);
+                    if self.spec.emit_after_issue && (iter, elem, end) > self.issue[s] {
+                        return;
+                    }
+                    let lane = lanes[l];
+                    let Some(branch) = lane.branch else {
+                        self.emit = (iter, elem, k + 1);
+                        continue;
+                    };
+                    let Some(x) = self.input(slot, s, elem) else {
+                        return;
+                    };
+                    let key = lane.key(x);
+                    let leader = l == 0 || lanes[l - 1].group != lane.group;
+                    let taken = if leader && self.entered.contains_key(&key) {
+                        true
+                    } else {
+                        let Some(v) = self.value(slot, s, elem, l) else {
+                            return;
+                        };
+                        branch.predicate.eval(v, lane.size, self.tag)
+                    };
+                    if branch.predict
+                        && !io.push_pred(PredPacket {
+                            pc: branch.pc,
+                            taken,
+                        })
+                    {
+                        return;
+                    }
+                    let entered = match self.spec.infer {
+                        Some(Infer::AllNotTaken) => !taken && l + 1 == end,
+                        Some(Infer::EveryOutcome) => true,
+                        None => false,
+                    };
+                    if entered {
+                        self.entered.insert(key, iter);
+                    }
+                    (iter, elem, if taken { k + end - l } else { k + 1 })
+                }
+            };
         }
     }
+}
+
+/// One past the last lane of `lane`'s group.
+fn group_end(lanes: &[LaneSpec], lane: usize) -> usize {
+    (lane + 1..lanes.len())
+        .find(|&l| lanes[l].group != lanes[lane].group)
+        .unwrap_or(lanes.len())
 }
 
 impl CustomComponent for TemplateComponent {
     fn tick(&mut self, io: &mut FabricIo<'_>) {
         self.observations(io);
         self.responses(io);
-        self.t2(io);
-        self.t1(io);
+        self.emit(io);
+        for s in (0..self.spec.stages.len()).rev() {
+            self.issue(s, io);
+        }
         self.t0(io);
     }
 
@@ -436,14 +607,26 @@ impl CustomComponent for TemplateComponent {
     }
 
     fn watchlist(&self) -> Vec<(u64, WatchKind)> {
-        let mut w = vec![
-            (self.spec.tag_pc, WatchKind::DestValue),
-            (self.spec.wl_base_pc, WatchKind::DestValue),
-            (self.spec.wl_len_pc, WatchKind::DestValue),
-            (self.spec.induction_pc, WatchKind::DestValue),
-        ];
-        for lane in &self.spec.lanes {
-            w.push((lane.branch_pc, WatchKind::CondBranch));
+        let spec = &self.spec;
+        let mut w: Vec<_> = spec
+            .tag_pc
+            .into_iter()
+            .chain([spec.wl_base_pc, spec.wl_len_pc, spec.induction_pc])
+            .map(|pc| (pc, WatchKind::DestValue))
+            .collect();
+        for stage in &spec.stages {
+            // A range's trip count controls a loop: the dominator
+            // analysis must agree it is loop control, not just any
+            // branch, whether or not slipstream predicts it.
+            if let Source::Range { loop_pc, .. } = stage.source {
+                w.push((loop_pc, WatchKind::LoopBranch));
+            }
+            w.extend(
+                stage
+                    .lanes
+                    .iter()
+                    .filter_map(|l| Some((l.branch?.pc, WatchKind::CondBranch))),
+            );
         }
         w
     }
@@ -696,25 +879,34 @@ pub fn spec_from_profile(
                 offset: offsets[gi],
                 table_base: bases[i],
                 elem_scale: c.elem_scale as u64,
-                elem_offset: 0,
                 size: c.size,
-                branch_pc: c.branch_pc,
-                predicate: c.predicate,
-                taken_skips_group: true,
+                branch: Some(BranchSpec {
+                    pc: c.branch_pc,
+                    predicate: c.predicate,
+                    predict: true,
+                }),
                 group: gi as u32,
-                infer_store_on_all_not_taken: infer && i + 1 == g.len(),
-                predict: true,
             });
         }
     }
+    // Figure 7's synthesized design: one worklist load and "two
+    // index1s / four loads" per RF cycle, and T2 converts a group only
+    // once T1 has issued it.
     Some(TemplateSpec {
-        tag_pc,
+        tag_pc: Some(tag_pc),
         wl_base_pc: *wl_base_pc,
         wl_len_pc,
         induction_pc: *induction_pc,
         wl_elem_size: wl.width,
-        lanes,
+        wl_loads_per_cycle: 1,
+        stages: vec![StageSpec {
+            source: Source::Each,
+            lanes,
+            groups_per_cycle: 2,
+        }],
         scope,
+        infer: infer.then_some(Infer::AllNotTaken),
+        emit_after_issue: true,
     })
 }
 
@@ -724,42 +916,47 @@ mod tests {
     use pfm_fabric::LoadResponse;
     use std::collections::BTreeSet;
 
+    fn lane(
+        offset: i64,
+        table_base: u64,
+        elem_scale: u64,
+        size: u64,
+        branch: Option<(u64, Predicate)>,
+        group: u32,
+    ) -> LaneSpec {
+        LaneSpec {
+            offset,
+            table_base,
+            elem_scale,
+            size,
+            branch: branch.map(|(pc, predicate)| BranchSpec {
+                pc,
+                predicate,
+                predict: true,
+            }),
+            group,
+        }
+    }
+
     fn spec_two_lane() -> TemplateSpec {
         TemplateSpec {
-            tag_pc: 0x100,
+            tag_pc: Some(0x100),
             wl_base_pc: 0x104,
             wl_len_pc: 0x108,
             induction_pc: 0x10c,
             wl_elem_size: 4,
-            lanes: vec![
-                LaneSpec {
-                    offset: 1,
-                    table_base: 0x10_0000,
-                    elem_scale: 8,
-                    elem_offset: 0,
-                    size: 4,
-                    branch_pc: 0x200,
-                    predicate: Predicate::EqualsTag,
-                    taken_skips_group: true,
-                    group: 0,
-                    infer_store_on_all_not_taken: false,
-                    predict: true,
-                },
-                LaneSpec {
-                    offset: 1,
-                    table_base: 0x20_0000,
-                    elem_scale: 1,
-                    elem_offset: 0,
-                    size: 1,
-                    branch_pc: 0x204,
-                    predicate: Predicate::NonZero,
-                    taken_skips_group: true,
-                    group: 0,
-                    infer_store_on_all_not_taken: true,
-                    predict: true,
-                },
-            ],
+            wl_loads_per_cycle: 1,
+            stages: vec![StageSpec {
+                source: Source::Each,
+                lanes: vec![
+                    lane(1, 0x10_0000, 8, 4, Some((0x200, Predicate::EqualsTag)), 0),
+                    lane(1, 0x20_0000, 1, 1, Some((0x204, Predicate::NonZero)), 0),
+                ],
+                groups_per_cycle: 2,
+            }],
             scope: 8,
+            infer: Some(Infer::AllNotTaken),
+            emit_after_issue: true,
         }
     }
 
@@ -770,33 +967,70 @@ mod tests {
         let offsets = [-65, -64, -63, -1, 1, 63, 64, 65];
         let mut lanes = Vec::new();
         for (k, &offset) in offsets.iter().enumerate() {
-            let lane = |table_base, elem_scale, size, branch_pc, predicate, infer| LaneSpec {
-                offset,
-                table_base,
-                elem_scale,
-                elem_offset: 0,
-                size,
-                branch_pc,
-                predicate,
-                taken_skips_group: true,
-                group: k as u32,
-                infer_store_on_all_not_taken: infer,
-                predict: true,
-            };
             let pc = 0x200 + 0x10 * k as u64;
-            lanes.push(lane(0x10_0000, 8, 4, pc, Predicate::EqualsTag, false));
+            let group = k as u32;
             lanes.push(lane(
+                offset,
+                0x10_0000,
+                8,
+                4,
+                Some((pc, Predicate::EqualsTag)),
+                group,
+            ));
+            lanes.push(lane(
+                offset,
                 0x20_0000,
                 1,
                 1,
-                pc + 4,
-                Predicate::NonZero,
-                store_inference,
+                Some((pc + 4, Predicate::NonZero)),
+                group,
             ));
         }
-        TemplateSpec {
+        let mut spec = spec_two_lane();
+        spec.stages[0].lanes = lanes;
+        spec.infer = store_inference.then_some(Infer::AllNotTaken);
+        spec
+    }
+
+    /// bfs's spec: the frontier (base, length and induction snooped at
+    /// `0x100`/`0x104`/`0x108`), the `offsets` pair at `0x100_0000`, the
+    /// neighbor range at `0x200_0000` with its loop branch at `0x400`,
+    /// and the property stage at `0x300_0000` predicting the visited
+    /// branch at `0x410`.
+    fn bfs_spec(scope: usize, dup_inference: bool) -> TemplateSpec {
+        let stage = |source, lanes| StageSpec {
+            source,
             lanes,
-            ..spec_two_lane()
+            groups_per_cycle: usize::MAX,
+        };
+        let visited = Some((0x410, Predicate::NonNegative));
+        TemplateSpec {
+            tag_pc: None,
+            wl_base_pc: 0x100,
+            wl_len_pc: 0x104,
+            induction_pc: 0x108,
+            wl_elem_size: 4,
+            wl_loads_per_cycle: usize::MAX,
+            stages: vec![
+                stage(
+                    Source::Each,
+                    vec![
+                        lane(0, 0x100_0000, 8, 8, None, 0),
+                        lane(1, 0x100_0000, 8, 8, None, 0),
+                    ],
+                ),
+                stage(
+                    Source::Range {
+                        loop_pc: 0x400,
+                        predict: true,
+                    },
+                    vec![lane(0, 0x200_0000, 4, 4, None, 0)],
+                ),
+                stage(Source::Each, vec![lane(0, 0x300_0000, 8, 8, visited, 0)]),
+            ],
+            scope,
+            infer: dup_inference.then_some(Infer::EveryOutcome),
+            emit_after_issue: false,
         }
     }
 
@@ -809,12 +1043,12 @@ mod tests {
         answer: impl Fn(u64) -> u64,
         tag: u64,
     ) -> Vec<PredPacket> {
-        let leaders: BTreeSet<u64> = spec
-            .lanes
+        let lanes = &spec.stages[0].lanes;
+        let leaders: BTreeSet<u64> = lanes
             .iter()
             .enumerate()
-            .filter(|&(i, l)| i == 0 || spec.lanes[i - 1].group != l.group)
-            .map(|(_, l)| l.branch_pc)
+            .filter(|&(i, l)| i == 0 || lanes[i - 1].group != l.group)
+            .filter_map(|(_, l)| Some(l.branch?.pc))
             .collect();
         let groups = leaders.len() as u64;
         let mut c = TemplateComponent::new(spec);
@@ -1034,7 +1268,12 @@ mod tests {
         store_inf: bool,
     ) -> Vec<PredPacket> {
         let spec = astar_spec(store_inf);
-        let offsets: Vec<i64> = spec.lanes.iter().step_by(2).map(|l| l.offset).collect();
+        let offsets: Vec<i64> = spec.stages[0]
+            .lanes
+            .iter()
+            .step_by(2)
+            .map(|l| l.offset)
+            .collect();
         let mut c = TemplateComponent::new(spec);
         let mut h = Harness::new();
         setup_call(&mut h, &mut c, fillnum, 0x50_0000, 1);
@@ -1298,38 +1537,41 @@ mod tests {
 
         let profile = pfm_analyze::analyze(&prog, &[], &[]).profile;
         let spec = spec_from_profile(&profile, 8).expect("kernel matches the template");
-        let lane = |gi: usize, off: i64, way: bool| LaneSpec {
-            offset: off,
-            table_base: if way { 0x10_0000 } else { 0x20_0000 },
-            elem_scale: if way { 8 } else { 1 },
-            elem_offset: 0,
-            size: if way { 4 } else { 1 },
-            branch_pc: if way { way_pcs[gi] } else { map_pcs[gi] },
-            predicate: if way {
-                Predicate::EqualsTag
+        let lane = |gi: usize, off: i64, way: bool| {
+            let branch = if way {
+                (way_pcs[gi], Predicate::EqualsTag)
             } else {
-                Predicate::NonZero
-            },
-            taken_skips_group: true,
-            group: gi as u32,
-            infer_store_on_all_not_taken: !way,
-            predict: true,
+                (map_pcs[gi], Predicate::NonZero)
+            };
+            let (base, scale, size) = if way {
+                (0x10_0000, 8, 4)
+            } else {
+                (0x20_0000, 1, 1)
+            };
+            lane(off, base, scale, size, Some(branch), gi as u32)
         };
         assert_eq!(
             spec,
             TemplateSpec {
-                tag_pc,
+                tag_pc: Some(tag_pc),
                 wl_base_pc,
                 wl_len_pc,
                 induction_pc,
                 wl_elem_size: 4,
-                lanes: vec![
-                    lane(0, 1, true),
-                    lane(0, 1, false),
-                    lane(1, -1, true),
-                    lane(1, -1, false),
-                ],
+                wl_loads_per_cycle: 1,
+                stages: vec![StageSpec {
+                    source: Source::Each,
+                    lanes: vec![
+                        lane(0, 1, true),
+                        lane(0, 1, false),
+                        lane(1, -1, true),
+                        lane(1, -1, false),
+                    ],
+                    groups_per_cycle: 2,
+                }],
                 scope: 8,
+                infer: Some(Infer::AllNotTaken),
+                emit_after_issue: true,
             }
         );
     }
@@ -1345,5 +1587,196 @@ mod tests {
         // Sign extension respects the load size.
         assert!(!Predicate::NonNegative.eval(0x80, 1, 0));
         assert!(Predicate::NonNegative.eval(0x80, 2, 0));
+    }
+
+    /// A tiny in-memory graph the harness answers bfs loads from,
+    /// decoding each load by its address; `frontier[i]` sits at
+    /// `0x500_0000 + 4i`.
+    struct MiniGraph {
+        offsets: Vec<u64>,
+        neighbors: Vec<u32>,
+        props: Vec<i64>,
+    }
+
+    impl MiniGraph {
+        /// Answers every load issued since the last call.
+        fn answer(&self, h: &mut Harness, answered: &mut usize, frontier: &[u32]) {
+            for l in &h.loads[*answered..] {
+                let value = match l.addr {
+                    a if a >= 0x500_0000 => frontier[((a - 0x500_0000) / 4) as usize] as u64,
+                    a if a >= 0x300_0000 => self.props[((a - 0x300_0000) / 8) as usize] as u64,
+                    a if a >= 0x200_0000 => self.neighbors[((a - 0x200_0000) / 4) as usize] as u64,
+                    a => self.offsets[((a - 0x100_0000) / 8) as usize],
+                };
+                h.resp.push_back(LoadResponse { id: l.id, value });
+            }
+            *answered = h.loads.len();
+        }
+    }
+
+    /// Starts a bfs level over `frontier` and ticks `ticks` times at
+    /// width 8, answering every load from `g`.
+    fn run_level(
+        c: &mut TemplateComponent,
+        g: &MiniGraph,
+        frontier: &[u32],
+        ticks: usize,
+    ) -> Harness {
+        let mut h = Harness::new();
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x100,
+            value: 0x500_0000,
+        });
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x104,
+            value: frontier.len() as u64,
+        });
+        let mut answered = 0;
+        for _ in 0..ticks {
+            h.tick(c, 8);
+            g.answer(&mut h, &mut answered, frontier);
+        }
+        h
+    }
+
+    /// Two frontier nodes that both point at neighbor 7, unvisited in
+    /// memory.
+    fn shared_neighbor() -> MiniGraph {
+        MiniGraph {
+            offsets: vec![0, 1, 2],
+            neighbors: vec![7, 7],
+            props: vec![-1; 10],
+        }
+    }
+
+    #[test]
+    fn emits_trip_count_and_visited_predictions_in_program_order() {
+        // Frontier = [node 0]; node 0 has neighbors [5, 6]; 5 is
+        // visited (prop >= 0), 6 is not.
+        let g = MiniGraph {
+            offsets: vec![0, 2],
+            neighbors: vec![5, 6],
+            props: (0..10).map(|i| if i == 5 { 0 } else { -1 }).collect(),
+        };
+        let mut c = TemplateComponent::new(bfs_spec(64, true));
+        let h = run_level(&mut c, &g, &[0], 30);
+        let expect = vec![
+            PredPacket {
+                pc: 0x400,
+                taken: false,
+            }, // j=0 continue
+            PredPacket {
+                pc: 0x410,
+                taken: true,
+            }, // v=5 visited
+            PredPacket {
+                pc: 0x400,
+                taken: false,
+            }, // j=1 continue
+            PredPacket {
+                pc: 0x410,
+                taken: false,
+            }, // v=6 unvisited
+            PredPacket {
+                pc: 0x400,
+                taken: true,
+            }, // exit
+        ];
+        assert_eq!(h.preds, expect);
+        // One node processed: one loop exit.
+        let exits = h.preds.iter().filter(|p| p.pc == 0x400 && p.taken);
+        assert_eq!(exits.count(), 1);
+    }
+
+    #[test]
+    fn duplicate_neighbor_inferred_visited() {
+        // The second visit to neighbor 7 must be predicted taken via
+        // the window search.
+        let mut c = TemplateComponent::new(bfs_spec(64, true));
+        let h = run_level(&mut c, &shared_neighbor(), &[0, 1], 40);
+        let visited: Vec<_> = h.preds.iter().filter(|p| p.pc == 0x410).collect();
+        assert_eq!(visited.len(), 2);
+        assert!(!visited[0].taken, "first visit enters");
+        assert!(visited[1].taken, "second visit inferred visited");
+        // Every property reads unvisited: the one taken prediction is
+        // the one duplicate override.
+        assert_eq!(visited.iter().filter(|p| p.taken).count(), 1);
+    }
+
+    #[test]
+    fn no_dup_inference_repeats_the_mistake() {
+        let mut c = TemplateComponent::new(bfs_spec(64, false));
+        let h = run_level(&mut c, &shared_neighbor(), &[0, 1], 40);
+        let visited: Vec<_> = h.preds.iter().filter(|p| p.pc == 0x410).collect();
+        assert!(
+            !visited[1].taken,
+            "without inference the stale property wins"
+        );
+    }
+
+    #[test]
+    fn zero_degree_node_emits_single_exit_prediction() {
+        let g = MiniGraph {
+            offsets: vec![0, 0],
+            neighbors: vec![],
+            props: vec![-1; 4],
+        };
+        let mut c = TemplateComponent::new(bfs_spec(64, true));
+        let h = run_level(&mut c, &g, &[0], 20);
+        assert_eq!(
+            h.preds,
+            vec![PredPacket {
+                pc: 0x400,
+                taken: true
+            }]
+        );
+    }
+
+    #[test]
+    fn t0_skips_nodes_the_core_retired_first() {
+        // Two frontier nodes retire before T0 allocated any: T0 must
+        // start at frontier[2], not load (and predict) retired nodes.
+        let mut c = TemplateComponent::new(bfs_spec(64, true));
+        let mut h = Harness::new();
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x100,
+            value: 0x500_0000,
+        });
+        h.obs.push_back(ObsPacket::DestValue {
+            pc: 0x104,
+            value: 4,
+        });
+        for i in 1..=2 {
+            h.obs.push_back(ObsPacket::DestValue {
+                pc: 0x108,
+                value: i,
+            });
+        }
+        h.tick(&mut c, 8);
+        let addrs: Vec<u64> = h.loads.iter().map(|l| l.addr).collect();
+        assert_eq!(addrs, vec![0x500_0000 + 4 * 2, 0x500_0000 + 4 * 3]);
+    }
+
+    #[test]
+    fn retirement_frees_window_and_seen_set() {
+        let mut c = TemplateComponent::new(bfs_spec(64, true));
+        let mut h = run_level(&mut c, &shared_neighbor(), &[0, 1], 40);
+        assert!(c.entered.contains_key(&7));
+        // The set persists for `scope` extra retirements (sticky
+        // visited-ness), so retire scope+2 nodes.
+        for i in 0..(c.spec.scope as u64 + 2) {
+            h.obs.push_back(ObsPacket::DestValue {
+                pc: 0x108,
+                value: i,
+            });
+        }
+        for _ in 0..20 {
+            h.tick(&mut c, 8);
+        }
+        assert!(
+            !c.entered.contains_key(&7),
+            "old entries leave the search window"
+        );
+        assert!(c.base_iter >= 2);
     }
 }

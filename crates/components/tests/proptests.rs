@@ -1,16 +1,16 @@
-//! Property-based tests for the custom components: the astar
-//! template's output must match a software oracle over arbitrary
-//! grids/worklists, the bfs component's stream must match a reference
-//! walk over arbitrary graphs, and the prefetch engine's affine walk
-//! must enumerate exactly the program's addresses.
+//! Property-based tests for the custom components: the template's
+//! output must match a software oracle over arbitrary astar
+//! grids/worklists and a reference walk over arbitrary bfs graphs, and
+//! the prefetch engine's affine walk must enumerate exactly the
+//! program's addresses.
 
 mod common;
 
 use common::{
-    astar_spec, maparp_pc, waymap_pc, INDUCTION_PC, MAPARP_BASE, OFFSETS, TAG_PC, WAYMAP_BASE,
-    WL_BASE_PC, WL_LEN_PC,
+    astar_spec, bfs_spec, maparp_pc, waymap_pc, BFS_FRONTIER_BASE_PC, BFS_FRONTIER_LEN_PC,
+    BFS_LOOP_PC, BFS_VISITED_PC, INDUCTION_PC, MAPARP_BASE, NEIGHBORS_BASE, OFFSETS, OFFSETS_BASE,
+    PROPS_BASE, TAG_PC, WAYMAP_BASE, WL_BASE_PC, WL_LEN_PC,
 };
-use pfm_components::bfs::{BfsComponent, BfsConfig};
 use pfm_components::{CustomPrefetcher, EngineConfig, TemplateComponent};
 use pfm_fabric::{CustomComponent, FabricIo, LoadResponse, ObsPacket, PredPacket};
 use proptest::prelude::*;
@@ -170,26 +170,10 @@ proptest! {
 // bfs
 // ---------------------------------------------------------------------
 
-fn bfs_cfg() -> BfsConfig {
-    BfsConfig {
-        frontier_base_pc: 0x100,
-        frontier_len_pc: 0x104,
-        induction_pc: 0x108,
-        offsets_base: 0x100_0000,
-        neighbors_base: 0x200_0000,
-        properties_base: 0x300_0000,
-        loop_branch_pc: 0x400,
-        visited_branch_pc: 0x410,
-        window_size: 64,
-        dup_inference: true,
-        predict_loop: true,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The bfs component's interleaved (loop, visited) stream matches a
+    /// The bfs template's interleaved (loop, visited) stream matches a
     /// reference walk of the CSR level, including visited-store
     /// inference for duplicate neighbors within the level.
     #[test]
@@ -197,7 +181,6 @@ proptest! {
         adjacency in prop::collection::vec(prop::collection::vec(0u32..24, 0..5), 1..8),
         pre_visited in prop::collection::vec(0u32..24, 0..6),
     ) {
-        let cfg = bfs_cfg();
         // Build CSR over nodes 0..frontier_len with the given adjacency.
         let mut offsets = vec![0u64];
         let mut neighbors: Vec<u32> = Vec::new();
@@ -212,19 +195,19 @@ proptest! {
         let mut seen: HashMap<u32, bool> = HashMap::new();
         for l in &adjacency {
             for &v in l {
-                want.push(PredPacket { pc: cfg.loop_branch_pc, taken: false });
+                want.push(PredPacket { pc: BFS_LOOP_PC, taken: false });
                 let visited = seen.contains_key(&v) || props.contains_key(&v);
-                want.push(PredPacket { pc: cfg.visited_branch_pc, taken: visited });
+                want.push(PredPacket { pc: BFS_VISITED_PC, taken: visited });
                 seen.insert(v, true);
             }
-            want.push(PredPacket { pc: cfg.loop_branch_pc, taken: true });
+            want.push(PredPacket { pc: BFS_LOOP_PC, taken: true });
         }
 
-        // Drive the component.
-        let mut c = BfsComponent::new(cfg.clone());
+        // Drive the template.
+        let mut c = TemplateComponent::new(bfs_spec(64, true));
         let mut obs: VecDeque<ObsPacket> = VecDeque::new();
-        obs.push_back(ObsPacket::DestValue { pc: cfg.frontier_base_pc, value: 0x500_0000 });
-        obs.push_back(ObsPacket::DestValue { pc: cfg.frontier_len_pc, value: adjacency.len() as u64 });
+        obs.push_back(ObsPacket::DestValue { pc: BFS_FRONTIER_BASE_PC, value: 0x500_0000 });
+        obs.push_back(ObsPacket::DestValue { pc: BFS_FRONTIER_LEN_PC, value: adjacency.len() as u64 });
         let mut resp: VecDeque<LoadResponse> = VecDeque::new();
         let mut got = Vec::new();
         let mut pending: Vec<pfm_fabric::FabricLoad> = Vec::new();
@@ -241,13 +224,13 @@ proptest! {
             for l in pending.drain(..) {
                 let value = if l.addr >= 0x500_0000 {
                     (l.addr - 0x500_0000) / 4 // frontier[i] = node i
-                } else if l.addr >= cfg.properties_base {
-                    let v = ((l.addr - cfg.properties_base) / 8) as u32;
+                } else if l.addr >= PROPS_BASE {
+                    let v = ((l.addr - PROPS_BASE) / 8) as u32;
                     (*props.get(&v).unwrap_or(&-1)) as u64
-                } else if l.addr >= cfg.neighbors_base {
-                    neighbors[((l.addr - cfg.neighbors_base) / 4) as usize] as u64
+                } else if l.addr >= NEIGHBORS_BASE {
+                    neighbors[((l.addr - NEIGHBORS_BASE) / 4) as usize] as u64
                 } else {
-                    offsets[((l.addr - cfg.offsets_base) / 8) as usize]
+                    offsets[((l.addr - OFFSETS_BASE) / 8) as usize]
                 };
                 resp.push_back(LoadResponse { id: l.id, value });
             }

@@ -12,7 +12,9 @@
 use crate::usecase::UseCase;
 use pfm_components::astar_alt::{AstarAltConfig, AstarAltPredictor, NEIGHBORS};
 use pfm_components::slipstream::slipstream_template;
-use pfm_components::{LaneSpec, Predicate, TemplateComponent, TemplateSpec};
+use pfm_components::{
+    BranchSpec, Infer, LaneSpec, Predicate, Source, StageSpec, TemplateComponent, TemplateSpec,
+};
 use pfm_fabric::RstEntry;
 use pfm_isa::{Asm, Program, SpecMemory};
 use rand::rngs::StdRng;
@@ -381,42 +383,50 @@ fn neighbor_offsets(w: usize) -> [i64; NEIGHBORS] {
     [-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1]
 }
 
-/// The template spec the astar use case runs (Figure 7): per neighbor,
-/// the `waymap` lane (taken = already visited) then the `maparp` lane
-/// (taken = blocked), whose all-not-taken outcome infers the
-/// `waymap[index1].fillnum` store unless `store_inference` is off.
-/// Snoop PCs come from `program`'s symbols. The slipstream variant
-/// gets the restricted form; astar-alt runs its own design instead.
-/// `spec_from_profile` derives the default spec from the kernel alone.
+/// The template spec the astar use case runs (Figure 7): one stage
+/// that, per neighbor, loads the `waymap` lane (taken = already
+/// visited) then the `maparp` lane (taken = blocked), whose
+/// all-not-taken outcome infers the `waymap[index1].fillnum` store
+/// unless `store_inference` is off. Figure 7's synthesized design
+/// loads one worklist element and "two index1s / four loads" per RF
+/// cycle, and converts a group only once it has issued. Snoop PCs come
+/// from `program`'s symbols. The slipstream variant gets the restricted
+/// form; astar-alt runs its own design instead. `spec_from_profile`
+/// derives the default spec from the kernel alone.
 pub fn template_spec(program: &Program, params: &AstarParams) -> TemplateSpec {
     let mut lanes = Vec::with_capacity(2 * NEIGHBORS);
     for (k, offset) in neighbor_offsets(params.grid_w).into_iter().enumerate() {
-        let lane = |table_base, elem_scale, size, branch: String, predicate, infer| LaneSpec {
+        let lane = |table_base, elem_scale, size, branch: String, predicate| LaneSpec {
             offset,
             table_base,
             elem_scale,
-            elem_offset: 0,
             size,
-            branch_pc: program.require_symbol(&branch),
-            predicate,
-            taken_skips_group: true,
+            branch: Some(BranchSpec {
+                pc: program.require_symbol(&branch),
+                predicate,
+                predict: true,
+            }),
             group: k as u32,
-            infer_store_on_all_not_taken: infer,
-            predict: true,
         };
         let (way, map) = (sym::waymap_branch(k), sym::maparp_branch(k));
-        let infer = params.store_inference;
-        lanes.push(lane(WAYMAP_BASE, 8, 4, way, Predicate::EqualsTag, false));
-        lanes.push(lane(MAPARP_BASE, 1, 1, map, Predicate::NonZero, infer));
+        lanes.push(lane(WAYMAP_BASE, 8, 4, way, Predicate::EqualsTag));
+        lanes.push(lane(MAPARP_BASE, 1, 1, map, Predicate::NonZero));
     }
     let spec = TemplateSpec {
-        tag_pc: program.require_symbol(sym::FILLNUM),
+        tag_pc: Some(program.require_symbol(sym::FILLNUM)),
         wl_base_pc: program.require_symbol(sym::WL_BASE),
         wl_len_pc: program.require_symbol(sym::WL_LEN),
         induction_pc: program.require_symbol(sym::INDUCTION),
         wl_elem_size: 4,
-        lanes,
+        wl_loads_per_cycle: 1,
+        stages: vec![StageSpec {
+            source: Source::Each,
+            lanes,
+            groups_per_cycle: 2,
+        }],
         scope: params.scope,
+        infer: params.store_inference.then_some(Infer::AllNotTaken),
+        emit_after_issue: true,
     };
     match params.variant {
         AstarVariant::Slipstream => slipstream_template(spec),

@@ -5,9 +5,10 @@
 
 use crate::graphs::Csr;
 use crate::usecase::UseCase;
-use pfm_components::bfs::BfsConfig;
-use pfm_components::slipstream::slipstream_bfs;
-use pfm_components::BfsComponent;
+use pfm_components::slipstream::slipstream_template;
+use pfm_components::{
+    BranchSpec, Infer, LaneSpec, Predicate, Source, StageSpec, TemplateComponent, TemplateSpec,
+};
 use pfm_fabric::RstEntry;
 use pfm_isa::{Asm, SpecMemory};
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,7 +29,8 @@ pub const FR1_BASE: u64 = 0xD000_0000;
 /// Component variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BfsVariant {
-    /// The paper's four-engine component.
+    /// The paper's four-engine component (Figure 11), run by the
+    /// template engine.
     Custom,
     /// Slipstream-style: visited branch pre-executed without inference,
     /// no trip-count stream.
@@ -247,32 +249,69 @@ pub fn bfs(graph: &Csr, input: &str, params: &BfsParams) -> UseCase {
     rst.insert(loop_branch_pc, RstEntry::branch());
     rst.insert(visited_branch_pc, RstEntry::branch());
 
-    let cfg = BfsConfig {
-        frontier_base_pc,
-        frontier_len_pc,
-        induction_pc,
-        offsets_base: OFFSETS_BASE,
-        neighbors_base: NEIGHBORS_BASE,
-        properties_base: PROPS_BASE,
-        loop_branch_pc,
-        visited_branch_pc,
-        window_size: params.window,
-        dup_inference: true,
-        predict_loop: true,
+    // Figure 11 as a template: the frontier, then the offsets pair,
+    // the neighbor range with its trip-count loop branch, and the
+    // property stage predicting the visited branch. Every engine runs
+    // as fast as the width allows, a visited prediction waits only for
+    // the values it reads, and every visited outcome enters its
+    // neighbor (the paper's neighbor-window search).
+    let lane = |offset, table_base, elem_scale, size, branch| LaneSpec {
+        offset,
+        table_base,
+        elem_scale,
+        size,
+        branch,
+        group: 0,
     };
-    let cfg = match params.variant {
-        BfsVariant::Custom => cfg,
-        BfsVariant::Slipstream => slipstream_bfs(cfg),
+    let stage = |source, lanes| StageSpec {
+        source,
+        lanes,
+        groups_per_cycle: usize::MAX,
+    };
+    let visited = BranchSpec {
+        pc: visited_branch_pc,
+        predicate: Predicate::NonNegative,
+        predict: true,
+    };
+    let spec = TemplateSpec {
+        tag_pc: None,
+        wl_base_pc: frontier_base_pc,
+        wl_len_pc: frontier_len_pc,
+        induction_pc,
+        wl_elem_size: 4,
+        wl_loads_per_cycle: usize::MAX,
+        stages: vec![
+            stage(
+                Source::Each,
+                vec![
+                    lane(0, OFFSETS_BASE, 8, 8, None),
+                    lane(1, OFFSETS_BASE, 8, 8, None),
+                ],
+            ),
+            stage(
+                Source::Range {
+                    loop_pc: loop_branch_pc,
+                    predict: true,
+                },
+                vec![lane(0, NEIGHBORS_BASE, 4, 4, None)],
+            ),
+            stage(Source::Each, vec![lane(0, PROPS_BASE, 8, 8, Some(visited))]),
+        ],
+        scope: params.window,
+        infer: Some(Infer::EveryOutcome),
+        emit_after_issue: false,
+    };
+    let spec = match params.variant {
+        BfsVariant::Custom => spec,
+        BfsVariant::Slipstream => slipstream_template(spec),
     };
 
     let name = match params.variant {
         BfsVariant::Custom => format!("bfs-{input}"),
         BfsVariant::Slipstream => format!("bfs-{input}-slipstream"),
     };
-    let factory: crate::usecase::ComponentFactory = {
-        let cfg = cfg.clone();
-        Arc::new(move || Box::new(BfsComponent::new(cfg.clone())))
-    };
+    let factory: crate::usecase::ComponentFactory =
+        Arc::new(move || Box::new(TemplateComponent::new(spec.clone())));
     UseCase::new(name, program, mem, fst, rst, factory)
 }
 
@@ -321,7 +360,7 @@ mod tests {
         let uc = bfs(&g, "t", &BfsParams::default());
         assert_eq!(uc.fst.len(), 2);
         assert!(uc.rst.values().any(|e| e.begin_roi));
-        assert_eq!(uc.component().name(), "bfs-custom");
+        assert_eq!(uc.component().name(), "templated-runahead");
     }
 
     #[test]

@@ -129,6 +129,23 @@ sched_swaps="$(echo "$cs_out" \
     exit 1
 }
 
+echo "== repro --sampled (intervals run their base spec) =="
+# A sampled run's intervals are its base spec (here the baseline)
+# started from snapshots: 8 interval rows, the CI line, and one
+# progress key per interval extending the baseline key.
+sampled_err="$(mktemp)"
+sampled_out="$("$repro_bin" --sampled libquantum --quick --jobs 4 2> "$sampled_err")"
+sampled_rows="$(echo "$sampled_out" | grep -cE '^ +[0-9]+ +[0-9]+ +[0-9]+ +[0-9.]+ +(yes|no)$' || true)"
+sampled_keys="$(grep -cE '[|]baseline[|].*[|]interval@' "$sampled_err" || true)"
+[ "$sampled_rows" -eq 8 ] && [ "$sampled_keys" -eq 8 ] \
+    && echo "$sampled_out" | grep -q "^mean IPC" || {
+    echo "sampled run: $sampled_rows interval rows, $sampled_keys baseline interval keys (want 8, 8):" >&2
+    echo "$sampled_out" >&2
+    cat "$sampled_err" >&2
+    exit 1
+}
+rm -f "$sampled_err"
+
 echo "== repro --all reproduces repro_output.txt =="
 # The committed tables and figures must be what the code computes: any
 # drift fails the run and prints the diff. Only the plan: line, which

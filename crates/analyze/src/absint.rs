@@ -3,12 +3,13 @@
 //! definition analysis that names *the* instruction producing a
 //! register's value where that instruction is unambiguous.
 //!
-//! Both analyses walk the same CFG the rest of the crate uses and
-//! follow the same conventions as [`crate::dataflow`]: forward
-//! round-robin fixpoints over reachable blocks, with `Unknown` edges
-//! contributing nothing (they have no destination, so nothing can be
-//! propagated along them — the conservative join already happens at
-//! whatever real edges exist).
+//! Both analyses are instances of one forward solver over per-register
+//! states (`solve_forward`), walking the same CFG the rest of the
+//! crate uses and following the same conventions as
+//! [`crate::dataflow`]: round-robin fixpoints over reachable blocks,
+//! with `Unknown` edges contributing nothing (they have no
+//! destination, so nothing can be propagated along them — the
+//! conservative join already happens at whatever real edges exist).
 //!
 //! Constant propagation is what resolves computed `jalr` targets
 //! ([`resolved_jalr_targets`]): when the base register is a proven
@@ -114,58 +115,65 @@ fn transfer(inst: &Inst, pc: u64, st: &mut CState) {
     }
 }
 
+/// The forward fixpoint both analyses below solve: round-robin over
+/// the blocks until nothing changes, block 0 entering at `entry` and
+/// every other block at the `join`, slot by slot, of its solved
+/// predecessors' exit states; `step` applies one instruction. Returns
+/// the block-entry states (`None` for blocks no known edge reaches).
+fn solve_forward<V: Copy + PartialEq>(
+    prog: &Program,
+    cfg: &Cfg,
+    entry: [V; NREGS],
+    join: impl Fn(V, V) -> V,
+    step: impl Fn(&Inst, u64, &mut [V; NREGS]),
+) -> Vec<Option<[V; NREGS]>> {
+    let n = cfg.blocks.len();
+    let mut inb: Vec<Option<[V; NREGS]>> = vec![None; n];
+    let mut outb: Vec<Option<[V; NREGS]>> = vec![None; n];
+    loop {
+        let mut changed = false;
+        for b in 0..n {
+            let joined = if b == 0 {
+                Some(entry)
+            } else {
+                cfg.preds[b]
+                    .iter()
+                    .filter_map(|&p| outb[p])
+                    .reduce(|mut acc, pout| {
+                        for (slot, pv) in acc.iter_mut().zip(pout) {
+                            *slot = join(*slot, pv);
+                        }
+                        acc
+                    })
+            };
+            let Some(input) = joined else { continue };
+            if inb[b] != Some(input) {
+                inb[b] = Some(input);
+                changed = true;
+            }
+            let mut st = input;
+            for pc in cfg.blocks[b].pcs() {
+                if let Ok(inst) = prog.fetch(pc) {
+                    step(&inst, pc, &mut st);
+                }
+            }
+            if outb[b] != Some(st) {
+                outb[b] = Some(st);
+                changed = true;
+            }
+        }
+        if !changed {
+            return inb;
+        }
+    }
+}
+
 impl ConstProp {
     /// Solves the forward fixpoint over the CFG's reachable blocks.
     pub fn solve(prog: &Program, cfg: &Cfg) -> ConstProp {
-        let n = cfg.blocks.len();
-        let mut inb: Vec<Option<CState>> = vec![None; n];
-        let mut outb: Vec<Option<CState>> = vec![None; n];
-        if n == 0 {
-            return ConstProp { inb };
+        ConstProp {
+            inb: solve_forward(prog, cfg, entry_cstate(), CVal::join, transfer),
         }
-        inb[0] = Some(entry_cstate());
-        loop {
-            let mut changed = false;
-            for b in 0..n {
-                let joined = if b == 0 {
-                    Some(entry_cstate())
-                } else {
-                    let mut acc: Option<CState> = None;
-                    for &p in &cfg.preds[b] {
-                        let Some(pout) = outb[p] else { continue };
-                        acc = Some(match acc {
-                            None => pout,
-                            Some(mut a) => {
-                                for (slot, pv) in a.iter_mut().zip(pout.iter()) {
-                                    *slot = slot.join(*pv);
-                                }
-                                a
-                            }
-                        });
-                    }
-                    acc
-                };
-                let Some(input) = joined else { continue };
-                if inb[b] != Some(input) {
-                    inb[b] = Some(input);
-                    changed = true;
-                }
-                let mut st = input;
-                for pc in cfg.blocks[b].pcs() {
-                    if let Ok(inst) = prog.fetch(pc) {
-                        transfer(&inst, pc, &mut st);
-                    }
-                }
-                if outb[b] != Some(st) {
-                    outb[b] = Some(st);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        ConstProp { inb }
     }
 
     /// The constant state just before `pc` executes, replayed from its
@@ -239,57 +247,14 @@ fn rd_join(a: u64, b: u64) -> u64 {
 impl ReachingDefs {
     /// Solves the forward fixpoint over the CFG's reachable blocks.
     pub fn solve(prog: &Program, cfg: &Cfg) -> ReachingDefs {
-        let n = cfg.blocks.len();
-        let mut inb: Vec<Option<[u64; NREGS]>> = vec![None; n];
-        let mut outb: Vec<Option<[u64; NREGS]>> = vec![None; n];
-        if n == 0 {
-            return ReachingDefs { inb };
-        }
-        inb[0] = Some([RD_NONE; NREGS]);
-        loop {
-            let mut changed = false;
-            for b in 0..n {
-                let joined = if b == 0 {
-                    Some([RD_NONE; NREGS])
-                } else {
-                    let mut acc: Option<[u64; NREGS]> = None;
-                    for &p in &cfg.preds[b] {
-                        let Some(pout) = outb[p] else { continue };
-                        acc = Some(match acc {
-                            None => pout,
-                            Some(mut a) => {
-                                for (slot, pv) in a.iter_mut().zip(pout.iter()) {
-                                    *slot = rd_join(*slot, *pv);
-                                }
-                                a
-                            }
-                        });
-                    }
-                    acc
-                };
-                let Some(input) = joined else { continue };
-                if inb[b] != Some(input) {
-                    inb[b] = Some(input);
-                    changed = true;
-                }
-                let mut st = input;
-                for pc in cfg.blocks[b].pcs() {
-                    if let Ok(inst) = prog.fetch(pc) {
-                        if let Some(dst) = inst.info().dst {
-                            st[dst.index()] = pc;
-                        }
-                    }
-                }
-                if outb[b] != Some(st) {
-                    outb[b] = Some(st);
-                    changed = true;
-                }
+        let step = |inst: &Inst, pc: u64, st: &mut [u64; NREGS]| {
+            if let Some(dst) = inst.info().dst {
+                st[dst.index()] = pc;
             }
-            if !changed {
-                break;
-            }
+        };
+        ReachingDefs {
+            inb: solve_forward(prog, cfg, [RD_NONE; NREGS], rd_join, step),
         }
-        ReachingDefs { inb }
     }
 
     /// The unique definition PC of register slot `reg` at entry to

@@ -1,6 +1,6 @@
 //! Register dataflow over the CFG: forward definite-initialization
 //! (the reaching-definitions variant behind the uninitialized-read
-//! check) and backward liveness.
+//! check).
 //!
 //! State is a 64-bit mask over the flat architectural register space
 //! ([`RegRef::index`]: integer registers 0–31, FP registers 32–63).
@@ -17,7 +17,7 @@
 //! edge to every call site) can only under-claim initialization —
 //! the safe direction for a checker that reports uninitialized reads.
 
-use crate::cfg::{Cfg, EdgeKind};
+use crate::cfg::Cfg;
 use pfm_isa::reg::NUM_ARCH_REGS;
 use pfm_isa::{Program, RegRef};
 
@@ -55,24 +55,12 @@ fn bit(r: RegRef) -> RegSet {
     1u64 << r.index()
 }
 
-/// (defs, upward-exposed uses) of one block, walked in program order.
-fn block_effect(prog: &Program, cfg: &Cfg, b: usize) -> (RegSet, RegSet) {
-    let mut defs: RegSet = 0;
-    let mut uses: RegSet = 0;
-    for pc in cfg.blocks[b].pcs() {
-        let Ok(inst) = prog.fetch(pc) else { continue };
-        let info = inst.info();
-        for src in info.srcs.iter().flatten() {
-            let m = bit(*src);
-            if defs & m == 0 {
-                uses |= m;
-            }
-        }
-        if let Some(d) = info.dst {
-            defs |= bit(d);
-        }
-    }
-    (defs, uses)
+/// Registers one block defines.
+fn block_defs(prog: &Program, cfg: &Cfg, b: usize) -> RegSet {
+    cfg.blocks[b]
+        .pcs()
+        .filter_map(|pc| prog.fetch(pc).ok()?.info().dst)
+        .fold(0, |defs, d| defs | bit(d))
 }
 
 impl InitAnalysis {
@@ -82,10 +70,7 @@ impl InitAnalysis {
     pub fn solve(prog: &Program, cfg: &Cfg) -> InitAnalysis {
         let n = cfg.blocks.len();
         let reachable = cfg.reachable();
-        let mut effects = Vec::with_capacity(n);
-        for b in 0..n {
-            effects.push(block_effect(prog, cfg, b));
-        }
+        let defs: Vec<RegSet> = (0..n).map(|b| block_defs(prog, cfg, b)).collect();
         // Top = all-initialized; the entry starts at just {x0}.
         let mut inb = vec![RegSet::MAX; n];
         let mut outb = vec![RegSet::MAX; n];
@@ -97,7 +82,7 @@ impl InitAnalysis {
             };
         }
         inb[0] = entry_state();
-        outb[0] = inb[0] | effects[0].0;
+        outb[0] = inb[0] | defs[0];
         let mut changed = true;
         while changed {
             changed = false;
@@ -114,7 +99,7 @@ impl InitAnalysis {
                     }
                     input |= entry_state();
                 }
-                let output = input | effects[b].0;
+                let output = input | defs[b];
                 if input != inb[b] || output != outb[b] {
                     inb[b] = input;
                     outb[b] = output;
@@ -149,54 +134,6 @@ impl InitAnalysis {
             outb,
             uninit_reads,
         }
-    }
-}
-
-/// Per-block backward liveness solution.
-#[derive(Clone, Debug)]
-pub struct Liveness {
-    /// Registers live at block entry.
-    pub live_in: Vec<RegSet>,
-    /// Registers live at block exit.
-    pub live_out: Vec<RegSet>,
-}
-
-impl Liveness {
-    /// Solves backward liveness to fixpoint. `Unknown` edges have no
-    /// destination, so an indirect jump contributes nothing to its
-    /// block's live-out — acceptable because liveness feeds no safety
-    /// check, only diagnostics.
-    pub fn solve(prog: &Program, cfg: &Cfg) -> Liveness {
-        let n = cfg.blocks.len();
-        let mut effects = Vec::with_capacity(n);
-        for b in 0..n {
-            effects.push(block_effect(prog, cfg, b));
-        }
-        let mut live_in = vec![0u64; n];
-        let mut live_out = vec![0u64; n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in (0..n).rev() {
-                let mut out = 0u64;
-                for &(dst, kind) in &cfg.blocks[b].succs {
-                    if kind == EdgeKind::Unknown {
-                        continue;
-                    }
-                    if let Some(d) = dst {
-                        out |= live_in[d];
-                    }
-                }
-                let (defs, uses) = effects[b];
-                let input = uses | (out & !defs);
-                if input != live_in[b] || out != live_out[b] {
-                    live_in[b] = input;
-                    live_out[b] = out;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
     }
 }
 
@@ -294,25 +231,5 @@ mod tests {
         let cfg = Cfg::build(&prog);
         let init = InitAnalysis::solve(&prog, &cfg);
         assert!(init.uninit_reads.is_empty(), "{:?}", init.uninit_reads);
-    }
-
-    #[test]
-    fn liveness_propagates_loop_carried_uses() {
-        let mut a = Asm::new(0);
-        let top = a.label();
-        a.li(A0, 3); // b0
-        a.place(top);
-        a.addi(A0, A0, -1); // b1: uses and defines A0
-        a.bne(A0, X0, top);
-        a.halt(); // b2
-        let prog = a.finish().expect("assembles");
-        let cfg = Cfg::build(&prog);
-        let live = Liveness::solve(&prog, &cfg);
-        let b0 = cfg.block_of(0x0).expect("entry");
-        let b1 = cfg.block_of(0x4).expect("loop");
-        let a0 = 1u64 << RegRef::Int(A0).index();
-        assert_eq!(live.live_out[b0] & a0, a0, "A0 live into the loop");
-        assert_eq!(live.live_in[b1] & a0, a0);
-        assert_eq!(live.live_out[b1] & a0, a0, "loop-carried");
     }
 }

@@ -12,7 +12,7 @@
 //!    call/return and explicit *unknown* (indirect-jump) edges;
 //! 2. **dominators + natural loops** ([`dom`]);
 //! 3. **dataflow** ([`dataflow`]) — forward definite-initialization
-//!    and backward liveness over the flat 64-register space;
+//!    over the flat 64-register space;
 //! 4. **a check suite** ([`checks`]) — uninitialized-register reads,
 //!    unreachable blocks, fall-off-end and out-of-range control
 //!    transfers, code/data image overlap, and the headline
@@ -98,8 +98,6 @@ pub struct Analysis {
     pub loops: Vec<dom::NaturalLoop>,
     /// Definite-initialization solution.
     pub init: dataflow::InitAnalysis,
-    /// Liveness solution.
-    pub liveness: dataflow::Liveness,
     /// Constant-propagation solution (over the final CFG).
     pub constprop: absint::ConstProp,
     /// Unique-reaching-definition solution (over the final CFG).
@@ -148,7 +146,6 @@ pub fn analyze(prog: &Program, watch: &[WatchEntry], data_pages: &[u64]) -> Anal
     let dom = dom::Dominators::compute(&cfg);
     let loops = dom::natural_loops(&cfg, &dom);
     let init = dataflow::InitAnalysis::solve(prog, &cfg);
-    let liveness = dataflow::Liveness::solve(prog, &cfg);
     let rdefs = absint::ReachingDefs::solve(prog, &cfg);
     let profile = profile::derive(prog, &cfg, &loops, &constprop, &rdefs, &resolved, watch);
     let findings = checks::run(prog, &cfg, &dom, &init, watch, data_pages, &profile);
@@ -157,7 +154,6 @@ pub fn analyze(prog: &Program, watch: &[WatchEntry], data_pages: &[u64]) -> Anal
         dom,
         loops,
         init,
-        liveness,
         constprop,
         rdefs,
         resolved_jalrs: resolved,

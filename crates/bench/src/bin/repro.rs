@@ -35,7 +35,7 @@
 
 use pfm_sim::experiments::{plan_for, ALL_IDS, EXTRA_IDS};
 use pfm_sim::store::{find_workspace_root, CodeFingerprint, ResultStore};
-use pfm_sim::{run_plans, run_sampled, ExecOptions, RunConfig, SampledConfig};
+use pfm_sim::{run_plans, run_sampled, ExecOptions, RunConfig, RunSpec, SampledConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -217,8 +217,8 @@ fn main() {
     }
 
     // Sampled mode: functional fast-forward with evenly spaced machine
-    // snapshots, then parallel detailed intervals assembled into a mean
-    // IPC with a 95% confidence interval.
+    // snapshots, then parallel detailed intervals of the baseline run
+    // assembled into a mean IPC with a 95% confidence interval.
     if let Some(name) = sampled {
         let factory = pfm_sim::usecases::throughput_suite_factories()
             .into_iter()
@@ -253,7 +253,7 @@ fn main() {
             store: None, // interval specs are internal to the sampler
             ..ExecOptions::default()
         };
-        match run_sampled(&factory, &cfg, &rc, &opts) {
+        match run_sampled(&RunSpec::baseline(factory, &rc), &cfg, &opts) {
             Ok(report) => print!("{}", report.render()),
             Err(e) => fail("sampled run failed", e),
         }

@@ -4,8 +4,8 @@
 //! **TAGE-SC-L** (Seznec, CBP-5 2016), built from scratch: TAGE with
 //! eight geometric tagged tables over incrementally-folded global
 //! history, a GEHL-style statistical corrector, and a loop predictor.
-//! Also provides gshare/bimodal baselines, an oracle (perfect-BP) mode,
-//! a BTB, and a return address stack.
+//! Also provides an oracle (perfect-BP) mode, a BTB, and a return
+//! address stack.
 //!
 //! The speculative-history checkpoint/recover protocol mirrors the
 //! paper's fetch unit, which keeps a branch queue of in-flight branches
@@ -34,7 +34,6 @@ pub mod history;
 pub mod loop_pred;
 pub mod predictor;
 pub mod sc;
-pub mod simple;
 pub mod tage;
 pub mod tagescl;
 

@@ -1,8 +1,7 @@
 //! A unified front over the conditional predictors so the core can be
-//! configured with any of them (TAGE-SC-L baseline, simple baselines,
-//! or an oracle for perfect-BP experiments).
+//! configured with either of them (the TAGE-SC-L baseline, or an
+//! oracle for perfect-BP experiments).
 
-use crate::simple::{Bimodal, Gshare, GshareCheckpoint, GshareMeta};
 use crate::tagescl::{TageScl, TageSclCheckpoint, TageSclMeta};
 use pfm_isa::snap::{Dec, Enc, SnapError};
 
@@ -11,10 +10,6 @@ use pfm_isa::snap::{Dec, Enc, SnapError};
 pub enum PredictorKind {
     /// 64 KB TAGE-SC-L (the paper's baseline).
     TageScl,
-    /// gshare.
-    Gshare,
-    /// Bimodal.
-    Bimodal,
     /// Oracle: always correct (perfect branch prediction). The core
     /// substitutes the actual outcome.
     Perfect,
@@ -25,8 +20,6 @@ impl PredictorKind {
     pub fn label(&self) -> &'static str {
         match self {
             PredictorKind::TageScl => "tagescl",
-            PredictorKind::Gshare => "gshare",
-            PredictorKind::Bimodal => "bimodal",
             PredictorKind::Perfect => "perfectBP",
         }
     }
@@ -37,13 +30,6 @@ impl PredictorKind {
 pub enum Prediction {
     /// TAGE-SC-L metadata.
     TageScl(TageSclMeta),
-    /// gshare metadata.
-    Gshare(GshareMeta),
-    /// Bimodal metadata.
-    Bimodal {
-        /// The prediction made.
-        taken: bool,
-    },
     /// Oracle (no metadata).
     Perfect {
         /// The (always correct) prediction.
@@ -56,8 +42,7 @@ impl Prediction {
     pub fn taken(&self) -> bool {
         match self {
             Prediction::TageScl(m) => m.taken,
-            Prediction::Gshare(m) => m.taken,
-            Prediction::Bimodal { taken } | Prediction::Perfect { taken } => *taken,
+            Prediction::Perfect { taken } => *taken,
         }
     }
 
@@ -67,14 +52,6 @@ impl Prediction {
             Prediction::TageScl(m) => {
                 e.u8(0);
                 m.snapshot_encode(e);
-            }
-            Prediction::Gshare(m) => {
-                e.u8(1);
-                m.snapshot_encode(e);
-            }
-            Prediction::Bimodal { taken } => {
-                e.u8(2);
-                e.bool(*taken);
             }
             Prediction::Perfect { taken } => {
                 e.u8(3);
@@ -88,8 +65,6 @@ impl Prediction {
     pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<Prediction, SnapError> {
         Ok(match d.u8()? {
             0 => Prediction::TageScl(TageSclMeta::snapshot_decode(d)?),
-            1 => Prediction::Gshare(GshareMeta::snapshot_decode(d)?),
-            2 => Prediction::Bimodal { taken: d.bool()? },
             3 => Prediction::Perfect { taken: d.bool()? },
             _ => return Err(SnapError::Corrupt("prediction variant tag")),
         })
@@ -105,8 +80,6 @@ impl Prediction {
 pub enum Checkpoint {
     /// TAGE-SC-L checkpoint.
     TageScl(TageSclCheckpoint),
-    /// gshare checkpoint.
-    Gshare(GshareCheckpoint),
     /// No speculative state.
     None,
 }
@@ -119,10 +92,6 @@ impl Checkpoint {
                 e.u8(0);
                 c.snapshot_encode(e);
             }
-            Checkpoint::Gshare(c) => {
-                e.u8(1);
-                c.snapshot_encode(e);
-            }
             Checkpoint::None => e.u8(2),
         }
     }
@@ -132,7 +101,6 @@ impl Checkpoint {
     pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<Checkpoint, SnapError> {
         Ok(match d.u8()? {
             0 => Checkpoint::TageScl(TageSclCheckpoint::snapshot_decode(d)?),
-            1 => Checkpoint::Gshare(GshareCheckpoint::snapshot_decode(d)?),
             2 => Checkpoint::None,
             _ => return Err(SnapError::Corrupt("checkpoint variant tag")),
         })
@@ -144,10 +112,6 @@ impl Checkpoint {
 pub enum Predictor {
     /// 64 KB TAGE-SC-L.
     TageScl(Box<TageScl>),
-    /// gshare.
-    Gshare(Gshare),
-    /// Bimodal.
-    Bimodal(Bimodal),
     /// Oracle.
     Perfect,
 }
@@ -157,8 +121,6 @@ impl Predictor {
     pub fn new(kind: PredictorKind) -> Predictor {
         match kind {
             PredictorKind::TageScl => Predictor::TageScl(Box::new(TageScl::new())),
-            PredictorKind::Gshare => Predictor::Gshare(Gshare::default()),
-            PredictorKind::Bimodal => Predictor::Bimodal(Bimodal::default()),
             PredictorKind::Perfect => Predictor::Perfect,
         }
     }
@@ -168,10 +130,6 @@ impl Predictor {
     pub fn predict(&mut self, pc: u64, oracle_outcome: bool) -> Prediction {
         match self {
             Predictor::TageScl(p) => Prediction::TageScl(p.predict(pc)),
-            Predictor::Gshare(p) => Prediction::Gshare(p.predict(pc)),
-            Predictor::Bimodal(p) => Prediction::Bimodal {
-                taken: p.predict(pc),
-            },
             Predictor::Perfect => Prediction::Perfect {
                 taken: oracle_outcome,
             },
@@ -182,45 +140,34 @@ impl Predictor {
     pub fn checkpoint(&self) -> Checkpoint {
         match self {
             Predictor::TageScl(p) => Checkpoint::TageScl(p.checkpoint()),
-            Predictor::Gshare(p) => Checkpoint::Gshare(p.checkpoint()),
-            Predictor::Bimodal(_) | Predictor::Perfect => Checkpoint::None,
+            Predictor::Perfect => Checkpoint::None,
         }
     }
 
     /// Restores speculative history to `cp` without pushing an outcome
     /// (squash at a non-branch boundary).
     pub fn restore(&mut self, cp: &Checkpoint) {
-        match (self, cp) {
-            (Predictor::TageScl(p), Checkpoint::TageScl(c)) => p.restore(c),
-            (Predictor::Gshare(p), Checkpoint::Gshare(c)) => p.restore(c),
-            _ => {}
+        if let (Predictor::TageScl(p), Checkpoint::TageScl(c)) = (self, cp) {
+            p.restore(c);
         }
     }
 
     /// Recovers from a misprediction: restores `cp` and pushes the
     /// actual outcome.
     pub fn recover(&mut self, cp: &Checkpoint, actual: bool) {
-        match (self, cp) {
-            (Predictor::TageScl(p), Checkpoint::TageScl(c)) => p.recover(c, actual),
-            (Predictor::Gshare(p), Checkpoint::Gshare(c)) => p.recover(c, actual),
-            _ => {}
+        if let (Predictor::TageScl(p), Checkpoint::TageScl(c)) = (self, cp) {
+            p.recover(c, actual);
         }
     }
 
     /// Serializes the full predictor state (variant tag + tables,
     /// histories and folds).
     pub fn snapshot_encode(&self, e: &mut Enc) {
+        // The variant tags here, in `Prediction` and in `Checkpoint`
+        // are part of the snapshot format and stay fixed.
         match self {
             Predictor::TageScl(p) => {
                 e.u8(0);
-                p.snapshot_encode(e);
-            }
-            Predictor::Gshare(p) => {
-                e.u8(1);
-                p.snapshot_encode(e);
-            }
-            Predictor::Bimodal(p) => {
-                e.u8(2);
                 p.snapshot_encode(e);
             }
             Predictor::Perfect => e.u8(3),
@@ -232,8 +179,6 @@ impl Predictor {
     pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<Predictor, SnapError> {
         Ok(match d.u8()? {
             0 => Predictor::TageScl(Box::new(TageScl::snapshot_decode(d)?)),
-            1 => Predictor::Gshare(Gshare::snapshot_decode(d)?),
-            2 => Predictor::Bimodal(Bimodal::snapshot_decode(d)?),
             3 => Predictor::Perfect,
             _ => return Err(SnapError::Corrupt("predictor variant tag")),
         })
@@ -241,11 +186,8 @@ impl Predictor {
 
     /// Trains at retirement with the actual outcome.
     pub fn train(&mut self, pc: u64, taken: bool, pred: &Prediction) {
-        match (self, pred) {
-            (Predictor::TageScl(p), Prediction::TageScl(m)) => p.train(pc, taken, m),
-            (Predictor::Gshare(p), Prediction::Gshare(m)) => p.train(taken, m),
-            (Predictor::Bimodal(p), _) => p.train(pc, taken),
-            _ => {}
+        if let (Predictor::TageScl(p), Prediction::TageScl(m)) = (self, pred) {
+            p.train(pc, taken, m);
         }
     }
 }
@@ -256,12 +198,7 @@ mod tests {
 
     #[test]
     fn all_kinds_construct_and_predict() {
-        for kind in [
-            PredictorKind::TageScl,
-            PredictorKind::Gshare,
-            PredictorKind::Bimodal,
-            PredictorKind::Perfect,
-        ] {
+        for kind in [PredictorKind::TageScl, PredictorKind::Perfect] {
             let mut p = Predictor::new(kind);
             let cp = p.checkpoint();
             let pred = p.predict(0x1000, true);
@@ -301,12 +238,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_behavior() {
         use pfm_isa::snap::{Dec, Enc};
-        for kind in [
-            PredictorKind::TageScl,
-            PredictorKind::Gshare,
-            PredictorKind::Bimodal,
-            PredictorKind::Perfect,
-        ] {
+        for kind in [PredictorKind::TageScl, PredictorKind::Perfect] {
             let mut original = Predictor::new(kind);
             drive(&mut original, 500, 3);
 
@@ -332,12 +264,7 @@ mod tests {
     #[test]
     fn prediction_and_checkpoint_roundtrip() {
         use pfm_isa::snap::{Dec, Enc};
-        for kind in [
-            PredictorKind::TageScl,
-            PredictorKind::Gshare,
-            PredictorKind::Bimodal,
-            PredictorKind::Perfect,
-        ] {
+        for kind in [PredictorKind::TageScl, PredictorKind::Perfect] {
             let mut p = Predictor::new(kind);
             drive(&mut p, 100, 5);
             let cp = p.checkpoint();
@@ -387,27 +314,5 @@ mod tests {
         assert_eq!(ras2.pop(), Some(0x200));
         assert_eq!(ras2.pop(), Some(0x100));
         assert_eq!(ras2.pop(), None);
-    }
-
-    #[test]
-    fn tagescl_beats_bimodal_on_history_pattern() {
-        let mut tage = Predictor::new(PredictorKind::TageScl);
-        let mut bim = Predictor::new(PredictorKind::Bimodal);
-        let mut tage_ok = 0;
-        let mut bim_ok = 0;
-        for i in 0..3000 {
-            let truth = (i / 3) % 2 == 0; // period-6 pattern
-            let pt = tage.predict(0x3000, truth);
-            if pt.taken() == truth {
-                tage_ok += 1;
-            }
-            tage.train(0x3000, truth, &pt);
-            let pb = bim.predict(0x3000, truth);
-            if pb.taken() == truth {
-                bim_ok += 1;
-            }
-            bim.train(0x3000, truth, &pb);
-        }
-        assert!(tage_ok > bim_ok, "tage {tage_ok} vs bimodal {bim_ok}");
     }
 }

@@ -94,12 +94,7 @@ proptest! {
     fn predictors_are_total(
         trace in prop::collection::vec((0u64..64, any::<bool>()), 1..200),
     ) {
-        for kind in [
-            PredictorKind::TageScl,
-            PredictorKind::Gshare,
-            PredictorKind::Bimodal,
-            PredictorKind::Perfect,
-        ] {
+        for kind in [PredictorKind::TageScl, PredictorKind::Perfect] {
             let mut p = Predictor::new(kind);
             for &(pc_idx, truth) in &trace {
                 let pc = 0x2000 + pc_idx * 4;

@@ -599,8 +599,6 @@ impl Core {
         let bp = Predictor::snapshot_decode(d)?;
         let decoded_kind = match &bp {
             Predictor::TageScl(_) => pfm_bpred::PredictorKind::TageScl,
-            Predictor::Gshare(_) => pfm_bpred::PredictorKind::Gshare,
-            Predictor::Bimodal(_) => pfm_bpred::PredictorKind::Bimodal,
             Predictor::Perfect => pfm_bpred::PredictorKind::Perfect,
         };
         if decoded_kind != config.predictor {
@@ -2142,7 +2140,7 @@ mod tests {
         let bytes = core.snapshot();
 
         let mut wrong = CoreConfig::micro21();
-        wrong.predictor = PredictorKind::Gshare;
+        wrong.predictor = PredictorKind::Perfect;
         let err =
             Core::restore(wrong, HierarchyConfig::micro21(), program.clone(), &bytes).unwrap_err();
         assert_eq!(err, pfm_isa::snap::SnapError::Corrupt("predictor kind"));

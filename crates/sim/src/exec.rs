@@ -60,8 +60,7 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Serial, quiet execution (the back-compat path for single
-    /// experiments).
+    /// Serial, quiet execution (tests and single small plans).
     pub fn serial() -> ExecOptions {
         ExecOptions {
             jobs: 1,

@@ -4,17 +4,12 @@
 //! mapping completed runs to printable rows. The executor
 //! ([`crate::exec`]) deduplicates runs shared between experiments —
 //! the astar baseline, requested by fig2/fig8/fig9/fig10/fig18 and the
-//! ablations, is simulated once.
-//!
-//! The eager `fig*`/`table*` functions are thin wrappers that plan and
-//! execute a single experiment serially; `all` executes every plan
-//! through the deduplicating executor. Both paths produce identical
-//! rows (runs are deterministic, assembly is pure).
+//! ablations, is simulated once — and [`crate::exec::run_plans`] is
+//! the one way to execute them.
 //!
 //! Speedups follow the paper's convention: percentage IPC improvement
 //! over the baseline core, which sits at 0%.
 
-use crate::exec::{self, ExecOptions};
 use crate::plan::{ExperimentPlan, PlanError, RunHandle, SpecSet};
 use crate::runner::{RunConfig, RunResult};
 use crate::usecases;
@@ -77,16 +72,6 @@ fn speedup_row(label: impl Into<String>, r: &RunResult, base: &RunResult) -> Row
         value: r.speedup_over(base),
         extra: format!("IPC {:.3}  MPKI {:.2}", r.ipc(), r.stats.mpki()),
     }
-}
-
-/// Plans and executes a single experiment serially (the eager
-/// back-compat path).
-///
-/// # Errors
-/// Returns the [`PlanError`] of a failed run or assembly.
-fn run_one(plan: ExperimentPlan) -> Result<Experiment, PlanError> {
-    let (runs, _) = exec::execute(plan.specs(), &ExecOptions::serial());
-    plan.assemble(&runs)
 }
 
 /// Figure 2 plan: speedups of PFM and Slipstream 2.0 on astar and bfs.
@@ -898,129 +883,20 @@ pub fn plans_all(rc: &RunConfig) -> Vec<ExperimentPlan> {
     ]
 }
 
-/// Figure 2: speedups of PFM and Slipstream 2.0 on astar and bfs.
-///
-/// # Errors
-/// The [`PlanError`] of a failed run or assembly (likewise for every
-/// eager wrapper below).
-pub fn fig2(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig2(rc))
-}
-
-/// Figure 8: astar speedup for different C and W parameters.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig8(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig8(rc))
-}
-
-/// Table 2: astar FST and RST snoop percentages.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn table2(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_table2(rc))
-}
-
-/// Figure 9: astar sensitivity to D (delay), Q (queues) and P (ports).
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig9(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig9(rc))
-}
-
-/// Figure 10: astar speedup vs. index_queue entries (speculative scope).
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig10(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig10(rc))
-}
-
-/// Figure 12: bfs oracles and C/W sweep (Roads and Youtube inputs).
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig12(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig12(rc))
-}
-
-/// Table 3: bfs FST and RST snoop percentages.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn table3(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_table3(rc))
-}
-
-/// Figure 13: bfs sensitivity to D, Q and P.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig13(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig13(rc))
-}
-
-/// Figure 14: bfs speedup vs. the component's queue entries.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig14(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig14(rc))
-}
-
-/// Figure 17: custom prefetcher speedups for different C and W.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig17(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig17(rc))
-}
-
-/// Table 4: FPGA resource, frequency and power estimates per design.
-///
-/// # Errors
-/// See [`fig2`] (table 4 performs no runs, so only assembly can fail).
-pub fn table4() -> Result<Experiment, PlanError> {
-    run_one(plan_table4())
-}
-
-/// Figure 18: PFM (core + RF) energy normalized to the baseline core.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn fig18(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_fig18(rc))
-}
-
-/// Ablations of the design choices DESIGN.md calls out: store
-/// inference, the missed-load buffer, the fetch stall policy, and the
-/// baseline VLDP prefetcher.
-///
-/// # Errors
-/// See [`fig2`].
-pub fn ablations(rc: &RunConfig) -> Result<Experiment, PlanError> {
-    run_one(plan_ablations(rc))
-}
-
-/// Every regenerable experiment, in paper order, executed through the
-/// deduplicating executor (shared baselines run once). Each experiment
-/// assembles independently: one failed run yields `Err` for the
-/// experiments that needed it, not a panic for the suite.
-pub fn all(rc: &RunConfig) -> Vec<Result<Experiment, PlanError>> {
-    let (experiments, _) = exec::run_plans(plans_all(rc), &ExecOptions::default());
-    experiments
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{run_plans, ExecOptions};
+
+    /// Executes one plan serially and assembles it.
+    fn run(plan: ExperimentPlan) -> Experiment {
+        let (mut done, _) = run_plans(vec![plan], &ExecOptions::serial());
+        done.remove(0).unwrap()
+    }
 
     #[test]
     fn table4_renders_all_rows() {
-        let t = table4().unwrap();
+        let t = run(plan_table4());
         assert_eq!(t.rows.len(), 6);
         let s = t.render();
         assert!(s.contains("astar-alt"));
@@ -1030,7 +906,7 @@ mod tests {
     #[test]
     fn table2_snoop_rates_in_paper_ballpark() {
         let rc = RunConfig::test_scale();
-        let t = table2(&rc).unwrap();
+        let t = run(plan_table2(&rc));
         let rst = t.rows[0].value;
         let fst = t.rows[1].value;
         assert!(rst > 5.0 && rst < 45.0, "RST {rst}%");

@@ -6,9 +6,12 @@
 //! The architecture is plan → execute → assemble:
 //!
 //! 1. **Plan.** Each experiment builds an [`ExperimentPlan`]: a list
-//!    of keyed [`RunSpec`]s (use-case factory + run configuration +
-//!    optional fabric parameters + optional fault plan) plus a pure
-//!    assembly closure.
+//!    of keyed [`RunSpec`]s plus a pure assembly closure. A spec is a
+//!    use-case factory, a run configuration and one engine: the
+//!    functional executor; the detailed core with an attachment
+//!    (baseline, PFM or chaos) starting from reset or, for a sampling
+//!    interval, from a machine snapshot; or a two-tenant context
+//!    switch.
 //! 2. **Execute.** The executor collects the specs of every requested
 //!    experiment, deduplicates them by [`RunSpec::key`] (the shared
 //!    astar baseline is requested by six experiments but simulated
@@ -30,8 +33,7 @@
 
 use crate::experiments::{Experiment, Row};
 use crate::runner::{
-    run_baseline, run_chaos, run_context_switch, run_functional, run_interval, run_pfm, CtxMode,
-    RunConfig, RunError, RunResult,
+    drive, run_context_switch, run_functional, CtxMode, RunConfig, RunError, RunResult,
 };
 use pfm_fabric::{FabricParams, FaultPlan};
 use pfm_isa::snap::{content_key, Dec, Enc};
@@ -105,38 +107,104 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Which execution speed a [`RunSpec`] runs at. Detailed specs
-/// cycle-simulate on the out-of-order core; functional specs retire the
-/// same committed stream on the functional executor; interval
-/// specs restore an architectural snapshot and cycle-simulate a
-/// bounded detailed window (the sampled-run building block).
+/// What a detailed run attaches to the core: nothing (the baseline
+/// machine), the PFM fabric, or the fabric with its component wrapped
+/// in the deterministic fault injector (the chaos harness).
 #[derive(Clone, Debug)]
-enum Flavor {
-    /// Full detailed simulation from reset (baseline/PFM/chaos).
-    Detailed,
-    /// Functional-only execution on [`pfm_isa::FastExec`].
-    Functional,
-    /// Detailed simulation of one sampling interval, started from an
-    /// architectural snapshot.
-    Interval {
-        /// Machine snapshot captured by the functional fast-forward.
-        /// Shared (`Arc`) so cloning specs across executor threads does
-        /// not copy megabytes of memory pages.
+enum Attachment {
+    /// The baseline core, no fabric.
+    Baseline,
+    /// The PFM fabric with these parameters.
+    Pfm(FabricParams),
+    /// The PFM fabric under an injected fault plan.
+    Chaos(FabricParams, FaultPlan),
+}
+
+/// Where a detailed run starts.
+#[derive(Clone, Debug)]
+enum Start {
+    /// The use-case's initial machine state.
+    Reset,
+    /// A sampling interval: the machine `snapshot` the functional
+    /// fast-forward took at retired-instruction `position` (shared, so
+    /// cloning specs across executor threads does not copy megabytes
+    /// of pages); `warmup` instructions warm the caches, TLB, branch
+    /// history and fabric before `rc.max_instrs` are measured.
+    Snapshot {
         snapshot: Arc<Vec<u8>>,
-        /// Detailed warm-up instructions retired (and diffed out)
-        /// before measurement starts.
+        position: u64,
         warmup: u64,
     },
+}
+
+/// The engine a [`RunSpec`] runs on.
+#[derive(Clone, Debug)]
+enum Engine {
+    /// The functional executor ([`pfm_isa::FastExec`]): the committed
+    /// stream at interpreter speed, no timing.
+    Functional,
+    /// The out-of-order core, single tenant, with `attach` and from
+    /// `start`.
+    Detailed { attach: Attachment, start: Start },
     /// Two tenants time-sharing one fabric slot: the spec's use-case
-    /// and `second` alternate on the core while the slot is managed
-    /// per `mode` (the spec's fabric params configure the shared slot,
-    /// its fault plan arms a mid-swap scenario).
+    /// and `second` alternate on the core while the slot (configured
+    /// by `params`, optionally under a mid-swap `fault`) is managed
+    /// per `mode`.
     ContextSwitch {
-        /// The second tenant.
         second: UseCaseFactory,
-        /// How the shared slot is managed.
         mode: CtxMode,
+        params: Option<FabricParams>,
+        fault: Option<FaultPlan>,
     },
+}
+
+/// The canonical content key of a run: every input of the use-case,
+/// the run configuration and the engine. Intervals extend the key of
+/// the spec they sample with their position, warm-up and snapshot
+/// hash, so intervals of different machines or machine states never
+/// dedup.
+fn spec_key(usecase: &UseCaseFactory, rc: &RunConfig, engine: &Engine) -> String {
+    let (uc, rc) = (usecase.key(), rc.key());
+    match engine {
+        Engine::Functional => format!("{uc}|functional|{rc}"),
+        Engine::Detailed { attach, start } => {
+            let mut key = match attach {
+                Attachment::Baseline => format!("{uc}|baseline|{rc}"),
+                Attachment::Pfm(params) => format!("{uc}|{}|{rc}", params.key()),
+                Attachment::Chaos(params, plan) => {
+                    format!("{uc}|{}|{rc}|{}", params.key(), plan.key())
+                }
+            };
+            if let Start::Snapshot {
+                snapshot,
+                position,
+                warmup,
+            } = start
+            {
+                key.push_str(&format!(
+                    "|interval@{position}+w{warmup}|snap{:016x}",
+                    content_key(snapshot)
+                ));
+            }
+            key
+        }
+        Engine::ContextSwitch {
+            second,
+            mode,
+            params,
+            fault,
+        } => {
+            let mut key = format!(
+                "ctx({uc}+{})|{}|{rc}",
+                second.key(),
+                mode.key(params.as_ref())
+            );
+            if let Some(plan) = fault {
+                key.push_str(&format!("|{}", plan.key()));
+            }
+            key
+        }
+    }
 }
 
 /// One fully-specified, deduplicatable simulation run.
@@ -144,83 +212,38 @@ enum Flavor {
 pub struct RunSpec {
     usecase: UseCaseFactory,
     rc: RunConfig,
-    fabric: Option<FabricParams>,
-    fault: Option<FaultPlan>,
-    flavor: Flavor,
+    engine: Engine,
     key: String,
 }
 
 impl RunSpec {
+    fn new(usecase: UseCaseFactory, rc: &RunConfig, engine: Engine) -> RunSpec {
+        let key = spec_key(&usecase, rc, &engine);
+        RunSpec {
+            usecase,
+            rc: rc.clone(),
+            engine,
+            key,
+        }
+    }
+
+    /// A detailed run from reset with the given attachment.
+    fn detailed(usecase: UseCaseFactory, attach: Attachment, rc: &RunConfig) -> RunSpec {
+        let engine = Engine::Detailed {
+            attach,
+            start: Start::Reset,
+        };
+        RunSpec::new(usecase, rc, engine)
+    }
+
     /// A baseline run (no fabric attached).
     pub fn baseline(usecase: UseCaseFactory, rc: &RunConfig) -> RunSpec {
-        let key = format!("{}|baseline|{}", usecase.key(), rc.key());
-        RunSpec {
-            usecase,
-            rc: rc.clone(),
-            fabric: None,
-            fault: None,
-            flavor: Flavor::Detailed,
-            key,
-        }
-    }
-
-    /// A functional-only run: the same use-case and instruction budget,
-    /// retired on the functional executor instead of the detailed
-    /// core. Produces the same committed-stream checksum as its
-    /// detailed counterparts, at interpreter speed.
-    pub fn functional(usecase: UseCaseFactory, rc: &RunConfig) -> RunSpec {
-        let key = format!("{}|functional|{}", usecase.key(), rc.key());
-        RunSpec {
-            usecase,
-            rc: rc.clone(),
-            fabric: None,
-            fault: None,
-            flavor: Flavor::Functional,
-            key,
-        }
-    }
-
-    /// A detailed sampling interval: restore `snapshot` (captured at
-    /// retired-instruction `position` by the functional fast-forward),
-    /// retire `warmup` instructions to warm microarchitectural state,
-    /// then measure `rc.max_instrs` further instructions on the
-    /// baseline core. The snapshot's content hash is folded into the
-    /// key, so intervals at the same position of *different* workload
-    /// states never dedup.
-    pub fn interval(
-        usecase: UseCaseFactory,
-        snapshot: Arc<Vec<u8>>,
-        position: u64,
-        warmup: u64,
-        rc: &RunConfig,
-    ) -> RunSpec {
-        let key = format!(
-            "{}|interval@{position}+w{warmup}|snap{:016x}|{}",
-            usecase.key(),
-            content_key(&snapshot),
-            rc.key()
-        );
-        RunSpec {
-            usecase,
-            rc: rc.clone(),
-            fabric: None,
-            fault: None,
-            flavor: Flavor::Interval { snapshot, warmup },
-            key,
-        }
+        RunSpec::detailed(usecase, Attachment::Baseline, rc)
     }
 
     /// A PFM run with the given fabric parameters.
     pub fn pfm(usecase: UseCaseFactory, params: FabricParams, rc: &RunConfig) -> RunSpec {
-        let key = format!("{}|{}|{}", usecase.key(), params.key(), rc.key());
-        RunSpec {
-            usecase,
-            rc: rc.clone(),
-            fabric: Some(params),
-            fault: None,
-            flavor: Flavor::Detailed,
-            key,
-        }
+        RunSpec::detailed(usecase, Attachment::Pfm(params), rc)
     }
 
     /// A chaos run: PFM with the component wrapped in the deterministic
@@ -233,21 +256,15 @@ impl RunSpec {
         plan: FaultPlan,
         rc: &RunConfig,
     ) -> RunSpec {
-        let key = format!(
-            "{}|{}|{}|{}",
-            usecase.key(),
-            params.key(),
-            rc.key(),
-            plan.key()
-        );
-        RunSpec {
-            usecase,
-            rc: rc.clone(),
-            fabric: Some(params),
-            fault: Some(plan),
-            flavor: Flavor::Detailed,
-            key,
-        }
+        RunSpec::detailed(usecase, Attachment::Chaos(params, plan), rc)
+    }
+
+    /// A functional-only run: the same use-case and instruction budget,
+    /// retired on the functional executor instead of the detailed
+    /// core. Produces the same committed-stream checksum as its
+    /// detailed counterparts, at interpreter speed.
+    pub fn functional(usecase: UseCaseFactory, rc: &RunConfig) -> RunSpec {
+        RunSpec::new(usecase, rc, Engine::Functional)
     }
 
     /// A context-switch run: this use-case and `second` alternate on
@@ -264,24 +281,54 @@ impl RunSpec {
         fault: Option<FaultPlan>,
         rc: &RunConfig,
     ) -> RunSpec {
-        let mut key = format!(
-            "ctx({}+{})|{}|{}",
-            usecase.key(),
-            second.key(),
-            mode.key(params.as_ref()),
-            rc.key()
-        );
-        if let Some(plan) = fault {
-            key.push_str(&format!("|{}", plan.key()));
-        }
-        RunSpec {
-            usecase,
-            rc: rc.clone(),
-            fabric: params,
+        let engine = Engine::ContextSwitch {
+            second,
+            mode,
+            params,
             fault,
-            flavor: Flavor::ContextSwitch { second, mode },
-            key,
-        }
+        };
+        RunSpec::new(usecase, rc, engine)
+    }
+
+    /// A sampling interval of this detailed run: the same use-case,
+    /// machine and attachment, started from `snapshot` (captured at
+    /// retired-instruction `position` by the functional fast-forward),
+    /// warmed for `warmup` instructions, then measured for `instrs`.
+    /// Its key extends this spec's key (at the `instrs` budget) with
+    /// the position, warm-up and snapshot hash.
+    ///
+    /// `None` unless this spec is a detailed run from reset: a
+    /// functional or context-switch run has no interval, and an
+    /// interval has no interval of its own.
+    pub fn interval(
+        &self,
+        snapshot: Arc<Vec<u8>>,
+        position: u64,
+        warmup: u64,
+        instrs: u64,
+    ) -> Option<RunSpec> {
+        let Engine::Detailed {
+            attach,
+            start: Start::Reset,
+        } = &self.engine
+        else {
+            return None;
+        };
+        let start = Start::Snapshot {
+            snapshot,
+            position,
+            warmup,
+        };
+        let rc = RunConfig {
+            max_instrs: instrs,
+            ..self.rc.clone()
+        };
+        let attach = attach.clone();
+        Some(RunSpec::new(
+            self.usecase.clone(),
+            &rc,
+            Engine::Detailed { attach, start },
+        ))
     }
 
     /// Stable content key: two specs with equal keys simulate the
@@ -295,6 +342,11 @@ impl RunSpec {
         self.usecase.name()
     }
 
+    /// The use-case this spec runs.
+    pub(crate) fn usecase(&self) -> &UseCaseFactory {
+        &self.usecase
+    }
+
     /// The configured forward-progress watchdog, scaled by `factor`
     /// (the executor's raised retry cap).
     pub(crate) fn raised_watchdog(&self, factor: u64) -> Option<u64> {
@@ -306,8 +358,8 @@ impl RunSpec {
     /// identical statistics.
     ///
     /// # Errors
-    /// Returns the structured [`RunError`] (functional fault, cycle
-    /// cap, or forward-progress watchdog).
+    /// Returns the structured [`RunError`] (functional fault, snapshot
+    /// restore failure, cycle cap, or forward-progress watchdog).
     pub fn execute(&self) -> Result<RunResult, RunError> {
         self.execute_with_watchdog(self.rc.commit_watchdog)
     }
@@ -319,23 +371,34 @@ impl RunSpec {
         commit_watchdog: Option<u64>,
     ) -> Result<RunResult, RunError> {
         let uc = self.usecase.build();
-        let mut rc = self.rc.clone();
-        rc.commit_watchdog = commit_watchdog;
-        match &self.flavor {
-            Flavor::Functional => return run_functional(&uc, &rc),
-            Flavor::Interval { snapshot, warmup } => {
-                return run_interval(&uc, snapshot, *warmup, &rc)
+        let rc = RunConfig {
+            commit_watchdog,
+            ..self.rc.clone()
+        };
+        match &self.engine {
+            Engine::Functional => run_functional(&uc, &rc),
+            Engine::Detailed { attach, start } => {
+                let fabric = match attach {
+                    Attachment::Baseline => None,
+                    Attachment::Pfm(params) => Some(uc.fabric(params.clone())),
+                    Attachment::Chaos(params, plan) => {
+                        Some(uc.fabric_faulty(params.clone(), *plan))
+                    }
+                };
+                let restore = match start {
+                    Start::Reset => None,
+                    Start::Snapshot {
+                        snapshot, warmup, ..
+                    } => Some((snapshot.as_slice(), *warmup)),
+                };
+                drive(&uc, fabric, restore, &rc)
             }
-            Flavor::ContextSwitch { second, mode } => {
-                let b = second.build();
-                return run_context_switch(&uc, &b, mode, self.fabric.clone(), self.fault, &rc);
-            }
-            Flavor::Detailed => {}
-        }
-        match (&self.fabric, self.fault) {
-            (None, _) => run_baseline(&uc, &rc),
-            (Some(params), None) => run_pfm(&uc, params.clone(), &rc),
-            (Some(params), Some(plan)) => run_chaos(&uc, params.clone(), plan, &rc),
+            Engine::ContextSwitch {
+                second,
+                mode,
+                params,
+                fault,
+            } => run_context_switch(&uc, &second.build(), mode, params.clone(), *fault, &rc),
         }
     }
 }

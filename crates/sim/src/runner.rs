@@ -1,12 +1,14 @@
-//! Single-run driver: wires a [`UseCase`] into the core, optionally
-//! attaches the PFM fabric (or its chaos-harness fault injector), runs
-//! under a forward-progress watchdog, and collects every statistic the
+//! Single-run drivers: one detailed driver wires a [`UseCase`] into
+//! the core from reset or from a machine snapshot, optionally attaches
+//! the PFM fabric (or its chaos-harness fault injector), runs under a
+//! forward-progress watchdog, and collects every statistic the
 //! experiments need — including the committed architectural checksum
-//! the chaos family compares against fault-free runs.
+//! the chaos family compares against fault-free runs. Beside it sit the
+//! functional run and the two-tenant context-switch run.
 
 use crate::schedule::{load_cycles_for, ScheduledFabric, Tenant};
 use pfm_bpred::PredictorKind;
-use pfm_core::{Core, CoreConfig, NoPfm, SimError, SimStats};
+use pfm_core::{Core, CoreConfig, NoPfm, PfmHooks, SimError, SimStats};
 use pfm_fabric::{Fabric, FabricParams, FabricStats, FaultPlan, FaultStats};
 use pfm_isa::snap::{Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
 use pfm_isa::{FastExec, Machine};
@@ -500,22 +502,56 @@ impl RunResult {
     }
 }
 
-/// Drives `core` under `rc`'s budgets and watchdog, then packages the
-/// result (shared by the baseline, PFM and chaos entry points).
-fn drive(uc: &UseCase, mut fabric: Option<Fabric>, rc: &RunConfig) -> Result<RunResult, RunError> {
-    let mut core = Core::new(
-        rc.core.clone(),
-        uc.machine(),
-        Hierarchy::new(rc.hier.clone()),
-    );
-    let outcome = match fabric.as_mut() {
-        Some(f) => core.run_watched(f, rc.max_instrs, rc.max_cycles, rc.commit_watchdog),
-        None => core.run_watched(&mut NoPfm, rc.max_instrs, rc.max_cycles, rc.commit_watchdog),
+/// The detailed single-tenant driver behind every baseline, PFM, chaos
+/// and sampling-interval run: builds the core, attaches `fabric` (or
+/// nothing), runs it under `rc`'s budgets and watchdog, and packages
+/// the result.
+///
+/// `restore` starts the run from a machine snapshot instead of reset:
+/// the snapshot is restored into a core with cold caches, TLB and
+/// branch history, `warmup` instructions warm them (and the fabric),
+/// and `rc.max_instrs` further instructions are measured. `stats`
+/// then cover only the measured window; `hier`, `fabric` and `faults`
+/// cover warm-up plus measurement, and `arch_checksum` folds the
+/// warm-up leg only, so it is not comparable across positions.
+///
+/// # Errors
+/// [`RunError::Exec`] if the snapshot fails to decode or the machine
+/// faults; cycle-cap and watchdog errors as structured [`RunError`]s.
+pub(crate) fn drive(
+    uc: &UseCase,
+    mut fabric: Option<Fabric>,
+    restore: Option<(&[u8], u64)>,
+    rc: &RunConfig,
+) -> Result<RunResult, RunError> {
+    let machine = match restore {
+        Some((snapshot, _)) => Machine::restore(uc.program.clone(), snapshot)
+            .map_err(|e| RunError::Exec(format!("snapshot restore: {e}")))?,
+        None => uc.machine(),
     };
-    outcome.map_err(|e| RunError::from_sim(e, core.stats().retired))?;
+    let mut core = Core::new(rc.core.clone(), machine, Hierarchy::new(rc.hier.clone()));
+    let mut no_fabric = NoPfm;
+    let hooks: &mut dyn PfmHooks = match fabric.as_mut() {
+        Some(f) => f,
+        None => &mut no_fabric,
+    };
+    let mut leg = |core: &mut Core, budget: u64| {
+        core.run_watched(hooks, budget, rc.max_cycles, rc.commit_watchdog)
+            .map_err(|e| RunError::from_sim(e, core.stats().retired))
+    };
+    // Only restored starts run a warm-up leg, even a zero-length one:
+    // the first leg's budget caps the commit checksum.
+    let (warm, budget) = match restore {
+        Some((_, warmup)) => {
+            leg(&mut core, warmup)?;
+            (core.stats().clone(), warmup.saturating_add(rc.max_instrs))
+        }
+        None => (SimStats::default(), rc.max_instrs),
+    };
+    leg(&mut core, budget)?;
     Ok(RunResult {
         name: uc.name.clone(),
-        stats: core.stats().clone(),
+        stats: core.stats().delta_since(&warm),
         hier: *core.hierarchy().stats(),
         faults: fabric.as_ref().and_then(|f| f.component().fault_stats()),
         fabric: fabric.map(|f| *f.stats()),
@@ -531,7 +567,7 @@ fn drive(uc: &UseCase, mut fabric: Option<Fabric>, rc: &RunConfig) -> Result<Run
 /// Returns a structured [`RunError`]: functional fault, cycle cap, or
 /// forward-progress watchdog.
 pub fn run_baseline(uc: &UseCase, rc: &RunConfig) -> Result<RunResult, RunError> {
-    drive(uc, None, rc)
+    drive(uc, None, None, rc)
 }
 
 /// Runs the use-case with the PFM fabric attached.
@@ -540,7 +576,7 @@ pub fn run_baseline(uc: &UseCase, rc: &RunConfig) -> Result<RunResult, RunError>
 /// Returns a structured [`RunError`]: functional fault, cycle cap, or
 /// forward-progress watchdog.
 pub fn run_pfm(uc: &UseCase, params: FabricParams, rc: &RunConfig) -> Result<RunResult, RunError> {
-    drive(uc, Some(uc.fabric(params)), rc)
+    drive(uc, Some(uc.fabric(params)), None, rc)
 }
 
 /// Runs the use-case functionally only, on the functional executor:
@@ -577,52 +613,6 @@ pub fn run_functional(uc: &UseCase, rc: &RunConfig) -> Result<RunResult, RunErro
     })
 }
 
-/// Runs one detailed sampling interval: restores the architectural
-/// snapshot (captured by the functional fast-forward) into a fresh
-/// cold-structure core, retires `warmup` instructions to warm caches,
-/// TLB and branch history (their statistics are diffed out), then
-/// measures `rc.max_instrs` further retired instructions.
-///
-/// The returned `stats` cover only the measured window. `hier` covers
-/// warm-up plus measurement (cache counters are reported for
-/// diagnosis, not assembled into IPC). `arch_checksum` is not
-/// comparable across positions and is reported as the core's fold from
-/// the restore point.
-///
-/// # Errors
-/// [`RunError::Exec`] if the snapshot fails to decode or the machine
-/// faults; watchdog/cycle-cap errors as in the other entry points.
-pub fn run_interval(
-    uc: &UseCase,
-    snapshot: &[u8],
-    warmup: u64,
-    rc: &RunConfig,
-) -> Result<RunResult, RunError> {
-    let machine = Machine::restore(uc.program.clone(), snapshot)
-        .map_err(|e| RunError::Exec(format!("snapshot restore: {e}")))?;
-    let mut core = Core::new(rc.core.clone(), machine, Hierarchy::new(rc.hier.clone()));
-    core.run_watched(&mut NoPfm, warmup, rc.max_cycles, rc.commit_watchdog)
-        .map_err(|e| RunError::from_sim(e, core.stats().retired))?;
-    let warm = core.stats().clone();
-    core.run_watched(
-        &mut NoPfm,
-        warmup.saturating_add(rc.max_instrs),
-        rc.max_cycles,
-        rc.commit_watchdog,
-    )
-    .map_err(|e| RunError::from_sim(e, core.stats().retired))?;
-    Ok(RunResult {
-        name: uc.name.clone(),
-        stats: core.stats().delta_since(&warm),
-        hier: *core.hierarchy().stats(),
-        fabric: None,
-        faults: None,
-        arch_checksum: core.commit_checksum(),
-        completed: core.finished(),
-        ctx: None,
-    })
-}
-
 /// Runs the use-case with the PFM fabric attached and its component
 /// wrapped in the deterministic fault injector (the chaos harness).
 ///
@@ -635,7 +625,7 @@ pub fn run_chaos(
     plan: FaultPlan,
     rc: &RunConfig,
 ) -> Result<RunResult, RunError> {
-    drive(uc, Some(uc.fabric_faulty(params, plan)), rc)
+    drive(uc, Some(uc.fabric_faulty(params, plan)), None, rc)
 }
 
 /// Slices each tenant's instruction budget into this many alternating

@@ -12,18 +12,21 @@
 //! (the paper evaluates on 100 M-instruction SimPoints): systematic
 //! sampling with detailed warm-up, rather than phase classification.
 //!
-//! Each interval restores the *architectural* snapshot captured by the
-//! fast-forward and starts with cold caches, TLB and branch history;
-//! the first `warmup_instrs` retired instructions warm those
-//! structures and their statistics are diffed out
+//! A sampled run samples one detailed [`RunSpec`] — baseline, PFM or
+//! chaos — and each interval is that spec started from a snapshot
+//! ([`RunSpec::interval`]): the same machine and attachment, run by
+//! the same driver, under a key that extends the spec's. Each interval
+//! restores the *architectural* snapshot captured by the fast-forward
+//! and starts with cold caches, TLB, branch history and fabric; the
+//! first `warmup_instrs` retired instructions warm those structures
+//! and their statistics are diffed out
 //! ([`pfm_core::SimStats::delta_since`]) before the measured window
 //! begins.
 
 use crate::exec::{execute, ExecOptions};
 use crate::plan::{PlanError, RunSpec};
-use crate::runner::{RunConfig, RunError};
+use crate::runner::RunError;
 use pfm_isa::FastExec;
-use pfm_workloads::UseCaseFactory;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -223,24 +226,22 @@ impl SampledReport {
     }
 }
 
-/// Runs `factory`'s use-case in sampled mode: one functional
-/// fast-forward capturing a machine snapshot at each of
-/// `cfg.intervals` evenly spaced positions, then `cfg.intervals`
-/// detailed interval simulations executed in parallel through the
-/// deduplicating executor, assembled into a mean IPC with a 95 %
+/// Runs `base` in sampled mode: one functional fast-forward of its
+/// use-case capturing a machine snapshot at each of `cfg.intervals`
+/// evenly spaced positions, then one [`RunSpec::interval`] of `base`
+/// per snapshot (its machine, attachment and hang guards, measuring
+/// `cfg.interval_instrs`), executed in parallel through the
+/// deduplicating executor and assembled into a mean IPC with a 95 %
 /// confidence interval.
 ///
-/// `rc` supplies the detailed machine (core + hierarchy) and the
-/// hang guards; its `max_instrs` is overridden per interval.
-///
 /// # Errors
-/// [`SampledError::Config`] for degenerate shapes,
-/// [`SampledError::Exec`] if the functional pass faults, and
-/// [`SampledError::Interval`] if any detailed interval fails.
+/// [`SampledError::Config`] for degenerate shapes or a `base` that is
+/// not a detailed run from reset, [`SampledError::Exec`] if the
+/// functional pass faults, and [`SampledError::Interval`] if any
+/// detailed interval fails.
 pub fn run_sampled(
-    factory: &UseCaseFactory,
+    base: &RunSpec,
     cfg: &SampledConfig,
-    rc: &RunConfig,
     opts: &ExecOptions,
 ) -> Result<SampledReport, SampledError> {
     if cfg.intervals == 0 {
@@ -256,7 +257,7 @@ pub fn run_sampled(
     // position: k * (total / N) for k in 0..N. Position 0 samples the
     // program's cold start; the stride places the last checkpoint one
     // stride before the horizon so its interval has stream to measure.
-    let uc = factory.build();
+    let uc = base.usecase().build();
     let stride = (cfg.total_instrs / u64::from(cfg.intervals)).max(1);
     let mut fx = FastExec::new(uc.program.clone(), uc.memory.clone());
     let mut checkpoints: Vec<(u64, Arc<Vec<u8>>)> = Vec::new();
@@ -281,22 +282,20 @@ pub fn run_sampled(
     // Detailed intervals, in parallel through the executor. Each spec
     // carries its snapshot by Arc; the content hash in the key keeps
     // distinct machine states from ever deduplicating.
-    let interval_rc = RunConfig {
-        max_instrs: cfg.interval_instrs,
-        ..rc.clone()
-    };
-    let specs: Vec<RunSpec> = checkpoints
+    let specs = checkpoints
         .iter()
         .map(|(pos, snap)| {
-            RunSpec::interval(
-                factory.clone(),
+            base.interval(
                 Arc::clone(snap),
                 *pos,
                 cfg.warmup_instrs,
-                &interval_rc,
+                cfg.interval_instrs,
             )
         })
-        .collect();
+        .collect::<Option<Vec<RunSpec>>>()
+        .ok_or(SampledError::Config(
+            "only a detailed run from reset can be sampled",
+        ))?;
     let (runs, _report) = execute(&specs, opts);
 
     let mut rows = Vec::with_capacity(specs.len());
@@ -322,43 +321,86 @@ pub fn run_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunConfig;
     use crate::usecases;
+    use pfm_fabric::FabricParams;
+    use pfm_workloads::graphs::{road_graph, shuffle_labels_fraction};
+    use pfm_workloads::{bfs, BfsParams, UseCaseFactory};
 
     #[test]
     fn sampled_astar_assembles_intervals_with_ci() {
         let cfg = SampledConfig::test_scale();
         let rc = RunConfig::test_scale();
-        let rep = run_sampled(
-            &usecases::astar_custom_factory(),
-            &cfg,
-            &rc,
-            &ExecOptions::serial(),
-        )
-        .expect("sampled run");
+        let base = RunSpec::baseline(usecases::astar_custom_factory(), &rc);
+        let rep = run_sampled(&base, &cfg, &ExecOptions::serial()).expect("sampled run");
         assert_eq!(rep.rows.len(), cfg.intervals as usize);
-        assert_eq!(rep.rows[0].position, 0, "first interval samples cold start");
-        for w in rep.rows.windows(2) {
-            assert!(w[0].position < w[1].position, "positions ascend");
-        }
-        for r in &rep.rows {
-            // Superscalar commit can overshoot the warm-up and the
-            // measurement targets by up to width-1 instructions each.
-            let slack = rc.core.retire_width as u64;
-            assert!(
-                r.retired + slack >= cfg.interval_instrs
-                    && r.retired <= cfg.interval_instrs + slack,
-                "retired {} not within {slack} of {}",
-                r.retired,
-                cfg.interval_instrs
-            );
-            assert!(r.cycles > 0);
-            assert!(r.ipc() > 0.0);
-        }
+        // (position, retired, cycles) per interval, pinned bit for bit.
+        let pinned: Vec<_> = rep
+            .rows
+            .iter()
+            .map(|r| (r.position, r.retired, r.cycles))
+            .collect();
+        assert_eq!(
+            pinned,
+            [
+                (0, 19999, 35021),
+                (100000, 19999, 57121),
+                (200000, 20000, 56400),
+                (300000, 20000, 67094)
+            ]
+        );
         assert!(rep.mean_ipc() > 0.0);
         assert!(rep.ci95_half_width() >= 0.0);
         assert!(rep.functional_instrs >= cfg.total_instrs.min(rep.functional_instrs));
         let rendered = rep.render();
         assert!(rendered.contains("mean IPC"), "render: {rendered}");
+    }
+
+    #[test]
+    fn intervals_run_and_name_their_base_specs_machine() {
+        // A small Roads-like graph whose search is mid-ROI at the
+        // snapshot, so a PFM interval arms within its warm-up.
+        let graph = shuffle_labels_fraction(&road_graph(200, 200, 100, 7), 11, 0.05);
+        let params = BfsParams {
+            source: 5,
+            start_level: 60,
+            ..BfsParams::default()
+        };
+        let key = params.key("roads(200x200+100,seed7,shuf11@0.05)");
+        let uc = UseCaseFactory::new("bfs-small", key, move || bfs(&graph, "roads", &params));
+        let built = uc.build();
+        let mut fx = FastExec::new(built.program.clone(), built.memory.clone());
+        fx.run(50_000).unwrap();
+        let snap = Arc::new(fx.snapshot());
+
+        let rc = RunConfig::test_scale();
+        let fabric = FabricParams::paper_default();
+        let base = RunSpec::baseline(uc.clone(), &rc);
+        let pfm = RunSpec::pfm(uc.clone(), fabric.clone(), &rc);
+        let interval = |spec: &RunSpec| spec.interval(Arc::clone(&snap), 50_000, 5_000, 20_000);
+        let (bi, pi) = (interval(&base).unwrap(), interval(&pfm).unwrap());
+        assert_ne!(bi.key(), pi.key());
+        assert!(bi.key().contains("|baseline|"), "{}", bi.key());
+        assert!(pi.key().contains(&fabric.key()), "{}", pi.key());
+        let measured = RunConfig {
+            max_instrs: 20_000,
+            ..rc.clone()
+        };
+        let base_key = RunSpec::baseline(uc.clone(), &measured).key().to_string();
+        assert!(bi
+            .key()
+            .starts_with(&format!("{base_key}|interval@50000+w5000|snap")));
+
+        let b = bi.execute().unwrap();
+        let p = pi.execute().unwrap();
+        assert!(b.fabric.is_none());
+        let f = p.fabric.expect("a PFM interval attaches the fabric");
+        assert!(f.retired_in_roi > 0, "the PFM interval arms");
+        assert!(p.ipc() > b.ipc(), "PFM {} vs baseline {}", p.ipc(), b.ipc());
+
+        // No spec describes a run the driver cannot perform.
+        assert!(interval(&bi).is_none(), "no interval of an interval");
+        assert!(interval(&RunSpec::functional(uc, &rc)).is_none());
     }
 
     #[test]
@@ -369,10 +411,9 @@ mod tests {
             interval_instrs: 10_000,
             warmup_instrs: 2_000,
         };
-        let rc = RunConfig::test_scale();
-        let f = usecases::libquantum_factory();
-        let a = run_sampled(&f, &cfg, &rc, &ExecOptions::serial()).unwrap();
-        let b = run_sampled(&f, &cfg, &rc, &ExecOptions::serial()).unwrap();
+        let base = RunSpec::baseline(usecases::libquantum_factory(), &RunConfig::test_scale());
+        let a = run_sampled(&base, &cfg, &ExecOptions::serial()).unwrap();
+        let b = run_sampled(&base, &cfg, &ExecOptions::serial()).unwrap();
         assert_eq!(a.rows.len(), b.rows.len());
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(x.position, y.position);
@@ -383,14 +424,13 @@ mod tests {
 
     #[test]
     fn degenerate_configs_are_rejected() {
-        let rc = RunConfig::test_scale();
-        let f = usecases::astar_custom_factory();
+        let f = RunSpec::baseline(usecases::astar_custom_factory(), &RunConfig::test_scale());
         let zero_n = SampledConfig {
             intervals: 0,
             ..SampledConfig::test_scale()
         };
         assert!(matches!(
-            run_sampled(&f, &zero_n, &rc, &ExecOptions::serial()),
+            run_sampled(&f, &zero_n, &ExecOptions::serial()),
             Err(SampledError::Config(_))
         ));
         let zero_i = SampledConfig {
@@ -398,7 +438,7 @@ mod tests {
             ..SampledConfig::test_scale()
         };
         assert!(matches!(
-            run_sampled(&f, &zero_i, &rc, &ExecOptions::serial()),
+            run_sampled(&f, &zero_i, &ExecOptions::serial()),
             Err(SampledError::Config(_))
         ));
     }

@@ -36,18 +36,15 @@
 //!   appended with a single `write` on an `O_APPEND` handle, so
 //!   concurrent executors sharing a store directory interleave at
 //!   record granularity, never mid-record.
-//! * `store.idx` — side index mapping record hash → log offset, with a
-//!   whole-file checksum and the log length it covers. The index is a
-//!   pure accelerator: it is rebuilt (atomically, temp + rename) at
-//!   open whenever it is missing, corrupt, or stale, and every record
-//!   it points at is still checksum-verified before use. Deleting it
-//!   costs one log scan, nothing more.
 //!
-//! Durability policy: *ignore and rebuild*. A truncated tail record
-//! (crash mid-append), a corrupted checksum, or a missing/garbled
-//! index never panic and never serve bad bytes — the damaged region is
-//! skipped (resynchronizing on the record magic) and the index is
-//! rebuilt from what survives.
+//! `open` reads the whole log and verifies every record's checksum;
+//! there is no side index (a `store.idx` left by an older build is
+//! ignored).
+//!
+//! Durability policy: *ignore and skip*. A truncated tail record
+//! (crash mid-append) or a corrupted checksum never panics and never
+//! serves bad bytes — the damaged region is skipped (resynchronizing
+//! on the record magic) and everything that survives is served.
 
 use crate::plan::RunOutcome;
 use pfm_isa::snap::{content_key, Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
@@ -63,9 +60,9 @@ use std::sync::Mutex;
 /// of decoding wrongly.
 pub const STATS_SCHEMA_VERSION: u32 = 2;
 
-/// Version of the store's on-disk container format (log header,
-/// frame layout, index layout). Records from other container versions
-/// are never read.
+/// Version of the store's on-disk container format (log header and
+/// frame layout). Records from other container versions are never
+/// read.
 pub const STORE_FORMAT_VERSION: u32 = 1;
 
 /// Source digest of the workspace tree this crate was compiled from,
@@ -78,8 +75,6 @@ pub const BAKED_SOURCE_DIGEST: u64 = include!(concat!(env!("OUT_DIR"), "/source_
 
 /// Log file header magic (`PFMSTORE` as little-endian u64).
 const LOG_MAGIC: u64 = u64::from_le_bytes(*b"PFMSTORE");
-/// Index file header magic (`PFMSTIDX` as little-endian u64).
-const IDX_MAGIC: u64 = u64::from_le_bytes(*b"PFMSTIDX");
 /// Per-frame magic (`PFRM` as little-endian u32); the resync anchor
 /// when scanning past a damaged region.
 const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"PFRM");
@@ -263,35 +258,9 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The 64-bit address a record is indexed under: an FNV-1a fold of the
-/// spec key salted with the code fingerprint. Pure function of its two
-/// arguments — no clocks, no environment, no iteration order.
-pub fn store_key_hash(spec_key: &str, fp: &CodeFingerprint) -> u64 {
-    let mut h = FNV_OFFSET;
-    let fold = |h: &mut u64, v: u64| {
-        *h ^= v;
-        *h = h.wrapping_mul(FNV_PRIME);
-    };
-    fold(&mut h, fp.stats_schema as u64);
-    fold(&mut h, fp.source_digest);
-    fold(&mut h, content_key(spec_key.as_bytes()));
-    h
-}
-
 // ---------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------
-
-/// One parsed record location (index entry).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct IdxEntry {
-    /// [`store_key_hash`] of the record's (spec key, fingerprint).
-    key_hash: u64,
-    /// Byte offset of the frame in `store.log`.
-    offset: u64,
-    /// Frame payload length.
-    payload_len: u32,
-}
 
 /// What `open` found on disk (for logging/`--store-stats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -305,10 +274,6 @@ pub struct OpenReport {
     /// Damaged regions skipped while scanning (each one truncated or
     /// checksum-corrupt).
     pub skipped: usize,
-    /// The side index was usable as-is (no rebuild needed).
-    pub index_valid: bool,
-    /// The side index was rebuilt (missing, corrupt, or stale).
-    pub index_rebuilt: bool,
     /// The log's header was damaged or from another container version;
     /// the old file was rotated aside to `store.log.damaged` and a
     /// fresh log started (appending after a bad header would make
@@ -348,8 +313,7 @@ impl std::fmt::Debug for ResultStore {
 impl ResultStore {
     /// Opens (creating if necessary) the store at `dir` for the given
     /// code fingerprint: loads every servable record into memory,
-    /// skipping damaged regions, and rebuilds the side index
-    /// atomically when it is missing, corrupt, or stale.
+    /// skipping damaged regions.
     ///
     /// # Errors
     /// Propagates real IO failures (permissions, disk). Corruption is
@@ -358,7 +322,6 @@ impl ResultStore {
     pub fn open(dir: &Path, fingerprint: CodeFingerprint) -> std::io::Result<ResultStore> {
         std::fs::create_dir_all(dir)?;
         let log_path = dir.join("store.log");
-        let idx_path = dir.join("store.idx");
 
         // Create the log with its header on first touch.
         if !log_path.exists() {
@@ -386,58 +349,10 @@ impl ResultStore {
             report.log_bytes = bytes.len() as u64;
         }
 
-        let mut entries: Vec<IdxEntry> = Vec::new();
+        // Full scan: parse frames from the header on, resyncing on the
+        // frame magic after any damage.
         let mut map: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        {
-            // Try the side index first: if it verifies and covers the
-            // whole log, records can be located without a scan. Every
-            // record it points at is still individually verified.
-            let mut index_used = false;
-            if let Some(idx) = load_index(&idx_path, bytes.len() as u64) {
-                let mut all_verified = true;
-                let mut loaded: Vec<(IdxEntry, Option<ParsedRecord>)> =
-                    Vec::with_capacity(idx.len());
-                for en in &idx {
-                    match verify_record(&bytes, en.offset, en.payload_len) {
-                        Some(parsed) => loaded.push((*en, Some(parsed))),
-                        None => {
-                            all_verified = false;
-                            break;
-                        }
-                    }
-                }
-                if all_verified {
-                    index_used = true;
-                    report.index_valid = true;
-                    for (en, parsed) in loaded {
-                        entries.push(en);
-                        report.records += 1;
-                        if let Some((key, fp, outcome)) = parsed {
-                            if fp == fingerprint {
-                                report.matching += 1;
-                                map.insert(key, outcome);
-                            }
-                        }
-                    }
-                }
-            }
-            if !index_used {
-                // Full scan: parse frames from the header on, resyncing
-                // on the frame magic after any damage.
-                scan_log(
-                    &bytes,
-                    LOG_HEADER_LEN,
-                    &fingerprint,
-                    &mut entries,
-                    &mut map,
-                    &mut report,
-                );
-                // Rebuild the index to cover everything we could read.
-                if write_index(&idx_path, bytes.len() as u64, &entries).is_ok() {
-                    report.index_rebuilt = true;
-                }
-            }
-        }
+        scan_log(&bytes, &fingerprint, &mut map, &mut report);
 
         let log = OpenOptions::new().append(true).open(&log_path)?;
         Ok(ResultStore {
@@ -458,7 +373,7 @@ impl ResultStore {
         self.fingerprint
     }
 
-    /// What `open` found (record counts, damage, index state).
+    /// What `open` found (record counts, damage, log rotation).
     pub fn open_report(&self) -> OpenReport {
         self.open_report
     }
@@ -536,16 +451,6 @@ impl ResultStore {
             out.push_str("  note: damaged/foreign log rotated to store.log.damaged\n");
         }
         out.push_str(&format!(
-            "  index: {}\n",
-            if r.index_valid {
-                "valid"
-            } else if r.index_rebuilt {
-                "rebuilt"
-            } else {
-                "unavailable"
-            }
-        ));
-        out.push_str(&format!(
             "  servable under this fingerprint: {} result(s)\n",
             self.len()
         ));
@@ -580,73 +485,50 @@ fn outcome_tag(outcome: &RunOutcome) -> &'static str {
 /// A decoded log record: `(spec key, fingerprint, outcome payload)`.
 type ParsedRecord = (String, CodeFingerprint, Vec<u8>);
 
-/// Parses and verifies the frame at `offset`; returns the decoded
-/// record on success.
-fn verify_record(bytes: &[u8], offset: u64, expect_len: u32) -> Option<ParsedRecord> {
-    let start = usize::try_from(offset).ok()?;
+/// Parses and verifies the frame at `start`; returns its length and
+/// the decoded record on success.
+fn verify_record(bytes: &[u8], start: usize) -> Option<(usize, ParsedRecord)> {
     let header = bytes.get(start..start + FRAME_HEADER_LEN)?;
     let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     let mut sum = [0u8; 8];
     sum.copy_from_slice(&header[8..16]);
-    let checksum = u64::from_le_bytes(sum);
-    if magic != FRAME_MAGIC || len != expect_len || len > MAX_FRAME_LEN {
+    if magic != FRAME_MAGIC || len > MAX_FRAME_LEN {
         return None;
     }
-    let payload = bytes.get(start + FRAME_HEADER_LEN..start + FRAME_HEADER_LEN + len as usize)?;
-    if content_key(payload) != checksum {
+    let frame_len = FRAME_HEADER_LEN + len as usize;
+    let payload = bytes.get(start + FRAME_HEADER_LEN..start + frame_len)?;
+    if content_key(payload) != u64::from_le_bytes(sum) {
         return None;
     }
     let mut d = Dec::new(payload);
     let fp = CodeFingerprint::decode(&mut d).ok()?;
     let key = d.str().ok()?.to_string();
     let outcome = payload[payload.len() - d.remaining()..].to_vec();
-    Some((key, fp, outcome))
+    Some((frame_len, (key, fp, outcome)))
 }
 
-/// Scans log frames from `from`, resyncing on the frame magic after
-/// damage; fills `entries` (all readable records) and `map` (records
-/// matching `fingerprint`, last write wins).
+/// Scans log frames after the header, resyncing on the frame magic
+/// after damage; fills `map` with the records matching `fingerprint`
+/// (last write wins).
 fn scan_log(
     bytes: &[u8],
-    from: u64,
     fingerprint: &CodeFingerprint,
-    entries: &mut Vec<IdxEntry>,
     map: &mut BTreeMap<String, Vec<u8>>,
     report: &mut OpenReport,
 ) {
-    let mut pos = from as usize;
+    let mut pos = LOG_HEADER_LEN as usize;
     let mut in_damage = false;
     while pos + FRAME_HEADER_LEN <= bytes.len() {
-        let magic =
-            u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-        let len = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        let parsed = if magic == FRAME_MAGIC {
-            verify_record(bytes, pos as u64, len)
-        } else {
-            None
-        };
-        match parsed {
-            Some((key, fp, outcome)) => {
-                if in_damage {
-                    in_damage = false;
-                }
-                entries.push(IdxEntry {
-                    key_hash: store_key_hash(&key, &fp),
-                    offset: pos as u64,
-                    payload_len: len,
-                });
+        match verify_record(bytes, pos) {
+            Some((frame_len, (key, fp, outcome))) => {
+                in_damage = false;
                 report.records += 1;
                 if fp == *fingerprint {
                     report.matching += 1;
                     map.insert(key, outcome);
                 }
-                pos += FRAME_HEADER_LEN + len as usize;
+                pos += frame_len;
             }
             None => {
                 // Damaged or foreign bytes: advance to the next magic
@@ -678,65 +560,6 @@ fn write_log_header(path: &Path) -> std::io::Result<()> {
     header.extend_from_slice(&LOG_MAGIC.to_le_bytes());
     header.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
     std::fs::write(path, header)
-}
-
-/// Loads and fully verifies the side index; `None` means missing,
-/// corrupt, from another format version, or covering more log than
-/// exists (each of which demands a rescan).
-fn load_index(path: &Path, log_len: u64) -> Option<Vec<IdxEntry>> {
-    let bytes = std::fs::read(path).ok()?;
-    if bytes.len() < 36 {
-        return None;
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&bytes[bytes.len() - 8..]);
-    if content_key(body) != u64::from_le_bytes(sum) {
-        return None;
-    }
-    let mut d = Dec::new(body);
-    if d.u64().ok()? != IDX_MAGIC || d.u32().ok()? != STORE_FORMAT_VERSION {
-        return None;
-    }
-    let covered = d.u64().ok()?;
-    if covered != log_len {
-        // Stale (appends since the rebuild) or impossible (log was
-        // truncated); both demand a rescan.
-        return None;
-    }
-    let count = d.seq_len().ok()?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(IdxEntry {
-            key_hash: d.u64().ok()?,
-            offset: d.u64().ok()?,
-            payload_len: d.u32().ok()?,
-        });
-    }
-    d.finish().ok()?;
-    Some(entries)
-}
-
-/// Atomically (temp + rename) writes the side index covering
-/// `covered_len` bytes of log.
-fn write_index(path: &Path, covered_len: u64, entries: &[IdxEntry]) -> std::io::Result<()> {
-    let mut e = Enc::new();
-    e.u64(IDX_MAGIC);
-    e.u32(STORE_FORMAT_VERSION);
-    e.u64(covered_len);
-    e.usize(entries.len());
-    for en in entries {
-        e.u64(en.key_hash);
-        e.u64(en.offset);
-        e.u32(en.payload_len);
-    }
-    let mut body = e.finish();
-    let sum = content_key(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    let tmp = path.with_extension(format!("idx.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, &body)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -853,14 +676,6 @@ mod tests {
         assert_eq!(report.records, 2);
         assert_eq!(report.matching, 2);
         assert_eq!(report.skipped, 0);
-        assert!(report.index_rebuilt, "first reopen rebuilds the index");
-
-        // Third open: the index now covers the whole log and is used
-        // as-is.
-        drop(store);
-        let store = ResultStore::open(&dir, fp).unwrap();
-        assert!(store.open_report().index_valid);
-        assert_eq!(store.len(), 2);
     }
 
     #[test]
@@ -893,20 +708,6 @@ mod tests {
         drop(new);
         let new = ResultStore::open(&dir, CodeFingerprint::fixed(2)).unwrap();
         assert_eq!(new.get("k").unwrap().as_ok().unwrap().stats.retired, 30);
-    }
-
-    #[test]
-    fn store_key_hash_separates_keys_and_fingerprints() {
-        let fp1 = CodeFingerprint::fixed(1);
-        let fp2 = CodeFingerprint::fixed(2);
-        assert_eq!(store_key_hash("a", &fp1), store_key_hash("a", &fp1));
-        assert_ne!(store_key_hash("a", &fp1), store_key_hash("b", &fp1));
-        assert_ne!(store_key_hash("a", &fp1), store_key_hash("a", &fp2));
-        let schema_skew = CodeFingerprint {
-            stats_schema: STATS_SCHEMA_VERSION + 1,
-            source_digest: 1,
-        };
-        assert_ne!(store_key_hash("a", &fp1), store_key_hash("a", &schema_skew));
     }
 
     #[test]
@@ -954,13 +755,10 @@ mod tests {
         let log = dir.join("store.log");
         let bytes = std::fs::read(&log).unwrap();
         std::fs::write(&log, &bytes[..bytes.len() - 7]).unwrap();
-        // Stale index now covers more log than exists — must also be
-        // ignored and rebuilt.
         let store = ResultStore::open(&dir, fp).unwrap();
         let report = store.open_report();
         assert_eq!(report.records, 2, "intact prefix survives");
         assert_eq!(report.skipped, 1, "the torn tail is one damaged region");
-        assert!(report.index_rebuilt);
         assert_eq!(store.get("k1").unwrap().as_ok().unwrap().stats.retired, 100);
         assert_eq!(store.get("k2").unwrap().as_ok().unwrap().stats.retired, 200);
         assert!(store.get("k3").is_none(), "the torn record is never served");
@@ -990,8 +788,6 @@ mod tests {
             .unwrap();
         bytes[second + FRAME_HEADER_LEN + 4] ^= 0xff;
         std::fs::write(&log, &bytes).unwrap();
-        // Invalidate the index so the scan path is exercised.
-        std::fs::remove_file(dir.join("store.idx")).unwrap();
 
         let store = ResultStore::open(&dir, fp).unwrap();
         let report = store.open_report();
@@ -1002,33 +798,6 @@ mod tests {
             store.get("k3").is_some(),
             "resync recovers the record after the damage"
         );
-    }
-
-    #[test]
-    fn missing_or_garbled_index_is_rebuilt_from_the_log() {
-        let (dir, fp) = seeded_store("noidx");
-        let idx = dir.join("store.idx");
-
-        // Missing index.
-        std::fs::remove_file(&idx).unwrap();
-        let store = ResultStore::open(&dir, fp).unwrap();
-        assert_eq!(store.len(), 3);
-        assert!(store.open_report().index_rebuilt);
-        drop(store);
-
-        // Garbled index (checksum cannot match).
-        let mut bytes = std::fs::read(&idx).unwrap();
-        bytes[10] ^= 0xff;
-        std::fs::write(&idx, &bytes).unwrap();
-        let store = ResultStore::open(&dir, fp).unwrap();
-        assert_eq!(store.len(), 3, "a bad index costs a rescan, nothing else");
-        assert!(store.open_report().index_rebuilt);
-        drop(store);
-
-        // And the rebuilt index verifies again.
-        let store = ResultStore::open(&dir, fp).unwrap();
-        assert!(store.open_report().index_valid);
-        assert_eq!(store.len(), 3);
     }
 
     #[test]
@@ -1074,13 +843,10 @@ mod tests {
     }
 
     #[test]
-    fn index_pointing_at_tampered_log_falls_back_to_scan() {
-        // The index verifies, but a record it points at was modified
-        // after the rebuild (same length, flipped byte): per-record
-        // verification must catch it and fall back to a full scan.
+    fn tampered_record_is_never_served() {
+        // A record modified in place (same length, flipped byte) fails
+        // its checksum on the next open and is skipped.
         let (dir, fp) = seeded_store("tamper");
-        // Ensure a valid index covering the log exists.
-        drop(ResultStore::open(&dir, fp).unwrap());
         let log = dir.join("store.log");
         let mut bytes = std::fs::read(&log).unwrap();
         let n = bytes.len();
@@ -1089,10 +855,6 @@ mod tests {
 
         let store = ResultStore::open(&dir, fp).unwrap();
         let report = store.open_report();
-        assert!(
-            !report.index_valid,
-            "tampered record invalidates the index path"
-        );
         assert_eq!(report.records, 2);
         assert_eq!(report.skipped, 1);
         assert!(store.get("k3").is_none());

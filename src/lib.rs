@@ -13,7 +13,7 @@
 //!
 //! * [`pfm_isa`] — RISC-V-flavored ISA, assembler, functional machine.
 //! * [`pfm_mem`] — caches, MSHRs, DRAM, next-N-line + VLDP prefetchers.
-//! * [`pfm_bpred`] — 64 KB TAGE-SC-L, gshare/bimodal, BTB, RAS.
+//! * [`pfm_bpred`] — 64 KB TAGE-SC-L, perfect-BP oracle, BTB, RAS.
 //! * [`pfm_core`] — the Table 1 out-of-order core with PFM hook points.
 //! * [`pfm_fabric`] — the RF clock domain and the three Agents.
 //! * [`pfm_components`] — astar/bfs custom predictors, prefetch engines,

@@ -10,9 +10,13 @@ cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --release --all-targets -- -D warnings
-# pfm-bench (repro, pfm-analyze) is outside the default members, so the
-# step above does not reach it.
-cargo clippy --release -p pfm-bench --all-targets -- -D warnings
+# pfm-lint and pfm-bench (repro, pfm-analyze) are outside the default
+# members, so the step above does not reach them.
+cargo clippy --release -p pfm-lint -p pfm-bench --all-targets -- -D warnings
+
+echo "== cargo doc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps -p pfm-lint -p pfm-bench
 
 echo "== pfm-lint (workspace invariants) =="
 cargo run -q --release -p pfm-lint -- --workspace

@@ -8,7 +8,7 @@
 //! no-op that still simulates and still produces (wrong) numbers.
 //! This crate closes that gap with program-level analysis:
 //!
-//! 1. **CFG construction** ([`cfg`]) — basic blocks with direct,
+//! 1. **CFG construction** ([`cfg`](mod@cfg)) — basic blocks with direct,
 //!    call/return and explicit *unknown* (indirect-jump) edges;
 //! 2. **dominators + natural loops** ([`dom`]);
 //! 3. **dataflow** ([`dataflow`]) — forward definite-initialization

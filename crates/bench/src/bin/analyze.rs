@@ -30,7 +30,7 @@
 
 use pfm_analyze::profile::profile_report_to_json;
 use pfm_analyze::report_to_json;
-use pfm_sim::analyze::{analyze_all, derive_all};
+use pfm_sim::analyze::analyze_all;
 
 const USAGE: &str =
     "usage: pfm-analyze [--json] [-o <path>] [--profile <usecase>|all] [--corrupt-watch <usecase>]";
@@ -116,15 +116,17 @@ fn main() {
         json = true;
     }
 
+    let suite = analyze_all(corrupt.as_deref());
+    if let Some(name) = &corrupt {
+        if !suite.iter().any(|(n, _)| n == name) {
+            eprintln!("pfm-analyze: no registered use case named `{name}`");
+            std::process::exit(2);
+        }
+    }
+
     // Profile mode: the interface-inference report (pfm-analyze/2).
     if let Some(which) = &profile {
-        let mut report = derive_all(corrupt.as_deref());
-        if let Some(name) = &corrupt {
-            if !report.iter().any(|(n, _)| n == name) {
-                eprintln!("pfm-analyze: no registered use case named `{name}`");
-                std::process::exit(2);
-            }
-        }
+        let mut report: Vec<_> = suite.into_iter().map(|(n, a)| (n, a.profile)).collect();
         if which != "all" {
             report.retain(|(n, _)| n == which);
             if report.is_empty() {
@@ -143,14 +145,7 @@ fn main() {
         return;
     }
 
-    let report = analyze_all(corrupt.as_deref());
-    if let Some(name) = &corrupt {
-        if !report.iter().any(|(n, _)| n == name) {
-            eprintln!("pfm-analyze: no registered use case named `{name}`");
-            std::process::exit(2);
-        }
-    }
-
+    let report: Vec<_> = suite.into_iter().map(|(n, a)| (n, a.findings)).collect();
     let total: usize = report.iter().map(|(_, f)| f.len()).sum();
     if json {
         emit(&report_to_json(&report), out.as_deref());

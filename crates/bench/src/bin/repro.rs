@@ -251,7 +251,6 @@ fn main() {
             progress: true,
             keep_going,
             store: None, // interval specs are internal to the sampler
-            ..ExecOptions::default()
         };
         match run_sampled(&RunSpec::baseline(factory, &rc), &cfg, &opts) {
             Ok(report) => print!("{}", report.render()),
@@ -279,7 +278,6 @@ fn main() {
         progress: true,
         keep_going,
         store,
-        ..ExecOptions::default()
     };
     let unique: usize = {
         let specs: Vec<_> = plans

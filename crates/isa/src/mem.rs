@@ -85,7 +85,7 @@ pub struct SparseMem {
 
 impl Default for SparseMem {
     /// Equivalent to [`SparseMem::new`]; hand-written because the
-    /// last-page cache's empty tag is [`NO_PAGE`], not zero.
+    /// last-page cache's empty tag is `NO_PAGE`, not zero.
     fn default() -> SparseMem {
         SparseMem::new()
     }

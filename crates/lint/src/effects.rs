@@ -1,21 +1,34 @@
-//! Per-function effect summaries over the workspace call graph.
+//! The one hazard detector of `pfm-lint`: per-function effect sites
+//! and their summaries over the workspace call graph.
 //!
-//! Each function gets a *base* effect set from token patterns in its
-//! own body (wall-clock reads, environment reads, entropy RNG,
-//! hash-ordered iteration, architectural-state mutation, panics), and
-//! a *summary* set that closes the base sets over the call graph: a
+//! This module is the only code that matches a hazard token. Each
+//! function gets its *base sites* from token patterns in its own body:
+//! wall-clock reads, environment reads, entropy RNGs, hash-ordered
+//! iteration, architectural-state mutator calls and panics. Each site
+//! keeps its effect, line, matched token and a short description. A
+//! *summary* set closes the base effects over the call graph: a
 //! monotone union fixpoint, computed in one pass over the SCC
-//! condensation (callee components first). The summary is what the
-//! transitive rules in [`crate::rules`] consult — a wall-clock read
-//! two helpers deep below a `snapshot` function shows up in the
-//! snapshot function's callee summaries.
+//! condensation (callee components first). The rule table in
+//! [`crate::rules`] reads both: a site of a forbidden effect inside an
+//! in-scope function is a local finding, and a call out of the scope
+//! into a function whose summary carries a forbidden effect is a
+//! transitive one. A wall-clock read two helpers deep below a
+//! `snapshot` function thus shows up in the snapshot function's callee
+//! summaries.
+//!
+//! Only function bodies are scanned: tokens outside every `fn` (a
+//! `use` line, a `static` initializer, a `macro_rules!` body) are no
+//! site.
 //!
 //! Allow semantics: a `// pfm-lint: allow(...)` annotation adjacent to
-//! a base-effect site is an *audited assertion* that the site is
-//! harmless in context (e.g. "sorted before return"). Such sites
-//! contribute no base effect — otherwise every caller of the audited
-//! function would need its own escape — and the annotation is recorded
-//! as *used*, which feeds the `hygiene/unused-allow` audit.
+//! a site, naming a rule that forbids the site's effect, is an
+//! *audited assertion* that the site is harmless in context (e.g.
+//! "sorted before return"). Such a site is *scrubbed*: it contributes
+//! no base effect, so no caller of the audited function inherits it,
+//! and the annotation is recorded as *used*, which feeds the
+//! `hygiene/unused-allow` audit. A scrubbed site stays in the site
+//! list; each rule's local finding there is suppressed only by an
+//! allow that names that rule.
 //!
 //! Witnesses: for every (function, effect) pair the analysis keeps one
 //! shortest call chain to a concrete source token, reconstructed for
@@ -24,12 +37,36 @@
 //! reverse call edges, so they are acyclic even inside recursion
 //! cycles.
 
-use crate::graph::{CallGraph, FnRef};
+use crate::graph::{CallGraph, FnItem, FnRef};
 use crate::lexer::Lexed;
-use crate::rules::{
-    ARCH_MUTATORS, HASH_ITER_METHODS, HASH_TYPES, PANIC_MACROS, RNG_IDENTS, SNAPSHOT_HASH_TYPES,
-};
+use crate::rules::{Rule, ARCH_MUTATORS, RULES};
 use std::collections::BTreeSet;
+
+/// Unordered-iteration methods on hash collections.
+const HASH_ITER_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "into_iter",
+];
+
+/// `std` hash-container type names; iterating one is
+/// [`Effect::HashIter`].
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+
+/// Every hash-container type name; iterating a name declared only with
+/// the `Fx` types is [`Effect::FxHashIter`].
+const ANY_HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
+
+/// Entropy-seeded RNG constructors/handles.
+const RNG_IDENTS: &[&str] = &["thread_rng", "ThreadRng", "from_entropy", "OsRng"];
+
+/// Panic-family macros ([`Effect::Panics`], with `.unwrap()` and
+/// `.expect()`).
+pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Number of effect kinds (bit width of [`EffectSet`]).
 pub const N_EFFECTS: usize = 7;
@@ -79,39 +116,42 @@ impl Effect {
         }
     }
 
+    /// What a call reaches when its callee carries the effect, for
+    /// transitive diagnostics.
+    pub fn noun(self) -> &'static str {
+        match self {
+            Effect::WallClock => "a wall-clock read",
+            Effect::EnvRead => "an environment read",
+            Effect::Rng => "an entropy-seeded RNG",
+            Effect::HashIter => "hash-ordered iteration",
+            Effect::FxHashIter => "hash-ordered (Fx) iteration",
+            Effect::ArchMutation => "an architectural-state mutator",
+            Effect::Panics => "a panic",
+        }
+    }
+
     fn idx(self) -> usize {
         self as usize
     }
 
-    /// The (family, rule) pairs whose allow annotations scrub a base
-    /// site of this effect. An allow written for any rule that would
-    /// flag the site locally also asserts the site is safe for the
-    /// transitive analysis.
-    fn scrub_rules(self) -> &'static [(&'static str, &'static str)] {
+    /// The hazard an allow annotation vouches for. The two hash
+    /// effects are one hazard: an `allow(hash-iter)` over an `Fx`
+    /// container scrubs it too.
+    fn hazard(self) -> Effect {
         match self {
-            Effect::WallClock => &[
-                ("determinism", "wall-clock"),
-                ("determinism", "snapshot-wall-clock"),
-                ("determinism", "store-key-purity"),
-                ("robustness", "swap-purity"),
-            ],
-            Effect::EnvRead => &[("determinism", "store-key-purity")],
-            Effect::Rng => &[("determinism", "rng")],
-            Effect::HashIter | Effect::FxHashIter => &[
-                ("determinism", "hash-iter"),
-                ("determinism", "snapshot-hash-iter"),
-                ("determinism", "store-key-purity"),
-            ],
-            Effect::ArchMutation => &[
-                ("noninterference", "arch-mutation"),
-                ("robustness", "swap-purity"),
-            ],
-            Effect::Panics => &[
-                ("robustness", "panic"),
-                ("hygiene", "unwrap"),
-                ("hygiene", "expect"),
-            ],
+            Effect::FxHashIter => Effect::HashIter,
+            e => e,
         }
+    }
+
+    /// The rules whose allow annotations scrub a site of this effect:
+    /// every row of [`RULES`] that forbids its hazard. An allow written
+    /// for any rule that would flag the site also asserts the site is
+    /// safe for the transitive analysis.
+    fn scrubbed_by(self) -> impl Iterator<Item = &'static Rule> {
+        RULES
+            .iter()
+            .filter(move |r| r.forbids.iter().any(|f| f.hazard() == self.hazard()))
     }
 }
 
@@ -167,8 +207,29 @@ pub struct BaseSite {
     pub effect: Effect,
     /// 1-based source line.
     pub line: u32,
-    /// Short description of the token (`SystemTime`, `m.iter()`, ...).
+    /// The matched identifier (`SystemTime`, `env`, `set_pc`,
+    /// `unwrap`, `panic`, ...); for hash iteration, the container's
+    /// name.
+    pub token: String,
+    /// Short description of the site (`SystemTime`, `m.iter()`, ...).
     pub what: String,
+    /// True when an allow annotation scrubs the site: it stays out of
+    /// the base set, the summaries and the witnesses.
+    pub scrubbed: bool,
+}
+
+impl BaseSite {
+    /// The site as a diagnostic names it.
+    pub fn describe(&self) -> String {
+        match self.effect {
+            Effect::HashIter | Effect::FxHashIter => format!(
+                "iteration `{}` over hash-ordered container `{}`",
+                self.what, self.token
+            ),
+            Effect::ArchMutation => format!("architectural-state mutator `{}`", self.token),
+            _ => format!("`{}`", self.what),
+        }
+    }
 }
 
 /// One hop of a witness chain for (function, effect).
@@ -193,9 +254,11 @@ pub enum Witness {
 /// The computed effect summaries for one analysis.
 #[derive(Debug, Default)]
 pub struct Effects {
-    /// Per-function base effects (own body only).
+    /// Per-function base effects (own body only, scrubbed sites left
+    /// out).
     pub base: Vec<EffectSet>,
-    /// Per-function base sites (diagnostic grounding).
+    /// Per-function base sites, scrubbed ones included: the rule
+    /// table's local findings and the diagnostic grounding.
     pub base_sites: Vec<Vec<BaseSite>>,
     /// Per-function transitive summaries (base closed over calls).
     pub summary: Vec<EffectSet>,
@@ -224,7 +287,7 @@ pub fn matching_allows(lexed: &Lexed, family: &str, rule: &str, line: u32) -> Ve
         .collect()
 }
 
-/// Computes base effects, transitive summaries and witnesses for the
+/// Computes base sites, transitive summaries and witnesses for the
 /// function table `fns` over `graph`. `lexeds[i]` is the lexed source
 /// of file `i` (the index space of `FnRef::file`).
 pub fn compute(lexeds: &[&Lexed], fns: &[FnRef], graph: &CallGraph) -> Effects {
@@ -242,9 +305,8 @@ pub fn compute(lexeds: &[&Lexed], fns: &[FnRef], graph: &CallGraph) -> Effects {
     let per_file_names: Vec<(Vec<String>, Vec<String>)> = lexeds
         .iter()
         .map(|l| {
-            let std_names = crate::rules::hash_names_of(l, HASH_TYPES);
-            let all_names = crate::rules::hash_names_of(l, SNAPSHOT_HASH_TYPES);
-            let fx_names = all_names
+            let std_names = hash_names_of(l, HASH_TYPES);
+            let fx_names = hash_names_of(l, ANY_HASH_TYPES)
                 .into_iter()
                 .filter(|n| !std_names.contains(n))
                 .collect();
@@ -255,22 +317,18 @@ pub fn compute(lexeds: &[&Lexed], fns: &[FnRef], graph: &CallGraph) -> Effects {
     for (fi, f) in fns.iter().enumerate() {
         let lexed = lexeds[f.file];
         let (std_names, fx_names) = &per_file_names[f.file];
-        let sites = base_sites_of(lexed, &f.item, std_names, fx_names);
-        for site in sites {
-            let mut scrubbed = false;
-            for (family, rule) in site.effect.scrub_rules() {
-                let hits = matching_allows(lexed, family, rule, site.line);
-                if !hits.is_empty() {
-                    out.used_allows[f.file].extend(hits);
-                    scrubbed = true;
-                }
+        let mut sites = base_sites_of(lexed, &f.item, std_names, fx_names);
+        for site in &mut sites {
+            for r in site.effect.scrubbed_by() {
+                let hits = matching_allows(lexed, r.family, r.rule, site.line);
+                site.scrubbed |= !hits.is_empty();
+                out.used_allows[f.file].extend(hits);
             }
-            if scrubbed {
-                continue;
+            if !site.scrubbed {
+                out.base[fi].insert(site.effect);
             }
-            out.base[fi].insert(site.effect);
-            out.base_sites[fi].push(site);
         }
+        out.base_sites[fi] = sites;
     }
 
     // Monotone fixpoint in one pass: SCCs arrive callee-first, so
@@ -297,14 +355,15 @@ pub fn compute(lexeds: &[&Lexed], fns: &[FnRef], graph: &CallGraph) -> Effects {
     for e in Effect::ALL {
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         for fi in 0..n {
-            if out.base[fi].has(e) {
-                if let Some(site) = out.base_sites[fi].iter().find(|s| s.effect == e) {
-                    out.witness[fi][e.idx()] = Some(Witness::Direct {
-                        line: site.line,
-                        what: site.what.clone(),
-                    });
-                    queue.push_back(fi);
-                }
+            let direct = out.base_sites[fi]
+                .iter()
+                .find(|s| s.effect == e && !s.scrubbed);
+            if let Some(site) = direct {
+                out.witness[fi][e.idx()] = Some(Witness::Direct {
+                    line: site.line,
+                    what: site.what.clone(),
+                });
+                queue.push_back(fi);
             }
         }
         while let Some(f) = queue.pop_front() {
@@ -324,10 +383,69 @@ pub fn compute(lexeds: &[&Lexed], fns: &[FnRef], graph: &CallGraph) -> Effects {
     out
 }
 
+/// Collects names declared with one of the `types` anywhere in the
+/// file: struct fields and typed bindings (`name: HashMap<..>`,
+/// possibly behind `&`/`&mut`/a `std::collections::` path) and
+/// inferred bindings (`let name = HashMap::new()`).
+fn hash_names_of(lexed: &Lexed, types: &[&str]) -> Vec<String> {
+    let toks = &lexed.tokens;
+    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
+    let mut names = Vec::new();
+    for i in 0..toks.len() {
+        let is_hash = t(i).is_some_and(|w| types.contains(&w));
+        if !is_hash {
+            continue;
+        }
+        // Walk left over a type-path / reference prefix to find either
+        // `name :` (typed binding or field) or `name =` (let binding).
+        let mut j = i;
+        // `std :: collections ::` / `crate :: fxhash ::` path segments
+        // (each is `seg : :`).
+        while j >= 3
+            && t(j - 1) == Some(":")
+            && t(j - 2) == Some(":")
+            && matches!(
+                t(j - 3),
+                Some("std") | Some("collections") | Some("crate") | Some("fxhash")
+            )
+        {
+            j -= 3;
+        }
+        // Reference / lifetime / mut prefix (`& 'a mut`).
+        loop {
+            let is_lifetime = j >= 2
+                && t(j - 2) == Some("'")
+                && t(j - 1).is_some_and(|w| w.chars().all(|c| c.is_alphanumeric() || c == '_'));
+            if is_lifetime {
+                j -= 2;
+            } else if j >= 1 && matches!(t(j - 1), Some("&") | Some("mut")) {
+                j -= 1;
+            } else {
+                break;
+            }
+        }
+        // `j` now points at the first token of the type expression; the
+        // token before it should be `:` or `=` preceded by the name.
+        if j >= 2 && matches!(t(j - 1), Some(":") | Some("=")) {
+            if let Some(name) = t(j - 2) {
+                if name
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphabetic() || c == '_')
+                    && !names.iter().any(|n| n == name)
+                {
+                    names.push(name.to_string());
+                }
+            }
+        }
+    }
+    names
+}
+
 /// Scans one function's own region for base-effect source tokens.
 fn base_sites_of(
     lexed: &Lexed,
-    item: &crate::graph::FnItem,
+    item: &FnItem,
     std_names: &[String],
     fx_names: &[String],
 ) -> Vec<BaseSite> {
@@ -337,8 +455,23 @@ fn base_sites_of(
     };
     let toks = &lexed.tokens;
     let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    let mut push = |effect: Effect, line: u32, what: String| {
-        sites.push(BaseSite { effect, line, what });
+    let mut push = |effect: Effect, line: u32, token: &str, what: String| {
+        sites.push(BaseSite {
+            effect,
+            line,
+            token: token.to_string(),
+            what,
+            scrubbed: false,
+        });
+    };
+    let hash_grade = |name: &str| {
+        if std_names.iter().any(|n| n == name) {
+            Some(Effect::HashIter)
+        } else if fx_names.iter().any(|n| n == name) {
+            Some(Effect::FxHashIter)
+        } else {
+            None
+        }
     };
     for i in start..end.min(toks.len()) {
         if !item.owns(i) || lexed.in_test_region(i) {
@@ -353,10 +486,10 @@ fn base_sites_of(
             && t(i + 2) == Some(":")
             && t(i + 3) == Some("now")
         {
-            push(Effect::WallClock, line, "Instant::now".into());
+            push(Effect::WallClock, line, w, "Instant::now".into());
         }
         if w == "SystemTime" {
-            push(Effect::WallClock, line, "SystemTime".into());
+            push(Effect::WallClock, line, w, w.into());
         }
 
         // Environment.
@@ -368,31 +501,25 @@ fn base_sites_of(
             push(
                 Effect::EnvRead,
                 line,
+                w,
                 format!("env::{}", t(i + 3).unwrap_or("var")),
             );
         }
         if matches!(w, "env" | "option_env") && t(i + 1) == Some("!") {
-            push(Effect::EnvRead, line, format!("{w}!"));
+            push(Effect::EnvRead, line, w, format!("{w}!"));
         }
 
         // Entropy RNG.
         if RNG_IDENTS.contains(&w) {
-            push(Effect::Rng, line, w.to_string());
+            push(Effect::Rng, line, w, w.into());
         }
 
         // Hash-ordered iteration: `name.iter()` and friends.
-        let grade = if std_names.iter().any(|n| n == w) {
-            Some(Effect::HashIter)
-        } else if fx_names.iter().any(|n| n == w) {
-            Some(Effect::FxHashIter)
-        } else {
-            None
-        };
-        if let Some(e) = grade {
+        if let Some(e) = hash_grade(w) {
             if t(i + 1) == Some(".") && t(i + 3) == Some("(") {
                 if let Some(m) = t(i + 2) {
                     if HASH_ITER_METHODS.contains(&m) {
-                        push(e, line, format!("{w}.{m}()"));
+                        push(e, line, w, format!("{w}.{m}()"));
                     }
                 }
             }
@@ -405,15 +532,8 @@ fn base_sites_of(
                 j += 1;
             }
             if let Some(name) = t(j) {
-                let grade = if std_names.iter().any(|n| n == name) {
-                    Some(Effect::HashIter)
-                } else if fx_names.iter().any(|n| n == name) {
-                    Some(Effect::FxHashIter)
-                } else {
-                    None
-                };
-                if let (Some(e), Some("{")) = (grade, t(j + 1)) {
-                    push(e, toks[j].line, format!("for over {name}"));
+                if let (Some(e), Some("{")) = (hash_grade(name), t(j + 1)) {
+                    push(e, toks[j].line, name, format!("for _ in {name}"));
                 }
             }
         }
@@ -424,19 +544,19 @@ fn base_sites_of(
             && i > start
             && (t(i - 1) == Some(".") || (i >= 2 && t(i - 1) == Some(":") && t(i - 2) == Some(":")))
         {
-            push(Effect::ArchMutation, line, w.to_string());
+            push(Effect::ArchMutation, line, w, w.into());
         }
 
         // Panic paths.
         if PANIC_MACROS.contains(&w) && t(i + 1) == Some("!") {
-            push(Effect::Panics, line, format!("{w}!"));
+            push(Effect::Panics, line, w, format!("{w}!"));
         }
         if matches!(w, "unwrap" | "expect")
             && i > start
             && t(i - 1) == Some(".")
             && t(i + 1) == Some("(")
         {
-            push(Effect::Panics, line, format!(".{w}()"));
+            push(Effect::Panics, line, w, format!(".{w}()"));
         }
     }
     sites
@@ -553,11 +673,11 @@ mod tests {
         let src = "fn a() { b(); c(); }\nfn b() { d(); }\nfn c() { d(); let r = thread_rng(); }\n\
                    fn d() { a_cycle(); }\nfn a_cycle() { d(); let t = SystemTime::now(); }";
         let (fns, graph, eff, _) = analyze(src);
-        for fi in 0..fns.len() {
+        for (fi, f) in fns.iter().enumerate() {
             assert!(
                 eff.base[fi].subset_of(eff.summary[fi]),
                 "base ⊄ summary for {}",
-                fns[fi].item.name
+                f.item.name
             );
             let mut re = eff.base[fi];
             for &(c, _) in &graph.callees[fi] {
@@ -566,17 +686,17 @@ mod tests {
             assert_eq!(
                 re, eff.summary[fi],
                 "transfer function not at fixpoint for {}",
-                fns[fi].item.name
+                f.item.name
             );
         }
         // And the witness table agrees exactly with the summaries.
-        for fi in 0..fns.len() {
+        for (fi, f) in fns.iter().enumerate() {
             for e in Effect::ALL {
                 assert_eq!(
                     eff.summary[fi].has(e),
                     eff.witness[fi][e as usize].is_some(),
                     "witness/summary mismatch for {} / {}",
-                    fns[fi].item.name,
+                    f.item.name,
                     e.name()
                 );
             }
@@ -611,6 +731,27 @@ mod tests {
             eff.used_allows[0].iter().copied().collect::<Vec<_>>(),
             vec![0]
         );
+    }
+
+    #[test]
+    fn scrubbed_sites_stay_listed_and_hash_allows_cover_fx() {
+        // The scrubbed site is still a site (each rule's local finding
+        // is suppressed only by an allow naming that rule), and an
+        // `allow(hash-iter)` vouches for an Fx container as well.
+        let src = "fn audited(m: &FxHashMap<u32, u32>) -> Vec<u32> {\n\
+                     // pfm-lint: allow(hash-iter)\n\
+                     let mut v: Vec<u32> = m.keys().copied().collect();\n\
+                     v.sort_unstable(); v\n\
+                   }";
+        let (fns, _, eff, _) = analyze(src);
+        let f = idx(&fns, "audited");
+        assert!(eff.base[f].is_empty());
+        assert!(eff.witness[f][Effect::FxHashIter as usize].is_none());
+        let sites = &eff.base_sites[f];
+        assert_eq!(sites.len(), 1, "{sites:?}");
+        assert_eq!(sites[0].effect, Effect::FxHashIter);
+        assert_eq!(sites[0].token, "m");
+        assert!(sites[0].scrubbed);
     }
 
     #[test]

@@ -162,12 +162,8 @@ fn count_args(lexed: &Lexed, open: usize) -> Option<usize> {
                 }
             }
             "|" if depth == 1 => return None,
-            "," if depth == 1 => {
-                // A trailing comma before `)` does not start a new arg.
-                if t(j + 1) != Some(")") {
-                    args += 1;
-                }
-            }
+            // A trailing comma before `)` does not start a new arg.
+            "," if depth == 1 && t(j + 1) != Some(")") => args += 1,
             _ => {}
         }
         any = true;
@@ -292,11 +288,7 @@ pub fn extract_fns(lexed: &Lexed) -> Vec<FnItem> {
             .collect();
         let mut j = s + 1;
         while j + 1 < e {
-            if let Some(&(_, ne)) = item
-                .nested
-                .iter()
-                .find(|&&(ns, ne)| j >= ns && j < ne && ne > j)
-            {
+            if let Some(&(_, ne)) = item.nested.iter().find(|&&(ns, ne)| j >= ns && j < ne) {
                 j = ne;
                 continue;
             }

@@ -3,11 +3,11 @@
 //! stream with line numbers.
 //!
 //! The workspace is offline and carries only vendored stubs, so the
-//! linter cannot lean on `syn`. The rules in [`crate::rules`] are
-//! token-pattern matchers; they need exactly three things from this
-//! module: tokens with line numbers, the set of `pfm-lint:
-//! allow(<rule>)` annotations, and the spans of `#[cfg(test)] mod`
-//! bodies (rule families exempt test code).
+//! linter cannot lean on `syn`. Its analyses are token-pattern
+//! matchers; they need exactly three things from this module: tokens
+//! with line numbers, the set of `pfm-lint: allow(<rule>)`
+//! annotations, and the spans of `#[cfg(test)] mod` bodies (rule
+//! families exempt test code).
 
 /// One lexed token: an identifier/number word or a single punctuation
 /// character, with the 1-based source line it starts on.
@@ -56,18 +56,6 @@ impl Lexed {
     /// True when token index `i` falls inside a `#[cfg(test)] mod` body.
     pub fn in_test_region(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(s, e)| i >= s && i < e)
-    }
-
-    /// True when a finding of `family`/`rule` on `line` is suppressed by
-    /// an allow annotation on the same line or the line above.
-    pub fn allowed(&self, family: &str, rule: &str, line: u32) -> bool {
-        let qualified = format!("{family}/{rule}");
-        self.allows.iter().any(|a| {
-            (a.line == line || a.line + 1 == line)
-                && a.rules
-                    .iter()
-                    .any(|r| r == family || r == rule || *r == qualified)
-        })
     }
 }
 
@@ -394,9 +382,12 @@ mod tests {
         assert_eq!(l.allows.len(), 1);
         assert_eq!(l.allows[0].line, 1);
         assert_eq!(l.allows[0].rules, vec!["hygiene", "hash-iter"]);
-        assert!(l.allowed("hygiene", "unwrap", 2));
-        assert!(l.allowed("determinism", "hash-iter", 1));
-        assert!(!l.allowed("noninterference", "arch-mutation", 2));
+        let allowed = |family, rule, line| {
+            !crate::effects::matching_allows(&l, family, rule, line).is_empty()
+        };
+        assert!(allowed("hygiene", "unwrap", 2));
+        assert!(allowed("determinism", "hash-iter", 1));
+        assert!(!allowed("noninterference", "arch-mutation", 2));
     }
 
     #[test]

@@ -24,12 +24,15 @@
 //!    isolation boundary, no panic-family macros in Agent library
 //!    code, and reconfiguration paths free of clocks and mutators.
 //!
-//! Since PR 10 the checker is *interprocedural*: a workspace call
-//! graph ([`graph`]) and per-function effect summaries ([`effects`])
-//! close the purity rules over helper calls, so an impurity moved N
-//! calls deep below a `snapshot`/`fingerprint`/`begin_swap` function
-//! is still a finding — reported at the call site that first crosses
-//! the scope boundary, with the offending chain printed.
+//! The checker is *interprocedural*. A workspace call graph
+//! ([`graph`]) links every function; one detector ([`effects`]) finds
+//! each function's effect sites and closes them into transitive
+//! summaries; and every determinism, purity, non-interference and
+//! panic rule is one row of the rule table [`rules::RULES`], evaluated
+//! in one pass. An impurity moved N calls deep below a
+//! `snapshot`/`fingerprint`/`begin_swap` function is still a finding,
+//! reported at the call site that first leaves the rule's scope, with
+//! the offending chain printed.
 //!
 //! Violations print as `file:line: family/rule: message [(path: ...)]`.
 //! A violation that is deliberate carries a `// pfm-lint:
@@ -40,8 +43,8 @@
 //! The checker is dependency-free (the workspace is offline): a
 //! hand-rolled lexer strips comments and literals, and the analyses
 //! are conservative token-level approximations (name-matched calls,
-//! opaque macros). See DESIGN.md § Invariants for the precision
-//! limits.
+//! opaque macros, only function bodies scanned for effect sites). See
+//! DESIGN.md § Invariants for the precision limits.
 
 pub mod effects;
 pub mod graph;
@@ -51,7 +54,7 @@ pub mod rules;
 pub mod taint;
 
 pub use graph::{CallGraph, FnRef};
-pub use rules::{check, FileContext, Finding};
+pub use rules::{FileContext, Finding};
 
 use lexer::Lexed;
 use std::collections::{BTreeMap, BTreeSet};
@@ -275,18 +278,16 @@ fn test_line_spans(lexed: &Lexed) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Runs every rule layer over an [`Analysis`]: local token rules,
-/// transitive effect rules, agent-taint, allow suppression, and the
+/// Runs every rule layer over an [`Analysis`]: the effect rule table,
+/// the two token rules, agent-taint, allow suppression, and the
 /// unused-allow audit. Findings come back sorted and deduplicated.
 pub fn lint_analysis(a: &Analysis) -> Vec<Finding> {
-    let ctxs: Vec<FileContext> = a.units.iter().map(|u| u.ctx.clone()).collect();
-
-    // Raw findings: local + transitive + taint, before suppression.
-    let mut raw: Vec<Finding> = Vec::new();
+    // Raw findings: effect rules + token rules + taint, before
+    // suppression.
+    let mut raw = rules::check_effects(a);
     for u in &a.units {
-        raw.extend(rules::check_raw(&u.lexed, &u.ctx));
+        raw.extend(rules::check_tokens(&u.lexed, &u.ctx));
     }
-    raw.extend(rules::check_transitive(&ctxs, &a.fns, &a.graph, &a.effects));
     for tf in &a.taint.findings {
         let ctx = &a.units[a.fns[tf.fn_idx].file].ctx;
         let in_scope = !ctx.exempt

@@ -1,33 +1,59 @@
-//! The three rule families enforced by `pfm-lint`.
+//! The `pfm-lint` rule table.
 //!
-//! * **determinism** — inside the simulation crates, flag unordered
-//!   `HashMap`/`HashSet` iteration, wall-clock reads, and entropy-seeded
-//!   RNGs. PR 1's deduplicating executor collapses behaviourally equal
+//! Every determinism, purity, non-interference and panic rule is one
+//! row of [`RULES`]: a family and name, a [`Scope`] (crates,
+//! function-name markers, or both), the [`Effect`]s it forbids there,
+//! and whether it is local-only or transitive. [`check_effects`]
+//! evaluates the table in one pass over the function table of an
+//! [`Analysis`] and matches no token itself: every site comes from
+//! [`crate::effects`], the one hazard detector. A row reports
+//!
+//! * each site of a forbidden effect inside an in-scope function;
+//! * if transitive, each call from an in-scope function into an
+//!   out-of-scope function whose summary carries a forbidden effect,
+//!   one finding per rule and call line, with the witness chain. A call
+//!   that stays inside the scope is not reported: the callee's own
+//!   sites and calls answer to the same row, so every bad path is
+//!   flagged once, where it first leaves the scope.
+//!
+//! The families:
+//!
+//! * **determinism** — inside the simulation crates, no unordered
+//!   `HashMap`/`HashSet` iteration, wall-clock reads or entropy-seeded
+//!   RNGs: the deduplicating executor collapses behaviourally equal
 //!   runs into one simulation, which is only sound if every run is
-//!   internally deterministic. The family's *snapshot* rules go
-//!   further and workspace-wide: inside snapshot/serialization
-//!   functions, hash-ordered iteration (including the `Fx` variants)
-//!   and wall-clock capture are forbidden — snapshot bytes must be
-//!   canonical.
+//!   internally deterministic. Workspace-wide, snapshot/serialization
+//!   functions must emit canonical bytes (no hash-ordered iteration,
+//!   the `Fx` variants included, and no clock), and store-key/
+//!   fingerprint constructors must be pure (no clock, environment or
+//!   hash order).
 //! * **noninterference** — `crates/fabric` and `crates/components` may
 //!   observe the retired stream and emit packets through the sanctioned
 //!   `FabricIo` API, but must never call an architectural-state mutator
 //!   (register writes, committed-memory stores, PC redirects).
+//!   `noninterference/agent-taint` is the data-flow half, in
+//!   [`crate::taint`].
 //! * **hygiene** — no `unwrap()`/`expect()` in non-test library code;
 //!   invariants get a justified `// pfm-lint: allow(hygiene)`, IO paths
-//!   get real error plumbing.
-//! * **robustness** — panic isolation is centralized: `catch_unwind`
-//!   may appear only in the executor (`crates/sim/src/exec.rs`), so a
-//!   panicking run always surfaces as a typed `RunOutcome` instead of
-//!   being swallowed ad hoc; and Agent library code must not use
-//!   panic-family macros — a buggy component degrades gracefully (emits
-//!   nothing) rather than taking the simulator down.
+//!   get real error plumbing. `hygiene/unused-allow` lives in `lib.rs`.
+//! * **robustness** — Agent library code must not use panic-family
+//!   macros (a buggy component degrades gracefully, emitting nothing,
+//!   rather than taking the simulator down), and reconfiguration paths
+//!   must not read the clock or mutate architectural state.
 //!
-//! All rules are token-pattern matchers over [`crate::lexer::Lexed`];
-//! they are deliberately conservative, single-file heuristics (no type
-//! information), documented in DESIGN.md.
+//! Two rules are plain token rules, not effects, and [`check_tokens`]
+//! runs them per file: `provenance/raw-hex-pc` and
+//! `robustness/catch-unwind` (panic isolation lives in the executor
+//! alone, `crates/sim/src/exec.rs`, so a panicking run always surfaces
+//! as a typed `RunOutcome`).
+//!
+//! All of it is conservative and type-blind (see DESIGN.md §
+//! Invariants for the precision limits).
 
+use crate::effects::{Effect, PANIC_MACROS};
 use crate::lexer::Lexed;
+use crate::Analysis;
+use std::collections::BTreeSet;
 
 /// Crates whose sources drive simulation results; determinism rules
 /// apply here.
@@ -60,28 +86,6 @@ pub const ARCH_MUTATORS: &[&str] = &[
 /// (`Program::require_symbol`) so `pfm-analyze` can hold them to the
 /// watchlist contract.
 pub const PC_CONFIG_CRATES: &[&str] = &["components", "workloads", "sim"];
-
-/// Unordered-iteration methods on hash collections.
-pub(crate) const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-];
-
-/// Hash-container type names the determinism rule matches (`std` only:
-/// a seeded `FxHashMap` iterates reproducibly within one process, which
-/// is all run-level determinism needs).
-pub(crate) const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Hash-container type names the *snapshot* rules match. Snapshot
-/// bytes must be canonical across processes and machine restarts, so
-/// even a deterministic-per-process hasher's bucket order (the Fx
-/// variants) is forbidden in serialization paths.
-pub(crate) const SNAPSHOT_HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 
 /// Function-name substrings marking a snapshot/serialization code path
 /// (the region the snapshot rules confine themselves to).
@@ -116,19 +120,208 @@ pub const SWAP_FN_MARKERS: &[&str] = &["swap", "drain", "reconfigure", "phase_si
 /// context-switch runner).
 pub const SWAP_PURITY_CRATES: &[&str] = &["fabric", "sim"];
 
-/// Entropy-seeded RNG constructors/handles.
-pub(crate) const RNG_IDENTS: &[&str] = &["thread_rng", "ThreadRng", "from_entropy", "OsRng"];
-
 /// The one file allowed to call `catch_unwind`: the parallel executor,
 /// where panic isolation turns a dying run into a typed
 /// `RunOutcome::Panicked` instead of a dead process.
 pub const UNWIND_BOUNDARY: &str = "crates/sim/src/exec.rs";
 
-/// Panic-family macros barred from Agent-crate library code.
-pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// The functions a rule holds to its forbidden effects: those of the
+/// listed crates whose name carries one of the markers, each filter
+/// open when `None`.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope {
+    /// Crates the rule applies in.
+    pub crates: Option<&'static [&'static str]>,
+    /// Function-name substrings, matched case-insensitively.
+    pub markers: Option<&'static [&'static str]>,
+}
 
-/// Where a source file sits in the workspace; decides which rule
-/// families run.
+impl Scope {
+    /// Every function of `crates`.
+    const fn crates(crates: &'static [&'static str]) -> Scope {
+        Scope {
+            crates: Some(crates),
+            markers: None,
+        }
+    }
+
+    /// Every function, workspace-wide, whose name carries a marker.
+    const fn marked(markers: &'static [&'static str]) -> Scope {
+        Scope {
+            crates: None,
+            markers: Some(markers),
+        }
+    }
+
+    /// Every function.
+    const EVERYWHERE: Scope = Scope {
+        crates: None,
+        markers: None,
+    };
+
+    /// True when function `name` of crate `crate_name` is in scope.
+    pub fn holds(&self, crate_name: Option<&str>, name: &str) -> bool {
+        self.crates
+            .is_none_or(|cs| crate_name.is_some_and(|c| cs.contains(&c)))
+            && self.markers.is_none_or(|ms| {
+                let lower = name.to_ascii_lowercase();
+                ms.iter().any(|m| lower.contains(m))
+            })
+    }
+}
+
+/// One effect rule: a row of [`RULES`].
+#[derive(Debug)]
+pub struct Rule {
+    /// Rule family (`determinism`, `noninterference`, ...).
+    pub family: &'static str,
+    /// Rule name within the family.
+    pub rule: &'static str,
+    /// The functions the rule applies to.
+    pub scope: Scope,
+    /// Effects forbidden in the scope.
+    pub forbids: &'static [Effect],
+    /// When set, only sites of these tokens are findings (the rows
+    /// that split [`Effect::Panics`] by token).
+    pub tokens: Option<&'static [&'static str]>,
+    /// True when calls leaving the scope are checked against the
+    /// callee's transitive summary; false for rules about a function's
+    /// own text.
+    pub transitive: bool,
+    /// The scope as diagnostics name it.
+    pub place: &'static str,
+    /// Why the effects are forbidden there.
+    pub why: &'static str,
+}
+
+/// Every effect rule. [`check_effects`] evaluates it, and the effect
+/// analysis derives from it which allows scrub which sites.
+pub const RULES: &[Rule] = &[
+    Rule {
+        family: "determinism",
+        rule: "wall-clock",
+        scope: Scope::crates(SIM_CRATES),
+        forbids: &[Effect::WallClock],
+        tokens: None,
+        transitive: true,
+        place: "simulation code",
+        why: "wall-clock reads are nondeterministic",
+    },
+    Rule {
+        family: "determinism",
+        rule: "rng",
+        scope: Scope::crates(SIM_CRATES),
+        forbids: &[Effect::Rng],
+        tokens: None,
+        transitive: true,
+        place: "simulation code",
+        why: "seed RNGs explicitly",
+    },
+    Rule {
+        family: "determinism",
+        rule: "hash-iter",
+        scope: Scope::crates(SIM_CRATES),
+        forbids: &[Effect::HashIter],
+        tokens: None,
+        transitive: true,
+        place: "simulation code",
+        why: "use BTreeMap/BTreeSet or sort before iterating",
+    },
+    Rule {
+        family: "determinism",
+        rule: "snapshot-wall-clock",
+        scope: Scope::marked(SNAPSHOT_FN_MARKERS),
+        forbids: &[Effect::WallClock],
+        tokens: None,
+        transitive: true,
+        place: "a snapshot path",
+        why: "snapshot bytes must be a function of machine state, never of when they were taken",
+    },
+    Rule {
+        family: "determinism",
+        rule: "snapshot-hash-iter",
+        scope: Scope::marked(SNAPSHOT_FN_MARKERS),
+        forbids: &[Effect::HashIter, Effect::FxHashIter],
+        tokens: None,
+        transitive: true,
+        place: "a snapshot path",
+        why: "snapshot bytes must be canonical; sort the keys first or use a BTree container",
+    },
+    Rule {
+        family: "determinism",
+        rule: "store-key-purity",
+        scope: Scope::marked(STORE_KEY_FN_MARKERS),
+        forbids: &[
+            Effect::WallClock,
+            Effect::EnvRead,
+            Effect::HashIter,
+            Effect::FxHashIter,
+        ],
+        tokens: None,
+        transitive: true,
+        place: "store-key/fingerprint construction",
+        why: "a key that embeds time, the environment or bucket order is \
+              unreproducible; fold pure inputs in sorted order",
+    },
+    Rule {
+        family: "robustness",
+        rule: "swap-purity",
+        scope: Scope {
+            crates: Some(SWAP_PURITY_CRATES),
+            markers: Some(SWAP_FN_MARKERS),
+        },
+        forbids: &[Effect::WallClock, Effect::ArchMutation],
+        tokens: None,
+        transitive: true,
+        place: "a reconfiguration path",
+        why: "swaps and drains are microarchitectural: they are timed in simulated \
+              cycles and leave the committed stream bit-identical",
+    },
+    Rule {
+        family: "noninterference",
+        rule: "arch-mutation",
+        scope: Scope::crates(AGENT_CRATES),
+        forbids: &[Effect::ArchMutation],
+        tokens: None,
+        transitive: true,
+        place: "Agent code",
+        why: "fabric components may only observe and emit `FabricIo` packets",
+    },
+    Rule {
+        family: "hygiene",
+        rule: "unwrap",
+        scope: Scope::EVERYWHERE,
+        forbids: &[Effect::Panics],
+        tokens: Some(&["unwrap"]),
+        transitive: false,
+        place: "non-test code",
+        why: "plumb the error with context or justify with `// pfm-lint: allow(hygiene)`",
+    },
+    Rule {
+        family: "hygiene",
+        rule: "expect",
+        scope: Scope::EVERYWHERE,
+        forbids: &[Effect::Panics],
+        tokens: Some(&["expect"]),
+        transitive: false,
+        place: "non-test code",
+        why: "plumb the error with context or justify with `// pfm-lint: allow(hygiene)`",
+    },
+    Rule {
+        family: "robustness",
+        rule: "panic",
+        scope: Scope::crates(AGENT_CRATES),
+        forbids: &[Effect::Panics],
+        tokens: Some(PANIC_MACROS),
+        transitive: false,
+        place: "Agent library code",
+        why: "a buggy component must degrade gracefully (emit nothing), not take the \
+              simulator down",
+    },
+];
+
+/// Where a source file sits in the workspace; decides which rules
+/// apply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileContext {
     /// Path string used in diagnostics.
@@ -148,7 +341,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule family (`determinism`, `noninterference`, `hygiene`).
+    /// Rule family (`determinism`, `noninterference`, `hygiene`, ...).
     pub family: &'static str,
     /// Specific rule within the family (e.g. `hash-iter`).
     pub rule: &'static str,
@@ -174,679 +367,122 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Runs every applicable rule family over one lexed file, honoring
-/// `// pfm-lint: allow(...)` annotations.
-pub fn check(lexed: &Lexed, ctx: &FileContext) -> Vec<Finding> {
-    let mut findings = check_raw(lexed, ctx);
-    findings.retain(|f| !lexed.allowed(f.family, f.rule, f.line));
-    findings
+/// Evaluates [`RULES`] over an analysis: every row's local and
+/// transitive findings, before allow suppression (which `lib.rs`
+/// applies per rule, like everywhere else).
+pub fn check_effects(a: &Analysis) -> Vec<Finding> {
+    let displays: Vec<String> = a.units.iter().map(|u| u.ctx.display.clone()).collect();
+    let crate_of = |f: usize| a.units[a.fns[f].file].ctx.crate_name.as_deref();
+    let mut out = Vec::new();
+    for row in RULES {
+        let in_scope = |f: usize| row.scope.holds(crate_of(f), &a.fns[f].item.name);
+        for (fi, f) in a.fns.iter().enumerate() {
+            if !in_scope(fi) {
+                continue;
+            }
+            let file = &displays[f.file];
+            for site in &a.effects.base_sites[fi] {
+                let flagged = row.forbids.contains(&site.effect)
+                    && row
+                        .tokens
+                        .is_none_or(|ts| ts.contains(&site.token.as_str()));
+                if flagged {
+                    out.push(Finding {
+                        file: file.clone(),
+                        line: site.line,
+                        family: row.family,
+                        rule: row.rule,
+                        message: format!("{} in {}; {}", site.describe(), row.place, row.why),
+                        path: Vec::new(),
+                    });
+                }
+            }
+            if !row.transitive {
+                continue;
+            }
+            // One finding per call line: the first out-of-scope callee
+            // with a forbidden effect, and its first such effect,
+            // ground the diagnostic.
+            let mut lines = BTreeSet::new();
+            for &(c, line) in &a.graph.callees[fi] {
+                if in_scope(c) {
+                    continue;
+                }
+                let summary = a.effects.summary[c];
+                let Some(&e) = row.forbids.iter().find(|&&e| summary.has(e)) else {
+                    continue;
+                };
+                if !lines.insert(line) {
+                    continue;
+                }
+                out.push(Finding {
+                    file: file.clone(),
+                    line,
+                    family: row.family,
+                    rule: row.rule,
+                    message: format!(
+                        "`{}` ({}) calls `{}`, which transitively reaches {}; {}",
+                        f.item.name,
+                        row.place,
+                        a.fns[c].item.name,
+                        e.noun(),
+                        row.why
+                    ),
+                    path: a.effects.witness_path(&a.fns, &displays, c, e),
+                });
+            }
+        }
+    }
+    out
 }
 
-/// Runs every applicable rule family over one lexed file WITHOUT
-/// filtering allow-suppressed findings. The raw set is what the
-/// `hygiene/unused-allow` audit matches annotations against: an allow
-/// that suppresses no raw finding (and scrubs no effect) is dead.
-pub fn check_raw(lexed: &Lexed, ctx: &FileContext) -> Vec<Finding> {
+/// Runs the two token rules that are not effects over one lexed file:
+/// `provenance/raw-hex-pc` in the PC-config crates and
+/// `robustness/catch-unwind` everywhere but [`UNWIND_BOUNDARY`].
+/// Findings are raw: allow suppression happens in `lib.rs`.
+pub fn check_tokens(lexed: &Lexed, ctx: &FileContext) -> Vec<Finding> {
     let mut findings = Vec::new();
     if ctx.exempt {
         return findings;
     }
-    let in_sim = ctx
-        .crate_name
-        .as_deref()
-        .is_some_and(|c| SIM_CRATES.contains(&c));
-    let in_agent = ctx
-        .crate_name
-        .as_deref()
-        .is_some_and(|c| AGENT_CRATES.contains(&c));
-
-    let in_pc_config = ctx
-        .crate_name
-        .as_deref()
-        .is_some_and(|c| PC_CONFIG_CRATES.contains(&c));
-
-    if in_sim {
-        determinism(lexed, ctx, &mut findings);
-    }
-    if in_agent {
-        noninterference(lexed, ctx, &mut findings);
-    }
-    if in_pc_config {
-        provenance(lexed, ctx, &mut findings);
-    }
-    // Snapshot codecs exist in most layers (isa, mem, bpred, core,
-    // fabric, components) and their callers in tool crates, so the
-    // snapshot rules are workspace-wide, not crate-scoped. The same
-    // goes for store-key/fingerprint construction.
-    snapshot_determinism(lexed, ctx, &mut findings);
-    store_key_purity(lexed, ctx, &mut findings);
-    if ctx
-        .crate_name
-        .as_deref()
-        .is_some_and(|c| SWAP_PURITY_CRATES.contains(&c))
-    {
-        swap_purity(lexed, ctx, &mut findings);
-    }
-    hygiene(lexed, ctx, &mut findings);
-    robustness(lexed, ctx, in_agent, &mut findings);
-
-    findings.sort();
-    findings.dedup();
-    findings
-}
-
-/// Records a raw finding. Allow-annotation filtering happens in
-/// [`check`] (and the unused-allow audit in `lib.rs` needs the
-/// unfiltered set), so nothing is suppressed here.
-fn emit(
-    lexed: &Lexed,
-    findings: &mut Vec<Finding>,
-    ctx: &FileContext,
-    line: u32,
-    family: &'static str,
-    rule: &'static str,
-    message: String,
-) {
-    let _ = lexed;
-    findings.push(Finding {
+    let finding = |line: u32, family: &'static str, rule: &'static str, message: String| Finding {
         file: ctx.display.clone(),
         line,
         family,
         rule,
         message,
         path: Vec::new(),
-    });
-}
-
-/// Collects names declared with one of the `types` anywhere in the
-/// file: struct fields and typed bindings (`name: HashMap<..>`,
-/// possibly behind `&`/`&mut`/a `std::collections::` path) and
-/// inferred bindings (`let name = HashMap::new()`).
-pub(crate) fn hash_names_of(lexed: &Lexed, types: &[&str]) -> Vec<String> {
+    };
+    let in_pc_config = ctx
+        .crate_name
+        .as_deref()
+        .is_some_and(|c| PC_CONFIG_CRATES.contains(&c));
+    let at_boundary = ctx.display.ends_with(UNWIND_BOUNDARY);
     let toks = &lexed.tokens;
     let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    let mut names = Vec::new();
-    for i in 0..toks.len() {
-        let is_hash = t(i).is_some_and(|w| types.contains(&w));
-        if !is_hash {
-            continue;
-        }
-        // Walk left over a type-path / reference prefix to find either
-        // `name :` (typed binding or field) or `name =` (let binding).
-        let mut j = i;
-        // `std :: collections ::` / `crate :: fxhash ::` path segments
-        // (each is `seg : :`).
-        while j >= 3
-            && t(j - 1) == Some(":")
-            && t(j - 2) == Some(":")
-            && matches!(
-                t(j - 3),
-                Some("std") | Some("collections") | Some("crate") | Some("fxhash")
-            )
-        {
-            j -= 3;
-        }
-        // Reference / lifetime / mut prefix (`& 'a mut`).
-        loop {
-            let is_lifetime = j >= 2
-                && t(j - 2) == Some("'")
-                && t(j - 1).is_some_and(|w| w.chars().all(|c| c.is_alphanumeric() || c == '_'));
-            if is_lifetime {
-                j -= 2;
-            } else if j >= 1 && matches!(t(j - 1), Some("&") | Some("mut")) {
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        // `j` now points at the first token of the type expression; the
-        // token before it should be `:` or `=` preceded by the name.
-        if j >= 2 && matches!(t(j - 1), Some(":") | Some("=")) {
-            if let Some(name) = t(j - 2) {
-                if name
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_alphabetic() || c == '_')
-                    && !names.iter().any(|n| n == name)
-                {
-                    names.push(name.to_string());
-                }
-            }
-        }
-    }
-    names
-}
-
-/// determinism/hash-iter, determinism/wall-clock, determinism/rng.
-fn determinism(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
-    let names = hash_names_of(lexed, HASH_TYPES);
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-
-    for i in 0..toks.len() {
+    for (i, tok) in toks.iter().enumerate() {
         if lexed.in_test_region(i) {
             continue;
         }
-        let line = toks[i].line;
-
-        // `name.iter()` / `.keys()` / `.values()` / `.drain()` ...
-        if names.iter().any(|n| n == &toks[i].text)
-            && t(i + 1) == Some(".")
-            && t(i + 3) == Some("(")
-        {
-            if let Some(m) = t(i + 2) {
-                if HASH_ITER_METHODS.contains(&m) {
-                    emit(
-                        lexed,
-                        findings,
-                        ctx,
-                        line,
-                        "determinism",
-                        "hash-iter",
-                        format!(
-                            "unordered iteration over hash collection `{}` (`.{}()`); \
-                             use BTreeMap/BTreeSet or sort before iterating",
-                            toks[i].text, m
-                        ),
-                    );
-                }
-            }
+        let w = tok.text.as_str();
+        if w == "catch_unwind" && !at_boundary {
+            findings.push(finding(
+                tok.line,
+                "robustness",
+                "catch-unwind",
+                format!(
+                    "`catch_unwind` outside the executor; panic isolation is \
+                     centralized in `{UNWIND_BOUNDARY}` so a dying run always \
+                     surfaces as a typed RunOutcome"
+                ),
+            ));
         }
 
-        // `for k in &map {` (with optional `mut`/`self.` in between).
-        if t(i) == Some("in") {
-            let mut j = i + 1;
-            while matches!(t(j), Some("&") | Some("mut") | Some("self") | Some(".")) {
-                j += 1;
-            }
-            if let Some(name) = t(j) {
-                if names.iter().any(|n| n == name) && t(j + 1) == Some("{") {
-                    emit(
-                        lexed,
-                        findings,
-                        ctx,
-                        toks[j].line,
-                        "determinism",
-                        "hash-iter",
-                        format!(
-                            "for-loop over hash collection `{name}` has unordered \
-                             iteration; use BTreeMap/BTreeSet or sort first"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // `Instant::now` / `SystemTime`.
-        if t(i) == Some("Instant")
-            && t(i + 1) == Some(":")
-            && t(i + 2) == Some(":")
-            && t(i + 3) == Some("now")
-        {
-            emit(
-                lexed,
-                findings,
-                ctx,
-                line,
-                "determinism",
-                "wall-clock",
-                "`Instant::now` in a simulation crate; wall-clock reads are \
-                 nondeterministic"
-                    .to_string(),
-            );
-        }
-        if t(i) == Some("SystemTime") {
-            emit(
-                lexed,
-                findings,
-                ctx,
-                line,
-                "determinism",
-                "wall-clock",
-                "`SystemTime` in a simulation crate; wall-clock reads are \
-                 nondeterministic"
-                    .to_string(),
-            );
-        }
-
-        // Entropy-seeded RNGs.
-        if let Some(w) = t(i) {
-            if RNG_IDENTS.contains(&w) {
-                emit(
-                    lexed,
-                    findings,
-                    ctx,
-                    line,
-                    "determinism",
-                    "rng",
-                    format!("`{w}` in a simulation crate; seed RNGs explicitly"),
-                );
-            }
-        }
-    }
-}
-
-/// Finds half-open token ranges covering the bodies of functions whose
-/// name marks a snapshot/serialization path (`fn *snapshot*`,
-/// `*encode*`, `*decode*`, `*restore*`, `*serialize*`), by brace
-/// matching over the token stream (the same technique as
-/// `find_test_ranges`). Bodiless trait declarations (`fn f(...);`) have
-/// no range.
-fn snapshot_fn_ranges(lexed: &Lexed) -> Vec<(usize, usize)> {
-    marked_fn_ranges(lexed, SNAPSHOT_FN_MARKERS)
-}
-
-/// Finds half-open token ranges covering the bodies of functions whose
-/// name contains one of `markers` (case-insensitive), by brace
-/// matching over the token stream.
-pub(crate) fn marked_fn_ranges(lexed: &Lexed, markers: &[&str]) -> Vec<(usize, usize)> {
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    let mut ranges = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if t(i) != Some("fn") {
-            i += 1;
-            continue;
-        }
-        let Some(name) = t(i + 1) else { break };
-        let lower = name.to_ascii_lowercase();
-        if !markers.iter().any(|m| lower.contains(m)) {
-            i += 2;
-            continue;
-        }
-        // Scan the signature for the body's opening brace; a `;` first
-        // means a trait method without a default body.
-        let mut j = i + 2;
-        let mut open = None;
-        while j < toks.len() {
-            match t(j) {
-                Some(";") => break,
-                Some("{") => {
-                    open = Some(j);
-                    break;
-                }
-                _ => j += 1,
-            }
-        }
-        let Some(open) = open else {
-            i = j + 1;
-            continue;
-        };
-        let mut depth = 1usize;
-        let mut e = open + 1;
-        while e < toks.len() && depth > 0 {
-            match t(e) {
-                Some("{") => depth += 1,
-                Some("}") => depth -= 1,
-                _ => {}
-            }
-            e += 1;
-        }
-        ranges.push((open, e));
-        i = e;
-    }
-    ranges
-}
-
-/// determinism/snapshot-hash-iter, determinism/snapshot-wall-clock:
-/// snapshot/serialization paths must emit *canonical* bytes — equal
-/// state, equal bytes, on any machine. Inside snapshot-named function
-/// bodies (workspace-wide, not just the sim crates) this forbids
-/// iterating hash-ordered containers (including the per-process
-/// deterministic `Fx` variants — their bucket order is still not part
-/// of the state) and capturing wall-clock time into the encoded
-/// stream.
-fn snapshot_determinism(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
-    let regions = snapshot_fn_ranges(lexed);
-    if regions.is_empty() {
-        return;
-    }
-    let names = hash_names_of(lexed, SNAPSHOT_HASH_TYPES);
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    for &(start, end) in &regions {
-        for i in start..end.min(toks.len()) {
-            if lexed.in_test_region(i) {
-                continue;
-            }
-            let line = toks[i].line;
-
-            // `name.iter()` / `.keys()` / `.values()` / `.drain()` ...
-            if names.iter().any(|n| n == &toks[i].text)
-                && t(i + 1) == Some(".")
-                && t(i + 3) == Some("(")
-            {
-                if let Some(m) = t(i + 2) {
-                    if HASH_ITER_METHODS.contains(&m) {
-                        emit(
-                            lexed,
-                            findings,
-                            ctx,
-                            line,
-                            "determinism",
-                            "snapshot-hash-iter",
-                            format!(
-                                "snapshot path iterates hash-ordered container `{}` \
-                                 (`.{}()`); snapshot bytes must be canonical — sort \
-                                 the keys first or use a BTree container",
-                                toks[i].text, m
-                            ),
-                        );
-                    }
-                }
-            }
-
-            // `for k in &map {` (with optional `mut`/`self.` between).
-            if t(i) == Some("in") {
-                let mut j = i + 1;
-                while matches!(t(j), Some("&") | Some("mut") | Some("self") | Some(".")) {
-                    j += 1;
-                }
-                if let Some(name) = t(j) {
-                    if names.iter().any(|n| n == name) && t(j + 1) == Some("{") {
-                        emit(
-                            lexed,
-                            findings,
-                            ctx,
-                            toks[j].line,
-                            "determinism",
-                            "snapshot-hash-iter",
-                            format!(
-                                "snapshot path for-loops over hash-ordered container \
-                                 `{name}`; snapshot bytes must be canonical — sort the \
-                                 keys first or use a BTree container"
-                            ),
-                        );
-                    }
-                }
-            }
-
-            // Wall-clock capture inside a snapshot path.
-            if t(i) == Some("Instant")
-                && t(i + 1) == Some(":")
-                && t(i + 2) == Some(":")
-                && t(i + 3) == Some("now")
-            {
-                emit(
-                    lexed,
-                    findings,
-                    ctx,
-                    line,
-                    "determinism",
-                    "snapshot-wall-clock",
-                    "`Instant::now` in a snapshot path; snapshot bytes must be a \
-                     function of machine state, never of when they were taken"
-                        .to_string(),
-                );
-            }
-            if t(i) == Some("SystemTime") {
-                emit(
-                    lexed,
-                    findings,
-                    ctx,
-                    line,
-                    "determinism",
-                    "snapshot-wall-clock",
-                    "`SystemTime` in a snapshot path; snapshot bytes must be a \
-                     function of machine state, never of when they were taken"
-                        .to_string(),
-                );
-            }
-        }
-    }
-}
-
-/// determinism/store-key-purity: store-key and code-fingerprint
-/// construction must be a pure function of its inputs. Inside
-/// key-named function bodies (workspace-wide) this forbids wall-clock
-/// reads (a key that embeds time never hits twice), environment
-/// variables (a key that embeds the environment is unreproducible on
-/// another machine), and hash-ordered iteration (a key folded in
-/// bucket order differs between runs even over equal content).
-fn store_key_purity(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
-    let regions = marked_fn_ranges(lexed, STORE_KEY_FN_MARKERS);
-    if regions.is_empty() {
-        return;
-    }
-    let names = hash_names_of(lexed, SNAPSHOT_HASH_TYPES);
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    for &(start, end) in &regions {
-        for i in start..end.min(toks.len()) {
-            if lexed.in_test_region(i) {
-                continue;
-            }
-            let line = toks[i].line;
-
-            // Wall clocks: `Instant::now`, `SystemTime`.
-            if (t(i) == Some("Instant")
-                && t(i + 1) == Some(":")
-                && t(i + 2) == Some(":")
-                && t(i + 3) == Some("now"))
-                || t(i) == Some("SystemTime")
-            {
-                emit(
-                    lexed,
-                    findings,
-                    ctx,
-                    line,
-                    "determinism",
-                    "store-key-purity",
-                    "wall-clock read in store-key/fingerprint construction; a key \
-                     that embeds time can never hit the cache twice"
-                        .to_string(),
-                );
-            }
-
-            // Environment: `env::var`/`var_os`/`vars` calls and the
-            // `env!`/`option_env!` macros.
-            if t(i) == Some("env")
-                && t(i + 1) == Some(":")
-                && t(i + 2) == Some(":")
-                && matches!(t(i + 3), Some("var") | Some("var_os") | Some("vars"))
-            {
-                emit(
-                    lexed,
-                    findings,
-                    ctx,
-                    line,
-                    "determinism",
-                    "store-key-purity",
-                    format!(
-                        "`env::{}` in store-key/fingerprint construction; a key that \
-                         embeds the environment is unreproducible across machines",
-                        t(i + 3).unwrap_or("var")
-                    ),
-                );
-            }
-            if matches!(t(i), Some("env") | Some("option_env")) && t(i + 1) == Some("!") {
-                emit(
-                    lexed,
-                    findings,
-                    ctx,
-                    line,
-                    "determinism",
-                    "store-key-purity",
-                    format!(
-                        "`{}!` in store-key/fingerprint construction; a key that \
-                         embeds the build environment is unreproducible",
-                        t(i).unwrap_or("env")
-                    ),
-                );
-            }
-
-            // Hash-order iteration: `name.iter()` etc. over a
-            // hash-ordered container.
-            if names.iter().any(|n| n == &toks[i].text)
-                && t(i + 1) == Some(".")
-                && t(i + 3) == Some("(")
-            {
-                if let Some(m) = t(i + 2) {
-                    if HASH_ITER_METHODS.contains(&m) {
-                        emit(
-                            lexed,
-                            findings,
-                            ctx,
-                            line,
-                            "determinism",
-                            "store-key-purity",
-                            format!(
-                                "store-key/fingerprint construction iterates \
-                                 hash-ordered container `{}` (`.{}()`); fold keys in \
-                                 sorted order or use a BTree container",
-                                toks[i].text, m
-                            ),
-                        );
-                    }
-                }
-            }
-
-            // `for k in &map {` over a hash-ordered container.
-            if t(i) == Some("in") {
-                let mut j = i + 1;
-                while matches!(t(j), Some("&") | Some("mut") | Some("self") | Some(".")) {
-                    j += 1;
-                }
-                if let Some(name) = t(j) {
-                    if names.iter().any(|n| n == name) && t(j + 1) == Some("{") {
-                        emit(
-                            lexed,
-                            findings,
-                            ctx,
-                            toks[j].line,
-                            "determinism",
-                            "store-key-purity",
-                            format!(
-                                "store-key/fingerprint construction for-loops over \
-                                 hash-ordered container `{name}`; fold keys in sorted \
-                                 order or use a BTree container"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// robustness/swap-purity: runtime-reconfiguration paths (function
-/// names containing `swap`/`drain`/`reconfigure`/`phase_signature` in
-/// the fabric and sim crates) must not call architectural-state
-/// mutators or read the wall clock. A swap may change when Agents
-/// intervene, never what the core commits; and drain/load windows are
-/// measured in simulated cycles, so a host-time read would make swap
-/// latency (and with it every downstream IPC figure) machine-
-/// dependent.
-fn swap_purity(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
-    let regions = marked_fn_ranges(lexed, SWAP_FN_MARKERS);
-    if regions.is_empty() {
-        return;
-    }
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    for &(start, end) in &regions {
-        for i in start..end.min(toks.len()) {
-            if lexed.in_test_region(i) {
-                continue;
-            }
-            let line = toks[i].line;
-
-            // Wall clocks: `Instant::now`, `SystemTime`.
-            if (t(i) == Some("Instant")
-                && t(i + 1) == Some(":")
-                && t(i + 2) == Some(":")
-                && t(i + 3) == Some("now"))
-                || t(i) == Some("SystemTime")
-            {
-                emit(
-                    lexed,
-                    findings,
-                    ctx,
-                    line,
-                    "robustness",
-                    "swap-purity",
-                    "wall-clock read in a reconfiguration path; drain and load \
-                     windows are simulated cycles, never host time"
-                        .to_string(),
-                );
-            }
-
-            // Architectural-state mutator calls (method or path form;
-            // `fn set_pc(` is a definition, not a call).
-            let Some(w) = t(i) else { continue };
-            if ARCH_MUTATORS.contains(&w) && t(i + 1) == Some("(") {
-                let is_call = i > start
-                    && (t(i - 1) == Some(".")
-                        || (i >= 2 && t(i - 1) == Some(":") && t(i - 2) == Some(":")));
-                if is_call {
-                    emit(
-                        lexed,
-                        findings,
-                        ctx,
-                        line,
-                        "robustness",
-                        "swap-purity",
-                        format!(
-                            "architectural-state mutator `{w}` in a reconfiguration \
-                             path; swaps and drains are microarchitectural and must \
-                             leave the committed stream bit-identical"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// noninterference/arch-mutation: Agent crates must not call
-/// architectural-state mutators.
-fn noninterference(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    for i in 0..toks.len() {
-        if lexed.in_test_region(i) {
-            continue;
-        }
-        let Some(w) = t(i) else { continue };
-        if !ARCH_MUTATORS.contains(&w) || t(i + 1) != Some("(") {
-            continue;
-        }
-        // Only method/path calls count; `fn set_pc(` is a definition.
-        let is_call = i > 0
-            && (t(i - 1) == Some(".")
-                || (i >= 2 && t(i - 1) == Some(":") && t(i - 2) == Some(":")));
-        if !is_call {
-            continue;
-        }
-        emit(
-            lexed,
-            findings,
-            ctx,
-            toks[i].line,
-            "noninterference",
-            "arch-mutation",
-            format!(
-                "Agent crate calls architectural-state mutator `{w}`; fabric \
-                 components may only observe and emit `FabricIo` packets"
-            ),
-        );
-    }
-}
-
-/// provenance/raw-hex-pc: a hex literal assigned (or bound) to a
-/// `*_pc`/`*_pcs` name in configuration-bearing crates. Watch PCs
-/// written as raw addresses drift silently when the kernel is edited;
-/// they must come out of the assembled program's symbol table.
-fn provenance(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    for i in 0..toks.len() {
-        if lexed.in_test_region(i) {
-            continue;
-        }
-        let Some(name) = t(i) else { continue };
-        if !(name.ends_with("_pc") || name.ends_with("_pcs")) {
+        // provenance/raw-hex-pc: a hex literal assigned (or bound) to a
+        // `*_pc`/`*_pcs` name. Watch PCs written as raw addresses drift
+        // silently when the kernel is edited; they must come out of the
+        // assembled program's symbol table.
+        if !in_pc_config || !(w.ends_with("_pc") || w.ends_with("_pcs")) {
             continue;
         }
         // `name: <init>` (struct literal / typed let) or `name = <init>`
@@ -861,30 +497,27 @@ fn provenance(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
         // `,`/`}`, descending into brackets so `vec![sym, 0x40]` is
         // still caught. The window cap keeps pathological files cheap.
         let mut depth = 0i32;
-        for j in (i + 2)..toks.len().min(i + 2 + 64) {
-            let Some(w) = t(j) else { break };
-            match w {
+        for init in toks.iter().skip(i + 2).take(64) {
+            let v = init.text.as_str();
+            match v {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" => depth -= 1,
                 ";" => break,
                 "," | "}" if depth <= 0 => break,
                 "}" => depth -= 1,
                 _ => {
-                    if w.starts_with("0x") || w.starts_with("0X") {
-                        emit(
-                            lexed,
-                            findings,
-                            ctx,
-                            toks[j].line,
+                    if v.starts_with("0x") || v.starts_with("0X") {
+                        findings.push(finding(
+                            init.line,
                             "provenance",
                             "raw-hex-pc",
                             format!(
-                                "raw hex PC literal `{w}` assigned to `{name}`; \
+                                "raw hex PC literal `{v}` assigned to `{w}`; \
                                  derive watch PCs from assembler symbols \
                                  (`Program::require_symbol`) or justify with \
                                  `// pfm-lint: allow(raw-hex-pc)`"
                             ),
-                        );
+                        ));
                         break;
                     }
                 }
@@ -894,277 +527,13 @@ fn provenance(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// hygiene/unwrap, hygiene/expect: no `.unwrap()`/`.expect(...)` in
-/// non-test library code.
-fn hygiene(lexed: &Lexed, ctx: &FileContext, findings: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    for i in 0..toks.len() {
-        if lexed.in_test_region(i) {
-            continue;
-        }
-        let Some(w) = t(i) else { continue };
-        let rule = match w {
-            "unwrap" => "unwrap",
-            "expect" => "expect",
-            _ => continue,
-        };
-        if i == 0 || t(i - 1) != Some(".") || t(i + 1) != Some("(") {
-            continue;
-        }
-        emit(
-            lexed,
-            findings,
-            ctx,
-            toks[i].line,
-            "hygiene",
-            rule,
-            format!(
-                "`.{w}()` in non-test code; plumb the error with context or \
-                 justify with `// pfm-lint: allow(hygiene)`"
-            ),
-        );
-    }
-}
-
-/// robustness/catch-unwind, robustness/panic: panic isolation lives in
-/// the executor alone, and Agent library code must degrade gracefully
-/// rather than panic.
-fn robustness(lexed: &Lexed, ctx: &FileContext, in_agent: bool, findings: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    let at_boundary = ctx.display.ends_with(UNWIND_BOUNDARY);
-    for i in 0..toks.len() {
-        if lexed.in_test_region(i) {
-            continue;
-        }
-        let Some(w) = t(i) else { continue };
-        if w == "catch_unwind" && !at_boundary {
-            emit(
-                lexed,
-                findings,
-                ctx,
-                toks[i].line,
-                "robustness",
-                "catch-unwind",
-                format!(
-                    "`catch_unwind` outside the executor; panic isolation is \
-                     centralized in `{UNWIND_BOUNDARY}` so a dying run always \
-                     surfaces as a typed RunOutcome"
-                ),
-            );
-        }
-        if in_agent && PANIC_MACROS.contains(&w) && t(i + 1) == Some("!") {
-            emit(
-                lexed,
-                findings,
-                ctx,
-                toks[i].line,
-                "robustness",
-                "panic",
-                format!(
-                    "`{w}!` in Agent library code; a buggy component must degrade \
-                     gracefully (emit nothing), not take the simulator down"
-                ),
-            );
-        }
-    }
-}
-
-/// True when `name` carries one of the marker substrings
-/// (case-insensitive) that scope a purity family to a function.
-pub(crate) fn is_marked(name: &str, markers: &[&str]) -> bool {
-    let lower = name.to_ascii_lowercase();
-    markers.iter().any(|m| lower.contains(m))
-}
-
-/// The interprocedural rule pass: re-bases the marked-fn purity
-/// families and the crate-scoped determinism/non-interference rules on
-/// transitive effect summaries, so an impurity moved N calls deep is a
-/// finding at the call site that first crosses the scope boundary,
-/// with the offending chain printed.
-///
-/// Findings are emitted exactly at boundary-crossing call edges:
-///
-/// * a *marked* function (snapshot / store-key / swap) calling an
-///   *unmarked* function whose summary carries a forbidden effect —
-///   the callee's own body, if marked, is covered by the local rules
-///   and its own call edges, so every bad path is flagged exactly once
-///   (induction over the call chain);
-/// * a *sim-crate* function calling outside the sim crates (inside
-///   them, the callee's own file is already checked locally);
-/// * an *Agent-crate* function calling outside the Agent crates with
-///   an arch-mutation effect in the callee's summary.
-///
-/// Returns raw findings; allow filtering happens at the `lib.rs`
-/// level like everywhere else.
-pub fn check_transitive(
-    ctxs: &[FileContext],
-    fns: &[crate::graph::FnRef],
-    graph: &crate::graph::CallGraph,
-    effects: &crate::effects::Effects,
-) -> Vec<Finding> {
-    use crate::effects::Effect;
-    let displays: Vec<String> = ctxs.iter().map(|c| c.display.clone()).collect();
-    let mut out = Vec::new();
-    for (fi, f) in fns.iter().enumerate() {
-        let ctx = &ctxs[f.file];
-        if ctx.exempt {
-            continue;
-        }
-        let crate_name = ctx.crate_name.as_deref();
-        let f_snapshot = is_marked(&f.item.name, SNAPSHOT_FN_MARKERS);
-        let f_store_key = is_marked(&f.item.name, STORE_KEY_FN_MARKERS);
-        let f_swap = is_marked(&f.item.name, SWAP_FN_MARKERS)
-            && crate_name.is_some_and(|c| SWAP_PURITY_CRATES.contains(&c));
-        let f_sim = crate_name.is_some_and(|c| SIM_CRATES.contains(&c));
-        let f_agent = crate_name.is_some_and(|c| AGENT_CRATES.contains(&c));
-        if !(f_snapshot || f_store_key || f_swap || f_sim || f_agent) {
-            continue;
-        }
-        // One finding per (rule, call-site line): the first effect and
-        // first name-match candidate ground the diagnostic.
-        let mut seen: std::collections::BTreeSet<(&'static str, u32)> =
-            std::collections::BTreeSet::new();
-        for &(c, line) in &graph.callees[fi] {
-            let cs = effects.summary[c];
-            if cs.is_empty() {
-                continue;
-            }
-            let callee = &fns[c];
-            let callee_crate = ctxs[callee.file].crate_name.as_deref();
-            let fire = |out: &mut Vec<Finding>,
-                        seen: &mut std::collections::BTreeSet<(&'static str, u32)>,
-                        family: &'static str,
-                        rule: &'static str,
-                        e: Effect,
-                        scope: &str,
-                        effect_desc: &str| {
-                if !cs.has(e) || !seen.insert((rule, line)) {
-                    return;
-                }
-                out.push(Finding {
-                    file: ctx.display.clone(),
-                    line,
-                    family,
-                    rule,
-                    message: format!(
-                        "{scope} `{}` calls `{}`, which transitively reaches {effect_desc}",
-                        f.item.name, callee.item.name
-                    ),
-                    path: effects.witness_path(fns, &displays, c, e),
-                });
-            };
-            if f_snapshot && !is_marked(&callee.item.name, SNAPSHOT_FN_MARKERS) {
-                fire(
-                    &mut out,
-                    &mut seen,
-                    "determinism",
-                    "snapshot-wall-clock",
-                    Effect::WallClock,
-                    "snapshot path",
-                    "a wall-clock read; snapshot bytes must be a function of machine state",
-                );
-                for e in [Effect::HashIter, Effect::FxHashIter] {
-                    fire(
-                        &mut out,
-                        &mut seen,
-                        "determinism",
-                        "snapshot-hash-iter",
-                        e,
-                        "snapshot path",
-                        "hash-ordered iteration; snapshot bytes must be canonical",
-                    );
-                }
-            }
-            if f_store_key && !is_marked(&callee.item.name, STORE_KEY_FN_MARKERS) {
-                for (e, desc) in [
-                    (
-                        Effect::WallClock,
-                        "a wall-clock read; a key that embeds time never hits twice",
-                    ),
-                    (
-                        Effect::EnvRead,
-                        "an environment read; a key that embeds the environment is unreproducible",
-                    ),
-                    (
-                        Effect::HashIter,
-                        "hash-ordered iteration; fold keys in sorted order",
-                    ),
-                    (
-                        Effect::FxHashIter,
-                        "hash-ordered (Fx) iteration; fold keys in sorted order",
-                    ),
-                ] {
-                    fire(
-                        &mut out,
-                        &mut seen,
-                        "determinism",
-                        "store-key-purity",
-                        e,
-                        "store-key/fingerprint constructor",
-                        desc,
-                    );
-                }
-            }
-            let callee_swap_checked = is_marked(&callee.item.name, SWAP_FN_MARKERS)
-                && callee_crate.is_some_and(|c| SWAP_PURITY_CRATES.contains(&c));
-            if f_swap && !callee_swap_checked {
-                for (e, desc) in [
-                    (Effect::WallClock, "a wall-clock read; drain and load windows are simulated cycles"),
-                    (
-                        Effect::ArchMutation,
-                        "an architectural-state mutator; swaps must leave the committed stream bit-identical",
-                    ),
-                ] {
-                    fire(
-                        &mut out, &mut seen,
-                        "robustness", "swap-purity",
-                        e, "reconfiguration path", desc,
-                    );
-                }
-            }
-            let callee_in_sim = callee_crate.is_some_and(|c| SIM_CRATES.contains(&c));
-            if f_sim && !callee_in_sim {
-                for (rule, e, desc) in [
-                    ("wall-clock", Effect::WallClock, "a wall-clock read"),
-                    ("rng", Effect::Rng, "an entropy-seeded RNG"),
-                    ("hash-iter", Effect::HashIter, "unordered hash iteration"),
-                ] {
-                    fire(
-                        &mut out,
-                        &mut seen,
-                        "determinism",
-                        rule,
-                        e,
-                        "simulation code",
-                        desc,
-                    );
-                }
-            }
-            let callee_in_agent = callee_crate.is_some_and(|c| AGENT_CRATES.contains(&c));
-            if f_agent && !callee_in_agent {
-                fire(
-                    &mut out, &mut seen,
-                    "noninterference", "arch-mutation",
-                    Effect::ArchMutation,
-                    "Agent code",
-                    "an architectural-state mutator; fabric components may only observe and emit `FabricIo` packets",
-                );
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
+    findings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::lint_source;
 
     fn ctx(crate_name: &str) -> FileContext {
         FileContext {
@@ -1175,7 +544,7 @@ mod tests {
     }
 
     fn rules_of(src: &str, c: &str) -> Vec<String> {
-        check(&lex(src), &ctx(c))
+        lint_source(src, &ctx(c))
             .into_iter()
             .map(|f| format!("{}/{}", f.family, f.rule))
             .collect()
@@ -1296,7 +665,7 @@ mod tests {
             crate_name: Some("sim".to_string()),
             exempt: false,
         };
-        assert!(check(&lex(src), &boundary).is_empty());
+        assert!(lint_source(src, &boundary).is_empty());
     }
 
     #[test]

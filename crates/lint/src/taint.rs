@@ -599,8 +599,8 @@ fn is_binding_ident(w: &str) -> bool {
 /// Token index of the `)` matching the `(` at `open`.
 fn match_paren(toks: &[crate::lexer::Token], open: usize, end: usize) -> usize {
     let mut depth = 0i32;
-    for j in open..end.min(toks.len()) {
-        match toks[j].text.as_str() {
+    for (j, tok) in toks.iter().enumerate().take(end).skip(open) {
+        match tok.text.as_str() {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => {
                 depth -= 1;
@@ -625,8 +625,8 @@ fn call_arg_ranges(lexed: &Lexed, open: usize, end: usize) -> Vec<(usize, usize)
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut seg = open + 1;
-    for j in open + 1..close {
-        match toks[j].text.as_str() {
+    for (j, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
+        match tok.text.as_str() {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth -= 1,
             "," if depth == 0 => {

@@ -69,50 +69,30 @@ pub fn analyze_usecase(uc: &UseCase) -> Analysis {
 }
 
 /// Analyzes every registered use case (the throughput-suite registry)
-/// and returns `(name, findings)` per program — the shape
-/// [`pfm_analyze::report_to_json`] renders. `corrupt_watch` is the
-/// acceptance-test seam: for the named use case the first watchlist
-/// entry's PC is redirected to an address outside any kernel, which
-/// must surface as a `watch-mismatch` finding.
-pub fn analyze_all(corrupt_watch: Option<&str>) -> Vec<(String, Vec<pfm_analyze::Finding>)> {
-    let mut report = Vec::new();
-    for factory in crate::usecases::throughput_suite_factories() {
-        let uc = factory.build();
-        let mut watch = watchlist_for(&uc);
-        if corrupt_watch == Some(uc.name.as_str()) {
-            if let Some(entry) = watch.first_mut() {
-                entry.pc = 0xdead_0000;
+/// and returns `(name, analysis)` per program. The `pfm-analyze` binary
+/// renders the findings ([`pfm_analyze::report_to_json`]) or the
+/// interface-inference profiles
+/// ([`pfm_analyze::profile::profile_report_to_json`]). `corrupt_watch`
+/// is the acceptance-test seam: for the named use case the first
+/// watchlist entry's PC is redirected to an address outside any
+/// kernel, which must surface as a `watch-mismatch` finding and, since
+/// no derived watch entry can match it, as a coverage gap
+/// (`derived-watch-gap`).
+pub fn analyze_all(corrupt_watch: Option<&str>) -> Vec<(String, Analysis)> {
+    crate::usecases::throughput_suite_factories()
+        .into_iter()
+        .map(|factory| {
+            let uc = factory.build();
+            let mut watch = watchlist_for(&uc);
+            if corrupt_watch == Some(uc.name.as_str()) {
+                if let Some(entry) = watch.first_mut() {
+                    entry.pc = 0xdead_0000;
+                }
             }
-        }
-        let analysis = analyze_usecase_with(&uc, &watch);
-        report.push((uc.name.clone(), analysis.findings));
-    }
-    report
-}
-
-/// Derives the interface-inference profile (`pfm-analyze/2`) for every
-/// registered use case and returns `(name, profile)` per program — the
-/// shape [`pfm_analyze::profile_report_to_json`] renders. The same
-/// `corrupt_watch` seam as [`analyze_all`]: the redirected PC cannot be
-/// matched by any derived watch entry, so the named use case's coverage
-/// records a gap (and `derived-watch-gap` fires through the check
-/// suite).
-pub fn derive_all(
-    corrupt_watch: Option<&str>,
-) -> Vec<(String, pfm_analyze::profile::ProgramProfile)> {
-    let mut report = Vec::new();
-    for factory in crate::usecases::throughput_suite_factories() {
-        let uc = factory.build();
-        let mut watch = watchlist_for(&uc);
-        if corrupt_watch == Some(uc.name.as_str()) {
-            if let Some(entry) = watch.first_mut() {
-                entry.pc = 0xdead_0000;
-            }
-        }
-        let analysis = analyze_usecase_with(&uc, &watch);
-        report.push((uc.name.clone(), analysis.profile));
-    }
-    report
+            let analysis = analyze_usecase_with(&uc, &watch);
+            (uc.name.clone(), analysis)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -28,9 +28,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Default watchdog multiplier for the executor's single bounded retry
-/// of a watchdog-failed run (overridable per execution via
-/// [`ExecOptions::retry_watchdog_factor`]).
+/// Watchdog multiplier for the executor's single bounded retry of a
+/// watchdog-failed run: an extreme-but-legitimate stall looks like a
+/// hang until it is given more rope.
 pub const RETRY_WATCHDOG_FACTOR: u64 = 32;
 
 /// Executor knobs.
@@ -52,11 +52,6 @@ pub struct ExecOptions {
     /// are deterministic, so warm and cold runs assemble bit-identical
     /// statistics.
     pub store: Option<Arc<ResultStore>>,
-    /// Watchdog multiplier for the single bounded retry of a
-    /// watchdog-failed run. Values are clamped to at least 1 (a
-    /// factor of 1 retries at the original cap, i.e. effectively
-    /// disables the raised-cap rescue).
-    pub retry_watchdog_factor: u64,
 }
 
 impl ExecOptions {
@@ -67,7 +62,6 @@ impl ExecOptions {
             progress: false,
             keep_going: false,
             store: None,
-            retry_watchdog_factor: RETRY_WATCHDOG_FACTOR,
         }
     }
 
@@ -86,7 +80,6 @@ impl Default for ExecOptions {
             progress: false,
             keep_going: false,
             store: None,
-            retry_watchdog_factor: RETRY_WATCHDOG_FACTOR,
         }
     }
 }
@@ -253,14 +246,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Executes one spec in isolation: panics are caught, and a
-/// watchdog-tripped run gets one retry at a cap raised by `factor`.
-/// Returns the outcome and the number of retries performed.
-fn run_isolated_with(spec: &RunSpec, factor: u64) -> (RunOutcome, u32) {
+/// watchdog-tripped run gets one retry at a cap raised by
+/// [`RETRY_WATCHDOG_FACTOR`]. Returns the outcome and the number of
+/// retries performed.
+fn run_isolated(spec: &RunSpec) -> (RunOutcome, u32) {
     match catch_unwind(AssertUnwindSafe(|| spec.execute())) {
         Err(payload) => (RunOutcome::Panicked(panic_message(payload)), 0),
         Ok(Ok(r)) => (RunOutcome::Ok(r), 0),
         Ok(Err(e)) if e.is_watchdog() => {
-            let raised = spec.raised_watchdog(factor.max(1));
+            let raised = spec.raised_watchdog();
             match catch_unwind(AssertUnwindSafe(|| spec.execute_with_watchdog(raised))) {
                 Err(payload) => (RunOutcome::Panicked(panic_message(payload)), 1),
                 Ok(Ok(r)) => (RunOutcome::Ok(r), 1),
@@ -351,7 +345,7 @@ pub fn execute(specs: &[RunSpec], opts: &ExecOptions) -> (RunSet, ExecReport) {
                 let spec = &unique[idx];
                 // pfm-lint: allow(determinism): feeds the wall-clock report only, never results
                 let t0 = Instant::now();
-                let (outcome, retries) = run_isolated_with(spec, opts.retry_watchdog_factor);
+                let (outcome, retries) = run_isolated(spec);
                 let secs = t0.elapsed().as_secs_f64();
                 if !outcome.is_ok() {
                     abort.store(true, Ordering::Relaxed);

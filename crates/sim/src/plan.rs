@@ -347,10 +347,13 @@ impl RunSpec {
         &self.usecase
     }
 
-    /// The configured forward-progress watchdog, scaled by `factor`
-    /// (the executor's raised retry cap).
-    pub(crate) fn raised_watchdog(&self, factor: u64) -> Option<u64> {
-        self.rc.commit_watchdog.map(|w| w.saturating_mul(factor))
+    /// The configured forward-progress watchdog, scaled by
+    /// [`crate::exec::RETRY_WATCHDOG_FACTOR`] (the executor's raised
+    /// retry cap).
+    pub(crate) fn raised_watchdog(&self) -> Option<u64> {
+        self.rc
+            .commit_watchdog
+            .map(|w| w.saturating_mul(crate::exec::RETRY_WATCHDOG_FACTOR))
     }
 
     /// Builds the use-case and performs the run. Deterministic:

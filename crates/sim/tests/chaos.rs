@@ -10,7 +10,7 @@ use pfm_fabric::{
 };
 use pfm_isa::reg::names::*;
 use pfm_isa::{Asm, SpecMemory};
-use pfm_sim::exec::{execute, run_plans, ExecOptions};
+use pfm_sim::exec::{execute, run_plans, ExecOptions, RETRY_WATCHDOG_FACTOR};
 use pfm_sim::experiments::plan_chaos_smoke;
 use pfm_sim::plan::{RunOutcome, RunSpec};
 use pfm_sim::{run_chaos, run_pfm, RunConfig, RunError};
@@ -199,7 +199,6 @@ fn executor_isolates_a_panicking_run_and_keeps_going() {
         progress: false,
         keep_going: true,
         store: None,
-        ..ExecOptions::default()
     };
     let (runs, report) = execute(&[boom.clone(), good.clone()], &opts);
     match runs.outcome(&boom_key) {
@@ -283,7 +282,7 @@ fn environmental_outcomes_are_never_persisted_to_the_store() {
 }
 
 #[test]
-fn retry_watchdog_factor_is_honored_and_surfaced() {
+fn retry_runs_at_the_raised_cap_and_is_surfaced() {
     let rc = RunConfig {
         commit_watchdog: Some(2_000),
         ..tiny_rc()
@@ -293,12 +292,12 @@ fn retry_watchdog_factor_is_honored_and_surfaced() {
         wedge_params(),
         &rc,
     );
-    // Factor 2: the single bounded retry runs at a 4 000-cycle cap,
-    // nowhere near the default 32x (64 000). The final hang verdict
-    // carries the stall length, which pins the factor actually used.
+    // The single bounded retry runs at a cap raised 32x, to 64 000
+    // cycles. The final hang verdict carries the stall length, which
+    // pins the cap actually used.
+    let cap = 2_000 * RETRY_WATCHDOG_FACTOR;
     let opts = ExecOptions {
         keep_going: true,
-        retry_watchdog_factor: 2,
         ..ExecOptions::serial()
     };
     let (runs, report) = execute(std::slice::from_ref(&spec), &opts);
@@ -308,8 +307,8 @@ fn retry_watchdog_factor_is_honored_and_surfaced() {
             match error {
                 RunError::Watchdog { stalled_cycles, .. } => {
                     assert!(
-                        (4_000..32_000).contains(stalled_cycles),
-                        "retry must use the configured 2x cap, stalled {stalled_cycles}"
+                        (cap..2 * cap).contains(stalled_cycles),
+                        "retry must use the raised {cap}-cycle cap, stalled {stalled_cycles}"
                     );
                 }
                 other => panic!("expected Watchdog, got {other:?}"),

@@ -11,7 +11,7 @@ use pfm_components::astar_alt::NEIGHBORS;
 use pfm_components::template::spec_from_profile;
 use pfm_components::TemplateComponent;
 use pfm_fabric::CustomComponent;
-use pfm_sim::analyze::{analyze_usecase, derive_all};
+use pfm_sim::analyze::{analyze_all, analyze_usecase};
 use pfm_sim::usecases;
 use pfm_workloads::astar::{template_spec, AstarParams};
 
@@ -23,9 +23,9 @@ use pfm_workloads::astar::{template_spec, AstarParams};
 /// typed divergence.
 #[test]
 fn derived_profile_summaries_are_pinned() {
-    let got: Vec<String> = derive_all(None)
+    let got: Vec<String> = analyze_all(None)
         .into_iter()
-        .map(|(name, p)| format!("{name}: {}", p.summary()))
+        .map(|(name, a)| format!("{name}: {}", a.profile.summary()))
         .collect();
     let want = [
         "astar: loops=4 strided=3 indirect=33 irregular=8 branches=20 watch=76 \
@@ -59,7 +59,10 @@ fn derived_profile_summaries_are_pinned() {
 /// the CI gate behind `pfm-analyze --corrupt-watch astar`.
 #[test]
 fn corrupted_watch_entry_becomes_a_coverage_gap() {
-    let report = derive_all(Some("astar"));
+    let report: Vec<_> = analyze_all(Some("astar"))
+        .into_iter()
+        .map(|(name, a)| (name, a.profile))
+        .collect();
     let astar = &report
         .iter()
         .find(|(n, _)| n == "astar")

@@ -1,7 +1,9 @@
-//! Functional/detailed equivalence gate: the pre-decoded functional
-//! executor must retire the *exact same committed stream* as the
-//! detailed out-of-order core — for every use case the experiment
-//! suite simulates, in both baseline and PFM modes.
+//! Functional/detailed equivalence gate: the functional executor
+//! (`FastExec`, the `Machine`'s functional loop over the same execute
+//! and commit fold the core retires through) must retire the *exact
+//! same committed stream* as the detailed out-of-order core — for every
+//! use case the experiment suite simulates, in both baseline and PFM
+//! modes.
 //!
 //! The committed-stream checksum folds PCs, branch outcomes, register
 //! writes and stores over the first `max_instrs` retired instructions,

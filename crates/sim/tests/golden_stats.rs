@@ -146,7 +146,6 @@ fn golden_stats_are_bit_identical() {
             progress: false,
             keep_going: false,
             store: None,
-            ..ExecOptions::default()
         },
     );
 

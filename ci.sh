@@ -97,16 +97,19 @@ grep -q '"schema":"pfm-analyze/2"' "$derive_dir/profiles.json" || {
 rm -rf "$derive_dir"
 
 echo "== cargo build --release =="
-cargo build --release
+# --locked here, in the test step and in the benchmark smoke tests: a
+# dependency edit that would rewrite Cargo.lock or benchmark/Cargo.lock
+# fails CI instead of silently changing a lock file on the next build.
+cargo build --release --locked
 
 echo "== cargo test =="
 # Includes the two-speed equivalence gate (pfm-sim's functional_equivalence).
-cargo test -q --release
+cargo test -q --release --locked
 
 echo "== benchmark smoke tests =="
 # benchmark/ is its own workspace, so the step above does not build it;
 # it reaches pfm-workloads and pfm-sim only through their public APIs.
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== repro chaos-smoke (graceful degradation under faults) =="
 repro_bin="$PWD/target/release/repro"

@@ -4,8 +4,6 @@
 //! primarily models target-capacity effects for indirect jumps; the RAS
 //! predicts return targets.
 
-use pfm_isa::snap::{Dec, Enc, SnapError};
-
 /// Kind of control-transfer instruction recorded in the BTB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BranchKind {
@@ -68,77 +66,6 @@ impl Btb {
         let i = self.idx(pc);
         self.entries[i] = Some((pc, target, kind));
     }
-
-    /// Serializes the BTB contents and hit/miss counters.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.entries.len());
-        for en in &self.entries {
-            match en {
-                Some((pc, target, kind)) => {
-                    e.u8(1);
-                    e.u64(*pc);
-                    e.u64(*target);
-                    e.u8(kind_tag(*kind));
-                }
-                None => e.u8(0),
-            }
-        }
-        e.u64(self.hits);
-        e.u64(self.misses);
-    }
-
-    /// Decodes a BTB serialized by [`Btb::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<Btb, SnapError> {
-        let n = d.usize()?;
-        if n == 0 || !n.is_power_of_two() {
-            return Err(SnapError::Corrupt("btb size"));
-        }
-        let mut btb = Btb {
-            entries: vec![None; n],
-            mask: (n - 1) as u64,
-            hits: 0,
-            misses: 0,
-        };
-        for i in 0..n {
-            match d.u8()? {
-                0 => {}
-                1 => {
-                    let pc = d.u64()?;
-                    let target = d.u64()?;
-                    let kind = kind_from_tag(d.u8()?)?;
-                    if btb.idx(pc) != i {
-                        return Err(SnapError::Corrupt("btb entry placement"));
-                    }
-                    btb.entries[i] = Some((pc, target, kind));
-                }
-                _ => return Err(SnapError::Corrupt("btb entry tag")),
-            }
-        }
-        btb.hits = d.u64()?;
-        btb.misses = d.u64()?;
-        Ok(btb)
-    }
-}
-
-fn kind_tag(kind: BranchKind) -> u8 {
-    match kind {
-        BranchKind::Conditional => 0,
-        BranchKind::DirectJump => 1,
-        BranchKind::Call => 2,
-        BranchKind::Return => 3,
-        BranchKind::IndirectJump => 4,
-    }
-}
-
-fn kind_from_tag(tag: u8) -> Result<BranchKind, SnapError> {
-    Ok(match tag {
-        0 => BranchKind::Conditional,
-        1 => BranchKind::DirectJump,
-        2 => BranchKind::Call,
-        3 => BranchKind::Return,
-        4 => BranchKind::IndirectJump,
-        _ => return Err(SnapError::Corrupt("branch kind tag")),
-    })
 }
 
 impl Default for Btb {
@@ -191,11 +118,6 @@ impl Ras {
         Some(v)
     }
 
-    /// Number of entries.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Snapshot for squash recovery.
     pub fn snapshot(&self) -> (usize, usize) {
         (self.top, self.used)
@@ -207,39 +129,6 @@ impl Ras {
     pub fn restore(&mut self, snap: (usize, usize)) {
         self.top = snap.0;
         self.used = snap.1;
-    }
-
-    /// Serializes the full stack contents and pointers.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.depth);
-        e.usize(self.top);
-        e.usize(self.used);
-        for &v in &self.stack {
-            e.u64(v);
-        }
-    }
-
-    /// Decodes a RAS serialized by [`Ras::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<Ras, SnapError> {
-        let depth = d.usize()?;
-        if depth == 0 {
-            return Err(SnapError::Corrupt("ras depth"));
-        }
-        let top = d.usize()?;
-        let used = d.usize()?;
-        if top >= depth || used > depth {
-            return Err(SnapError::Corrupt("ras pointer range"));
-        }
-        let mut stack = vec![0u64; depth];
-        for v in &mut stack {
-            *v = d.u64()?;
-        }
-        Ok(Ras {
-            stack,
-            top,
-            depth,
-            used,
-        })
     }
 }
 

@@ -11,8 +11,6 @@
 //! exactly like the paper's branch queue that "checkpoints/restores
 //! global branch history".
 
-use pfm_isa::snap::{Dec, Enc, SnapError};
-
 /// Capacity of the circular global history buffer, in bits. Must
 /// exceed the longest history length plus the maximum number of
 /// speculative (in-flight) pushes.
@@ -80,24 +78,6 @@ impl GlobalHistory {
         debug_assert!(pos <= self.pos);
         self.pos = pos;
     }
-
-    /// Serializes the circular buffer and push position.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        for w in &self.bits {
-            e.u64(*w);
-        }
-        e.u64(self.pos);
-    }
-
-    /// Decodes a history serialized by [`GlobalHistory::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<GlobalHistory, SnapError> {
-        let mut bits = [0u64; WORDS];
-        for w in &mut bits {
-            *w = d.u64()?;
-        }
-        let pos = d.u64()?;
-        Ok(GlobalHistory { bits, pos })
-    }
 }
 
 /// An incrementally-maintained fold of the most recent `orig_len`
@@ -146,25 +126,6 @@ impl Folded {
         self.comp ^= outgoing << self.out_shift;
         self.comp ^= self.comp >> self.comp_len;
         self.comp &= self.mask;
-    }
-
-    /// Serializes the folded register value. The fold geometry
-    /// (`orig_len`, `comp_len`) is *not* serialized: it is fixed by the
-    /// owning predictor's configuration, which reconstructs the fold
-    /// with [`Folded::new`] before decoding into it.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u32(self.comp);
-    }
-
-    /// Decodes a value serialized by [`Folded::snapshot_encode`] into a
-    /// fold already configured with the correct geometry.
-    pub fn snapshot_decode_into(&mut self, d: &mut Dec<'_>) -> Result<(), SnapError> {
-        let comp = d.u32()?;
-        if comp & !self.mask != 0 {
-            return Err(SnapError::Corrupt("folded history width"));
-        }
-        self.comp = comp;
-        Ok(())
     }
 }
 

@@ -1,8 +1,6 @@
 //! Loop predictor: captures branches with stable trip counts, the "L"
 //! in TAGE-SC-L.
 
-use pfm_isa::snap::{Dec, Enc, SnapError};
-
 const LOOP_ENTRIES: usize = 64;
 const CONF_MAX: u8 = 7;
 const AGE_MAX: u8 = 3;
@@ -24,21 +22,6 @@ pub struct LoopMeta {
     pub hit: bool,
     /// Its prediction (meaningful only when `hit`).
     pub taken: bool,
-}
-
-impl LoopMeta {
-    /// Serializes the per-prediction metadata.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.bool(self.hit);
-        e.bool(self.taken);
-    }
-
-    /// Decodes metadata serialized by [`LoopMeta::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<LoopMeta, SnapError> {
-        let hit = d.bool()?;
-        let taken = d.bool()?;
-        Ok(LoopMeta { hit, taken })
-    }
 }
 
 /// The loop predictor. Trained non-speculatively at retirement;
@@ -88,57 +71,6 @@ impl LoopPredictor {
         }
     }
 
-    /// Serializes the loop table.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.entries.len());
-        for en in &self.entries {
-            e.u32(en.tag);
-            e.bool(en.valid);
-            e.u32(en.trip as u32);
-            e.u32(en.current as u32);
-            e.u8(en.conf);
-            e.u8(en.age);
-        }
-    }
-
-    /// Decodes a table serialized by
-    /// [`LoopPredictor::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<LoopPredictor, SnapError> {
-        if d.usize()? != LOOP_ENTRIES {
-            return Err(SnapError::Corrupt("loop table size"));
-        }
-        let mut lp = LoopPredictor::new();
-        for en in &mut lp.entries {
-            let tag = d.u32()?;
-            if tag > 0x3FFF {
-                return Err(SnapError::Corrupt("loop tag width"));
-            }
-            let valid = d.bool()?;
-            let trip = d.u32()?;
-            let current = d.u32()?;
-            if trip > u16::MAX as u32 || current > u16::MAX as u32 {
-                return Err(SnapError::Corrupt("loop trip count range"));
-            }
-            let conf = d.u8()?;
-            if conf > CONF_MAX {
-                return Err(SnapError::Corrupt("loop confidence range"));
-            }
-            let age = d.u8()?;
-            if age > AGE_MAX {
-                return Err(SnapError::Corrupt("loop age range"));
-            }
-            *en = LoopEntry {
-                tag,
-                valid,
-                trip: trip as u16,
-                current: current as u16,
-                conf,
-                age,
-            };
-        }
-        Ok(lp)
-    }
-
     /// Trains with the retired outcome of the branch at `pc`.
     pub fn train(&mut self, pc: u64, taken: bool) {
         let (idx, tag) = Self::slot(pc);
@@ -157,7 +89,7 @@ impl LoopPredictor {
                     trip: 0,
                     current: 0,
                     conf: 0,
-                    age: 3,
+                    age: AGE_MAX,
                 };
             }
             return;
@@ -178,7 +110,7 @@ impl LoopPredictor {
                 e.conf = 0;
             }
             e.current = 0;
-            e.age = 3;
+            e.age = AGE_MAX;
         }
     }
 }

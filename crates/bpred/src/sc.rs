@@ -2,7 +2,6 @@
 //! overrides TAGE when its weighted vote is confident, per TAGE-SC-L.
 
 use crate::history::{Folded, GlobalHistory};
-use pfm_isa::snap::{Dec, Enc, SnapError};
 
 /// History lengths of the corrector tables (0 = bias table).
 pub const SC_LENGTHS: [u32; 5] = [0, 4, 10, 21, 44];
@@ -29,68 +28,6 @@ pub struct ScCheckpoint {
     folds: [Folded; SC_LENGTHS.len()],
 }
 
-/// Builds the fold array with the corrector's fixed geometry.
-fn fresh_folds() -> [Folded; SC_LENGTHS.len()] {
-    let mut folds = [Folded::new(1, 1); SC_LENGTHS.len()];
-    for (i, &l) in SC_LENGTHS.iter().enumerate() {
-        folds[i] = Folded::new(l.max(1), LOG_SC);
-    }
-    folds
-}
-
-impl ScMeta {
-    /// Serializes the per-prediction metadata.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        for i in self.indices {
-            e.u32(i);
-        }
-        e.i64(self.sum as i64);
-        e.bool(self.taken);
-        e.bool(self.overrode);
-    }
-
-    /// Decodes metadata serialized by [`ScMeta::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<ScMeta, SnapError> {
-        let mut indices = [0u32; SC_LENGTHS.len()];
-        for i in &mut indices {
-            *i = d.u32()?;
-            if *i >= (1 << LOG_SC) {
-                return Err(SnapError::Corrupt("corrector meta index range"));
-            }
-        }
-        let sum = i32::try_from(d.i64()?).map_err(|_| SnapError::Corrupt("corrector sum range"))?;
-        let taken = d.bool()?;
-        let overrode = d.bool()?;
-        Ok(ScMeta {
-            indices,
-            sum,
-            taken,
-            overrode,
-        })
-    }
-}
-
-impl ScCheckpoint {
-    /// Serializes the checkpoint (history position + fold values).
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u64(self.pos);
-        for f in &self.folds {
-            f.snapshot_encode(e);
-        }
-    }
-
-    /// Decodes a checkpoint serialized by
-    /// [`ScCheckpoint::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<ScCheckpoint, SnapError> {
-        let pos = d.u64()?;
-        let mut folds = fresh_folds();
-        for f in &mut folds {
-            f.snapshot_decode_into(d)?;
-        }
-        Ok(ScCheckpoint { pos, folds })
-    }
-}
-
 /// The statistical corrector.
 #[derive(Clone, Debug)]
 pub struct StatisticalCorrector {
@@ -111,11 +48,10 @@ impl Default for StatisticalCorrector {
 impl StatisticalCorrector {
     /// Creates an untrained corrector.
     pub fn new() -> StatisticalCorrector {
-        let folds = fresh_folds();
         StatisticalCorrector {
             tables: vec![vec![0i8; 1 << LOG_SC]; SC_LENGTHS.len()],
             hist: GlobalHistory::new(),
-            folds,
+            folds: std::array::from_fn(|i| Folded::new(SC_LENGTHS[i].max(1), LOG_SC)),
             theta: 12,
             theta_ctr: 0,
         }
@@ -182,57 +118,6 @@ impl StatisticalCorrector {
         self.hist.rewind(cp.pos);
         self.folds = cp.folds;
         self.push_history(actual);
-    }
-
-    /// Serializes the complete corrector state.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        for table in &self.tables {
-            e.usize(table.len());
-            for &c in table {
-                e.u8(c as u8);
-            }
-        }
-        self.hist.snapshot_encode(e);
-        for f in &self.folds {
-            f.snapshot_encode(e);
-        }
-        e.i64(self.theta as i64);
-        e.i64(self.theta_ctr as i64);
-    }
-
-    /// Decodes a corrector serialized by
-    /// [`StatisticalCorrector::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<StatisticalCorrector, SnapError> {
-        let mut sc = StatisticalCorrector::new();
-        for table in &mut sc.tables {
-            if d.usize()? != table.len() {
-                return Err(SnapError::Corrupt("corrector table size"));
-            }
-            for c in table.iter_mut() {
-                let v = d.u8()? as i8;
-                if !(SC_CTR_MIN..=SC_CTR_MAX).contains(&v) {
-                    return Err(SnapError::Corrupt("corrector counter range"));
-                }
-                *c = v;
-            }
-        }
-        sc.hist = GlobalHistory::snapshot_decode(d)?;
-        for f in &mut sc.folds {
-            f.snapshot_decode_into(d)?;
-        }
-        let theta =
-            i32::try_from(d.i64()?).map_err(|_| SnapError::Corrupt("corrector theta range"))?;
-        if !(4..=127).contains(&theta) {
-            return Err(SnapError::Corrupt("corrector theta range"));
-        }
-        sc.theta = theta;
-        let theta_ctr = i32::try_from(d.i64()?)
-            .map_err(|_| SnapError::Corrupt("corrector theta counter range"))?;
-        if !(-31..=31).contains(&theta_ctr) {
-            return Err(SnapError::Corrupt("corrector theta counter range"));
-        }
-        sc.theta_ctr = theta_ctr;
-        Ok(sc)
     }
 
     /// Trains at retirement.

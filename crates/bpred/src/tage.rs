@@ -2,7 +2,6 @@
 //! of the paper's 64 KB TAGE-SC-L baseline.
 
 use crate::history::{Folded, GlobalHistory};
-use pfm_isa::snap::{Dec, Enc, SnapError};
 
 /// Number of tagged tables.
 pub const NUM_TABLES: usize = 8;
@@ -82,153 +81,6 @@ pub struct TageCheckpoint {
     tag_folds_b: [Folded; NUM_TABLES],
 }
 
-/// Builds the fold arrays with TAGE's fixed geometry (all-zero values),
-/// ready to be decoded into.
-fn fresh_folds() -> (
-    [Folded; NUM_TABLES],
-    [Folded; NUM_TABLES],
-    [Folded; NUM_TABLES],
-) {
-    let mut idx_folds = [Folded::new(1, 1); NUM_TABLES];
-    let mut tag_folds_a = [Folded::new(1, 1); NUM_TABLES];
-    let mut tag_folds_b = [Folded::new(1, 1); NUM_TABLES];
-    for t in 0..NUM_TABLES {
-        idx_folds[t] = Folded::new(HIST_LENGTHS[t], LOG_TAGGED);
-        tag_folds_a[t] = Folded::new(HIST_LENGTHS[t], TAG_BITS[t]);
-        tag_folds_b[t] = Folded::new(HIST_LENGTHS[t], TAG_BITS[t] - 1);
-    }
-    (idx_folds, tag_folds_a, tag_folds_b)
-}
-
-impl TageCheckpoint {
-    /// Serializes the checkpoint (history position + fold values; the
-    /// fold geometry is fixed by the TAGE constants).
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u64(self.pos);
-        for f in &self.idx_folds {
-            f.snapshot_encode(e);
-        }
-        for f in &self.tag_folds_a {
-            f.snapshot_encode(e);
-        }
-        for f in &self.tag_folds_b {
-            f.snapshot_encode(e);
-        }
-    }
-
-    /// Decodes a checkpoint serialized by
-    /// [`TageCheckpoint::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<TageCheckpoint, SnapError> {
-        let pos = d.u64()?;
-        let (mut idx_folds, mut tag_folds_a, mut tag_folds_b) = fresh_folds();
-        for f in &mut idx_folds {
-            f.snapshot_decode_into(d)?;
-        }
-        for f in &mut tag_folds_a {
-            f.snapshot_decode_into(d)?;
-        }
-        for f in &mut tag_folds_b {
-            f.snapshot_decode_into(d)?;
-        }
-        Ok(TageCheckpoint {
-            pos,
-            idx_folds,
-            tag_folds_a,
-            tag_folds_b,
-        })
-    }
-}
-
-impl TageMeta {
-    /// Serializes the per-prediction bookkeeping.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        for i in self.indices {
-            e.u32(i);
-        }
-        for t in self.tags {
-            e.u32(t as u32);
-        }
-        match self.provider {
-            Some(t) => {
-                e.u8(1);
-                e.u8(t as u8);
-            }
-            None => e.u8(0),
-        }
-        match self.alt {
-            Some(t) => {
-                e.u8(1);
-                e.u8(t as u8);
-            }
-            None => e.u8(0),
-        }
-        e.bool(self.provider_pred);
-        e.bool(self.alt_pred);
-        e.u32(self.bimodal_idx);
-        e.bool(self.weak_provider);
-        e.bool(self.taken);
-        e.u8(self.provider_ctr as u8);
-    }
-
-    /// Decodes metadata serialized by [`TageMeta::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<TageMeta, SnapError> {
-        let mut indices = [0u32; NUM_TABLES];
-        for i in &mut indices {
-            *i = d.u32()?;
-            if *i >= (1 << LOG_TAGGED) {
-                return Err(SnapError::Corrupt("tage meta index range"));
-            }
-        }
-        let mut tags = [0u16; NUM_TABLES];
-        for (t, tag) in tags.iter_mut().enumerate() {
-            let v = d.u32()?;
-            if v > TAG_MASK[t] {
-                return Err(SnapError::Corrupt("tage meta tag width"));
-            }
-            *tag = v as u16;
-        }
-        let decode_table = |d: &mut Dec<'_>| -> Result<Option<usize>, SnapError> {
-            match d.u8()? {
-                0 => Ok(None),
-                1 => {
-                    let t = d.u8()? as usize;
-                    if t >= NUM_TABLES {
-                        return Err(SnapError::Corrupt("tage meta table number"));
-                    }
-                    Ok(Some(t))
-                }
-                _ => Err(SnapError::Corrupt("tage meta option tag")),
-            }
-        };
-        let provider = decode_table(d)?;
-        let alt = decode_table(d)?;
-        let provider_pred = d.bool()?;
-        let alt_pred = d.bool()?;
-        let bimodal_idx = d.u32()?;
-        if bimodal_idx >= (1 << LOG_BIMODAL) {
-            return Err(SnapError::Corrupt("tage meta bimodal index"));
-        }
-        let weak_provider = d.bool()?;
-        let taken = d.bool()?;
-        let provider_ctr = d.u8()? as i8;
-        if !(CTR_MIN..=CTR_MAX).contains(&provider_ctr) {
-            return Err(SnapError::Corrupt("tage meta provider counter"));
-        }
-        Ok(TageMeta {
-            indices,
-            tags,
-            provider,
-            alt,
-            provider_pred,
-            alt_pred,
-            bimodal_idx,
-            weak_provider,
-            taken,
-            provider_ctr,
-        })
-    }
-}
-
 /// The TAGE predictor.
 #[derive(Clone, Debug)]
 pub struct Tage {
@@ -252,14 +104,13 @@ impl Default for Tage {
 impl Tage {
     /// Creates an untrained predictor.
     pub fn new() -> Tage {
-        let (idx_folds, tag_folds_a, tag_folds_b) = fresh_folds();
         Tage {
             bimodal: vec![0; 1 << LOG_BIMODAL],
             tables: vec![vec![TageEntry::default(); 1 << LOG_TAGGED]; NUM_TABLES],
             hist: GlobalHistory::new(),
-            idx_folds,
-            tag_folds_a,
-            tag_folds_b,
+            idx_folds: std::array::from_fn(|t| Folded::new(HIST_LENGTHS[t], LOG_TAGGED)),
+            tag_folds_a: std::array::from_fn(|t| Folded::new(HIST_LENGTHS[t], TAG_BITS[t])),
+            tag_folds_b: std::array::from_fn(|t| Folded::new(HIST_LENGTHS[t], TAG_BITS[t] - 1)),
             use_alt_on_na: 0,
             lfsr: 0xACE1_u32,
             updates: 0,
@@ -476,89 +327,6 @@ impl Tage {
                 }
             }
         }
-    }
-
-    /// Serializes the complete predictor state (tables, history, folds
-    /// and allocation bookkeeping).
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.bimodal.len());
-        for &c in &self.bimodal {
-            e.u8(c as u8);
-        }
-        for table in &self.tables {
-            e.usize(table.len());
-            for en in table {
-                e.u8(en.ctr as u8);
-                e.u32(en.tag as u32);
-                e.u8(en.u);
-            }
-        }
-        self.hist.snapshot_encode(e);
-        for t in 0..NUM_TABLES {
-            self.idx_folds[t].snapshot_encode(e);
-            self.tag_folds_a[t].snapshot_encode(e);
-            self.tag_folds_b[t].snapshot_encode(e);
-        }
-        e.u8(self.use_alt_on_na as u8);
-        e.u32(self.lfsr);
-        e.u64(self.updates);
-    }
-
-    /// Decodes a predictor serialized by [`Tage::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<Tage, SnapError> {
-        let mut tage = Tage::new();
-        if d.usize()? != tage.bimodal.len() {
-            return Err(SnapError::Corrupt("bimodal table size"));
-        }
-        for c in &mut tage.bimodal {
-            let v = d.u8()? as i8;
-            if !(-2..=1).contains(&v) {
-                return Err(SnapError::Corrupt("bimodal counter range"));
-            }
-            *c = v;
-        }
-        for (t, table) in tage.tables.iter_mut().enumerate() {
-            if d.usize()? != table.len() {
-                return Err(SnapError::Corrupt("tagged table size"));
-            }
-            for en in table.iter_mut() {
-                let ctr = d.u8()? as i8;
-                if !(CTR_MIN..=CTR_MAX).contains(&ctr) {
-                    return Err(SnapError::Corrupt("tage counter range"));
-                }
-                let tag = d.u32()?;
-                if tag > TAG_MASK[t] {
-                    return Err(SnapError::Corrupt("tage tag width"));
-                }
-                let u = d.u8()?;
-                if u > U_MAX {
-                    return Err(SnapError::Corrupt("tage usefulness range"));
-                }
-                *en = TageEntry {
-                    ctr,
-                    tag: tag as u16,
-                    u,
-                };
-            }
-        }
-        tage.hist = GlobalHistory::snapshot_decode(d)?;
-        for t in 0..NUM_TABLES {
-            tage.idx_folds[t].snapshot_decode_into(d)?;
-            tage.tag_folds_a[t].snapshot_decode_into(d)?;
-            tage.tag_folds_b[t].snapshot_decode_into(d)?;
-        }
-        let use_alt = d.u8()? as i8;
-        if !(-8..=7).contains(&use_alt) {
-            return Err(SnapError::Corrupt("use-alt counter range"));
-        }
-        tage.use_alt_on_na = use_alt;
-        let lfsr = d.u32()?;
-        if lfsr == 0 || lfsr > 0xFFFF {
-            return Err(SnapError::Corrupt("lfsr range"));
-        }
-        tage.lfsr = lfsr;
-        tage.updates = d.u64()?;
-        Ok(tage)
     }
 
     /// Total predictor storage in bits (for the 64 KB budget check).

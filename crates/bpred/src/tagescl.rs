@@ -5,7 +5,6 @@
 use crate::loop_pred::{LoopMeta, LoopPredictor};
 use crate::sc::{ScCheckpoint, ScMeta, StatisticalCorrector};
 use crate::tage::{Tage, TageCheckpoint, TageMeta};
-use pfm_isa::snap::{Dec, Enc, SnapError};
 
 /// Per-prediction metadata for the combined predictor.
 #[derive(Clone, Copy, Debug)]
@@ -83,62 +82,6 @@ impl TageScl {
         self.tage.train(pc, taken, &meta.tage);
         self.sc.train(taken, &meta.sc);
         self.lp.train(pc, taken);
-    }
-
-    /// Serializes the complete predictor state (all three components).
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        self.tage.snapshot_encode(e);
-        self.sc.snapshot_encode(e);
-        self.lp.snapshot_encode(e);
-    }
-
-    /// Decodes a predictor serialized by [`TageScl::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<TageScl, SnapError> {
-        let tage = Tage::snapshot_decode(d)?;
-        let sc = StatisticalCorrector::snapshot_decode(d)?;
-        let lp = LoopPredictor::snapshot_decode(d)?;
-        Ok(TageScl { tage, sc, lp })
-    }
-}
-
-impl TageSclMeta {
-    /// Serializes the combined per-prediction metadata.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        self.tage.snapshot_encode(e);
-        self.sc.snapshot_encode(e);
-        self.lp.snapshot_encode(e);
-        e.bool(self.taken);
-    }
-
-    /// Decodes metadata serialized by
-    /// [`TageSclMeta::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<TageSclMeta, SnapError> {
-        let tage = TageMeta::snapshot_decode(d)?;
-        let sc = ScMeta::snapshot_decode(d)?;
-        let lp = LoopMeta::snapshot_decode(d)?;
-        let taken = d.bool()?;
-        Ok(TageSclMeta {
-            tage,
-            sc,
-            lp,
-            taken,
-        })
-    }
-}
-
-impl TageSclCheckpoint {
-    /// Serializes the combined checkpoint.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        self.tage.snapshot_encode(e);
-        self.sc.snapshot_encode(e);
-    }
-
-    /// Decodes a checkpoint serialized by
-    /// [`TageSclCheckpoint::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<TageSclCheckpoint, SnapError> {
-        let tage = TageCheckpoint::snapshot_decode(d)?;
-        let sc = ScCheckpoint::snapshot_decode(d)?;
-        Ok(TageSclCheckpoint { tage, sc })
     }
 }
 

@@ -17,7 +17,6 @@
 //! * *leslie*: multiple engines, one per ROI.
 
 use pfm_fabric::{CustomComponent, FabricIo, FabricLoad, ObsPacket, WatchKind};
-use pfm_isa::snap::{Dec, Enc, SnapError};
 
 /// The paper's epoch-based adaptive prefetch-distance controller: the
 /// number of retired delinquent-load instances per epoch is a proxy for
@@ -161,63 +160,6 @@ impl Engine {
         for b in &mut self.bases {
             *b = None;
         }
-    }
-
-    /// Serializes the engine's dynamic state (the configuration is not
-    /// serialized; it ships with the run key).
-    fn snapshot_state(&self, e: &mut Enc) {
-        e.usize(self.bases.len());
-        for b in &self.bases {
-            match b {
-                Some(v) => {
-                    e.u8(1);
-                    e.u64(*v);
-                }
-                None => e.u8(0),
-            }
-        }
-        e.u64(self.count);
-        e.bool(self.have_count);
-        e.u64(self.next);
-        e.u64(self.retired);
-        e.u64(self.total_retired);
-        e.u64(self.adaptive.distance);
-        e.i64(self.adaptive.step);
-        e.u64(self.adaptive.last_proxy);
-        e.u64(self.adaptive.epoch_start_count);
-        e.u64(self.adaptive.epoch_start_rf);
-        e.u64(self.issued);
-        e.usize(self.set_pos);
-        e.u64(self.sets_skipped);
-    }
-
-    /// Restores state captured by [`Engine::snapshot_state`] into a
-    /// freshly configured engine.
-    fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapError> {
-        if d.seq_len()? != self.bases.len() {
-            return Err(SnapError::Corrupt("engine base count"));
-        }
-        for b in &mut self.bases {
-            *b = match d.u8()? {
-                0 => None,
-                1 => Some(d.u64()?),
-                _ => return Err(SnapError::Corrupt("engine base tag")),
-            };
-        }
-        self.count = d.u64()?;
-        self.have_count = d.bool()?;
-        self.next = d.u64()?;
-        self.retired = d.u64()?;
-        self.total_retired = d.u64()?;
-        self.adaptive.distance = d.u64()?;
-        self.adaptive.step = d.i64()?;
-        self.adaptive.last_proxy = d.u64()?;
-        self.adaptive.epoch_start_count = d.u64()?;
-        self.adaptive.epoch_start_rf = d.u64()?;
-        self.issued = d.u64()?;
-        self.set_pos = d.usize()?;
-        self.sets_skipped = d.u64()?;
-        Ok(())
     }
 
     fn observe(&mut self, pc: u64, value: u64) {
@@ -392,29 +334,6 @@ impl CustomComponent for CustomPrefetcher {
             w.push((e.cfg.load_pc, WatchKind::Load));
         }
         w
-    }
-
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        e.usize(self.engines.len());
-        for en in &self.engines {
-            en.snapshot_state(&mut e);
-        }
-        Some(e.finish())
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let mut d = Dec::new(bytes);
-        let restore = |d: &mut Dec<'_>, engines: &mut [Engine]| -> Result<(), SnapError> {
-            if d.seq_len()? != engines.len() {
-                return Err(SnapError::Corrupt("engine count"));
-            }
-            for en in engines {
-                en.restore_state(d)?;
-            }
-            d.finish()
-        };
-        restore(&mut d, &mut self.engines).is_ok()
     }
 }
 
@@ -614,78 +533,6 @@ mod tests {
             a.distance()
         );
         assert!(a.distance() >= 1);
-    }
-
-    #[test]
-    fn snapshot_state_roundtrips_and_continues_identically() {
-        let mut cfg = stride_cfg();
-        cfg.adaptive = true;
-        let mut c = CustomPrefetcher::new("libq", vec![cfg.clone()]);
-        let mut obs = VecDeque::new();
-        obs.push_back(ObsPacket::DestValue {
-            pc: 0x100,
-            value: 0x10_0000,
-        });
-        obs.push_back(ObsPacket::DestValue {
-            pc: 0x104,
-            value: 1000,
-        });
-        tick(&mut c, &mut obs, 8, 1);
-        for _ in 0..5 {
-            obs.push_back(ObsPacket::DestValue {
-                pc: 0x108,
-                value: 0,
-            });
-        }
-        tick(&mut c, &mut obs, 4, 300);
-
-        let bytes = c.snapshot_state().expect("prefetcher snapshots");
-        let mut r = CustomPrefetcher::new("libq", vec![cfg]);
-        assert!(r.restore_state(&bytes));
-        assert_eq!(
-            r.snapshot_state().unwrap(),
-            bytes,
-            "re-encode must be canonical"
-        );
-
-        // Both continue identically from the restored state.
-        let mut obs_c = VecDeque::new();
-        let mut obs_r = VecDeque::new();
-        for i in 0..4u64 {
-            obs_c.push_back(ObsPacket::DestValue {
-                pc: 0x108,
-                value: i,
-            });
-            obs_r.push_back(ObsPacket::DestValue {
-                pc: 0x108,
-                value: i,
-            });
-        }
-        for rf in 301..320 {
-            let lc: Vec<u64> = tick(&mut c, &mut obs_c, 4, rf)
-                .iter()
-                .map(|l| l.addr)
-                .collect();
-            let lr: Vec<u64> = tick(&mut r, &mut obs_r, 4, rf)
-                .iter()
-                .map(|l| l.addr)
-                .collect();
-            assert_eq!(lc, lr, "rf {rf}");
-        }
-        assert_eq!(c.stats().prefetches, r.stats().prefetches);
-        assert_eq!(c.stats().distance, r.stats().distance);
-    }
-
-    #[test]
-    fn restore_state_rejects_mismatched_geometry() {
-        let c = CustomPrefetcher::new("libq", vec![stride_cfg()]);
-        let bytes = c.snapshot_state().unwrap();
-        // Two engines where the snapshot has one.
-        let mut r = CustomPrefetcher::new("libq", vec![stride_cfg(), stride_cfg()]);
-        assert!(!r.restore_state(&bytes));
-        // Truncated stream.
-        let mut r = CustomPrefetcher::new("libq", vec![stride_cfg()]);
-        assert!(!r.restore_state(&bytes[..bytes.len() - 1]));
     }
 
     #[test]

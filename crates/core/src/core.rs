@@ -25,11 +25,10 @@ use pfm_bpred::{BranchKind, Btb, Checkpoint, Prediction, Predictor, Ras};
 use pfm_isa::fxhash::FxHashMap;
 use pfm_isa::inst::{ExecClass, Inst};
 use pfm_isa::machine::{ExecError, Machine, StepOut};
-use pfm_isa::program::Program;
-use pfm_isa::snap::{read_version, write_version, Dec, Enc, SnapError, FNV_OFFSET};
+use pfm_isa::snap::FNV_OFFSET;
 use pfm_isa::InstInfo;
 use pfm_mem::cache::line_of;
-use pfm_mem::{AccessKind, Hierarchy, HierarchyConfig, HitLevel};
+use pfm_mem::{AccessKind, Hierarchy, HitLevel};
 use std::collections::VecDeque;
 
 /// Number of slots in the unified architectural register space
@@ -139,134 +138,6 @@ impl DynInst {
     }
     fn mem_range(&self) -> Option<(u64, u64)> {
         self.step.mem.map(|m| (m.addr, m.addr + m.size))
-    }
-
-    /// Serializes one in-flight instruction's timing state, with its
-    /// branch-queue entry (if any) inline. The decoded [`InstInfo`] is
-    /// not serialized: it is a pure function of the instruction,
-    /// re-derived at decode.
-    fn snapshot_encode(&self, branch: Option<&BranchEntry>, e: &mut Enc) {
-        self.step.snapshot_encode(e);
-        e.u8(match self.state {
-            InstState::InFront => 0,
-            InstState::Waiting => 1,
-            InstState::Issued => 2,
-            InstState::Completed => 3,
-        });
-        e.u64(self.dispatch_ready);
-        for src in self.srcs {
-            match src {
-                None => e.u8(0),
-                Some(s) => {
-                    e.u8(1);
-                    e.u64(s);
-                }
-            }
-        }
-        e.bool(self.has_dst);
-        e.u64(self.issue_cycle);
-        e.u64(self.complete_cycle);
-        e.bool(self.pred_taken);
-        e.bool(self.mispredicted);
-        e.bool(self.target_mispredicted);
-        e.bool(self.from_fabric);
-        match branch {
-            None => e.u8(0),
-            Some(b) => {
-                e.u8(1);
-                b.prediction.snapshot_encode(e);
-            }
-        }
-        match branch.and_then(|b| b.checkpoint.as_ref()) {
-            None => e.u8(0),
-            Some(cp) => {
-                e.u8(1);
-                cp.snapshot_encode(e);
-            }
-        }
-        match self.ras_snap {
-            None => e.u8(0),
-            Some((top, used)) => {
-                e.u8(1);
-                e.usize(top);
-                e.usize(used);
-            }
-        }
-    }
-
-    /// Decodes an instruction serialized by
-    /// [`DynInst::snapshot_encode`], re-fetching the instruction from
-    /// `program`, with its branch-queue entry if it carried one.
-    fn snapshot_decode(
-        program: &Program,
-        d: &mut Dec<'_>,
-    ) -> Result<(DynInst, Option<BranchEntry>), SnapError> {
-        let step = StepOut::snapshot_decode(program, d)?;
-        let info = step.inst.info();
-        let state = match d.u8()? {
-            0 => InstState::InFront,
-            1 => InstState::Waiting,
-            2 => InstState::Issued,
-            3 => InstState::Completed,
-            _ => return Err(SnapError::Corrupt("inst state tag")),
-        };
-        let dispatch_ready = d.u64()?;
-        let mut srcs = [None, None];
-        for src in &mut srcs {
-            *src = match d.u8()? {
-                0 => None,
-                1 => Some(d.u64()?),
-                _ => return Err(SnapError::Corrupt("source producer tag")),
-            };
-        }
-        let has_dst = d.bool()?;
-        let issue_cycle = d.u64()?;
-        let complete_cycle = d.u64()?;
-        let pred_taken = d.bool()?;
-        let mispredicted = d.bool()?;
-        let target_mispredicted = d.bool()?;
-        let from_fabric = d.bool()?;
-        let prediction = match d.u8()? {
-            0 => None,
-            1 => Some(Prediction::snapshot_decode(d)?),
-            _ => return Err(SnapError::Corrupt("prediction tag")),
-        };
-        let checkpoint = match d.u8()? {
-            0 => None,
-            1 => Some(Checkpoint::snapshot_decode(d)?),
-            _ => return Err(SnapError::Corrupt("checkpoint tag")),
-        };
-        let ras_snap = match d.u8()? {
-            0 => None,
-            1 => Some((d.usize()?, d.usize()?)),
-            _ => return Err(SnapError::Corrupt("ras snapshot tag")),
-        };
-        let branch = match (prediction, checkpoint) {
-            (Some(prediction), checkpoint) if info.is_cond_branch => Some(BranchEntry {
-                seq: step.seq,
-                prediction,
-                checkpoint,
-            }),
-            (Some(_), _) => return Err(SnapError::Corrupt("prediction on a non-branch")),
-            (None, Some(_)) => return Err(SnapError::Corrupt("checkpoint without prediction")),
-            (None, None) => None,
-        };
-        let inst = DynInst {
-            step,
-            info,
-            state,
-            dispatch_ready,
-            srcs,
-            has_dst,
-            issue_cycle,
-            complete_cycle,
-            pred_taken,
-            mispredicted,
-            target_mispredicted,
-            from_fabric,
-            ras_snap,
-        };
-        Ok((inst, branch))
     }
 }
 
@@ -486,296 +357,6 @@ impl Core {
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Serializes the complete core state — architectural machine, warm
-    /// memory hierarchy, branch-prediction state, and every in-flight
-    /// instruction — as snapshot fields (no version header; see
-    /// [`Core::snapshot`] for the standalone form).
-    ///
-    /// Configuration ([`CoreConfig`], [`HierarchyConfig`], the program)
-    /// is *not* serialized: it comes from the run key and is passed back
-    /// to [`Core::restore`]. Scratch pools (event buckets, squash
-    /// scratch) and bookkeeping that is a pure function of the window
-    /// (rename map, load/store queues, wakeup lists, ready list,
-    /// occupancy counts) are rebuilt at decode rather than serialized;
-    /// branch-queue entries are encoded inline with their instructions.
-    ///
-    /// The encoding is canonical: equal state always produces equal
-    /// bytes, so `content_key` over the stream is a stable dedup key.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        self.machine.snapshot_encode(e);
-        self.hierarchy.snapshot_encode(e);
-        self.bp.snapshot_encode(e);
-        self.btb.snapshot_encode(e);
-        self.ras.snapshot_encode(e);
-        e.u64(self.cycle);
-        e.usize(self.front.len());
-        for d in &self.front {
-            d.snapshot_encode(self.branch_pos(d.step.seq).map(|i| &self.branches[i]), e);
-        }
-        e.usize(self.rob.len());
-        for d in &self.rob {
-            d.snapshot_encode(self.branch_pos(d.step.seq).map(|i| &self.branches[i]), e);
-        }
-        e.usize(self.replay.len());
-        for s in &self.replay {
-            s.snapshot_encode(e);
-        }
-        match &self.peeked {
-            None => e.u8(0),
-            Some(s) => {
-                e.u8(1);
-                s.snapshot_encode(e);
-            }
-        }
-        // Completion events, keyed by absolute cycle. The cycle keys
-        // are sorted so the byte stream is canonical; each bucket's
-        // push order (which decides same-cycle completion order) is
-        // preserved as-is.
-        // pfm-lint: allow(snapshot-hash-iter): sorted before encoding
-        let mut cycles: Vec<u64> = self.events.keys().copied().collect();
-        cycles.sort_unstable();
-        e.usize(cycles.len());
-        for c in cycles {
-            e.u64(c);
-            let bucket = &self.events[&c];
-            e.usize(bucket.len());
-            for &seq in bucket {
-                e.u64(seq);
-            }
-        }
-        // pfm-lint: allow(snapshot-hash-iter): sorted before encoding
-        let mut cycles: Vec<u64> = self.fabric_load_events.keys().copied().collect();
-        cycles.sort_unstable();
-        e.usize(cycles.len());
-        for c in cycles {
-            e.u64(c);
-            let bucket = &self.fabric_load_events[&c];
-            e.usize(bucket.len());
-            for &(id, addr, size) in bucket {
-                e.u64(id);
-                e.u64(addr);
-                e.u64(size);
-            }
-        }
-        e.u64(self.fetch_stall_until);
-        match self.fetch_blocked_on {
-            None => e.u8(0),
-            Some(seq) => {
-                e.u8(1);
-                e.u64(seq);
-            }
-        }
-        e.bool(self.halt_fetched);
-        e.bool(self.finished);
-        e.u64(self.last_fetch_line);
-        for b in self.lane_busy {
-            e.bool(b);
-        }
-        for b in self.lane_busy_prev {
-            e.bool(b);
-        }
-        e.u64(self.commit_checksum);
-        e.u64(self.checksum_cap);
-        self.stats.snapshot_encode(e);
-    }
-
-    /// Decodes core state serialized by [`Core::snapshot_encode`],
-    /// reconstructing it over the given configuration and program.
-    ///
-    /// # Errors
-    /// Typed [`SnapError`] on truncated or structurally invalid input
-    /// (bad tags, out-of-order windows, a predictor that does not match
-    /// `config.predictor`, ...).
-    pub fn snapshot_decode(
-        config: CoreConfig,
-        hconfig: HierarchyConfig,
-        program: Program,
-        d: &mut Dec<'_>,
-    ) -> Result<Core, SnapError> {
-        let machine = Machine::snapshot_decode(program, d)?;
-        let hierarchy = Hierarchy::snapshot_decode(hconfig, d)?;
-        let bp = Predictor::snapshot_decode(d)?;
-        let decoded_kind = match &bp {
-            Predictor::TageScl(_) => pfm_bpred::PredictorKind::TageScl,
-            Predictor::Perfect => pfm_bpred::PredictorKind::Perfect,
-        };
-        if decoded_kind != config.predictor {
-            return Err(SnapError::Corrupt("predictor kind"));
-        }
-        let btb = Btb::snapshot_decode(d)?;
-        let ras = Ras::snapshot_decode(d)?;
-        if ras.depth() != config.ras_depth {
-            return Err(SnapError::Corrupt("ras depth"));
-        }
-
-        let mut core = Core::new(config, machine, hierarchy);
-        core.bp = bp;
-        core.btb = btb;
-        core.ras = ras;
-        core.cycle = d.u64()?;
-
-        let program = core.machine.program().clone();
-        // Front-end branches are younger than the ROB's, so they join
-        // the branch queue after it.
-        let mut front_branches = Vec::new();
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let (inst, branch) = DynInst::snapshot_decode(&program, d)?;
-            core.front.push_back(inst);
-            front_branches.extend(branch);
-        }
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let (inst, branch) = DynInst::snapshot_decode(&program, d)?;
-            core.rob.push_back(inst);
-            core.branches.extend(branch);
-        }
-        core.branches.extend(front_branches);
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            core.replay
-                .push_back(StepOut::snapshot_decode(&program, d)?);
-        }
-        core.peeked = match d.u8()? {
-            0 => None,
-            1 => Some(StepOut::snapshot_decode(&program, d)?),
-            _ => return Err(SnapError::Corrupt("peeked record tag")),
-        };
-        // The seq-indexed window (`rob_pos`, the slot ring) relies on
-        // the ROB holding at most `rob_size` consecutive seqs. Dispatch
-        // keeps it so as long as the records behind it — front end,
-        // peeked record, replay queue, then the machine — continue the
-        // sequence, so the whole chain must be consecutive.
-        if core.rob.len() > core.config.rob_size {
-            return Err(SnapError::Corrupt("rob occupancy"));
-        }
-        let chain = (core.rob.iter().chain(&core.front).map(|d| d.step.seq))
-            .chain(core.peeked.iter().chain(&core.replay).map(|s| s.seq));
-        let mut next = None;
-        for s in chain {
-            if next.is_some_and(|n| n != s) {
-                return Err(SnapError::Corrupt("window seqs not consecutive"));
-            }
-            next = Some(s.checked_add(1).ok_or(SnapError::Corrupt("window seq"))?);
-        }
-        if next.is_some_and(|n| n != core.machine.next_seq()) {
-            return Err(SnapError::Corrupt("window seqs not consecutive"));
-        }
-        // Producers precede their consumers (rename only ever names
-        // older instructions), which the wakeup rebuild below assumes.
-        if core
-            .rob
-            .iter()
-            .any(|di| di.srcs.iter().flatten().any(|&p| p >= di.step.seq))
-        {
-            return Err(SnapError::Corrupt("source producer order"));
-        }
-
-        let n = d.seq_len()?;
-        let mut prev_cycle = None;
-        for _ in 0..n {
-            let c = d.u64()?;
-            if prev_cycle.is_some_and(|p| p >= c) {
-                return Err(SnapError::Corrupt("event cycle order"));
-            }
-            prev_cycle = Some(c);
-            let m = d.seq_len()?;
-            let mut bucket = Vec::with_capacity(m);
-            for _ in 0..m {
-                bucket.push(d.u64()?);
-            }
-            core.events.insert(c, bucket);
-        }
-        let n = d.seq_len()?;
-        let mut prev_cycle = None;
-        for _ in 0..n {
-            let c = d.u64()?;
-            if prev_cycle.is_some_and(|p| p >= c) {
-                return Err(SnapError::Corrupt("fabric load cycle order"));
-            }
-            prev_cycle = Some(c);
-            let m = d.seq_len()?;
-            let mut bucket = Vec::with_capacity(m);
-            for _ in 0..m {
-                bucket.push((d.u64()?, d.u64()?, d.u64()?));
-            }
-            core.fabric_load_events.insert(c, bucket);
-        }
-
-        core.fetch_stall_until = d.u64()?;
-        core.fetch_blocked_on = match d.u8()? {
-            0 => None,
-            1 => Some(d.u64()?),
-            _ => return Err(SnapError::Corrupt("fetch block tag")),
-        };
-        core.halt_fetched = d.bool()?;
-        core.finished = d.bool()?;
-        core.last_fetch_line = d.u64()?;
-        for b in &mut core.lane_busy {
-            *b = d.bool()?;
-        }
-        for b in &mut core.lane_busy_prev {
-            *b = d.bool()?;
-        }
-        core.commit_checksum = d.u64()?;
-        core.checksum_cap = d.u64()?;
-        core.stats = SimStats::snapshot_decode(d)?;
-
-        // Rebuild the window bookkeeping that is a pure function of the
-        // ROB: rename map, occupancy counts, load/store queues, and the
-        // scheduler (each `Waiting` instruction registered on its
-        // incomplete producers, or ready), as dispatch left them.
-        for pos in 0..core.rob.len() {
-            let di = &core.rob[pos];
-            let seq = di.step.seq;
-            if let Some((reg, _)) = di.step.wrote {
-                core.last_writer[reg.index()] = Some(seq);
-            }
-            if di.is_load() {
-                core.loads.push_back(seq);
-            }
-            if di.is_store() {
-                core.stores.push_back(seq);
-            }
-            core.dest_count += usize::from(di.has_dst);
-            if di.state == InstState::Waiting {
-                core.waiting_count += 1;
-                let srcs = di.srcs;
-                core.register_waiting(seq, srcs);
-            }
-        }
-        core.iq_count = core.waiting_count;
-        Ok(core)
-    }
-
-    /// A standalone snapshot of the complete core state: version header
-    /// plus [`Core::snapshot_encode`] fields. Restoring it with
-    /// [`Core::restore`] (same config and program) yields a core whose
-    /// continued execution is bit-identical to the original's.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        write_version(&mut e);
-        self.snapshot_encode(&mut e);
-        e.finish()
-    }
-
-    /// Restores a core from [`Core::snapshot`] bytes.
-    ///
-    /// # Errors
-    /// Typed [`SnapError`] on version mismatch or invalid input.
-    pub fn restore(
-        config: CoreConfig,
-        hconfig: HierarchyConfig,
-        program: Program,
-        bytes: &[u8],
-    ) -> Result<Core, SnapError> {
-        let mut d = Dec::new(bytes);
-        read_version(&mut d)?;
-        let core = Core::snapshot_decode(config, hconfig, program, &mut d)?;
-        d.finish()?;
-        Ok(core)
     }
 
     /// Runs until `Halt` retires, `max_instrs` instructions retire, or
@@ -1949,206 +1530,10 @@ mod tests {
     }
 
     #[test]
-    fn mid_pipeline_snapshot_roundtrip_is_bit_identical() {
-        // A branchy, memory-heavy kernel so the snapshot catches a full
-        // window: in-flight loads, stores, mispredicted branches,
-        // checkpoints, replay records, and pending completion events.
-        let build = |a: &mut Asm| {
-            let top = a.label();
-            let skip = a.label();
-            a.li(S0, 12345);
-            a.li(S1, 6364136223846793005);
-            a.li(S2, 1442695040888963407);
-            a.li(A0, 0x40_0000);
-            a.li(T0, 30_000);
-            a.bind(top).unwrap();
-            a.mul(S0, S0, S1);
-            a.add(S0, S0, S2);
-            a.srli(T1, S0, 62);
-            a.andi(T1, T1, 1);
-            a.beq(T1, X0, skip);
-            a.sd(S0, A0, 0);
-            a.ld(T2, A0, 0);
-            a.addi(A0, A0, 64);
-            a.bind(skip).unwrap();
-            a.addi(T0, T0, -1);
-            a.bne(T0, X0, top);
-            a.halt();
-        };
-        let mut a = Asm::new(0x1000);
-        build(&mut a);
-        let program = a.finish().unwrap();
-        let machine = Machine::new(program.clone(), SpecMemory::new());
-        let mut core = Core::new(
-            CoreConfig::micro21(),
-            machine,
-            Hierarchy::new(HierarchyConfig::micro21()),
-        );
-
-        // Run mid-flight (manual ticks so nothing caps the checksum).
-        for _ in 0..4_000 {
-            core.tick(&mut NoPfm).unwrap();
-        }
-        assert!(!core.finished(), "snapshot point must be mid-run");
-        let bytes = core.snapshot();
-
-        let mut restored = Core::restore(
-            CoreConfig::micro21(),
-            HierarchyConfig::micro21(),
-            program,
-            &bytes,
-        )
-        .unwrap();
-        assert_eq!(restored.snapshot(), bytes, "re-encode must be canonical");
-
-        // Both continuations must be bit-identical to the end.
-        core.run(&mut NoPfm, u64::MAX, 20_000_000).unwrap();
-        restored.run(&mut NoPfm, u64::MAX, 20_000_000).unwrap();
-        assert!(core.finished() && restored.finished());
-        assert_eq!(core.stats(), restored.stats());
-        assert_eq!(core.commit_checksum(), restored.commit_checksum());
-        assert_eq!(
-            core.machine().arch_checksum(),
-            restored.machine().arch_checksum()
-        );
-        assert_eq!(core.hierarchy().stats(), restored.hierarchy().stats());
-    }
-
-    /// A core mid-way through a branchy load/store loop, with a full
-    /// window to snapshot.
-    fn mid_run_core() -> (Core, Program) {
-        let mut a = Asm::new(0x1000);
-        let top = a.label();
-        let skip = a.label();
-        a.li(S0, 12345);
-        a.li(S1, 6364136223846793005);
-        a.li(A0, 0x40_0000);
-        a.li(T0, 10_000);
-        a.bind(top).unwrap();
-        a.mul(S0, S0, S1);
-        a.srli(T1, S0, 62);
-        a.andi(T1, T1, 1);
-        a.beq(T1, X0, skip);
-        a.sd(S0, A0, 0);
-        a.ld(T2, A0, 0);
-        a.addi(A0, A0, 64);
-        a.bind(skip).unwrap();
-        a.addi(T0, T0, -1);
-        a.bne(T0, X0, top);
-        a.halt();
-        let program = a.finish().unwrap();
-        let machine = Machine::new(program.clone(), SpecMemory::new());
-        let mut core = Core::new(
-            CoreConfig::micro21(),
-            machine,
-            Hierarchy::new(HierarchyConfig::micro21()),
-        );
-        for _ in 0..3_000 {
-            core.tick(&mut NoPfm).unwrap();
-        }
-        assert!(!core.finished() && core.rob.len() >= 3);
-        (core, program)
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_a_window_with_a_gap() {
-        let (mut core, program) = mid_run_core();
-        let mid = core.rob.len() / 2;
-        core.rob.remove(mid);
-        let bytes = core.snapshot();
-        let err = Core::restore(
-            CoreConfig::micro21(),
-            HierarchyConfig::micro21(),
-            program,
-            &bytes,
-        )
-        .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("window seqs not consecutive"));
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_a_record_that_disagrees_with_its_instruction() {
-        // Each record below names an access or a destination write its
-        // instruction does not perform. It would decode, then trip the
-        // pipeline (a store without its access panics at retirement),
-        // so restore refuses it.
-        let restore = |core: &Core, program: Program| {
-            Core::restore(
-                CoreConfig::micro21(),
-                HierarchyConfig::micro21(),
-                program,
-                &core.snapshot(),
-            )
-            .unwrap_err()
-        };
-
-        let (mut core, program) = mid_run_core();
-        let store = core.rob.iter_mut().find(|d| d.step.inst.is_store());
-        store.expect("a store in flight").step.mem = None;
-        assert_eq!(
-            restore(&core, program),
-            SnapError::Corrupt("mem op disagrees with instruction")
-        );
-
-        let (mut core, program) = mid_run_core();
-        let load = core.rob.iter_mut().find(|d| d.step.inst.is_load());
-        let access = load.and_then(|d| d.step.mem.as_mut());
-        access.expect("a load in flight").size = 4;
-        assert_eq!(
-            restore(&core, program),
-            SnapError::Corrupt("mem op disagrees with instruction")
-        );
-
-        let (mut core, program) = mid_run_core();
-        let writer = core.rob.iter_mut().find(|d| d.step.wrote.is_some());
-        writer.expect("a write-back in flight").step.wrote = None;
-        assert_eq!(
-            restore(&core, program),
-            SnapError::Corrupt("dest write disagrees with instruction")
-        );
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_a_window_larger_than_the_rob() {
-        let (core, program) = mid_run_core();
-        let bytes = core.snapshot();
-        let mut small = CoreConfig::micro21();
-        small.rob_size = core.rob.len() - 1;
-        let err = Core::restore(small, HierarchyConfig::micro21(), program, &bytes).unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("rob occupancy"));
-    }
-
-    #[test]
     fn window_entries_stay_small() {
         // Predictor state lives in the branch queue, not in every
         // window entry.
         assert!(std::mem::size_of::<DynInst>() <= 256);
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_mismatched_config() {
-        let mut a = Asm::new(0x1000);
-        a.li(A0, 1);
-        a.halt();
-        let program = a.finish().unwrap();
-        let machine = Machine::new(program.clone(), SpecMemory::new());
-        let core = Core::new(
-            CoreConfig::micro21(),
-            machine,
-            Hierarchy::new(HierarchyConfig::micro21()),
-        );
-        let bytes = core.snapshot();
-
-        let mut wrong = CoreConfig::micro21();
-        wrong.predictor = PredictorKind::Perfect;
-        let err =
-            Core::restore(wrong, HierarchyConfig::micro21(), program.clone(), &bytes).unwrap_err();
-        assert_eq!(err, pfm_isa::snap::SnapError::Corrupt("predictor kind"));
-
-        let mut wrong = CoreConfig::micro21();
-        wrong.ras_depth = 16;
-        let err = Core::restore(wrong, HierarchyConfig::micro21(), program, &bytes).unwrap_err();
-        assert_eq!(err, pfm_isa::snap::SnapError::Corrupt("ras depth"));
     }
 
     #[test]

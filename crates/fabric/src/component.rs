@@ -249,21 +249,17 @@ pub trait CustomComponent {
         Vec::new()
     }
 
-    /// Serializes the component's dynamic state for a machine snapshot
-    /// (see `pfm_isa::snap`). The bytes must be a deterministic
-    /// function of the state — same state, same bytes — and must round
-    /// trip through [`CustomComponent::restore_state`] bit-identically.
-    /// Components that do not support snapshots return `None`; a fabric
-    /// snapshot then fails with [`pfm_isa::snap::SnapError::Unsupported`]
-    /// rather than silently losing state.
+    /// Serialized dynamic state of the component; `None` by default.
+    /// Nothing in `crates/` calls it: a run restores only the
+    /// architectural `Machine` snapshot and starts its fabric cold. It
+    /// stays a default method because the benchmark's tracing wrapper
+    /// (`benchmark/src/trace.rs`) forwards it.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Restores dynamic state captured by
-    /// [`CustomComponent::snapshot_state`] into a freshly constructed
-    /// component (same configuration). Returns `false` if the bytes are
-    /// unrecognized or snapshots are unsupported.
+    /// Counterpart of [`CustomComponent::snapshot_state`]; refuses any
+    /// bytes (`false`) by default. Nothing in `crates/` calls it either.
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
         let _ = bytes;
         false

@@ -11,7 +11,7 @@ use pfm_core::hooks::{
     FabricLoadResult, FetchOverride, PfmHooks, RetireDirective, RetireInfo, SquashKind,
 };
 use pfm_core::NUM_LANES;
-use pfm_isa::snap::{read_version, write_version, Dec, Enc, SnapError};
+use pfm_isa::snap::{Dec, Enc, SnapError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How deep the Fetch Agent scans IntQ-F for a PC-matching prediction
@@ -186,82 +186,6 @@ struct PendingObs {
     needs_port: bool,
 }
 
-fn encode_obs(p: &ObsPacket, e: &mut Enc) {
-    match *p {
-        ObsPacket::BeginRoi => e.u8(0),
-        ObsPacket::DestValue { pc, value } => {
-            e.u8(1);
-            e.u64(pc);
-            e.u64(value);
-        }
-        ObsPacket::StoreValue { pc, addr, value } => {
-            e.u8(2);
-            e.u64(pc);
-            e.u64(addr);
-            e.u64(value);
-        }
-        ObsPacket::BranchOutcome { pc, taken } => {
-            e.u8(3);
-            e.u64(pc);
-            e.bool(taken);
-        }
-        ObsPacket::Squash => e.u8(4),
-    }
-}
-
-fn decode_obs(d: &mut Dec<'_>) -> Result<ObsPacket, SnapError> {
-    Ok(match d.u8()? {
-        0 => ObsPacket::BeginRoi,
-        1 => ObsPacket::DestValue {
-            pc: d.u64()?,
-            value: d.u64()?,
-        },
-        2 => ObsPacket::StoreValue {
-            pc: d.u64()?,
-            addr: d.u64()?,
-            value: d.u64()?,
-        },
-        3 => ObsPacket::BranchOutcome {
-            pc: d.u64()?,
-            taken: d.bool()?,
-        },
-        4 => ObsPacket::Squash,
-        _ => return Err(SnapError::Corrupt("observation packet tag")),
-    })
-}
-
-fn encode_pred(p: &PredPacket, e: &mut Enc) {
-    e.u64(p.pc);
-    e.bool(p.taken);
-}
-
-fn decode_pred(d: &mut Dec<'_>) -> Result<PredPacket, SnapError> {
-    Ok(PredPacket {
-        pc: d.u64()?,
-        taken: d.bool()?,
-    })
-}
-
-fn encode_load(l: &FabricLoad, e: &mut Enc) {
-    e.u64(l.id);
-    e.u64(l.addr);
-    e.u64(l.size);
-    e.bool(l.is_prefetch);
-}
-
-fn decode_load(d: &mut Dec<'_>) -> Result<FabricLoad, SnapError> {
-    let load = FabricLoad {
-        id: d.u64()?,
-        addr: d.u64()?,
-        size: d.u64()?,
-        is_prefetch: d.bool()?,
-    };
-    if !matches!(load.size, 1 | 2 | 4 | 8) {
-        return Err(SnapError::Corrupt("fabric load size"));
-    }
-    Ok(load)
-}
-
 /// The fabric: an RF-synthesized custom component plus the Fetch,
 /// Retire and Load Agents.
 pub struct Fabric {
@@ -405,8 +329,7 @@ impl Fabric {
     /// [`FaultScenario::MID_SWAP`] scenarios have any effect here
     /// (`corrupt-signature` perturbs the scheduling layer, not the
     /// fabric); the single-component scenarios are injected by
-    /// [`crate::faults::FaultyComponent`] instead. Fabrics with armed
-    /// swap faults cannot be snapshotted.
+    /// [`crate::faults::FaultyComponent`] instead.
     pub fn set_swap_faults(&mut self, plan: FaultPlan) {
         let rng = FaultRng::new(plan.seed);
         self.swap_faults = Some((plan, rng));
@@ -594,247 +517,6 @@ impl Fabric {
             self.rf_cycle,
             self.residency,
         )
-    }
-
-    /// Serializes the fabric's dynamic state: agent queues, clock
-    /// domain, squash protocol, statistics, and the custom component's
-    /// state (via [`CustomComponent::snapshot_state`]).
-    ///
-    /// Configuration — the fabric parameters and the FST/RST snoop
-    /// tables — is *not* serialized; it ships with the run key, exactly
-    /// like the core and hierarchy configs, and the decoder receives it
-    /// as arguments.
-    ///
-    /// # Errors
-    /// [`SnapError::Unsupported`] if the component does not implement
-    /// snapshots, or if mid-swap fault injection is armed (the fault
-    /// RNG stream is not part of the snapshot format).
-    pub fn snapshot_encode(&self, e: &mut Enc) -> Result<(), SnapError> {
-        if self.swap_faults.is_some() {
-            return Err(SnapError::Unsupported("swap fault injection armed"));
-        }
-        let comp = self
-            .component
-            .snapshot_state()
-            .ok_or(SnapError::Unsupported("component does not snapshot"))?;
-        e.bool(self.enabled);
-        match self.residency {
-            Residency::Empty => e.u8(0),
-            Residency::Loading { remaining } => {
-                e.u8(1);
-                e.u64(remaining);
-            }
-            Residency::Resident => e.u8(2),
-            Residency::Draining {
-                remaining,
-                load_cycles,
-            } => {
-                e.u8(3);
-                e.u64(remaining);
-                e.u64(load_cycles);
-            }
-        }
-        e.u64(self.swap_restart_cycles);
-        e.u64(self.cycle);
-        e.u64(self.rf_cycle);
-        e.usize(self.obs_q.len());
-        for p in &self.obs_q {
-            encode_obs(p, e);
-        }
-        e.usize(self.pending_obs.len());
-        for po in &self.pending_obs {
-            encode_obs(&po.packet, e);
-            e.bool(po.needs_port);
-        }
-        for &b in &self.lane_busy_latest {
-            e.bool(b);
-        }
-        e.usize(self.ports_used);
-        e.usize(self.intq_f.len());
-        for p in &self.intq_f {
-            encode_pred(p, e);
-        }
-        e.usize(self.pred_delay.len());
-        for (due, p) in &self.pred_delay {
-            e.u64(*due);
-            encode_pred(p, e);
-        }
-        e.usize(self.delivered.len());
-        for (seq, p) in &self.delivered {
-            e.u64(*seq);
-            encode_pred(p, e);
-        }
-        e.u64(self.drop_late);
-        e.u64(self.stall_streak);
-        e.usize(self.intq_is.len());
-        for l in &self.intq_is {
-            encode_load(l, e);
-        }
-        e.usize(self.load_delay.len());
-        for (due, l) in &self.load_delay {
-            e.u64(*due);
-            encode_load(l, e);
-        }
-        e.usize(self.obs_ex.len());
-        for r in &self.obs_ex {
-            e.u64(r.id);
-            e.u64(r.value);
-        }
-        e.usize(self.mlb.len());
-        for (l, ready) in &self.mlb {
-            encode_load(l, e);
-            e.u64(*ready);
-        }
-        // BTreeMap iteration is key-ordered, hence deterministic.
-        e.usize(self.inflight_loads.len());
-        for l in self.inflight_loads.values() {
-            encode_load(l, e);
-        }
-        e.bool(self.squash_pending);
-        match self.squash_done_at {
-            Some(c) => {
-                e.u8(1);
-                e.u64(c);
-            }
-            None => e.u8(0),
-        }
-        self.stats.snapshot_encode(e);
-        e.usize(comp.len());
-        e.bytes(&comp);
-        Ok(())
-    }
-
-    /// Decodes a fabric serialized by [`Fabric::snapshot_encode`].
-    ///
-    /// `params`, `fst`, `rst`, and a freshly constructed `component`
-    /// come from the run configuration (they are not in the byte
-    /// stream); the component's dynamic state is restored via
-    /// [`CustomComponent::restore_state`].
-    ///
-    /// # Errors
-    /// [`SnapError`] on truncated or corrupt input, or
-    /// [`SnapError::Unsupported`] if the component rejects the state
-    /// bytes.
-    pub fn snapshot_decode(
-        params: FabricParams,
-        fst: BTreeSet<u64>,
-        rst: BTreeMap<u64, RstEntry>,
-        component: Box<dyn CustomComponent>,
-        d: &mut Dec<'_>,
-    ) -> Result<Fabric, SnapError> {
-        let mut f = Fabric::new(params, fst, rst, component);
-        f.enabled = d.bool()?;
-        f.residency = match d.u8()? {
-            0 => Residency::Empty,
-            1 => Residency::Loading {
-                remaining: d.u64()?,
-            },
-            2 => Residency::Resident,
-            3 => Residency::Draining {
-                remaining: d.u64()?,
-                load_cycles: d.u64()?,
-            },
-            _ => return Err(SnapError::Corrupt("residency tag")),
-        };
-        f.swap_restart_cycles = d.u64()?;
-        f.cycle = d.u64()?;
-        f.rf_cycle = d.u64()?;
-        for _ in 0..d.seq_len()? {
-            f.obs_q.push_back(decode_obs(d)?);
-        }
-        for _ in 0..d.seq_len()? {
-            let packet = decode_obs(d)?;
-            let needs_port = d.bool()?;
-            f.pending_obs.push_back(PendingObs { packet, needs_port });
-        }
-        for b in &mut f.lane_busy_latest {
-            *b = d.bool()?;
-        }
-        f.ports_used = d.usize()?;
-        if f.ports_used > NUM_LANES {
-            return Err(SnapError::Corrupt("ports used range"));
-        }
-        for _ in 0..d.seq_len()? {
-            f.intq_f.push_back(decode_pred(d)?);
-        }
-        for _ in 0..d.seq_len()? {
-            let due = d.u64()?;
-            f.pred_delay.push_back((due, decode_pred(d)?));
-        }
-        for _ in 0..d.seq_len()? {
-            let seq = d.u64()?;
-            f.delivered.push_back((seq, decode_pred(d)?));
-        }
-        f.drop_late = d.u64()?;
-        f.stall_streak = d.u64()?;
-        for _ in 0..d.seq_len()? {
-            f.intq_is.push_back(decode_load(d)?);
-        }
-        for _ in 0..d.seq_len()? {
-            let due = d.u64()?;
-            f.load_delay.push_back((due, decode_load(d)?));
-        }
-        for _ in 0..d.seq_len()? {
-            let id = d.u64()?;
-            let value = d.u64()?;
-            f.obs_ex.push_back(LoadResponse { id, value });
-        }
-        for _ in 0..d.seq_len()? {
-            let l = decode_load(d)?;
-            let ready = d.u64()?;
-            f.mlb.push_back((l, ready));
-        }
-        for _ in 0..d.seq_len()? {
-            let l = decode_load(d)?;
-            if f.inflight_loads.insert(l.id, l).is_some() {
-                return Err(SnapError::Corrupt("duplicate inflight load id"));
-            }
-        }
-        f.squash_pending = d.bool()?;
-        f.squash_done_at = match d.u8()? {
-            0 => None,
-            1 => Some(d.u64()?),
-            _ => return Err(SnapError::Corrupt("squash done tag")),
-        };
-        f.stats = FabricStats::snapshot_decode(d)?;
-        let n = d.seq_len()?;
-        let comp = d.bytes(n)?;
-        if !f.component.restore_state(comp) {
-            return Err(SnapError::Unsupported("component rejected state"));
-        }
-        Ok(f)
-    }
-
-    /// Serializes the fabric into a standalone snapshot with a version
-    /// header.
-    ///
-    /// # Errors
-    /// [`SnapError::Unsupported`] if the component does not implement
-    /// snapshots.
-    pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
-        let mut e = Enc::new();
-        write_version(&mut e);
-        self.snapshot_encode(&mut e)?;
-        Ok(e.finish())
-    }
-
-    /// Restores a fabric from bytes produced by [`Fabric::snapshot`].
-    ///
-    /// # Errors
-    /// [`SnapError`] on version mismatch, truncated or corrupt input,
-    /// or a component that rejects the state bytes.
-    pub fn restore(
-        params: FabricParams,
-        fst: BTreeSet<u64>,
-        rst: BTreeMap<u64, RstEntry>,
-        component: Box<dyn CustomComponent>,
-        bytes: &[u8],
-    ) -> Result<Fabric, SnapError> {
-        let mut d = Dec::new(bytes);
-        read_version(&mut d)?;
-        let f = Fabric::snapshot_decode(params, fst, rst, component, &mut d)?;
-        d.finish()?;
-        Ok(f)
     }
 
     fn free_port(&mut self) -> bool {
@@ -1287,33 +969,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "scripted"
         }
-        fn snapshot_state(&self) -> Option<Vec<u8>> {
-            let mut e = Enc::new();
-            e.u64(self.squashes);
-            e.usize(self.preds.len());
-            for p in &self.preds {
-                encode_pred(p, &mut e);
-            }
-            e.usize(self.loads.len());
-            for l in &self.loads {
-                encode_load(l, &mut e);
-            }
-            Some(e.finish())
-        }
-        fn restore_state(&mut self, bytes: &[u8]) -> bool {
-            let mut d = Dec::new(bytes);
-            let decode = |d: &mut Dec<'_>, s: &mut Scripted| -> Result<(), SnapError> {
-                s.squashes = d.u64()?;
-                for _ in 0..d.seq_len()? {
-                    s.preds.push(decode_pred(d)?);
-                }
-                for _ in 0..d.seq_len()? {
-                    s.loads.push(decode_load(d)?);
-                }
-                d.finish()
-            };
-            decode(&mut d, self).is_ok()
-        }
     }
 
     fn fabric_with(component: Scripted, params: FabricParams) -> Fabric {
@@ -1527,124 +1182,6 @@ mod tests {
         assert!(f.pending_obs.is_empty());
     }
 
-    #[test]
-    fn mid_run_snapshot_roundtrips_and_continues_identically() {
-        let mk = || {
-            let mut comp = Scripted::new();
-            comp.preds.push(PredPacket {
-                pc: 0x2000,
-                taken: true,
-            });
-            comp.preds.push(PredPacket {
-                pc: 0x2000,
-                taken: false,
-            });
-            comp.loads.push(FabricLoad {
-                id: 3,
-                addr: 0x300,
-                size: 8,
-                is_prefetch: false,
-            });
-            comp
-        };
-        let params = FabricParams::paper_default().delay(1);
-        let mut f = fabric_with(mk(), params.clone());
-        // Enter the ROI, absorb the squash protocol, let the component
-        // emit into the delay pipes, deliver one prediction and inject
-        // the load — a state with most queues non-trivially populated.
-        f.on_retire(&retire_info(0x1000, 1));
-        f.on_squash(SquashKind::RoiBegin, 2, 1);
-        for c in 2..40 {
-            f.begin_cycle(c, [false; NUM_LANES]);
-        }
-        assert_eq!(f.fetch_inst(100, 0x2000, true), FetchOverride::Use(true));
-        let load = f.pop_load().expect("load available");
-        f.load_result(load.id, FabricLoadResult::Miss, 40);
-
-        let bytes = f.snapshot().expect("scripted component snapshots");
-        let (fst, rst) = {
-            let mut rst = BTreeMap::new();
-            rst.insert(0x1000, RstEntry::dest().begin());
-            let mut fst = BTreeSet::new();
-            fst.insert(0x2000);
-            (fst, rst)
-        };
-        let mut g =
-            Fabric::restore(params, fst, rst, Box::new(Scripted::new()), &bytes).expect("restore");
-
-        // Canonical re-encode: same state, same bytes.
-        assert_eq!(g.snapshot().unwrap(), bytes, "re-encode must be canonical");
-        assert_eq!(g.debug_state(), f.debug_state());
-        assert_eq!(g.stats(), f.stats());
-
-        // Both continue identically: the MLB replays the missed load,
-        // the second prediction is delivered.
-        for c in 41..160 {
-            f.begin_cycle(c, [false; NUM_LANES]);
-            g.begin_cycle(c, [false; NUM_LANES]);
-            assert_eq!(f.pop_load(), g.pop_load(), "cycle {c}");
-        }
-        assert_eq!(
-            f.fetch_inst(200, 0x2000, true),
-            g.fetch_inst(200, 0x2000, true)
-        );
-        assert_eq!(g.stats(), f.stats());
-        assert_eq!(g.debug_state(), f.debug_state());
-    }
-
-    #[test]
-    fn snapshot_without_component_support_is_unsupported() {
-        struct Opaque;
-        impl CustomComponent for Opaque {
-            fn tick(&mut self, _io: &mut FabricIo<'_>) {}
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-        }
-        let f = Fabric::new(
-            FabricParams::paper_default(),
-            BTreeSet::new(),
-            BTreeMap::new(),
-            Box::new(Opaque),
-        );
-        assert!(matches!(f.snapshot(), Err(SnapError::Unsupported(_))));
-        // Restoring valid bytes into an unsupporting component fails too.
-        let mut donor = fabric_with(Scripted::new(), FabricParams::paper_default());
-        donor.on_retire(&retire_info(0x1000, 1));
-        let bytes = donor.snapshot().unwrap();
-        let err = Fabric::restore(
-            FabricParams::paper_default(),
-            BTreeSet::new(),
-            BTreeMap::new(),
-            Box::new(Opaque),
-            &bytes,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SnapError::Unsupported(_)));
-    }
-
-    #[test]
-    fn corrupt_fabric_snapshot_is_rejected() {
-        let mut f = fabric_with(Scripted::new(), FabricParams::paper_default());
-        f.on_retire(&retire_info(0x1000, 1));
-        let bytes = f.snapshot().unwrap();
-        // Truncation anywhere must produce a typed error, not a panic.
-        for cut in [5, bytes.len() / 2, bytes.len() - 1] {
-            let err = Fabric::restore(
-                FabricParams::paper_default(),
-                BTreeSet::new(),
-                BTreeMap::new(),
-                Box::new(Scripted::new()),
-                &bytes[..cut],
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, SnapError::Truncated | SnapError::Corrupt(_)),
-                "cut {cut}: {err:?}"
-            );
-        }
-    }
-
     fn swap_tables() -> (BTreeSet<u64>, BTreeMap<u64, RstEntry>) {
         let mut rst = BTreeMap::new();
         rst.insert(0x1000, RstEntry::dest().begin());
@@ -1746,49 +1283,6 @@ mod tests {
     }
 
     #[test]
-    fn mid_swap_snapshot_roundtrips_in_draining_and_loading() {
-        for settle in [2u64, 12] {
-            // settle=2 lands in Draining (window 8), settle=12 in
-            // Loading.
-            let mut f = fabric_with(Scripted::new(), FabricParams::paper_default().delay(1));
-            warm_roi(&mut f);
-            let (fst, rst) = swap_tables();
-            assert!(f.begin_swap(fst, rst, Box::new(Scripted::new()), 24));
-            for c in 60..60 + settle {
-                f.begin_cycle(c, [false; NUM_LANES]);
-            }
-            if settle == 2 {
-                assert!(matches!(f.residency(), Residency::Draining { .. }));
-            } else {
-                assert!(matches!(f.residency(), Residency::Loading { .. }));
-            }
-            let bytes = f.snapshot().expect("mid-swap snapshot");
-            let (fst, rst) = swap_tables();
-            let mut g = Fabric::restore(
-                FabricParams::paper_default().delay(1),
-                fst,
-                rst,
-                Box::new(Scripted::new()),
-                &bytes,
-            )
-            .expect("restore");
-            assert_eq!(g.snapshot().unwrap(), bytes, "canonical re-encode");
-            assert_eq!(g.residency(), f.residency());
-            // Both complete the swap on the same cycle.
-            for c in 60 + settle..400 {
-                f.begin_cycle(c, [false; NUM_LANES]);
-                g.begin_cycle(c, [false; NUM_LANES]);
-                assert_eq!(f.residency(), g.residency(), "cycle {c}");
-                if f.residency() == Residency::Resident {
-                    break;
-                }
-            }
-            assert_eq!(f.residency(), Residency::Resident);
-            assert_eq!(g.stats(), f.stats());
-        }
-    }
-
-    #[test]
     fn swap_abort_restarts_the_load_once() {
         let mut clean = fabric_with(Scripted::new(), FabricParams::paper_default());
         let mut faulty = fabric_with(Scripted::new(), FabricParams::paper_default());
@@ -1857,13 +1351,6 @@ mod tests {
             FetchOverride::Use(_)
         ));
         assert_eq!(f.stats().stale_drain_leaks, 2);
-    }
-
-    #[test]
-    fn snapshot_with_swap_faults_armed_is_unsupported() {
-        let mut f = fabric_with(Scripted::new(), FabricParams::paper_default());
-        f.set_swap_faults(FaultPlan::new(FaultScenario::SwapAbort, 1));
-        assert!(matches!(f.snapshot(), Err(SnapError::Unsupported(_))));
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   the fold the cycle core applies at retirement. The
 //!   functional/detailed equivalence gate pins this for every use case.
 //! * **Snapshots are interchangeable.** [`FastExec::snapshot`] is
-//!   [`Machine::snapshot`], so a fast-forward position can seed a
-//!   detailed interval via [`Machine::restore`] (the sampled-run mode
-//!   in `pfm-sim`).
+//!   [`Machine::snapshot`], the simulator's only snapshot, so a
+//!   fast-forward position can seed a detailed interval via
+//!   [`Machine::restore`] (the sampled-run mode in `pfm-sim`). The core
+//!   that restores it starts with cold caches, predictor and fabric.
+//!   This module's restore test and pfm-core's
+//!   `split_run_equals_straight_run` property pin the hand-off.
 
 use crate::machine::{ExecError, Machine};
 use crate::mem::SpecMemory;

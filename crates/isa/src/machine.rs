@@ -505,7 +505,7 @@ impl Machine {
 
     /// Serializes the architectural state — registers, PC, sequence
     /// counter, halt flag, data memory — as snapshot fields (no
-    /// version header; composed into larger snapshots by the core).
+    /// version header; [`Machine::snapshot`] adds it).
     ///
     /// The program itself is not serialized: it is immutable and
     /// identified by the run spec, so the decoder takes it as input.
@@ -604,103 +604,6 @@ impl StepOut {
             }
             _ => fold(h, 0),
         }
-    }
-
-    /// Serializes everything but the instruction itself (re-fetched
-    /// from the program at decode, keyed by `pc`).
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u64(self.seq);
-        e.u64(self.pc);
-        e.u64(self.next_pc);
-        e.bool(self.taken);
-        match self.mem {
-            None => e.u8(0),
-            Some(m) => {
-                e.u8(1);
-                e.bool(m.is_store);
-                e.u64(m.addr);
-                e.u64(m.size);
-                e.u64(m.value);
-            }
-        }
-        match self.wrote {
-            None => e.u8(0),
-            Some((RegRef::Int(r), v)) => {
-                e.u8(1);
-                e.u8(r.num());
-                e.u64(v);
-            }
-            Some((RegRef::Fp(f), v)) => {
-                e.u8(2);
-                e.u8(f.num());
-                e.u64(v);
-            }
-        }
-        e.bool(self.halted);
-    }
-
-    /// Reconstructs a record serialized by
-    /// [`StepOut::snapshot_encode`], re-fetching the instruction from
-    /// `program`.
-    ///
-    /// # Errors
-    /// Typed [`SnapError`] on truncated input, a PC outside the
-    /// program, an out-of-range register number, or a memory access or
-    /// destination write the re-fetched instruction does not perform.
-    pub fn snapshot_decode(program: &Program, d: &mut Dec<'_>) -> Result<StepOut, SnapError> {
-        let seq = d.u64()?;
-        let pc = d.u64()?;
-        let inst = program
-            .fetch(pc)
-            .map_err(|_| SnapError::Corrupt("step pc outside program"))?;
-        let next_pc = d.u64()?;
-        let taken = d.bool()?;
-        let mem = match d.u8()? {
-            0 => None,
-            1 => Some(MemOp {
-                is_store: d.bool()?,
-                addr: d.u64()?,
-                size: d.u64()?,
-                value: d.u64()?,
-            }),
-            _ => return Err(SnapError::Corrupt("mem op tag")),
-        };
-        let wrote = match d.u8()? {
-            0 => None,
-            1 => {
-                let n = d.u8()?;
-                if n as usize >= NUM_INT_REGS {
-                    return Err(SnapError::Corrupt("int register number"));
-                }
-                Some((RegRef::Int(Reg::new(n)), d.u64()?))
-            }
-            2 => {
-                let n = d.u8()?;
-                if n as usize >= NUM_FP_REGS {
-                    return Err(SnapError::Corrupt("fp register number"));
-                }
-                Some((RegRef::Fp(FReg::new(n)), d.u64()?))
-            }
-            _ => return Err(SnapError::Corrupt("dest write tag")),
-        };
-        let halted = d.bool()?;
-        let access = inst.mem_access().map(|a| (a.is_store, a.width.bytes()));
-        if mem.map(|m| (m.is_store, m.size)) != access {
-            return Err(SnapError::Corrupt("mem op disagrees with instruction"));
-        }
-        if wrote.map(|(r, _)| r) != inst.info().dst {
-            return Err(SnapError::Corrupt("dest write disagrees with instruction"));
-        }
-        Ok(StepOut {
-            seq,
-            pc,
-            inst,
-            next_pc,
-            taken,
-            mem,
-            wrote,
-            halted,
-        })
     }
 }
 

@@ -1,9 +1,12 @@
 //! Deterministic, dependency-free snapshot serialization.
 //!
-//! Snapshots capture machine state — architectural registers, sparse
-//! memory pages, and (in higher layers) warm microarchitectural state —
-//! as a flat little-endian byte stream. The format is deliberately
-//! minimal:
+//! The one snapshot is architectural: a [`Machine`](crate::Machine)'s
+//! registers, PC, sequence counter and sparse memory pages, taken on the
+//! functional fast-forward and restored into a detailed core whose
+//! caches, predictor and fabric start cold. The result store encodes
+//! its statistics and run records with the same [`Enc`]/[`Dec`] pair.
+//! Either way the state is a flat little-endian byte stream, and the
+//! format is deliberately minimal:
 //!
 //! * integers are fixed-width little-endian,
 //! * sequences are a `u64` element count followed by the elements,
@@ -21,8 +24,9 @@
 
 /// Version tag written at the head of every top-level snapshot. Bump
 /// on any layout change; decoders reject mismatches instead of
-/// misinterpreting bytes. (v2: fabric snapshots carry the runtime
-/// reconfiguration residency state.)
+/// misinterpreting bytes. The header is part of every sampled
+/// interval's snapshot bytes, and so of its run key: changing the value
+/// moves every interval key.
 pub const SNAP_VERSION: u32 = 2;
 
 /// FNV-1a offset basis shared by every checksum in the workspace
@@ -60,9 +64,6 @@ pub enum SnapError {
         /// Version found in the byte stream.
         found: u32,
     },
-    /// The state owner cannot be snapshotted (e.g. a custom fabric
-    /// component without snapshot support).
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for SnapError {
@@ -74,7 +75,6 @@ impl std::fmt::Display for SnapError {
                 f,
                 "snapshot version {found} incompatible with {SNAP_VERSION}"
             ),
-            SnapError::Unsupported(what) => write!(f, "snapshot unsupported: {what}"),
         }
     }
 }
@@ -109,11 +109,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `i64` (two's-complement, as `u64`).
-    pub fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
     /// Appends a `usize` as `u64`.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
@@ -129,31 +124,11 @@ impl Enc {
         self.buf.extend_from_slice(b);
     }
 
-    /// Appends a length-prefixed byte sequence (`u64` count + bytes).
-    pub fn bytes_len(&mut self, b: &[u8]) {
-        self.usize(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
+    /// Appends a length-prefixed UTF-8 string (`u64` byte count +
+    /// bytes).
     pub fn str(&mut self, s: &str) {
-        self.bytes_len(s.as_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern (`u64`), so equal
-    /// values always produce equal bytes.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Number of bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.usize(s.len());
+        self.bytes(s.as_bytes());
     }
 
     /// Consumes the encoder and returns the byte stream.
@@ -223,14 +198,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(raw))
     }
 
-    /// Reads an `i64` (two's-complement).
-    ///
-    /// # Errors
-    /// [`SnapError::Truncated`] at end of stream.
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(self.u64()? as i64)
-    }
-
     /// Reads a `usize` encoded as `u64`.
     ///
     /// # Errors
@@ -256,32 +223,14 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
-    /// Reads a length-prefixed byte sequence written by
-    /// [`Enc::bytes_len`].
-    ///
-    /// # Errors
-    /// [`SnapError::Truncated`] at end of stream, or
-    /// [`SnapError::Corrupt`] if the length is impossible.
-    pub fn bytes_len(&mut self) -> Result<&'a [u8], SnapError> {
-        let n = self.seq_len()?;
-        self.bytes(n)
-    }
-
     /// Reads a length-prefixed UTF-8 string written by [`Enc::str`].
     ///
     /// # Errors
     /// [`SnapError::Truncated`] at end of stream, or
     /// [`SnapError::Corrupt`] on an impossible length or invalid UTF-8.
     pub fn str(&mut self) -> Result<&'a str, SnapError> {
-        std::str::from_utf8(self.bytes_len()?).map_err(|_| SnapError::Corrupt("string utf-8"))
-    }
-
-    /// Reads an `f64` stored as its IEEE-754 bit pattern.
-    ///
-    /// # Errors
-    /// [`SnapError::Truncated`] at end of stream.
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
+        let n = self.seq_len()?;
+        std::str::from_utf8(self.bytes(n)?).map_err(|_| SnapError::Corrupt("string utf-8"))
     }
 
     /// Reads a `bool`, rejecting anything but 0 or 1.
@@ -337,19 +286,16 @@ mod tests {
         e.u8(0xAB);
         e.u32(0xDEAD_BEEF);
         e.u64(u64::MAX - 1);
-        e.i64(-42);
         e.bool(true);
         e.bool(false);
         e.usize(7);
         e.bytes(&[1, 2, 3]);
-        assert!(!e.is_empty());
         let bytes = e.finish();
 
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8().unwrap(), 0xAB);
         assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.i64().unwrap(), -42);
         assert!(d.bool().unwrap());
         assert!(!d.bool().unwrap());
         assert_eq!(d.usize().unwrap(), 7);
@@ -358,26 +304,23 @@ mod tests {
     }
 
     #[test]
-    fn string_and_f64_roundtrip() {
+    fn string_roundtrip() {
         let mut e = Enc::new();
         e.str("astar|baseline|n1500000");
         e.str("");
-        e.bytes_len(&[9, 8, 7]);
-        e.f64(-0.125);
         let bytes = e.finish();
 
         let mut d = Dec::new(&bytes);
         assert_eq!(d.str().unwrap(), "astar|baseline|n1500000");
         assert_eq!(d.str().unwrap(), "");
-        assert_eq!(d.bytes_len().unwrap(), &[9, 8, 7]);
-        assert_eq!(d.f64().unwrap(), -0.125);
         d.finish().unwrap();
     }
 
     #[test]
     fn invalid_utf8_string_is_typed() {
         let mut e = Enc::new();
-        e.bytes_len(&[0xFF, 0xFE]);
+        e.usize(2);
+        e.bytes(&[0xFF, 0xFE]);
         let bytes = e.finish();
         assert_eq!(
             Dec::new(&bytes).str().unwrap_err(),
@@ -449,7 +392,6 @@ mod tests {
             SnapError::Truncated,
             SnapError::Corrupt("x"),
             SnapError::Version { found: 3 },
-            SnapError::Unsupported("y"),
         ] {
             assert!(!format!("{e}").is_empty());
         }

@@ -5,20 +5,24 @@
 //! function gets its *base sites* from token patterns in its own body:
 //! wall-clock reads, environment reads, entropy RNGs, hash-ordered
 //! iteration, architectural-state mutator calls and panics. Each site
-//! keeps its effect, line, matched token and a short description. A
-//! *summary* set closes the base effects over the call graph: a
-//! monotone union fixpoint, computed in one pass over the SCC
+//! keeps its effect, token index, line, matched token and a short
+//! description. A *summary* set closes the base effects over the call
+//! graph: a monotone union fixpoint, computed in one pass over the SCC
 //! condensation (callee components first). The rule table in
 //! [`crate::rules`] reads both: a site of a forbidden effect inside an
 //! in-scope function is a local finding, and a call out of the scope
 //! into a function whose summary carries a forbidden effect is a
 //! transitive one. A wall-clock read two helpers deep below a
 //! `snapshot` function thus shows up in the snapshot function's callee
-//! summaries.
+//! summaries. The agent-taint pass ([`crate::taint`]) reads the
+//! architectural-mutation sites as its sinks.
 //!
-//! Only function bodies are scanned: tokens outside every `fn` (a
-//! `use` line, a `static` initializer, a `macro_rules!` body) are no
-//! site.
+//! Every token outside the function bodies — a `static` or `const`
+//! initializer, a `macro_rules!` body, a signature — belongs to its
+//! file's one list of *item-level sites*; `use` declarations and test
+//! modules are left out. Nothing calls an item, so these sites reach no
+//! summary. The crate-scoped rows of the rule table check them; a
+//! marker-scoped row names functions, so no item is in its scope.
 //!
 //! Allow semantics: a `// pfm-lint: allow(...)` annotation adjacent to
 //! a site, naming a rule that forbids the site's effect, is an
@@ -37,9 +41,9 @@
 //! reverse call edges, so they are acyclic even inside recursion
 //! cycles.
 
-use crate::graph::{CallGraph, FnItem, FnRef};
+use crate::graph::{CallGraph, FnRef};
 use crate::lexer::Lexed;
-use crate::rules::{Rule, ARCH_MUTATORS, RULES};
+use crate::rules::{Rule, RULES};
 use std::collections::BTreeSet;
 
 /// Unordered-iteration methods on hash collections.
@@ -63,6 +67,22 @@ const ANY_HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"
 
 /// Entropy-seeded RNG constructors/handles.
 const RNG_IDENTS: &[&str] = &["thread_rng", "ThreadRng", "from_entropy", "OsRng"];
+
+/// Architectural-state mutators ([`Effect::ArchMutation`]): Agent
+/// crates must not call them, and Agent hook values must not reach
+/// their arguments. The sanctioned intervention surface is `FabricIo`
+/// (`push_pred`, `push_load`) only.
+pub const ARCH_MUTATORS: &[&str] = &[
+    "set_pc",
+    "set_reg",
+    "set_freg_bits",
+    "mem_mut",
+    "committed_mut",
+    "write_spec",
+    "commit_store",
+    "squash_after",
+    "write_u8",
+];
 
 /// Panic-family macros ([`Effect::Panics`], with `.unwrap()` and
 /// `.expect()`).
@@ -205,6 +225,8 @@ impl EffectSet {
 pub struct BaseSite {
     /// The effect the token produces.
     pub effect: Effect,
+    /// Token index of the matched token in its file's stream.
+    pub tok: usize,
     /// 1-based source line.
     pub line: u32,
     /// The matched identifier (`SystemTime`, `env`, `set_pc`,
@@ -260,6 +282,9 @@ pub struct Effects {
     /// Per-function base sites, scrubbed ones included: the rule
     /// table's local findings and the diagnostic grounding.
     pub base_sites: Vec<Vec<BaseSite>>,
+    /// Per-file item-level sites (tokens outside every function body,
+    /// `use` declaration and test module), scrubbed ones included.
+    pub item_sites: Vec<Vec<BaseSite>>,
     /// Per-function transitive summaries (base closed over calls).
     pub summary: Vec<EffectSet>,
     /// Per-function, per-effect witness hop (None when absent).
@@ -295,6 +320,7 @@ pub fn compute(lexeds: &[&Lexed], fns: &[FnRef], graph: &CallGraph) -> Effects {
     let mut out = Effects {
         base: vec![EffectSet::empty(); n],
         base_sites: vec![Vec::new(); n],
+        item_sites: vec![Vec::new(); lexeds.len()],
         summary: vec![EffectSet::empty(); n],
         witness: vec![std::array::from_fn(|_| None); n],
         used_allows: vec![BTreeSet::new(); lexeds.len()],
@@ -314,21 +340,42 @@ pub fn compute(lexeds: &[&Lexed], fns: &[FnRef], graph: &CallGraph) -> Effects {
         })
         .collect();
 
+    // Tokens an item-level scan skips: function bodies, `use`
+    // declarations and test modules.
+    let mut claimed: Vec<Vec<bool>> = lexeds
+        .iter()
+        .map(|l| {
+            let n = l.tokens.len();
+            let mut c = vec![false; n];
+            for &(s, e) in l.test_ranges.iter().chain(&use_ranges(l)) {
+                c[s.min(n)..e.min(n)].fill(true);
+            }
+            c
+        })
+        .collect();
+
     for (fi, f) in fns.iter().enumerate() {
         let lexed = lexeds[f.file];
+        let Some((start, end)) = f.item.body else {
+            continue;
+        };
+        let end = end.min(lexed.tokens.len());
+        claimed[f.file][start..end].fill(true);
         let (std_names, fx_names) = &per_file_names[f.file];
-        let mut sites = base_sites_of(lexed, &f.item, std_names, fx_names);
-        for site in &mut sites {
-            for r in site.effect.scrubbed_by() {
-                let hits = matching_allows(lexed, r.family, r.rule, site.line);
-                site.scrubbed |= !hits.is_empty();
-                out.used_allows[f.file].extend(hits);
-            }
-            if !site.scrubbed {
-                out.base[fi].insert(site.effect);
-            }
+        let own = (start..end).filter(|&i| f.item.owns(i) && !lexed.in_test_region(i));
+        let mut sites = sites_in(lexed, own, std_names, fx_names);
+        scrub(&mut sites, lexed, &mut out.used_allows[f.file]);
+        for site in sites.iter().filter(|s| !s.scrubbed) {
+            out.base[fi].insert(site.effect);
         }
         out.base_sites[fi] = sites;
+    }
+    for (file, lexed) in lexeds.iter().enumerate() {
+        let (std_names, fx_names) = &per_file_names[file];
+        let free = (0..lexed.tokens.len()).filter(|&i| !claimed[file][i]);
+        let mut sites = sites_in(lexed, free, std_names, fx_names);
+        scrub(&mut sites, lexed, &mut out.used_allows[file]);
+        out.item_sites[file] = sites;
     }
 
     // Monotone fixpoint in one pass: SCCs arrive callee-first, so
@@ -442,23 +489,54 @@ fn hash_names_of(lexed: &Lexed, types: &[&str]) -> Vec<String> {
     names
 }
 
-/// Scans one function's own region for base-effect source tokens.
-fn base_sites_of(
+/// Half-open token ranges of the file's `use` declarations: `use`
+/// through its `;`.
+fn use_ranges(lexed: &Lexed) -> Vec<(usize, usize)> {
+    let toks = &lexed.tokens;
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if toks[i].text == "use" {
+            let end = (i..toks.len())
+                .find(|&j| toks[j].text == ";")
+                .map_or(toks.len(), |j| j + 1);
+            out.push((i, end));
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Marks each site scrubbed by an adjacent allow that names a rule
+/// forbidding its effect, recording those allows in `used`.
+fn scrub(sites: &mut [BaseSite], lexed: &Lexed, used: &mut BTreeSet<usize>) {
+    for site in sites {
+        for r in site.effect.scrubbed_by() {
+            let hits = matching_allows(lexed, r.family, r.rule, site.line);
+            site.scrubbed |= !hits.is_empty();
+            used.extend(hits);
+        }
+    }
+}
+
+/// Scans the token indices `region` (ascending) for base-effect source
+/// tokens.
+fn sites_in(
     lexed: &Lexed,
-    item: &FnItem,
+    region: impl Iterator<Item = usize>,
     std_names: &[String],
     fx_names: &[String],
 ) -> Vec<BaseSite> {
     let mut sites = Vec::new();
-    let Some((start, end)) = item.body else {
-        return sites;
-    };
     let toks = &lexed.tokens;
     let t = |i: usize| toks.get(i).map(|t| t.text.as_str());
-    let mut push = |effect: Effect, line: u32, token: &str, what: String| {
+    let mut push = |effect: Effect, tok: usize, token: &str, what: String| {
         sites.push(BaseSite {
             effect,
-            line,
+            tok,
+            line: toks[tok].line,
             token: token.to_string(),
             what,
             scrubbed: false,
@@ -473,12 +551,8 @@ fn base_sites_of(
             None
         }
     };
-    for i in start..end.min(toks.len()) {
-        if !item.owns(i) || lexed.in_test_region(i) {
-            continue;
-        }
+    for i in region {
         let Some(w) = t(i) else { continue };
-        let line = toks[i].line;
 
         // Wall clock.
         if w == "Instant"
@@ -486,10 +560,10 @@ fn base_sites_of(
             && t(i + 2) == Some(":")
             && t(i + 3) == Some("now")
         {
-            push(Effect::WallClock, line, w, "Instant::now".into());
+            push(Effect::WallClock, i, w, "Instant::now".into());
         }
         if w == "SystemTime" {
-            push(Effect::WallClock, line, w, w.into());
+            push(Effect::WallClock, i, w, w.into());
         }
 
         // Environment.
@@ -500,18 +574,18 @@ fn base_sites_of(
         {
             push(
                 Effect::EnvRead,
-                line,
+                i,
                 w,
                 format!("env::{}", t(i + 3).unwrap_or("var")),
             );
         }
         if matches!(w, "env" | "option_env") && t(i + 1) == Some("!") {
-            push(Effect::EnvRead, line, w, format!("{w}!"));
+            push(Effect::EnvRead, i, w, format!("{w}!"));
         }
 
         // Entropy RNG.
         if RNG_IDENTS.contains(&w) {
-            push(Effect::Rng, line, w, w.into());
+            push(Effect::Rng, i, w, w.into());
         }
 
         // Hash-ordered iteration: `name.iter()` and friends.
@@ -519,7 +593,7 @@ fn base_sites_of(
             if t(i + 1) == Some(".") && t(i + 3) == Some("(") {
                 if let Some(m) = t(i + 2) {
                     if HASH_ITER_METHODS.contains(&m) {
-                        push(e, line, w, format!("{w}.{m}()"));
+                        push(e, i, w, format!("{w}.{m}()"));
                     }
                 }
             }
@@ -533,7 +607,7 @@ fn base_sites_of(
             }
             if let Some(name) = t(j) {
                 if let (Some(e), Some("{")) = (hash_grade(name), t(j + 1)) {
-                    push(e, toks[j].line, name, format!("for _ in {name}"));
+                    push(e, j, name, format!("for _ in {name}"));
                 }
             }
         }
@@ -541,22 +615,22 @@ fn base_sites_of(
         // Architectural-state mutator calls (method or path form).
         if ARCH_MUTATORS.contains(&w)
             && t(i + 1) == Some("(")
-            && i > start
+            && i > 0
             && (t(i - 1) == Some(".") || (i >= 2 && t(i - 1) == Some(":") && t(i - 2) == Some(":")))
         {
-            push(Effect::ArchMutation, line, w, w.into());
+            push(Effect::ArchMutation, i, w, w.into());
         }
 
         // Panic paths.
         if PANIC_MACROS.contains(&w) && t(i + 1) == Some("!") {
-            push(Effect::Panics, line, w, format!("{w}!"));
+            push(Effect::Panics, i, w, format!("{w}!"));
         }
         if matches!(w, "unwrap" | "expect")
-            && i > start
+            && i > 0
             && t(i - 1) == Some(".")
             && t(i + 1) == Some("(")
         {
-            push(Effect::Panics, line, w, format!(".{w}()"));
+            push(Effect::Panics, i, w, format!(".{w}()"));
         }
     }
     sites
@@ -752,6 +826,26 @@ mod tests {
         assert_eq!(sites[0].effect, Effect::FxHashIter);
         assert_eq!(sites[0].token, "m");
         assert!(sites[0].scrubbed);
+    }
+
+    #[test]
+    fn item_sites_are_the_tokens_outside_bodies_uses_and_tests() {
+        let src = "use std::time::SystemTime;\n\
+                   static T: u64 = seed().unwrap();\n\
+                   fn f() { x.unwrap(); }\n\
+                   #[cfg(test)]\n\
+                   mod tests { static U: u64 = y.unwrap(); }";
+        let (fns, _, eff, _) = analyze(src);
+        let item: Vec<(u32, &str)> = eff.item_sites[0]
+            .iter()
+            .map(|s| (s.line, s.token.as_str()))
+            .collect();
+        assert_eq!(item, vec![(2, "unwrap")]);
+        // The body's site is the function's alone, and no item-level
+        // site reaches a summary.
+        let f = idx(&fns, "f");
+        assert_eq!(eff.base_sites[f].len(), 1);
+        assert_eq!(eff.summary[f].names(), vec!["panics"]);
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! The checker is dependency-free (the workspace is offline): a
 //! hand-rolled lexer strips comments and literals, and the analyses
 //! are conservative token-level approximations (name-matched calls,
-//! opaque macros, only function bodies scanned for effect sites). See
-//! DESIGN.md § Invariants for the precision limits.
+//! opaque macro calls, item-level sites checked by the crate-scoped
+//! rules only). See DESIGN.md § Invariants for the precision limits.
 
 pub mod effects;
 pub mod graph;
@@ -159,7 +159,7 @@ pub fn analyze_with_deps(
     let displays: Vec<String> = units.iter().map(|u| u.ctx.display.clone()).collect();
     let resolver = graph::Resolver::new(&fns, &policy);
     let eff = effects::compute(&lexeds, &fns, &call_graph);
-    let tnt = taint::compute(&lexeds, &fns, &displays, &resolver);
+    let tnt = taint::compute(&lexeds, &fns, &eff.base_sites, &displays, &resolver);
     Analysis {
         units,
         fns,

@@ -8,7 +8,10 @@
 //! [`Analysis`] and matches no token itself: every site comes from
 //! [`crate::effects`], the one hazard detector. A row reports
 //!
-//! * each site of a forbidden effect inside an in-scope function;
+//! * each site of a forbidden effect inside an in-scope function, and,
+//!   for a row scoped by crates alone, each item-level site of a
+//!   forbidden effect in an in-scope crate (a `static` initializer or a
+//!   `macro_rules!` body, say: see [`crate::effects`]);
 //! * if transitive, each call from an in-scope function into an
 //!   out-of-scope function whose summary carries a forbidden effect,
 //!   one finding per rule and call line, with the witness chain. A call
@@ -50,7 +53,7 @@
 //! All of it is conservative and type-blind (see DESIGN.md §
 //! Invariants for the precision limits).
 
-use crate::effects::{Effect, PANIC_MACROS};
+use crate::effects::{BaseSite, Effect, PANIC_MACROS};
 use crate::lexer::Lexed;
 use crate::Analysis;
 use std::collections::BTreeSet;
@@ -63,21 +66,6 @@ pub const SIM_CRATES: &[&str] = &["isa", "mem", "bpred", "core", "fabric", "comp
 /// applies here. Everything else is allowed to mutate architectural
 /// state (the core *retires* instructions; that is its job).
 pub const AGENT_CRATES: &[&str] = &["fabric", "components"];
-
-/// Architectural-state mutators that Agent crates must not call. The
-/// sanctioned intervention surface is `FabricIo` (`push_pred`,
-/// `push_load`) only.
-pub const ARCH_MUTATORS: &[&str] = &[
-    "set_pc",
-    "set_reg",
-    "set_freg_bits",
-    "mem_mut",
-    "committed_mut",
-    "write_spec",
-    "commit_store",
-    "squash_after",
-    "write_u8",
-];
 
 /// Crates whose configuration structs name snoop PCs; the
 /// provenance/raw-hex-pc rule applies here. A PC spelled as a hex
@@ -167,6 +155,13 @@ impl Scope {
                 let lower = name.to_ascii_lowercase();
                 ms.iter().any(|m| lower.contains(m))
             })
+    }
+
+    /// True when the item-level code of crate `crate_name` is in scope:
+    /// the scope names no markers (an item has no function name to
+    /// match) and admits the crate.
+    pub fn holds_items(&self, crate_name: Option<&str>) -> bool {
+        self.markers.is_none() && self.holds(crate_name, "")
     }
 }
 
@@ -367,36 +362,48 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Evaluates [`RULES`] over an analysis: every row's local and
-/// transitive findings, before allow suppression (which `lib.rs`
+/// Pushes `row`'s local finding for each site in `sites` (of file
+/// `file`) whose effect, and token where the row names tokens, it
+/// forbids.
+fn local_findings(row: &Rule, file: &str, sites: &[BaseSite], out: &mut Vec<Finding>) {
+    for site in sites {
+        let flagged = row.forbids.contains(&site.effect)
+            && row
+                .tokens
+                .is_none_or(|ts| ts.contains(&site.token.as_str()));
+        if flagged {
+            out.push(Finding {
+                file: file.to_string(),
+                line: site.line,
+                family: row.family,
+                rule: row.rule,
+                message: format!("{} in {}; {}", site.describe(), row.place, row.why),
+                path: Vec::new(),
+            });
+        }
+    }
+}
+
+/// Evaluates [`RULES`] over an analysis: every row's local, item-level
+/// and transitive findings, before allow suppression (which `lib.rs`
 /// applies per rule, like everywhere else).
 pub fn check_effects(a: &Analysis) -> Vec<Finding> {
     let displays: Vec<String> = a.units.iter().map(|u| u.ctx.display.clone()).collect();
     let crate_of = |f: usize| a.units[a.fns[f].file].ctx.crate_name.as_deref();
     let mut out = Vec::new();
     for row in RULES {
+        for (u, sites) in a.units.iter().zip(&a.effects.item_sites) {
+            if !u.ctx.exempt && row.scope.holds_items(u.ctx.crate_name.as_deref()) {
+                local_findings(row, &u.ctx.display, sites, &mut out);
+            }
+        }
         let in_scope = |f: usize| row.scope.holds(crate_of(f), &a.fns[f].item.name);
         for (fi, f) in a.fns.iter().enumerate() {
             if !in_scope(fi) {
                 continue;
             }
             let file = &displays[f.file];
-            for site in &a.effects.base_sites[fi] {
-                let flagged = row.forbids.contains(&site.effect)
-                    && row
-                        .tokens
-                        .is_none_or(|ts| ts.contains(&site.token.as_str()));
-                if flagged {
-                    out.push(Finding {
-                        file: file.clone(),
-                        line: site.line,
-                        family: row.family,
-                        rule: row.rule,
-                        message: format!("{} in {}; {}", site.describe(), row.place, row.why),
-                        path: Vec::new(),
-                    });
-                }
-            }
+            local_findings(row, file, &a.effects.base_sites[fi], &mut out);
             if !row.transitive {
                 continue;
             }

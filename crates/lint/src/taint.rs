@@ -31,9 +31,9 @@
 //! remains the complementary dynamic gate for everything this
 //! approximation cannot see.
 
+use crate::effects::{BaseSite, Effect};
 use crate::graph::{FnItem, FnRef, Resolver};
 use crate::lexer::Lexed;
-use crate::rules::ARCH_MUTATORS;
 use std::collections::BTreeMap;
 
 /// Value-returning `PfmHooks` methods: calls to these (method syntax)
@@ -115,11 +115,14 @@ pub struct Taint {
 /// Computes per-function taint summaries to a global fixpoint, then
 /// collects hook-to-mutator findings in a final pass. `displays[i]` is
 /// the diagnostic path of file `i` (the `FnRef::file` index space);
-/// call resolution goes through the same [`Resolver`] as the call
-/// graph, so shape/arity/dependency narrowing applies here too.
+/// `sites[f]` are function `f`'s base sites from
+/// [`crate::effects::compute`], whose architectural-mutation sites are
+/// the sinks. Call resolution goes through the same [`Resolver`] as the
+/// call graph, so shape/arity/dependency narrowing applies here too.
 pub fn compute(
     lexeds: &[&Lexed],
     fns: &[FnRef],
+    sites: &[Vec<BaseSite>],
     displays: &[String],
     resolver: &Resolver,
 ) -> Taint {
@@ -149,6 +152,7 @@ pub fn compute(
             let res = analyze_fn(
                 lexeds[f.file],
                 &f.item,
+                &sites[fi],
                 fns,
                 &cands_by_tok[fi],
                 &t.summaries,
@@ -177,6 +181,7 @@ pub fn compute(
         let res = analyze_fn(
             lexeds[f.file],
             &f.item,
+            &sites[fi],
             fns,
             &cands_by_tok[fi],
             &t.summaries,
@@ -246,12 +251,13 @@ struct FnResult {
     hook_sinks: Vec<(u32, SinkWitness)>,
 }
 
-/// One intraprocedural taint pass over `item`'s own region.
-/// `cands_by_tok` maps each call site's callee-ident token index to
-/// its resolved candidate functions.
+/// One intraprocedural taint pass over `item`'s own region, whose
+/// base sites are `sites`. `cands_by_tok` maps each call site's
+/// callee-ident token index to its resolved candidate functions.
 fn analyze_fn(
     lexed: &Lexed,
     item: &FnItem,
+    sites: &[BaseSite],
     fns: &[FnRef],
     cands_by_tok: &BTreeMap<usize, Vec<usize>>,
     summaries: &[TaintSummary],
@@ -498,40 +504,24 @@ fn analyze_fn(
         }
     }
 
-    // Sinks: mutator-call arguments.
-    for i in start + 1..end {
-        if !item.owns(i) {
-            continue;
+    // Sinks: the arguments of the effect analysis's mutator-call sites,
+    // scrubbed ones included (an allow vouches for the effect rules,
+    // not for this data flow).
+    for site in sites.iter().filter(|s| s.effect == Effect::ArchMutation) {
+        let (i, line) = (site.tok, site.line);
+        let close = match_paren(toks, i + 1, end);
+        let mask = region_mask(&taint, i + 2, close);
+        let direct = || SinkWitness::Direct {
+            line,
+            mutator: site.token.clone(),
+        };
+        if mask & HOOK_BIT != 0 && collect_findings {
+            res.hook_sinks.push((line, direct()));
         }
-        let Some(w) = t(i) else { break };
-        if ARCH_MUTATORS.contains(&w)
-            && t(i + 1) == Some("(")
-            && (t(i.wrapping_sub(1)) == Some(".")
-                || (i >= 2 && t(i - 1) == Some(":") && t(i - 2) == Some(":")))
-        {
-            let close = match_paren(toks, i + 1, end);
-            let mask = region_mask(&taint, i + 2, close);
-            let line = toks[i].line;
-            if mask & HOOK_BIT != 0 && collect_findings {
-                res.hook_sinks.push((
-                    line,
-                    SinkWitness::Direct {
-                        line,
-                        mutator: w.to_string(),
-                    },
-                ));
-            }
-            for p in 0..item.params.len() {
-                if mask & param_bit(p) != 0 {
-                    res.summary.param_sink |= 1 << p;
-                    res.witnesses.push((
-                        p,
-                        SinkWitness::Direct {
-                            line,
-                            mutator: w.to_string(),
-                        },
-                    ));
-                }
+        for p in 0..item.params.len() {
+            if mask & param_bit(p) != 0 {
+                res.summary.param_sink |= 1 << p;
+                res.witnesses.push((p, direct()));
             }
         }
     }
@@ -655,8 +645,16 @@ mod tests {
             .map(|item| FnRef { file: 0, item })
             .collect();
         let policy = crate::graph::LinkPolicy::allow_all();
+        let graph = crate::graph::CallGraph::build(&fns, &policy);
+        let effects = crate::effects::compute(&[&lexed], &fns, &graph);
         let resolver = Resolver::new(&fns, &policy);
-        let t = compute(&[&lexed], &fns, &["test.rs".to_string()], &resolver);
+        let t = compute(
+            &[&lexed],
+            &fns,
+            &effects.base_sites,
+            &["test.rs".to_string()],
+            &resolver,
+        );
         (fns, t)
     }
 

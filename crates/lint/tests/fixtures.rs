@@ -337,6 +337,26 @@ fn store_key_purity_findings_are_context_independent() {
 }
 
 #[test]
+fn item_level_hazards_are_flagged_but_use_lines_are_not() {
+    let src = include_str!("fixtures/item_level_bad.rs");
+    let sites = |ctx: &FileContext| -> Vec<(u32, &'static str, &'static str)> {
+        lint_source(src, ctx)
+            .iter()
+            .map(|f| (f.line, f.family, f.rule))
+            .collect()
+    };
+    // The `.unwrap()` in the `static` and the `Instant::now` in the
+    // macro body; nothing on the `use` lines.
+    assert_eq!(
+        sites(&sim_ctx()),
+        vec![(7, "hygiene", "unwrap"), (11, "determinism", "wall-clock")]
+    );
+    // Crate scopes still apply: outside the sim crates only hygiene
+    // does.
+    assert_eq!(sites(&tool_ctx()), vec![(7, "hygiene", "unwrap")]);
+}
+
+#[test]
 fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
     for ctx in [sim_ctx(), agent_ctx(), tool_ctx()] {

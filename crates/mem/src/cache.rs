@@ -254,43 +254,6 @@ impl Cache {
         evicted
     }
 
-    /// Serializes the warm tag/LRU state and statistics. The geometry
-    /// is not serialized: it comes from the config passed to
-    /// [`Cache::snapshot_decode`].
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.lines.len());
-        for l in &self.lines {
-            e.u64(l.tag);
-            e.bool(l.valid);
-            e.bool(l.dirty);
-            e.u64(l.lru);
-            e.bool(l.prefetched);
-        }
-        e.u64(self.stamp);
-        self.stats.snapshot_encode(e);
-    }
-
-    /// Decodes a cache serialized by [`Cache::snapshot_encode`] into a
-    /// cache with geometry `config`.
-    pub fn snapshot_decode(config: CacheConfig, d: &mut Dec<'_>) -> Result<Cache, SnapError> {
-        let mut c = Cache::new(config);
-        if d.usize()? != c.lines.len() {
-            return Err(SnapError::Corrupt("cache line count"));
-        }
-        for l in &mut c.lines {
-            *l = Line {
-                tag: d.u64()?,
-                valid: d.bool()?,
-                dirty: d.bool()?,
-                lru: d.u64()?,
-                prefetched: d.bool()?,
-            };
-        }
-        c.stamp = d.u64()?;
-        c.stats = CacheStats::snapshot_decode(d)?;
-        Ok(c)
-    }
-
     /// Invalidates every line (used between experiment runs).
     pub fn flush(&mut self) {
         for l in &mut self.lines {

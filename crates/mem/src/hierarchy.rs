@@ -451,95 +451,6 @@ impl Hierarchy {
         self.prefetch_fill(line_of(addr), cycle);
     }
 
-    /// Serializes all warm state: caches, MSHRs, prefetcher training,
-    /// TLB and statistics. The configuration is not serialized — it is
-    /// part of the run key and is supplied to
-    /// [`Hierarchy::snapshot_decode`]. The reusable prefetch-target
-    /// scratch buffer is not serialized (it is cleared before each use).
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        self.l1i.snapshot_encode(e);
-        self.l1d.snapshot_encode(e);
-        self.l2.snapshot_encode(e);
-        self.l3.snapshot_encode(e);
-        self.mshrs.snapshot_encode(e);
-        match &self.l1_prefetcher {
-            Some(p) => {
-                e.u8(1);
-                p.snapshot_encode(e);
-            }
-            None => e.u8(0),
-        }
-        match &self.l2_prefetcher {
-            Some(p) => {
-                e.u8(1);
-                p.snapshot_encode(e);
-            }
-            None => e.u8(0),
-        }
-        self.tlb.snapshot_encode(e);
-        e.u64(self.stats.l1d_hits);
-        e.u64(self.stats.l1d_misses);
-        e.u64(self.stats.inflight_merges);
-        e.u64(self.stats.l2_hits);
-        e.u64(self.stats.l3_hits);
-        e.u64(self.stats.dram_accesses);
-        e.u64(self.stats.l1i_misses);
-        e.u64(self.stats.prefetches_issued);
-        e.u64(self.stats.mshr_wait_cycles);
-    }
-
-    /// Decodes a hierarchy serialized by
-    /// [`Hierarchy::snapshot_encode`] under the same configuration.
-    /// The serialized prefetcher presence must match what `config`
-    /// instantiates.
-    pub fn snapshot_decode(
-        config: HierarchyConfig,
-        d: &mut Dec<'_>,
-    ) -> Result<Hierarchy, SnapError> {
-        let l1i = Cache::snapshot_decode(config.l1i, d)?;
-        let l1d = Cache::snapshot_decode(config.l1d, d)?;
-        let l2 = Cache::snapshot_decode(config.l2, d)?;
-        let l3 = Cache::snapshot_decode(config.l3, d)?;
-        let mshrs = MshrFile::snapshot_decode(config.mshrs, d)?;
-        let l1_prefetcher = match d.u8()? {
-            0 if config.next_n_line == 0 => None,
-            1 if config.next_n_line > 0 => Some(NextNLine::snapshot_decode(config.next_n_line, d)?),
-            0 | 1 => return Err(SnapError::Corrupt("l1 prefetcher presence")),
-            _ => return Err(SnapError::Corrupt("l1 prefetcher tag")),
-        };
-        let l2_prefetcher = match d.u8()? {
-            0 if !config.vldp => None,
-            1 if config.vldp => Some(Vldp::snapshot_decode(d)?),
-            0 | 1 => return Err(SnapError::Corrupt("l2 prefetcher presence")),
-            _ => return Err(SnapError::Corrupt("l2 prefetcher tag")),
-        };
-        let tlb = Tlb::snapshot_decode(config.tlb_entries, config.tlb_walk_latency, d)?;
-        let stats = HierarchyStats {
-            l1d_hits: d.u64()?,
-            l1d_misses: d.u64()?,
-            inflight_merges: d.u64()?,
-            l2_hits: d.u64()?,
-            l3_hits: d.u64()?,
-            dram_accesses: d.u64()?,
-            l1i_misses: d.u64()?,
-            prefetches_issued: d.u64()?,
-            mshr_wait_cycles: d.u64()?,
-        };
-        Ok(Hierarchy {
-            config,
-            l1i,
-            l1d,
-            l2,
-            l3,
-            mshrs,
-            l1_prefetcher,
-            l2_prefetcher,
-            pf_targets: Vec::new(),
-            tlb,
-            stats,
-        })
-    }
-
     /// Empties all caches, MSHRs and the TLB (for experiment isolation).
     pub fn flush(&mut self) {
         self.l1i.flush();
@@ -689,56 +600,6 @@ mod tests {
         h.flush();
         let o = h.access(0x80_0000, AccessKind::Load, 10_000);
         assert_eq!(o.level, HitLevel::Dram);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_warm_state_and_timing() {
-        use pfm_isa::snap::{Dec, Enc};
-        let mut h = Hierarchy::new(HierarchyConfig::micro21());
-        // Warm it with a mixed pattern: strided loads, stores, ifetches.
-        for i in 0..400u64 {
-            h.access(0x10_0000 + i * 128, AccessKind::Load, i * 3);
-            if i % 3 == 0 {
-                h.access(0x20_0000 + i * 64, AccessKind::Store, i * 3 + 1);
-            }
-            h.access(0x1000 + (i % 32) * 4, AccessKind::Ifetch, i * 3 + 2);
-        }
-
-        let mut e = Enc::new();
-        h.snapshot_encode(&mut e);
-        let bytes = e.finish();
-        let mut d = Dec::new(&bytes);
-        let mut h2 =
-            Hierarchy::snapshot_decode(HierarchyConfig::micro21(), &mut d).expect("decode");
-        d.finish().expect("no trailing bytes");
-
-        assert_eq!(h.stats(), h2.stats());
-        // Re-encode must be byte-identical.
-        let mut e2 = Enc::new();
-        h2.snapshot_encode(&mut e2);
-        assert_eq!(bytes, e2.finish());
-
-        // Identical continuation: same accesses yield same outcomes.
-        for i in 0..200u64 {
-            let cycle = 2000 + i * 3;
-            let a = h.access(0x10_0000 + i * 96, AccessKind::Load, cycle);
-            let b = h2.access(0x10_0000 + i * 96, AccessKind::Load, cycle);
-            assert_eq!(a, b, "diverged at access {i}");
-        }
-        assert_eq!(h.stats(), h2.stats());
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_mismatched_prefetcher_config() {
-        use pfm_isa::snap::{Dec, Enc};
-        let h = Hierarchy::new(HierarchyConfig::micro21());
-        let mut e = Enc::new();
-        h.snapshot_encode(&mut e);
-        let bytes = e.finish();
-        let mut wrong = HierarchyConfig::micro21();
-        wrong.next_n_line = 0;
-        let mut d = Dec::new(&bytes);
-        assert!(Hierarchy::snapshot_decode(wrong, &mut d).is_err());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! parallelism (MLP) and gives in-flight misses their residual latency.
 
 use crate::cache::line_of;
-use pfm_isa::snap::{Dec, Enc, SnapError};
 
 /// One outstanding miss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,37 +98,6 @@ impl MshrFile {
             ready,
         });
         Ok(())
-    }
-
-    /// Serializes the in-flight entries and counters. The capacity is
-    /// not serialized: it comes from the config passed to
-    /// [`MshrFile::snapshot_decode`].
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.entries.len());
-        for en in &self.entries {
-            e.u64(en.line);
-            e.u64(en.ready);
-        }
-        e.u64(self.full_stalls);
-        e.u64(self.merges);
-    }
-
-    /// Decodes a file serialized by [`MshrFile::snapshot_encode`] with
-    /// `capacity` registers.
-    pub fn snapshot_decode(capacity: usize, d: &mut Dec<'_>) -> Result<MshrFile, SnapError> {
-        let mut m = MshrFile::new(capacity);
-        let n = d.usize()?;
-        if n > capacity {
-            return Err(SnapError::Corrupt("mshr entry count"));
-        }
-        for _ in 0..n {
-            let line = d.u64()?;
-            let ready = d.u64()?;
-            m.entries.push(Mshr { line, ready });
-        }
-        m.full_stalls = d.u64()?;
-        m.merges = d.u64()?;
-        Ok(m)
     }
 
     /// Number of misses currently in flight.

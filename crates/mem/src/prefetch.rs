@@ -3,7 +3,6 @@
 //! al., MICRO 2015) for L2/L3, per Table 1 of the paper.
 
 use crate::cache::{line_of, LINE_BYTES};
-use pfm_isa::snap::{Dec, Enc, SnapError};
 
 /// A prefetcher observes demand accesses and proposes line addresses to
 /// fetch.
@@ -34,19 +33,6 @@ impl NextNLine {
             n,
             last_line: u64::MAX,
         }
-    }
-
-    /// Serializes the last-trigger state. `n` is not serialized: it
-    /// comes from the config passed to [`NextNLine::snapshot_decode`].
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u64(self.last_line);
-    }
-
-    /// Decodes state serialized by [`NextNLine::snapshot_encode`].
-    pub fn snapshot_decode(n: u64, d: &mut Dec<'_>) -> Result<NextNLine, SnapError> {
-        let mut p = NextNLine::new(n);
-        p.last_line = d.u64()?;
-        Ok(p)
     }
 }
 
@@ -116,65 +102,6 @@ impl Vldp {
             stamp: 0,
             degree,
         }
-    }
-
-    /// Serializes the delta history buffer, prediction tables and LRU
-    /// stamp.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.degree);
-        for en in &self.dhb {
-            e.u64(en.page);
-            e.bool(en.valid);
-            e.i64(en.last_block);
-            for &dl in &en.deltas {
-                e.i64(dl);
-            }
-            e.usize(en.num_deltas);
-            e.u64(en.lru);
-        }
-        for table in &self.dpt {
-            for en in table {
-                e.u64(en.key);
-                e.bool(en.valid);
-                e.i64(en.delta);
-                e.u8(en.conf);
-            }
-        }
-        e.u64(self.stamp);
-    }
-
-    /// Decodes a prefetcher serialized by [`Vldp::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<Vldp, SnapError> {
-        let degree = d.usize()?;
-        let mut p = Vldp::new(degree);
-        for en in &mut p.dhb {
-            en.page = d.u64()?;
-            en.valid = d.bool()?;
-            en.last_block = d.i64()?;
-            for dl in &mut en.deltas {
-                *dl = d.i64()?;
-            }
-            let num = d.usize()?;
-            if num > VLDP_HISTORY {
-                return Err(SnapError::Corrupt("vldp history depth"));
-            }
-            en.num_deltas = num;
-            en.lru = d.u64()?;
-        }
-        for table in &mut p.dpt {
-            for en in table.iter_mut() {
-                en.key = d.u64()?;
-                en.valid = d.bool()?;
-                en.delta = d.i64()?;
-                let conf = d.u8()?;
-                if conf > 3 {
-                    return Err(SnapError::Corrupt("vldp confidence range"));
-                }
-                en.conf = conf;
-            }
-        }
-        p.stamp = d.u64()?;
-        Ok(p)
     }
 
     fn key_for(deltas: &[i64]) -> u64 {

@@ -1,7 +1,5 @@
 //! A small fully-associative TLB. Misses add a fixed page-walk latency.
 
-use pfm_isa::snap::{Dec, Enc, SnapError};
-
 const PAGE_SHIFT: u64 = 12;
 
 /// Fully-associative, true-LRU TLB.
@@ -46,49 +44,6 @@ impl Tlb {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Serializes the translation entries, LRU state and counters. The
-    /// capacity and walk latency are not serialized: they come from the
-    /// config passed to [`Tlb::snapshot_decode`].
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.usize(self.entries.len());
-        for &(page, lru) in &self.entries {
-            e.u64(page);
-            e.u64(lru);
-        }
-        e.u64(self.stamp);
-        e.usize(self.mru);
-        e.u64(self.hits);
-        e.u64(self.misses);
-    }
-
-    /// Decodes a TLB serialized by [`Tlb::snapshot_encode`] with the
-    /// given capacity and walk latency.
-    pub fn snapshot_decode(
-        capacity: usize,
-        walk_latency: u64,
-        d: &mut Dec<'_>,
-    ) -> Result<Tlb, SnapError> {
-        let mut t = Tlb::new(capacity, walk_latency);
-        let n = d.usize()?;
-        if n > capacity {
-            return Err(SnapError::Corrupt("tlb entry count"));
-        }
-        for _ in 0..n {
-            let page = d.u64()?;
-            let lru = d.u64()?;
-            t.entries.push((page, lru));
-        }
-        t.stamp = d.u64()?;
-        let mru = d.usize()?;
-        if mru != 0 && mru >= t.entries.len() {
-            return Err(SnapError::Corrupt("tlb mru slot"));
-        }
-        t.mru = mru;
-        t.hits = d.u64()?;
-        t.misses = d.u64()?;
-        Ok(t)
     }
 
     /// Translates `addr`, returning the added latency (0 on hit, the

@@ -397,6 +397,10 @@ mod tests {
         let f = p.fabric.expect("a PFM interval attaches the fabric");
         assert!(f.retired_in_roi > 0, "the PFM interval arms");
         assert!(p.ipc() > b.ipc(), "PFM {} vs baseline {}", p.ipc(), b.ipc());
+        // Both restore the same architectural snapshot and the fabric
+        // never changes architectural state, so the two warm-up legs
+        // commit the same stream.
+        assert_eq!(b.arch_checksum, p.arch_checksum);
 
         // No spec describes a run the driver cannot perform.
         assert!(interval(&bi).is_none(), "no interval of an interval");

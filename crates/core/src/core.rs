@@ -22,7 +22,6 @@ use crate::hooks::{
 };
 use crate::stats::SimStats;
 use pfm_bpred::{BranchKind, Btb, Checkpoint, Prediction, Predictor, Ras};
-use pfm_isa::fxhash::FxHashMap;
 use pfm_isa::inst::{ExecClass, Inst};
 use pfm_isa::machine::{ExecError, Machine, StepOut};
 use pfm_isa::snap::FNV_OFFSET;
@@ -86,7 +85,6 @@ struct DynInst {
     dispatch_ready: u64,
     /// Producer sequence numbers for each source operand.
     srcs: [Option<u64>; 2],
-    has_dst: bool,
     issue_cycle: u64,
     complete_cycle: u64,
     /// Direction used by fetch (prediction or fabric override).
@@ -143,6 +141,125 @@ impl DynInst {
 
 fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
     a.0 < b.1 && b.0 < a.1
+}
+
+/// Initial ring size of a [`Wheel`]: past the DRAM latency (292) plus
+/// a TLB walk (30). MSHR waits can exceed it, and growth covers them.
+const WHEEL_BUCKETS: usize = 512;
+
+/// A timing wheel: events keyed by the cycle they fall due, in a ring
+/// of buckets indexed by `cycle & mask`.
+///
+/// Every pending event lies in `(now, now + buckets.len())`, where
+/// `now` is the last cycle the owner drained (the owner drains every
+/// cycle it does not prove empty with [`Wheel::next_after`]), so each
+/// bucket holds the events of exactly one cycle, in push order:
+/// completion order is push order, and golden stats depend on it. An
+/// event past that horizon grows the ring to the next power of two
+/// that holds it. Drained buckets swap with a spare `Vec`, so buckets
+/// keep their capacity and a steady-state cycle allocates nothing.
+struct Wheel<T> {
+    buckets: Vec<Vec<T>>,
+    /// Bit `i % 64` of word `i / 64` is set iff bucket `i` is non-empty.
+    occupied: Vec<u64>,
+    mask: u64,
+    len: usize,
+    spare: Vec<T>,
+}
+
+impl<T> Wheel<T> {
+    fn new() -> Wheel<T> {
+        Wheel {
+            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: vec![0; WHEEL_BUCKETS / 64],
+            mask: WHEEL_BUCKETS as u64 - 1,
+            len: 0,
+            spare: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn mark(&mut self, i: usize) {
+        self.occupied[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Schedules `item` at cycle `at`, after every item already due
+    /// then. `now` is the current cycle, whose bucket is drained.
+    fn push(&mut self, now: u64, at: u64, item: T) {
+        debug_assert!(at > now, "event due at {at} scheduled at cycle {now}");
+        if at - now > self.mask {
+            self.grow(now, at - now);
+        }
+        let i = (at & self.mask) as usize;
+        self.buckets[i].push(item);
+        self.mark(i);
+        self.len += 1;
+    }
+
+    /// Re-buckets every pending event into a ring that reaches `span`
+    /// cycles past `now`.
+    fn grow(&mut self, now: u64, span: u64) {
+        let size = (span + 1).next_power_of_two();
+        let old_mask = std::mem::replace(&mut self.mask, size - 1);
+        let old = std::mem::replace(&mut self.buckets, (0..size).map(|_| Vec::new()).collect());
+        self.occupied = vec![0; size as usize / 64];
+        for (i, bucket) in old.into_iter().enumerate() {
+            if !bucket.is_empty() {
+                let at = now + 1 + ((i as u64).wrapping_sub(now + 1) & old_mask);
+                let j = (at & self.mask) as usize;
+                self.buckets[j] = bucket;
+                self.mark(j);
+            }
+        }
+    }
+
+    /// Removes the events due at `cycle`, in push order; hand the
+    /// drained `Vec` back through [`Wheel::recycle`].
+    fn take(&mut self, cycle: u64) -> Option<Vec<T>> {
+        let i = (cycle & self.mask) as usize;
+        let bit = 1 << (i % 64);
+        if self.occupied[i / 64] & bit == 0 {
+            return None;
+        }
+        self.occupied[i / 64] &= !bit;
+        let items = std::mem::replace(&mut self.buckets[i], std::mem::take(&mut self.spare));
+        self.len -= items.len();
+        Some(items)
+    }
+
+    fn recycle(&mut self, mut items: Vec<T>) {
+        items.clear();
+        self.spare = items;
+    }
+
+    /// The earliest cycle after `now` with an event due: the first
+    /// occupied bucket from `now + 1` round the ring.
+    fn next_after(&self, now: u64) -> Option<u64> {
+        if self.is_empty() {
+            return None;
+        }
+        let start = (now + 1) & self.mask;
+        let (w, b) = (start as usize / 64, start % 64);
+        let words = self.occupied.len();
+        // The start word from bit `b`, the other words in ring order,
+        // then the start word's bits below `b`.
+        for k in 0..=words {
+            let mut bits = self.occupied[(w + k) % words];
+            if k == 0 {
+                bits &= u64::MAX << b;
+            } else if k == words {
+                bits &= !(u64::MAX << b);
+            }
+            if bits != 0 {
+                let i = ((w + k) % words * 64) as u64 + u64::from(bits.trailing_zeros());
+                return Some(now + 1 + (i.wrapping_sub(start) & self.mask));
+            }
+        }
+        None
+    }
 }
 
 /// Errors from a simulation run.
@@ -205,15 +322,11 @@ pub struct Core {
     rob: VecDeque<DynInst>,
     replay: VecDeque<StepOut>,
     peeked: Option<StepOut>,
-    // The event maps are keyed by absolute cycle and only ever point-
-    // looked-up (insert at schedule, remove at that cycle) — never
-    // iterated, so the hash function cannot influence simulated order.
-    // Drained buckets park in a pool for reuse; a cycle's bucket keeps
-    // push order, which is what makes completion order deterministic.
-    events: FxHashMap<u64, Vec<u64>>,
-    event_pool: Vec<Vec<u64>>,
-    fabric_load_events: FxHashMap<u64, Vec<(u64, u64, u64)>>, // cycle -> (id, addr, size)
-    fabric_load_pool: Vec<Vec<(u64, u64, u64)>>,
+    /// Completions: the seq of each issued instruction, at its
+    /// `complete_cycle`.
+    events: Wheel<u64>,
+    /// Fabric-load data returns: `(id, addr, size)`.
+    fabric_loads: Wheel<(u64, u64, u64)>,
     last_writer: [Option<u64>; NUM_ARCH_REGS],
     /// Reused squash scratch: avoids a fresh allocation per squash.
     squash_scratch: Vec<StepOut>,
@@ -297,10 +410,8 @@ impl Core {
             rob: VecDeque::new(),
             replay: VecDeque::new(),
             peeked: None,
-            events: FxHashMap::default(),
-            event_pool: Vec::new(),
-            fabric_load_events: FxHashMap::default(),
-            fabric_load_pool: Vec::new(),
+            events: Wheel::new(),
+            fabric_loads: Wheel::new(),
             last_writer: [None; NUM_ARCH_REGS],
             squash_scratch: Vec::new(),
             branches: VecDeque::new(),
@@ -417,6 +528,12 @@ impl Core {
     /// untouched (see [`Core::set_checksum_cap`]). `max_cycles` stays
     /// an absolute cycle cap.
     ///
+    /// Every run goes through here. When `hooks` are
+    /// [quiescent](PfmHooks::quiescent), cycles in which nothing can
+    /// retire, complete, issue, dispatch or fetch are jumped over
+    /// rather than ticked, with the same statistics, the same cycle at
+    /// every return and the same cycle-limit and watchdog errors.
+    ///
     /// # Errors
     /// Same contract as [`Core::run_watched`].
     pub fn run_watched_until(
@@ -426,9 +543,18 @@ impl Core {
         max_cycles: u64,
         commit_watchdog: Option<u64>,
     ) -> Result<(), SimError> {
+        let quiescent = hooks.quiescent();
         let mut last_retired = self.stats.retired;
         let mut last_commit_cycle = self.cycle;
         while !self.finished && self.stats.retired < max_instrs {
+            // Only here, once the loop has decided to tick again: a
+            // skip after the tick that reached the budget would charge
+            // cycles no ticked leg spends.
+            if quiescent {
+                let watchdog_at =
+                    commit_watchdog.map_or(u64::MAX, |wd| last_commit_cycle.saturating_add(wd));
+                self.skip_idle(max_cycles.min(watchdog_at));
+            }
             if self.cycle >= max_cycles {
                 return Err(SimError::CycleLimit(max_cycles));
             }
@@ -448,6 +574,72 @@ impl Core {
             }
         }
         Ok(())
+    }
+
+    /// The first cycle after the current one in which a tick can do
+    /// more than count stalls, assuming hooks that do nothing (see
+    /// [`PfmHooks::quiescent`]); `u64::MAX` if none ever can.
+    fn next_active_cycle(&self) -> u64 {
+        let soon = self.cycle + 1;
+        // Retire, or a fabric load returns.
+        if self
+            .rob
+            .front()
+            .is_some_and(|d| d.state == InstState::Completed)
+            || !self.fabric_loads.is_empty()
+        {
+            return soon;
+        }
+        let mut next = u64::MAX;
+        // Issue: lanes are free at the top of every cycle.
+        for &seq in &self.ready {
+            next = next.min(self.inst(seq).dispatch_ready);
+        }
+        // Dispatch, a cycle before the head is ready (see `dispatch`).
+        if let Some(head) = self.front.front().filter(|h| self.can_dispatch(h)) {
+            next = next.min(head.dispatch_ready.saturating_sub(1));
+        }
+        // Fetch.
+        let record_waiting =
+            self.peeked.is_some() || !self.replay.is_empty() || !self.machine.halted();
+        if !(self.halt_fetched || self.finished)
+            && self.fetch_blocked_on.is_none()
+            && self.front.len() < self.front_cap()
+            && record_waiting
+        {
+            next = next.min(self.fetch_stall_until);
+        }
+        if next <= soon {
+            return soon;
+        }
+        // Complete.
+        let due = self.events.next_after(self.cycle).unwrap_or(u64::MAX);
+        next.min(due).max(soon)
+    }
+
+    /// Jumps over the cycles before the next active one, up to cycle
+    /// `limit`, charging exactly what ticking them would have: the
+    /// cycles, fetch's redirect or I-cache stall, and idle lanes.
+    /// Hooks that may skip cannot stall retire or fetch, so the other
+    /// stall counters cannot grow.
+    fn skip_idle(&mut self, limit: u64) {
+        let to = (self.next_active_cycle() - 1).min(limit);
+        if to <= self.cycle {
+            return;
+        }
+        if !(self.halt_fetched || self.finished) {
+            if self.fetch_blocked_on.is_some() {
+                self.stats.fetch_redirect_stall_cycles += to - self.cycle;
+            } else {
+                self.stats.fetch_icache_stall_cycles += self
+                    .fetch_stall_until
+                    .min(to + 1)
+                    .saturating_sub(self.cycle + 1);
+            }
+        }
+        self.cycle = to;
+        self.stats.cycles = to;
+        self.lane_busy = [false; NUM_LANES];
     }
 
     /// Advances the core by one cycle.
@@ -509,7 +701,7 @@ impl Core {
                 debug_assert_eq!(self.loads.front(), Some(&seq));
                 self.loads.pop_front();
             }
-            if inst.has_dst {
+            if inst.step.wrote.is_some() {
                 self.dest_count -= 1;
             }
 
@@ -681,8 +873,8 @@ impl Core {
 
     fn complete(&mut self, hooks: &mut dyn PfmHooks) {
         // Fabric load data returns.
-        if let Some(mut loads) = self.fabric_load_events.remove(&self.cycle) {
-            for (id, addr, size) in loads.drain(..) {
+        if let Some(loads) = self.fabric_loads.take(self.cycle) {
+            for &(id, addr, size) in &loads {
                 let value = self.machine.mem().read_committed(addr, size);
                 checked_hook!(
                     self,
@@ -691,13 +883,13 @@ impl Core {
                     hooks.load_result(id, FabricLoadResult::Hit { value }, self.cycle)
                 );
             }
-            self.fabric_load_pool.push(loads);
+            self.fabric_loads.recycle(loads);
         }
 
-        let Some(mut seqs) = self.events.remove(&self.cycle) else {
+        let Some(seqs) = self.events.take(self.cycle) else {
             return;
         };
-        for seq in seqs.drain(..) {
+        for &seq in &seqs {
             let Some(pos) = self.rob_pos(seq) else {
                 continue;
             };
@@ -760,7 +952,7 @@ impl Core {
                 }
             }
         }
-        self.event_pool.push(seqs);
+        self.events.recycle(seqs);
     }
 
     // ------------------------------------------------------------------
@@ -854,11 +1046,7 @@ impl Core {
             d.complete_cycle = complete_at;
             self.ready.remove(i);
             self.waiting_count -= 1;
-            let pool = &mut self.event_pool;
-            self.events
-                .entry(complete_at)
-                .or_insert_with(|| pool.pop().unwrap_or_default())
-                .push(seq);
+            self.events.push(cycle, complete_at, seq);
         }
 
         // Load Agent: offer leftover load/store issue slots to the
@@ -878,11 +1066,8 @@ impl Core {
             let outcome = self.hierarchy.access(req.addr, AccessKind::Load, cycle);
             if outcome.level == HitLevel::L1 {
                 let at = cycle + outcome.latency;
-                let pool = &mut self.fabric_load_pool;
-                self.fabric_load_events
-                    .entry(at)
-                    .or_insert_with(|| pool.pop().unwrap_or_default())
-                    .push((req.id, req.addr, req.size));
+                self.fabric_loads
+                    .push(cycle, at, (req.id, req.addr, req.size));
             } else {
                 checked_hook!(
                     self,
@@ -898,23 +1083,24 @@ impl Core {
     // Dispatch / rename
     // ------------------------------------------------------------------
 
+    /// Whether the window has room for front-end instruction `head`:
+    /// ROB, issue-queue, load/store-queue and physical-register limits.
+    fn can_dispatch(&self, head: &DynInst) -> bool {
+        self.rob.len() < self.config.rob_size
+            && self.iq_count < self.config.iq_size
+            && !(head.is_load() && self.loads.len() >= self.config.ldq_size)
+            && !(head.is_store() && self.stores.len() >= self.config.stq_size)
+            && !(head.step.wrote.is_some() && self.dest_count >= self.config.rename_regs())
+    }
+
     fn dispatch(&mut self) {
         for _ in 0..self.config.dispatch_width {
             let Some(head) = self.front.front() else {
                 break;
             };
-            if head.dispatch_ready > self.cycle + 1 {
-                // Still flowing through the front-end pipe. (It may
-                // enter the window the cycle it becomes ready.)
-                break;
-            }
-            // Structural resources.
-            if self.rob.len() >= self.config.rob_size
-                || self.iq_count >= self.config.iq_size
-                || (head.is_load() && self.loads.len() >= self.config.ldq_size)
-                || (head.is_store() && self.stores.len() >= self.config.stq_size)
-                || (head.has_dst && self.dest_count >= self.config.rename_regs())
-            {
+            // Still flowing through the front-end pipe (it may enter
+            // the window the cycle before it becomes ready), or no room.
+            if head.dispatch_ready > self.cycle + 1 || !self.can_dispatch(head) {
                 break;
             }
             // pfm-lint: allow(hygiene): the loop guard checked front() is Some
@@ -933,7 +1119,6 @@ impl Core {
             if let Some((reg, _)) = d.step.wrote {
                 self.last_writer[reg.index()] = Some(seq);
                 self.dest_count += 1;
-                d.has_dst = true;
             }
             if d.is_load() {
                 self.loads.push_back(seq);
@@ -977,6 +1162,11 @@ impl Core {
         self.machine.step().map(Some)
     }
 
+    /// Instructions the front-end pipe holds.
+    fn front_cap(&self) -> usize {
+        self.config.fetch_width * (self.config.front_depth as usize + 1)
+    }
+
     fn fetch(&mut self, hooks: &mut dyn PfmHooks) -> Result<(), SimError> {
         if self.halt_fetched || self.finished {
             return Ok(());
@@ -989,8 +1179,7 @@ impl Core {
             self.stats.fetch_icache_stall_cycles += 1;
             return Ok(());
         }
-        let front_cap = self.config.fetch_width * (self.config.front_depth as usize + 1);
-
+        let front_cap = self.front_cap();
         for _ in 0..self.config.fetch_width {
             if self.front.len() >= front_cap {
                 break;
@@ -1034,7 +1223,6 @@ impl Core {
                 state: InstState::InFront,
                 dispatch_ready: self.cycle + self.config.front_depth,
                 srcs: [None, None],
-                has_dst: false,
                 issue_cycle: 0,
                 complete_cycle: 0,
                 pred_taken: false,
@@ -1193,7 +1381,7 @@ impl Core {
             if let Some((reg, _)) = d.step.wrote {
                 self.last_writer[reg.index()] = Some(d.step.seq);
             }
-            self.dest_count += usize::from(d.has_dst);
+            self.dest_count += usize::from(d.step.wrote.is_some());
             self.waiting_count += usize::from(d.state == InstState::Waiting);
             if d.is_incomplete() {
                 let deps = &mut self.slots[(d.step.seq & self.slot_mask) as usize].dependents;
@@ -1527,6 +1715,176 @@ mod tests {
             "RAS should predict returns, got {}",
             core.stats().target_mispredicts
         );
+    }
+
+    /// No-op hooks that keep the default `quiescent() == false`, so the
+    /// core ticks every cycle: the reference for idle skipping.
+    struct Ticking;
+    impl PfmHooks for Ticking {}
+
+    /// A serialized pointer chase over a shuffled ring of 4,096 nodes,
+    /// one page plus one line apart (about 17 MB, past the 8 MB L3),
+    /// branching on bit 6 of each loaded pointer: fetch spends most
+    /// cycles blocked on a mispredict behind a DRAM load.
+    fn dram_chase() -> (pfm_isa::Program, SpecMemory) {
+        const NODES: usize = 4096;
+        const STRIDE: u64 = 4096 + 64;
+        const BASE: u64 = 0x100_0000;
+        let mut order: Vec<u64> = (0..NODES as u64).collect();
+        let mut x = 7u64;
+        for i in (1..NODES).rev() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let mut mem = SpecMemory::new();
+        for (i, &node) in order.iter().enumerate() {
+            let next = order[(i + 1) % NODES];
+            mem.committed_mut()
+                .write(BASE + node * STRIDE, 8, BASE + next * STRIDE);
+        }
+        let mut a = Asm::new(0x1000);
+        let (top, skip) = (a.label(), a.label());
+        a.li(A0, (BASE + order[0] * STRIDE) as i64);
+        a.li(T0, 1_000_000);
+        a.bind(top).unwrap();
+        a.ld(A0, A0, 0);
+        a.andi(T1, A0, 64);
+        a.beq(T1, X0, skip);
+        a.addi(S0, S0, 1);
+        a.bind(skip).unwrap();
+        a.addi(T0, T0, -1);
+        a.bne(T0, X0, top);
+        a.halt();
+        (a.finish().unwrap(), mem)
+    }
+
+    /// Idle skipping charges exactly what ticking would, and never runs
+    /// past a budget: at every budget, and at every cycle cap, a
+    /// quiescent run ends at the same cycle, with the same outcome and
+    /// statistics, as one that ticks every cycle.
+    #[test]
+    fn idle_skip_matches_ticking_at_every_budget() {
+        let (program, mem) = dram_chase();
+        let run = |hooks: &mut dyn PfmHooks, budget: u64, max_cycles: u64| {
+            let machine = Machine::new(program.clone(), mem.clone());
+            let hier = Hierarchy::new(HierarchyConfig::micro21());
+            let mut core = Core::new(CoreConfig::micro21(), machine, hier);
+            let outcome = core
+                .run(hooks, budget, max_cycles)
+                .map_err(|e| e.to_string());
+            (outcome, core.cycle(), core.stats().clone())
+        };
+        for budget in 1..=150 {
+            let skipped = run(&mut NoPfm, budget, 10_000_000);
+            assert_eq!(
+                skipped,
+                run(&mut Ticking, budget, 10_000_000),
+                "budget {budget}"
+            );
+            assert!(skipped.0.is_ok(), "budget {budget}: {:?}", skipped.0);
+        }
+        let (_, _, stats) = run(&mut NoPfm, 150, 10_000_000);
+        assert!(
+            stats.fetch_redirect_stall_cycles * 10 > stats.cycles * 9,
+            "the kernel should idle behind mispredicts: {stats:?}"
+        );
+        for max_cycles in (0..4_000).step_by(131) {
+            let skipped = run(&mut NoPfm, u64::MAX, max_cycles);
+            assert_eq!(
+                skipped,
+                run(&mut Ticking, u64::MAX, max_cycles),
+                "cap {max_cycles}"
+            );
+        }
+    }
+
+    #[test]
+    fn wheel_keeps_push_order_within_a_cycle() {
+        let mut w = Wheel::new();
+        for (at, item) in [(5, 'a'), (3, 'x'), (5, 'b'), (5, 'c')] {
+            w.push(0, at, item);
+        }
+        assert_eq!(w.next_after(0), Some(3));
+        assert_eq!(w.take(3), Some(vec!['x']));
+        assert_eq!(w.take(4), None);
+        assert_eq!(w.next_after(4), Some(5));
+        assert_eq!(w.take(5), Some(vec!['a', 'b', 'c']));
+        assert!(w.is_empty());
+        assert_eq!(w.next_after(5), None);
+    }
+
+    #[test]
+    fn wheel_growth_keeps_each_events_cycle_and_order() {
+        let mut w = Wheel::new();
+        let now = 700;
+        let pushes = [
+            (100, 'a'),
+            (1_000, 'b'),
+            (100, 'c'),
+            (5_000, 'd'),
+            (1_000, 'e'),
+        ];
+        for (dt, item) in pushes {
+            w.push(now, now + dt, item);
+        }
+        assert_eq!(
+            w.buckets.len(),
+            8192,
+            "grew to the next power of two past 5,000"
+        );
+        let mut drained = Vec::new();
+        let mut t = now;
+        while let Some(at) = w.next_after(t) {
+            drained.push((at - now, w.take(at).unwrap()));
+            t = at;
+        }
+        assert_eq!(
+            drained,
+            [
+                (100, vec!['a', 'c']),
+                (1_000, vec!['b', 'e']),
+                (5_000, vec!['d'])
+            ]
+        );
+    }
+
+    #[test]
+    fn wheel_next_after_wraps_around_the_ring() {
+        let mut w = Wheel::new();
+        // Past the last bucket into the first word.
+        w.push(500, 520, 1);
+        assert_eq!(w.next_after(500), Some(520));
+        assert_eq!(w.take(520), Some(vec![1]));
+        // All the way round to the start word's bits below the start.
+        w.push(69, 577, 2);
+        assert_eq!(w.next_after(69), Some(577));
+    }
+
+    /// Rename stalls once the physical registers beyond the
+    /// architectural state are all allocated.
+    #[test]
+    fn rename_stalls_when_physical_registers_run_out() {
+        let regs = [T0, T1, T2, T3, T4, T5, T6, S1];
+        let mut a = Asm::new(0x1000);
+        for i in 0..64 {
+            a.li(regs[i % regs.len()], i as i64);
+        }
+        a.halt();
+        let mut cfg = CoreConfig::micro21();
+        cfg.prf_size = 64 + 4;
+        let machine = Machine::new(a.finish().unwrap(), SpecMemory::new());
+        let hier = Hierarchy::new(HierarchyConfig::micro21());
+        let mut core = Core::new(cfg, machine, hier);
+        let mut peak = 0;
+        while !core.finished() {
+            core.tick(&mut NoPfm).unwrap();
+            peak = peak.max(core.dest_count);
+            assert!(core.cycle() < 100_000, "deadlocked");
+        }
+        assert_eq!(core.stats().retired, 65);
+        assert_eq!(peak, 4, "at most 4 renamed destinations in flight");
     }
 
     #[test]

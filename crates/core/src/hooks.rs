@@ -150,13 +150,28 @@ pub trait PfmHooks {
     /// the `debug_assert`.
     #[doc(hidden)]
     fn debug_inject_arch_fault(&mut self, _machine: &mut pfm_isa::Machine) {}
+
+    /// Whether skipping a cycle in which the core itself is idle is
+    /// equivalent to calling the hooks of that cycle: `begin_cycle` and
+    /// `end_cycle` keep no state, `retire_stalled` is always `false`
+    /// and `pop_load` always `None`. When true,
+    /// [`crate::Core::run_watched_until`] jumps over such cycles. This
+    /// is a property of the hooks type, not a setting: the default is
+    /// `false`, and only [`NoPfm`] says `true`.
+    fn quiescent(&self) -> bool {
+        false
+    }
 }
 
 /// Baseline: no reconfigurable fabric attached.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoPfm;
 
-impl PfmHooks for NoPfm {}
+impl PfmHooks for NoPfm {
+    fn quiescent(&self) -> bool {
+        true
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -172,5 +187,6 @@ mod tests {
         assert_eq!(h.pop_load(), None);
         h.on_squash(SquashKind::Mispredict, 7, 3);
         h.load_result(1, FabricLoadResult::Miss, 4);
+        assert!(h.quiescent());
     }
 }

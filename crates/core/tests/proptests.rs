@@ -3,7 +3,7 @@
 //! must respect its structural limits across randomly generated
 //! programs.
 
-use pfm_core::{Core, CoreConfig, NoPfm};
+use pfm_core::{Core, CoreConfig, NoPfm, PfmHooks};
 use pfm_isa::asm::Asm;
 use pfm_isa::machine::Machine;
 use pfm_isa::mem::SpecMemory;
@@ -140,6 +140,11 @@ fn build_program(ops: &[Op], iters: i64) -> pfm_isa::Program {
     a.finish().unwrap()
 }
 
+/// No-op hooks that keep the default `quiescent() == false`, so the
+/// core ticks every cycle: the reference for idle skipping.
+struct Ticking;
+impl PfmHooks for Ticking {}
+
 fn final_state(core: &Core) -> Vec<u64> {
     let mut v: Vec<u64> = (0..8u8).map(|i| core.machine().reg(reg(i))).collect();
     for off in 0..64u64 {
@@ -219,12 +224,12 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Shrinking any structure (ROB, IQ, LQ, SQ) never changes results
-    /// and never produces more IPC than the full-size machine.
+    /// Shrinking any structure (ROB, IQ, LQ, SQ, PRF) never changes
+    /// results and never produces more IPC than the full-size machine.
     #[test]
     fn structural_limits_only_slow_things_down(
         ops in prop::collection::vec(op_strategy(), 4..16),
-        which in 0usize..4,
+        which in 0usize..5,
     ) {
         let program = build_program(&ops, 40);
         let mut small_cfg = CoreConfig::micro21();
@@ -232,7 +237,8 @@ proptest! {
             0 => small_cfg.rob_size = 12,
             1 => small_cfg.iq_size = 6,
             2 => small_cfg.ldq_size = 3,
-            _ => small_cfg.stq_size = 3,
+            3 => small_cfg.stq_size = 3,
+            _ => small_cfg.prf_size = 64 + 8,
         }
         let mut big = Core::new(
             CoreConfig::micro21(),
@@ -314,5 +320,56 @@ proptest! {
         perfect.run(&mut NoPfm, u64::MAX, 50_000_000).unwrap();
         prop_assert_eq!(perfect.stats().mispredicts, 0);
         prop_assert!(perfect.stats().cycles <= real.stats().cycles);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Skipping idle cycles is invisible. A quiescent `NoPfm` core and
+    /// one whose hooks make it tick every cycle run the same budget
+    /// legs, stopping short of halt and then running to it, under the
+    /// same commit watchdog. After every leg they agree on the outcome
+    /// (error text included), core and hierarchy statistics, commit
+    /// checksum and cycle, and they end in the same state.
+    #[test]
+    fn idle_skip_is_invisible(
+        ops in prop::collection::vec(op_strategy(), 1..16),
+        iters in 1i64..40,
+        rob in 0usize..3,
+        legs in prop::collection::vec(0u64..1000, 1..5),
+        watchdog in 0usize..3,
+    ) {
+        let program = build_program(&ops, iters);
+        let mut cfg = CoreConfig::micro21();
+        cfg.rob_size = [12, 37, 224][rob];
+        let watchdog = [Some(40), Some(150), None][watchdog];
+        let fresh = || Core::new(
+            cfg.clone(),
+            Machine::new(program.clone(), SpecMemory::new()),
+            Hierarchy::new(HierarchyConfig::micro21()),
+        );
+        let mut straight = fresh();
+        straight.run(&mut NoPfm, u64::MAX, 50_000_000).unwrap();
+        let total = straight.stats().retired;
+        let mut targets: Vec<u64> = legs.iter().map(|p| total * p / 1000).collect();
+        targets.sort_unstable();
+        targets.push(u64::MAX);
+
+        let (mut skipping, mut ticking) = (fresh(), fresh());
+        for target in targets {
+            let a = skipping.run_watched_until(&mut NoPfm, target, 50_000_000, watchdog);
+            let b = ticking.run_watched_until(&mut Ticking, target, 50_000_000, watchdog);
+            let (a, b) = (a.map_err(|e| e.to_string()), b.map_err(|e| e.to_string()));
+            prop_assert_eq!(&a, &b, "leg to {}", target);
+            prop_assert_eq!(skipping.stats(), ticking.stats(), "leg to {}", target);
+            prop_assert_eq!(skipping.hierarchy().stats(), ticking.hierarchy().stats());
+            prop_assert_eq!(skipping.commit_checksum(), ticking.commit_checksum());
+            prop_assert_eq!(skipping.cycle(), ticking.cycle());
+            if a.is_err() {
+                break;
+            }
+        }
+        prop_assert_eq!(final_state(&skipping), final_state(&ticking));
     }
 }

@@ -5,8 +5,6 @@
 //! when the data arrives. This keeps the model single-pass while still
 //! capturing hit/miss behaviour, eviction and prefetch pollution.
 
-use pfm_isa::snap::{Dec, Enc, SnapError};
-
 /// Base-2 logarithm of the cache line size (64-byte lines).
 pub const LINE_SHIFT: u64 = 6;
 /// Cache line size in bytes.
@@ -95,26 +93,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Serializes the counters.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u64(self.hits);
-        e.u64(self.misses);
-        e.u64(self.prefetch_fills);
-        e.u64(self.prefetch_useful);
-        e.u64(self.writebacks);
-    }
-
-    /// Decodes counters serialized by [`CacheStats::snapshot_encode`].
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<CacheStats, SnapError> {
-        Ok(CacheStats {
-            hits: d.u64()?,
-            misses: d.u64()?,
-            prefetch_fills: d.u64()?,
-            prefetch_useful: d.u64()?,
-            writebacks: d.u64()?,
-        })
-    }
-
     /// Demand miss ratio in [0, 1]; zero when no accesses occurred.
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

@@ -106,13 +106,15 @@ echo "== cargo test =="
 # Includes the two-speed equivalence gate (pfm-sim's functional_equivalence).
 cargo test -q --release --locked
 
-echo "== cargo test (dev profile: the core's debug oracles) =="
-# Release builds compile out the core's debug checks: the ready-list
+echo "== cargo test (dev profile: the debug oracles) =="
+# Release builds compile out the debug checks: the core's ready-list
 # oracle (debug_check_ready), the consecutive-seq and waiting_count
 # asserts, the event wheel's due-after-now assert and the hooks'
-# non-interference bracket. Run the core's tests and the golden stats
-# with them compiled in.
+# non-interference bracket; the MSHR file's cached earliest ready; and
+# the template component's entered set against whole-set expiry. Run
+# those crates' tests and the golden stats with them compiled in.
 cargo test -q --locked -p pfm-core
+cargo test -q --locked -p pfm-mem -p pfm-fabric -p pfm-components
 cargo test -q --locked -p pfm-sim --test golden_stats
 
 echo "== benchmark smoke tests =="

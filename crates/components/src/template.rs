@@ -23,7 +23,8 @@
 //! form of either design is a spec transform ([`crate::slipstream`]).
 
 use pfm_fabric::{CustomComponent, FabricIo, FabricLoad, ObsPacket, PredPacket, WatchKind};
-use std::collections::{BTreeMap, VecDeque};
+use pfm_isa::fxhash::FxHashMap;
+use std::collections::VecDeque;
 
 /// A load id packs, from the low bits up, the lane (6 bits), the
 /// element (24), the stage code (2; 0 is T0's worklist load, `s + 1`
@@ -246,7 +247,15 @@ pub struct TemplateComponent {
 
     /// Sticky entered-set (the generalized index1_CAM): derived index
     /// -> latest inserting iteration.
-    entered: BTreeMap<u64, u64>,
+    entered: FxHashMap<u64, u64>,
+    /// Every insert into `entered` as (iteration, key), oldest first.
+    /// Iterations never decrease within a call (the emit cursor only
+    /// moves forward), so expiry pops from the front.
+    entered_log: VecDeque<(u64, u64)>,
+    /// `entered` maintained by whole-set expiry, which `retire` checks
+    /// the log against.
+    #[cfg(debug_assertions)]
+    entered_shadow: std::collections::BTreeMap<u64, u64>,
 }
 
 impl std::fmt::Debug for TemplateComponent {
@@ -292,7 +301,10 @@ impl TemplateComponent {
             issue: [(0, 0, 0); MAX_STAGES],
             emit: (0, 0, 0),
             window: VecDeque::new(),
-            entered: BTreeMap::new(),
+            entered: FxHashMap::default(),
+            entered_log: VecDeque::new(),
+            #[cfg(debug_assertions)]
+            entered_shadow: std::collections::BTreeMap::new(),
         }
     }
 
@@ -305,6 +317,9 @@ impl TemplateComponent {
         self.emit = (0, 0, 0);
         self.window.clear();
         self.entered.clear();
+        self.entered_log.clear();
+        #[cfg(debug_assertions)]
+        self.entered_shadow.clear();
     }
 
     /// The id of `iter`'s load for stage code `code`, `elem`, `lane`.
@@ -382,9 +397,40 @@ impl TemplateComponent {
         // issued before the store committed may only be converted into
         // a prediction after the store retires, and "entered" is
         // sticky within a call, so the longer lifetime is always safe
-        // (a bounded CAM of 2·scope iterations' keys).
+        // (a bounded CAM of 2·scope iterations' keys). A key expires
+        // with its latest insert: an older log entry for a key a later
+        // insert refreshed leaves it in place.
         let scope = self.spec.scope as u64;
-        self.entered.retain(|_, &mut it| it + scope >= base);
+        while let Some(&(it, key)) = self.entered_log.front() {
+            if it + scope >= base {
+                break;
+            }
+            self.entered_log.pop_front();
+            if self.entered.get(&key) == Some(&it) {
+                self.entered.remove(&key);
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            self.entered_shadow.retain(|_, &mut it| it + scope >= base);
+            debug_assert!(
+                self.entered.len() == self.entered_shadow.len()
+                    && self
+                        .entered_shadow
+                        .iter()
+                        .all(|(k, v)| self.entered.get(k) == Some(v)),
+                "entered set diverged from whole-set expiry at iteration {base}"
+            );
+        }
+    }
+
+    /// Records `key` as entered by iteration `iter`.
+    fn enter(&mut self, key: u64, iter: u64) {
+        debug_assert!(self.entered_log.back().is_none_or(|&(it, _)| it <= iter));
+        self.entered.insert(key, iter);
+        self.entered_log.push_back((iter, key));
+        #[cfg(debug_assertions)]
+        self.entered_shadow.insert(key, iter);
     }
 
     fn observations(&mut self, io: &mut FabricIo<'_>) {
@@ -575,7 +621,7 @@ impl TemplateComponent {
                         None => false,
                     };
                     if entered {
-                        self.entered.insert(key, iter);
+                        self.enter(key, iter);
                     }
                     (iter, elem, if taken { k + end - l } else { k + 1 })
                 }

@@ -318,8 +318,12 @@ pub struct Core {
     ras: Ras,
 
     cycle: u64,
-    front: VecDeque<DynInst>,
-    rob: VecDeque<DynInst>,
+    /// The ROB followed by the front-end pipe, one run of consecutive
+    /// seqs: the first `rob_len` entries are the ROB, the rest are
+    /// fetched but not yet dispatched. Fetch pushes each instruction
+    /// once, dispatch renames it in place, and retire pops the head.
+    window: VecDeque<DynInst>,
+    rob_len: usize,
     replay: VecDeque<StepOut>,
     peeked: Option<StepOut>,
     /// Completions: the seq of each issued instruction, at its
@@ -387,7 +391,7 @@ impl std::fmt::Debug for Core {
         f.debug_struct("Core")
             .field("cycle", &self.cycle)
             .field("retired", &self.stats.retired)
-            .field("rob", &self.rob.len())
+            .field("rob", &self.rob_len)
             .finish()
     }
 }
@@ -406,8 +410,8 @@ impl Core {
             btb: Btb::default(),
             ras: Ras::new(ras_depth),
             cycle: 0,
-            front: VecDeque::new(),
-            rob: VecDeque::new(),
+            window: VecDeque::new(),
+            rob_len: 0,
             replay: VecDeque::new(),
             peeked: None,
             events: Wheel::new(),
@@ -583,8 +587,7 @@ impl Core {
         let soon = self.cycle + 1;
         // Retire, or a fabric load returns.
         if self
-            .rob
-            .front()
+            .rob_head()
             .is_some_and(|d| d.state == InstState::Completed)
             || !self.fabric_loads.is_empty()
         {
@@ -596,7 +599,7 @@ impl Core {
             next = next.min(self.inst(seq).dispatch_ready);
         }
         // Dispatch, a cycle before the head is ready (see `dispatch`).
-        if let Some(head) = self.front.front().filter(|h| self.can_dispatch(h)) {
+        if let Some(head) = self.front_head().filter(|h| self.can_dispatch(h)) {
             next = next.min(head.dispatch_ready.saturating_sub(1));
         }
         // Fetch.
@@ -604,7 +607,7 @@ impl Core {
             self.peeked.is_some() || !self.replay.is_empty() || !self.machine.halted();
         if !(self.halt_fetched || self.finished)
             && self.fetch_blocked_on.is_none()
-            && self.front.len() < self.front_cap()
+            && self.front_len() < self.front_cap()
             && record_waiting
         {
             next = next.min(self.fetch_stall_until);
@@ -677,12 +680,14 @@ impl Core {
             return;
         }
         for _ in 0..self.config.retire_width {
-            let Some(head) = self.rob.front() else { break };
-            if head.state != InstState::Completed || head.complete_cycle >= self.cycle {
+            // The head is read in place and popped after the Retire
+            // Agent has seen it.
+            let Some(inst) = self.window.front().filter(|_| self.rob_len > 0) else {
+                break;
+            };
+            if inst.state != InstState::Completed || inst.complete_cycle >= self.cycle {
                 break;
             }
-            // pfm-lint: allow(hygiene): front() just returned Some
-            let inst = self.rob.pop_front().expect("head exists");
             let seq = inst.step.seq;
 
             // Commit stores: architectural memory + write-buffer D$
@@ -717,8 +722,10 @@ impl Core {
                 if inst.from_fabric {
                     self.stats.fabric_predictions_used += 1;
                 }
-                if let Some(b) = self.branches.pop_front_if(|b| b.seq == seq) {
-                    self.bp.train(inst.step.pc, inst.step.taken, &b.prediction);
+                if self.branches.front().is_some_and(|b| b.seq == seq) {
+                    self.bp
+                        .train(inst.step.pc, inst.step.taken, &self.branches[0].prediction);
+                    self.branches.pop_front();
                 }
             }
             if inst.target_mispredicted {
@@ -769,9 +776,12 @@ impl Core {
                 }),
                 lane_busy: self.lane_busy_prev,
             };
+            let halted = inst.step.halted;
             let directive = checked_hook!(self, hooks, "on_retire", hooks.on_retire(&info));
+            self.window.pop_front();
+            self.rob_len -= 1;
 
-            if inst.step.halted {
+            if halted {
                 self.finished = true;
                 return;
             }
@@ -787,23 +797,38 @@ impl Core {
     // Complete / writeback
     // ------------------------------------------------------------------
 
-    /// ROB position of `seq`: its offset from the head, since the ROB
-    /// holds consecutive seqs.
+    /// The oldest instruction in the ROB.
+    fn rob_head(&self) -> Option<&DynInst> {
+        self.window.front().filter(|_| self.rob_len > 0)
+    }
+
+    /// The oldest instruction in the front-end pipe.
+    fn front_head(&self) -> Option<&DynInst> {
+        self.window.get(self.rob_len)
+    }
+
+    /// Instructions in the front-end pipe.
+    fn front_len(&self) -> usize {
+        self.window.len() - self.rob_len
+    }
+
+    /// ROB position of `seq`: its offset from the head, since the
+    /// window holds consecutive seqs.
     fn rob_pos(&self, seq: u64) -> Option<usize> {
-        let pos = seq.checked_sub(self.rob.front()?.step.seq)?;
-        usize::try_from(pos).ok().filter(|&p| p < self.rob.len())
+        let pos = seq.checked_sub(self.window.front()?.step.seq)?;
+        usize::try_from(pos).ok().filter(|&p| p < self.rob_len)
     }
 
     /// The in-window instruction `seq` (which must be in the ROB).
     fn inst(&self, seq: u64) -> &DynInst {
-        let pos = seq - self.rob[0].step.seq;
-        &self.rob[pos as usize]
+        let pos = seq - self.window[0].step.seq;
+        &self.window[pos as usize]
     }
 
-    /// Whether `seq` is in the window and has not completed.
+    /// Whether `seq` is in the ROB and has not completed.
     fn executing(&self, seq: u64) -> bool {
         self.rob_pos(seq)
-            .is_some_and(|pos| self.rob[pos].is_incomplete())
+            .is_some_and(|pos| self.window[pos].is_incomplete())
     }
 
     fn slot(&mut self, seq: u64) -> &mut Slot {
@@ -858,8 +883,8 @@ impl Core {
     #[cfg(debug_assertions)]
     fn debug_check_ready(&self) {
         let scan = self
-            .rob
-            .iter()
+            .window
+            .range(..self.rob_len)
             .filter(|d| d.state == InstState::Waiting)
             .filter(|d| !d.srcs.iter().flatten().any(|&p| self.executing(p)))
             .map(|d| d.step.seq);
@@ -893,23 +918,24 @@ impl Core {
             let Some(pos) = self.rob_pos(seq) else {
                 continue;
             };
-            if self.rob[pos].state != InstState::Issued
-                || self.rob[pos].complete_cycle != self.cycle
+            if self.window[pos].state != InstState::Issued
+                || self.window[pos].complete_cycle != self.cycle
             {
                 continue; // stale event from a squashed incarnation
             }
-            self.rob[pos].state = InstState::Completed;
+            self.window[pos].state = InstState::Completed;
             self.wake_dependents(seq);
 
-            let is_store = self.rob[pos].is_store();
-            let mispredicted = self.rob[pos].mispredicted || self.rob[pos].target_mispredicted;
+            let is_store = self.window[pos].is_store();
+            let mispredicted =
+                self.window[pos].mispredicted || self.window[pos].target_mispredicted;
 
             if is_store {
                 // Memory-disambiguation check: the oldest younger load
                 // that already executed and overlaps this store's bytes
                 // violated the dependence.
                 // pfm-lint: allow(hygiene): stores always carry a memory range
-                let range = self.rob[pos].mem_range().expect("store range");
+                let range = self.window[pos].mem_range().expect("store range");
                 let younger = self.loads.partition_point(|&l| l < seq);
                 let violator = self.loads.range(younger..).copied().find(|&l| {
                     let d = self.inst(l);
@@ -929,14 +955,14 @@ impl Core {
                 // redirect fetch.
                 // pfm-lint: allow(hygiene): seq was found in the ROB this cycle
                 let pos = self.rob_pos(seq).expect("still present");
-                let actual = self.rob[pos].step.taken;
+                let actual = self.window[pos].step.taken;
                 let checkpoint = self
                     .branch_pos(seq)
                     .and_then(|i| self.branches[i].checkpoint.take());
                 if let Some(cp) = checkpoint {
                     self.bp.recover(&cp, actual);
                 }
-                if let Some(snap) = self.rob[pos].ras_snap.take() {
+                if let Some(snap) = self.window[pos].ras_snap.take() {
                     self.ras.restore(snap);
                 }
                 self.stats.squash_mispredict += 1;
@@ -976,12 +1002,12 @@ impl Core {
 
         // Select: the ready list, oldest first. Issued entries leave it;
         // the rest stay for a later cycle.
-        let head = self.rob.front().map_or(0, |d| d.step.seq);
+        let head = self.window.front().map_or(0, |d| d.step.seq);
         let mut i = 0;
         while i < self.ready.len() && issued < self.config.issue_width {
             let seq = self.ready[i];
             let pos = (seq - head) as usize;
-            let d = &self.rob[pos];
+            let d = &self.window[pos];
             let lane = Self::lane_for(d.info.class);
             let lane_idx = match lane {
                 LaneClass::SimpleAlu => 0,
@@ -1040,7 +1066,7 @@ impl Core {
                 }
             }
 
-            let d = &mut self.rob[pos];
+            let d = &mut self.window[pos];
             d.state = InstState::Issued;
             d.issue_cycle = cycle;
             d.complete_cycle = complete_at;
@@ -1073,7 +1099,7 @@ impl Core {
                     self,
                     hooks,
                     "load_result",
-                    hooks.load_result(req.id, FabricLoadResult::Miss, cycle)
+                    hooks.load_result(req.id, FabricLoadResult::Miss { load: req }, cycle)
                 );
             }
         }
@@ -1086,7 +1112,7 @@ impl Core {
     /// Whether the window has room for front-end instruction `head`:
     /// ROB, issue-queue, load/store-queue and physical-register limits.
     fn can_dispatch(&self, head: &DynInst) -> bool {
-        self.rob.len() < self.config.rob_size
+        self.rob_len < self.config.rob_size
             && self.iq_count < self.config.iq_size
             && !(head.is_load() && self.loads.len() >= self.config.ldq_size)
             && !(head.is_store() && self.stores.len() >= self.config.stq_size)
@@ -1095,7 +1121,7 @@ impl Core {
 
     fn dispatch(&mut self) {
         for _ in 0..self.config.dispatch_width {
-            let Some(head) = self.front.front() else {
+            let Some(head) = self.front_head() else {
                 break;
             };
             // Still flowing through the front-end pipe (it may enter
@@ -1103,13 +1129,9 @@ impl Core {
             if head.dispatch_ready > self.cycle + 1 || !self.can_dispatch(head) {
                 break;
             }
-            // pfm-lint: allow(hygiene): the loop guard checked front() is Some
-            let mut d = self.front.pop_front().expect("head exists");
+            // Entering the ROB is moving the boundary past it.
+            let d = &mut self.window[self.rob_len];
             let seq = d.step.seq;
-            debug_assert!(
-                self.rob.back().is_none_or(|b| b.step.seq + 1 == seq),
-                "ROB seqs must be consecutive"
-            );
             // Rename: source producers from the last-writer map.
             for (i, src) in d.info.srcs.iter().enumerate() {
                 d.srcs[i] = src
@@ -1126,19 +1148,19 @@ impl Core {
             if d.is_store() {
                 self.stores.push_back(seq);
             }
-            self.iq_count += 1;
-            self.waiting_count += 1;
             d.state = InstState::Waiting;
             let srcs = d.srcs;
-            self.rob.push_back(d);
+            self.rob_len += 1;
+            self.iq_count += 1;
+            self.waiting_count += 1;
             self.register_waiting(seq, srcs);
         }
         // IQ entries free at issue; approximate by counting Waiting.
         // `waiting_count` tracks that exactly, so the refresh is O(1).
         debug_assert_eq!(
             self.waiting_count,
-            self.rob
-                .iter()
+            self.window
+                .range(..self.rob_len)
                 .filter(|d| d.state == InstState::Waiting)
                 .count()
         );
@@ -1181,7 +1203,7 @@ impl Core {
         }
         let front_cap = self.front_cap();
         for _ in 0..self.config.fetch_width {
-            if self.front.len() >= front_cap {
+            if self.front_len() >= front_cap {
                 break;
             }
             let Some(rec) = self.next_record()? else {
@@ -1290,7 +1312,11 @@ impl Core {
             let seq = d.step.seq;
             let halted = d.step.halted;
             let blocked = d.mispredicted || d.target_mispredicted;
-            self.front.push_back(d);
+            debug_assert!(
+                self.window.back().is_none_or(|b| b.step.seq + 1 == seq),
+                "fetch must extend the window by exactly one seq"
+            );
+            self.window.push_back(d);
 
             if halted {
                 self.halt_fetched = true;
@@ -1314,11 +1340,12 @@ impl Core {
     /// Rolls all timing state for instructions with `seq >= boundary`
     /// back to fetch (their records re-enter via the replay queue).
     fn squash_from(&mut self, boundary: u64, kind: SquashKind, hooks: &mut dyn PfmHooks) {
-        // Split the ROB. Everything at `cut` and beyond is squashed,
-        // but the tail is walked in place and truncated rather than
-        // moved out, so a squash allocates nothing.
-        let head = self.rob.front().map_or(boundary, |d| d.step.seq);
-        let cut = boundary.saturating_sub(head).min(self.rob.len() as u64) as usize;
+        // Split the window. Everything at `cut` and beyond (the ROB's
+        // squashed tail and the whole front-end pipe) is squashed, but
+        // it is walked in place and truncated rather than moved out, so
+        // a squash allocates nothing.
+        let head = self.window.front().map_or(boundary, |d| d.step.seq);
+        let cut = boundary.saturating_sub(head).min(self.rob_len as u64) as usize;
         let first_branch = self.branches.partition_point(|b| b.seq < boundary);
 
         // Repair predictor/RAS speculative state from the oldest
@@ -1326,7 +1353,9 @@ impl Core {
         // checkpoint or a jump's RAS snapshot, whichever is older.
         let cp = (self.branches.range(first_branch..))
             .find_map(|b| b.checkpoint.as_ref().map(|cp| (b.seq, cp)));
-        let ras = (self.rob.range(cut..).chain(&self.front))
+        let ras = self
+            .window
+            .range(cut..)
             .find_map(|d| d.ras_snap.map(|snap| (d.step.seq, snap)));
         match (cp, ras) {
             (Some((seq, cp)), ras) if ras.is_none_or(|(r, _)| seq < r) => self.bp.restore(cp),
@@ -1339,15 +1368,15 @@ impl Core {
         // buffer. Squashed bookkeeping rides along in the same pass.
         let mut scratch = std::mem::take(&mut self.squash_scratch);
         scratch.clear();
-        for d in self.rob.iter().skip(cut).chain(self.front.iter()) {
+        for d in self.window.range(cut..) {
             scratch.push(d.step);
             if d.step.halted {
                 self.halt_fetched = false;
             }
         }
         scratch.extend(self.peeked.take());
-        self.rob.truncate(cut);
-        self.front.clear();
+        self.window.truncate(cut);
+        self.rob_len = cut;
         // The squashed records are in program order and all older than
         // anything still in the replay queue (replay drains oldest-
         // first before the machine produces fresh records), so they
@@ -1377,7 +1406,7 @@ impl Core {
         self.last_writer = [None; NUM_ARCH_REGS];
         self.dest_count = 0;
         self.waiting_count = 0;
-        for d in &self.rob {
+        for d in &self.window {
             if let Some((reg, _)) = d.step.wrote {
                 self.last_writer[reg.index()] = Some(d.step.seq);
             }

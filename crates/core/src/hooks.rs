@@ -86,8 +86,12 @@ pub enum FabricLoadResult {
         value: u64,
     },
     /// Missed in L1: the Load Agent should buffer it in the missed
-    /// load buffer and replay.
-    Miss,
+    /// load buffer and replay. The load comes back with the miss, so
+    /// the agent keeps no record of what it has in flight.
+    Miss {
+        /// The load that missed.
+        load: FabricLoad,
+    },
 }
 
 /// Core-side PFM hook points. All methods have no-op defaults so the
@@ -186,7 +190,13 @@ mod tests {
         assert!(!h.retire_stalled());
         assert_eq!(h.pop_load(), None);
         h.on_squash(SquashKind::Mispredict, 7, 3);
-        h.load_result(1, FabricLoadResult::Miss, 4);
+        let load = FabricLoad {
+            id: 1,
+            addr: 0x40,
+            size: 8,
+            is_prefetch: false,
+        };
+        h.load_result(1, FabricLoadResult::Miss { load }, 4);
         assert!(h.quiescent());
     }
 }

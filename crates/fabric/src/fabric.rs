@@ -5,7 +5,9 @@
 
 use crate::component::{CustomComponent, FabricIo};
 use crate::faults::{FaultPlan, FaultRng, FaultScenario};
-use crate::packets::{FabricLoad, LoadResponse, ObsPacket, ObserveKind, PredPacket, RstEntry};
+use crate::packets::{
+    FabricLoad, LoadResponse, ObsPacket, ObserveKind, PredPacket, RstEntry, SnoopTable,
+};
 use crate::params::{FabricParams, StallPolicy};
 use pfm_core::hooks::{
     FabricLoadResult, FetchOverride, PfmHooks, RetireDirective, RetireInfo, SquashKind,
@@ -190,8 +192,7 @@ struct PendingObs {
 /// Retire and Load Agents.
 pub struct Fabric {
     params: FabricParams,
-    fst: BTreeSet<u64>,
-    rst: BTreeMap<u64, RstEntry>,
+    snoop: SnoopTable,
     component: Box<dyn CustomComponent>,
 
     enabled: bool,
@@ -217,7 +218,6 @@ pub struct Fabric {
     obs_ex: VecDeque<LoadResponse>,
     /// Missed loads with their earliest-replay cycle.
     mlb: VecDeque<(FabricLoad, u64)>,
-    inflight_loads: BTreeMap<u64, FabricLoad>,
     /// Reused component-tick outputs (empty between RF ticks), so an RF
     /// tick allocates nothing.
     pred_scratch: Vec<PredPacket>,
@@ -261,8 +261,7 @@ impl Fabric {
     ) -> Fabric {
         Fabric {
             params,
-            fst,
-            rst,
+            snoop: SnoopTable::new(&fst, &rst),
             component,
             enabled: false,
             cycle: 0,
@@ -280,7 +279,6 @@ impl Fabric {
             load_delay: VecDeque::new(),
             obs_ex: VecDeque::new(),
             mlb: VecDeque::new(),
-            inflight_loads: BTreeMap::new(),
             pred_scratch: Vec::new(),
             load_scratch: Vec::new(),
             squash_pending: false,
@@ -368,8 +366,7 @@ impl Fabric {
             self.component.on_drain();
         }
         self.component = component;
-        self.fst = fst;
-        self.rst = rst;
+        self.snoop = SnoopTable::new(&fst, &rst);
         // The armed ROI context is evicted with the outgoing bitstream:
         // the incoming tenant re-arms at its next `begin_roi` retire,
         // which realigns core and component through the normal
@@ -467,9 +464,9 @@ impl Fabric {
     }
 
     /// Deterministically drops every in-flight microarchitectural
-    /// packet: all Agent queues, delay pipes, the MLB, in-flight load
-    /// tracking, and the squash protocol. Used when a drain window
-    /// closes, on [`Fabric::unload`], and by the scheduling layer at
+    /// packet: all Agent queues, delay pipes, the MLB and the squash
+    /// protocol. Used when a drain window closes, on
+    /// [`Fabric::unload`], and by the scheduling layer at
     /// context-switch boundaries. Architectural state is untouched by
     /// construction — nothing here ever reaches the commit stream.
     pub fn flush_transients(&mut self) {
@@ -484,7 +481,6 @@ impl Fabric {
         self.load_delay.clear();
         self.obs_ex.clear();
         self.mlb.clear();
-        self.inflight_loads.clear();
         self.squash_pending = false;
         self.squash_done_at = None;
     }
@@ -501,7 +497,7 @@ impl Fabric {
     #[doc(hidden)]
     pub fn debug_state(&self) -> String {
         format!(
-            "enabled={} intq_f={} pred_delay={} obs_q={} pending_obs={} intq_is={} load_delay={} obs_ex={} mlb={} inflight={} squash_pending={} delivered={} rf={} residency={:?}",
+            "enabled={} intq_f={} pred_delay={} obs_q={} pending_obs={} intq_is={} load_delay={} obs_ex={} mlb={} squash_pending={} delivered={} rf={} residency={:?}",
             self.enabled,
             self.intq_f.len(),
             self.pred_delay.len(),
@@ -511,7 +507,6 @@ impl Fabric {
             self.load_delay.len(),
             self.obs_ex.len(),
             self.mlb.len(),
-            self.inflight_loads.len(),
             self.squash_pending,
             self.delivered.len(),
             self.rf_cycle,
@@ -664,7 +659,7 @@ impl PfmHooks for Fabric {
         if !self.enabled && !stale_leak {
             return FetchOverride::Pass;
         }
-        if !(is_cond_branch && self.fst.contains(&pc)) {
+        if !(is_cond_branch && self.snoop.fst(pc)) {
             if self.resident() {
                 self.stats.fetched_in_roi += 1;
             }
@@ -779,7 +774,7 @@ impl PfmHooks for Fabric {
             }
         }
 
-        let Some(entry) = self.rst.get(&info.pc).copied() else {
+        let Some(entry) = self.snoop.rst(info.pc) else {
             return RetireDirective::Continue;
         };
 
@@ -871,7 +866,6 @@ impl PfmHooks for Fabric {
         if let Some(&(load, ready)) = self.mlb.front() {
             if self.cycle >= ready {
                 self.mlb.pop_front();
-                self.inflight_loads.insert(load.id, load);
                 self.stats.mlb_replays += 1;
                 return Some(load);
             }
@@ -886,7 +880,6 @@ impl PfmHooks for Fabric {
             if self.obs_ex.len() >= self.params.queue_size {
                 return None;
             }
-            self.inflight_loads.insert(head.id, head);
             self.stats.loads_injected += 1;
         } else {
             self.stats.prefetches_injected += 1;
@@ -899,22 +892,18 @@ impl PfmHooks for Fabric {
             // A response for a load the outgoing component issued
             // before the swap: dropped deterministically (the incoming
             // component never saw the request).
-            self.inflight_loads.remove(&id);
             return;
         }
         match result {
             FabricLoadResult::Hit { value } => {
-                self.inflight_loads.remove(&id);
                 self.obs_ex.push_back(LoadResponse { id, value });
             }
-            FabricLoadResult::Miss => {
-                if let Some(load) = self.inflight_loads.remove(&id) {
-                    if self.mlb.len() < self.params.mlb_size {
-                        self.mlb
-                            .push_back((load, self.cycle + self.params.mlb_replay_interval));
-                    } else {
-                        self.stats.mlb_full_drops += 1;
-                    }
+            FabricLoadResult::Miss { load } => {
+                if self.mlb.len() < self.params.mlb_size {
+                    self.mlb
+                        .push_back((load, self.cycle + self.params.mlb_replay_interval));
+                } else {
+                    self.stats.mlb_full_drops += 1;
                 }
             }
         }
@@ -1140,7 +1129,7 @@ mod tests {
         let load = f.pop_load().expect("load available");
         assert_eq!(load.id, 7);
         // It misses: goes to the MLB and replays after the interval.
-        f.load_result(7, FabricLoadResult::Miss, 80);
+        f.load_result(7, FabricLoadResult::Miss { load }, 80);
         let mut replayed = None;
         for c in 81..200 {
             f.begin_cycle(c, [false; NUM_LANES]);
@@ -1155,6 +1144,27 @@ mod tests {
         // This time it hits: value lands in ObsQ-EX for the component.
         f.load_result(7, FabricLoadResult::Hit { value: 55 }, 130);
         assert_eq!(f.obs_ex.front(), Some(&LoadResponse { id: 7, value: 55 }));
+    }
+
+    #[test]
+    fn miss_while_not_resident_is_dropped() {
+        let mut comp = Scripted::new();
+        comp.loads.push(FabricLoad {
+            id: 7,
+            addr: 0x100,
+            size: 8,
+            is_prefetch: false,
+        });
+        let mut f = fabric_with(comp, FabricParams::paper_default().delay(0));
+        warm_roi(&mut f);
+        let load = f.pop_load().expect("load available");
+        // The slot starts draining before the miss comes back: the
+        // outgoing component's load never reaches the MLB.
+        let (fst, rst) = swap_tables();
+        assert!(f.begin_swap(fst, rst, Box::new(Scripted::new()), 4));
+        f.load_result(load.id, FabricLoadResult::Miss { load }, 60);
+        assert!(f.mlb.is_empty());
+        assert_eq!(f.stats().mlb_full_drops, 0);
     }
 
     #[test]

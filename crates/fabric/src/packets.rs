@@ -1,6 +1,8 @@
 //! Packet formats and snoop-table configuration for the three Agents.
 
 pub use pfm_core::hooks::FabricLoad;
+use pfm_isa::inst::INST_BYTES;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What a Retire Snoop Table hit observes (§2.1's three observation
 /// packet types).
@@ -15,7 +17,7 @@ pub enum ObserveKind {
 }
 
 /// One Retire Snoop Table entry.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RstEntry {
     /// This PC marks the beginning of the region of interest.
     pub begin_roi: bool,
@@ -60,6 +62,75 @@ impl RstEntry {
     pub fn end(mut self) -> RstEntry {
         self.end_roi = true;
         self
+    }
+}
+
+/// The Fetch and Retire Snoop Tables as one table indexed by PC, which
+/// the Agents probe for every fetched conditional branch and every
+/// retired instruction.
+///
+/// Slot `i` holds PC `lo + i * INST_BYTES`, over the span from the
+/// lowest to the highest configured PC; a PC outside that span, or off
+/// its instruction grid, is in neither table. A configuration whose
+/// PCs do not all lie on `lo`'s grid gets one slot per byte instead, so
+/// the table always answers what the `BTreeSet` and `BTreeMap` it is
+/// built from answer.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SnoopTable {
+    lo: u64,
+    /// log2 of the bytes a slot covers.
+    shift: u32,
+    slots: Vec<Snoop>,
+}
+
+/// One PC's entries in the two tables.
+#[derive(Clone, Copy, Debug, Default)]
+struct Snoop {
+    fst: bool,
+    rst: Option<RstEntry>,
+}
+
+impl SnoopTable {
+    /// Builds the table from the FST's PCs and the RST's entries.
+    pub(crate) fn new(fst: &BTreeSet<u64>, rst: &BTreeMap<u64, RstEntry>) -> SnoopTable {
+        let pcs = || fst.iter().chain(rst.keys()).copied();
+        let (Some(lo), Some(hi)) = (pcs().min(), pcs().max()) else {
+            return SnoopTable::default();
+        };
+        let shift = if pcs().all(|pc| (pc - lo).is_multiple_of(INST_BYTES)) {
+            INST_BYTES.trailing_zeros()
+        } else {
+            0
+        };
+        let slot = |pc: u64| ((pc - lo) >> shift) as usize;
+        let mut slots = vec![Snoop::default(); slot(hi) + 1];
+        for &pc in fst {
+            slots[slot(pc)].fst = true;
+        }
+        for (&pc, &entry) in rst {
+            slots[slot(pc)].rst = Some(entry);
+        }
+        SnoopTable { lo, shift, slots }
+    }
+
+    fn get(&self, pc: u64) -> Option<&Snoop> {
+        let off = pc.wrapping_sub(self.lo);
+        if off & ((1 << self.shift) - 1) != 0 {
+            return None;
+        }
+        self.slots.get(usize::try_from(off >> self.shift).ok()?)
+    }
+
+    /// Whether `pc` is in the FST.
+    #[inline]
+    pub(crate) fn fst(&self, pc: u64) -> bool {
+        self.get(pc).is_some_and(|s| s.fst)
+    }
+
+    /// `pc`'s RST entry, if any.
+    #[inline]
+    pub(crate) fn rst(&self, pc: u64) -> Option<RstEntry> {
+        self.get(pc).and_then(|s| s.rst)
     }
 }
 
@@ -123,6 +194,59 @@ pub struct LoadResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// An RST entry from the low four bits of `code`.
+    fn rst_entry(code: u8) -> RstEntry {
+        let observe = [
+            None,
+            Some(ObserveKind::DestValue),
+            Some(ObserveKind::StoreValue),
+            Some(ObserveKind::BranchOutcome),
+        ];
+        RstEntry {
+            begin_roi: code & 1 != 0,
+            end_roi: code & 2 != 0,
+            observe: observe[usize::from(code >> 2 & 3)],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The snoop table answers what the `BTreeSet` and `BTreeMap`
+        /// it is built from answer: for every configured PC and its
+        /// byte neighbours, and for PCs inside the span, outside it and
+        /// off the instruction grid. One case in four adds a configured
+        /// PC off the grid of the others.
+        #[test]
+        fn snoop_table_answers_like_the_maps(
+            base in 16u64..0x4_0000,
+            fst_slots in vec(0u64..300, 0..24),
+            rst_slots in vec((0u64..300, 0u8..16), 0..24),
+            odd in 0u64..16,
+            probes in vec(0u64..1_400, 64),
+        ) {
+            let base = base * INST_BYTES;
+            let mut fst: BTreeSet<u64> = fst_slots.iter().map(|&i| base + i * INST_BYTES).collect();
+            if odd < INST_BYTES {
+                fst.insert(base + 100 * INST_BYTES + odd);
+            }
+            let rst: BTreeMap<u64, RstEntry> = rst_slots
+                .iter()
+                .map(|&(i, code)| (base + i * INST_BYTES, rst_entry(code)))
+                .collect();
+            let table = SnoopTable::new(&fst, &rst);
+            let configured = fst.iter().chain(rst.keys()).copied();
+            let near = configured.flat_map(|pc| pc - 2..pc + 3);
+            let spread = probes.iter().map(|&p| base - 64 + p);
+            for pc in near.chain(spread).chain([0, u64::MAX]) {
+                prop_assert_eq!(table.fst(pc), fst.contains(&pc), "FST at {:#x}", pc);
+                prop_assert_eq!(table.rst(pc), rst.get(&pc).copied(), "RST at {:#x}", pc);
+            }
+        }
+    }
 
     #[test]
     fn rst_entry_builders() {

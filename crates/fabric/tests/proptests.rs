@@ -184,7 +184,7 @@ proptest! {
             for _ in 0..2 {
                 if let Some(l) = f.pop_load() {
                     if missed_once.insert(l.id) {
-                        f.load_result(l.id, FabricLoadResult::Miss, cycle);
+                        f.load_result(l.id, FabricLoadResult::Miss { load: l }, cycle);
                     } else {
                         f.load_result(l.id, FabricLoadResult::Hit { value: l.id }, cycle);
                         completed.insert(l.id);

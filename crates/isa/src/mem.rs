@@ -200,7 +200,7 @@ impl SparseMem {
         if off + size as usize <= PAGE_SIZE {
             // Fast path: the access stays inside one page — one lookup.
             return match self.slot_of(addr >> PAGE_SHIFT) {
-                Some(s) => le_load(&self.arena[s as usize][off..off + size as usize]),
+                Some(s) => le_load(&self.arena[s as usize][off..], size),
                 None => 0,
             };
         }
@@ -215,7 +215,7 @@ impl SparseMem {
         let off = (addr & PAGE_MASK) as usize;
         if off + size as usize <= PAGE_SIZE {
             return match self.slot_of_mut(addr >> PAGE_SHIFT) {
-                Some(s) => le_load(&self.arena[s as usize][off..off + size as usize]),
+                Some(s) => le_load(&self.arena[s as usize][off..], size),
                 None => 0,
             };
         }
@@ -311,12 +311,22 @@ impl SparseMem {
     }
 }
 
-/// Little-endian zero-extended load of a 1–8 byte slice.
+/// Little-endian zero-extended load of the first `size` (1, 2, 4 or 8)
+/// bytes of `bytes`, as one fixed-width read rather than a
+/// variable-length copy.
 #[inline]
-fn le_load(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    buf[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(buf)
+fn le_load(bytes: &[u8], size: u64) -> u64 {
+    fn word<const N: usize>(bytes: &[u8]) -> [u8; N] {
+        let mut w = [0u8; N];
+        w.copy_from_slice(&bytes[..N]);
+        w
+    }
+    match size {
+        1 => u64::from(bytes[0]),
+        2 => u64::from(u16::from_le_bytes(word(bytes))),
+        4 => u64::from(u32::from_le_bytes(word(bytes))),
+        _ => u64::from_le_bytes(word(bytes)),
+    }
 }
 
 /// A pending speculative store registered with [`SpecMemory`].

@@ -332,19 +332,20 @@ impl Hierarchy {
             self.tlb.translate(addr)
         };
 
-        // In-flight miss covering this line?
-        if let Some(ready) = self.mshrs.peek(addr) {
-            if !is_prefetch {
-                self.stats.inflight_merges += 1;
-                self.mshrs.lookup(addr); // count the merge
-                let residual = ready.saturating_sub(cycle).max(self.config.l1d.latency);
+        // In-flight miss covering this line? A demand access merges
+        // into it (and counts the merge); a prefetch is dropped.
+        if is_prefetch {
+            if self.mshrs.peek(addr).is_some() {
                 return AccessOutcome {
-                    latency: residual + tlb_extra,
+                    latency: 0,
                     level: HitLevel::InFlight,
                 };
             }
+        } else if let Some(ready) = self.mshrs.lookup(addr) {
+            self.stats.inflight_merges += 1;
+            let residual = ready.saturating_sub(cycle).max(self.config.l1d.latency);
             return AccessOutcome {
-                latency: 0,
+                latency: residual + tlb_extra,
                 level: HitLevel::InFlight,
             };
         }

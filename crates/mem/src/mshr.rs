@@ -26,6 +26,9 @@ pub struct Mshr {
 pub struct MshrFile {
     entries: Vec<Mshr>,
     capacity: usize,
+    /// The smallest `ready` of `entries` (`u64::MAX` when empty): the
+    /// first cycle [`MshrFile::expire`] has anything to drop.
+    earliest: u64,
     /// Total allocations that found the file full.
     pub full_stalls: u64,
     /// Accesses that merged into an existing entry.
@@ -42,6 +45,7 @@ impl MshrFile {
         MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
+            earliest: u64::MAX,
             full_stalls: 0,
             merges: 0,
         }
@@ -49,7 +53,20 @@ impl MshrFile {
 
     /// Drops entries whose data has arrived by `cycle`.
     pub fn expire(&mut self, cycle: u64) {
+        if cycle < self.earliest {
+            return;
+        }
         self.entries.retain(|e| e.ready > cycle);
+        self.earliest = self.min_ready();
+    }
+
+    /// The smallest `ready` by a scan (`u64::MAX` when empty).
+    fn min_ready(&self) -> u64 {
+        self.entries
+            .iter()
+            .map(|e| e.ready)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Ready cycle of the in-flight miss covering `addr`'s line, if any.
@@ -84,19 +101,18 @@ impl MshrFile {
     pub fn alloc(&mut self, addr: u64, ready: u64) -> Result<(), u64> {
         if self.entries.len() >= self.capacity {
             self.full_stalls += 1;
-            let earliest = self
-                .entries
-                .iter()
-                .map(|e| e.ready)
-                .min()
-                // pfm-lint: allow(hygiene): the full-stall path implies entries is non-empty
-                .expect("non-empty");
-            return Err(earliest);
+            return Err(self.earliest);
         }
         self.entries.push(Mshr {
             line: line_of(addr),
             ready,
         });
+        self.earliest = self.earliest.min(ready);
+        debug_assert_eq!(
+            self.earliest,
+            self.min_ready(),
+            "cached earliest ready diverged"
+        );
         Ok(())
     }
 
@@ -144,6 +160,26 @@ mod tests {
         m.alloc(0x040, 20).unwrap();
         assert_eq!(m.alloc(0x080, 40), Err(20));
         assert_eq!(m.full_stalls, 1);
+    }
+
+    #[test]
+    fn cached_earliest_tracks_allocs_and_expiry() {
+        let mut m = MshrFile::new(3);
+        m.alloc(0x000, 30).unwrap();
+        m.alloc(0x040, 20).unwrap();
+        m.alloc(0x080, 25).unwrap();
+        assert_eq!(m.alloc(0x0c0, 99), Err(20));
+        // Nothing is due before cycle 20.
+        m.expire(19);
+        assert_eq!(m.in_flight(), 3);
+        m.expire(20);
+        assert_eq!(m.in_flight(), 2);
+        assert_eq!(m.alloc(0x0c0, 99), Ok(()));
+        assert_eq!(m.alloc(0x100, 99), Err(25));
+        m.expire(99);
+        assert_eq!(m.in_flight(), 0);
+        assert_eq!(m.alloc(0x100, 120), Ok(()));
+        assert_eq!(m.peek(0x100), Some(120));
     }
 
     #[test]

@@ -112,9 +112,12 @@ echo "== cargo test (dev profile: the debug oracles) =="
 # asserts, the event wheel's due-after-now assert and the hooks'
 # non-interference bracket; the MSHR file's cached earliest ready; and
 # the template component's entered set against whole-set expiry. Run
-# those crates' tests and the golden stats with them compiled in.
+# those crates' tests and the golden stats with them compiled in. The
+# input builders (graph CSR counting sort, page-run image writes) run
+# here with overflow checks, against their per-element references.
 cargo test -q --locked -p pfm-core
 cargo test -q --locked -p pfm-mem -p pfm-fabric -p pfm-components
+cargo test -q --locked -p pfm-isa -p pfm-workloads
 cargo test -q --locked -p pfm-sim --test golden_stats
 
 echo "== benchmark smoke tests =="

@@ -31,11 +31,13 @@
 //!   catches.
 //! * Aligned-in-page accesses (any access that does not cross a 4 KiB
 //!   boundary — all 1/2/4/8-byte accesses with natural alignment, and
-//!   most without) take a single page lookup instead of one per byte.
+//!   most without) take a single page lookup instead of one per byte;
+//!   a longer `write_bytes` run takes one lookup per page it touches.
 //! * `generation` counts *bytes written*, exactly as if every write
-//!   were byte-at-a-time; the multi-byte fast paths bump it by the
-//!   access size so the core's `checked_hook!` non-interference
-//!   bracketing observes identical values on either path.
+//!   were byte-at-a-time; the multi-byte paths bump it by the bytes
+//!   they copy, so the core's `checked_hook!` non-interference
+//!   bracketing and image content keys see identical values on any
+//!   path.
 //! * The overlay is keyed by aligned 8-byte word with per-entry lane
 //!   masks. Entries in a word's stack are in program (seq) order:
 //!   reads apply oldest→youngest so the youngest byte wins, commits
@@ -92,6 +94,11 @@ impl Default for SparseMem {
 }
 
 impl SparseMem {
+    /// Bytes per page. A [`SparseMem::write_bytes`] run that starts on a
+    /// multiple of this and is no longer than it stays in one page, so it
+    /// takes one page lookup.
+    pub const PAGE_BYTES: usize = PAGE_SIZE;
+
     /// Creates an empty memory.
     pub fn new() -> SparseMem {
         SparseMem {
@@ -245,6 +252,10 @@ impl SparseMem {
     /// Writes a little-endian byte run of any length, allocating pages
     /// on demand. `generation` advances by `bytes.len()`, exactly as if
     /// each byte were written individually.
+    // Never inlined: with the page split out of line this body is small
+    // enough to inline into `write` and the overlay commit, which would
+    // re-lay-out the functional and detailed store paths around it.
+    #[inline(never)]
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let off = (addr & PAGE_MASK) as usize;
         if off + bytes.len() <= PAGE_SIZE {
@@ -254,8 +265,22 @@ impl SparseMem {
             self.generation += bytes.len() as u64;
             return;
         }
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+        self.write_bytes_slow(addr, bytes);
+    }
+
+    /// Page-crossing fallback: one copy and one lookup per page the run
+    /// touches, in address order (wrapping past the top of the address
+    /// space, as single-byte writes do).
+    #[cold]
+    fn write_bytes_slow(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let len = bytes.len().min(PAGE_SIZE - off);
+            let slot = self.slot_of_alloc(addr >> PAGE_SHIFT);
+            self.arena[slot as usize][off..off + len].copy_from_slice(&bytes[..len]);
+            self.generation += len as u64;
+            addr = addr.wrapping_add(len as u64);
+            bytes = &bytes[len..];
         }
     }
 
@@ -719,7 +744,7 @@ mod tests {
         let mut m = SparseMem::new();
         m.write(0x100, 8, 1); // intra-page fast path
         assert_eq!(m.generation(), 8);
-        m.write(0x1FFC, 8, 2); // page-crossing byte loop
+        m.write(0x1FFC, 8, 2); // page-crossing split
         assert_eq!(m.generation(), 16);
         m.write_u8(0x0, 3);
         assert_eq!(m.generation(), 17);

@@ -26,6 +26,41 @@ proptest! {
         prop_assert_eq!(m.read(addr, size), value & mask);
     }
 
+    /// A `write_bytes` run of zero to three pages, at any offset (up to
+    /// wrapping past the top of the address space), leaves the same
+    /// bytes, resident pages and write generation as writing it one
+    /// byte at a time.
+    #[test]
+    fn write_bytes_equals_byte_loop(
+        addr in prop_oneof![0u64..0x10_0000, (u64::MAX - 0x4000)..=u64::MAX],
+        len in 0usize..=3 * SparseMem::PAGE_BYTES,
+        fill: u8,
+        touched in 0u64..0x10_0000,
+    ) {
+        let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ fill).collect();
+        // Both memories start with one resident page, so the last-page
+        // cache holds a page the run may or may not touch.
+        let mut run = SparseMem::new();
+        let mut looped = SparseMem::new();
+        run.write_u8(touched, 0xA5);
+        looped.write_u8(touched, 0xA5);
+        run.write_bytes(addr, &bytes);
+        for (i, &b) in bytes.iter().enumerate() {
+            looped.write_u8(addr.wrapping_add(i as u64), b);
+        }
+        prop_assert_eq!(run.generation(), looped.generation());
+        // An empty run still makes its page resident (the in-page path
+        // looks the page up before copying nothing); bytes read zero
+        // there either way.
+        if len > 0 {
+            prop_assert_eq!(run.resident_page_addrs(), looped.resident_page_addrs());
+        }
+        for i in 0..len as u64 + 16 {
+            let a = addr.wrapping_sub(8).wrapping_add(i);
+            prop_assert_eq!(run.read_u8(a), looped.read_u8(a), "byte at {:#x}", a);
+        }
+    }
+
     /// Disjoint writes never interfere.
     #[test]
     fn sparse_mem_disjoint_writes(a in 0u64..0x1000, v1: u64, v2: u64) {

@@ -10,7 +10,7 @@ use pfm_components::{
     BranchSpec, Infer, LaneSpec, Predicate, Source, StageSpec, TemplateComponent, TemplateSpec,
 };
 use pfm_fabric::RstEntry;
-use pfm_isa::{Asm, SpecMemory};
+use pfm_isa::{Asm, SparseMem, SpecMemory};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -104,20 +104,23 @@ pub fn bfs(graph: &Csr, input: &str, params: &BfsParams) -> UseCase {
     assert!((params.source as usize) < n, "source out of range");
 
     // ---- data memory ----
-    let levels = graph.bfs_levels(params.source as usize);
+    // Only the levels up to the start level are read.
+    let levels = graph.bfs_levels_to(params.source as usize, params.start_level);
     let start_level = params.start_level.min(levels.len() - 1);
     let mut mem = SpecMemory::new();
     {
         let m = mem.committed_mut();
-        for (i, &o) in graph.offsets.iter().enumerate() {
-            m.write(OFFSETS_BASE + 8 * i as u64, 8, o);
-        }
-        for (i, &v) in graph.neighbors.iter().enumerate() {
-            m.write(NEIGHBORS_BASE + 4 * i as u64, 4, v as u64);
-        }
-        for i in 0..n {
-            m.write(PROPS_BASE + 8 * i as u64, 8, (-1i64) as u64);
-        }
+        write_array(
+            m,
+            OFFSETS_BASE,
+            graph.offsets.iter().map(|o| o.to_le_bytes()),
+        );
+        write_array(
+            m,
+            NEIGHBORS_BASE,
+            graph.neighbors.iter().map(|v| v.to_le_bytes()),
+        );
+        write_array(m, PROPS_BASE, std::iter::repeat_n((-1i64).to_le_bytes(), n));
         // Fast-forward: mark every node shallower than the start level
         // as visited (parent = itself is fine for timing purposes; the
         // kernel only tests the sign) and materialize the start
@@ -313,6 +316,29 @@ pub fn bfs(graph: &Csr, input: &str, params: &BfsParams) -> UseCase {
     let factory: crate::usecase::ComponentFactory =
         Arc::new(move || Box::new(TemplateComponent::new(spec.clone())));
     UseCase::new(name, program, mem, fst, rst, factory)
+}
+
+/// Writes an array of `W`-byte little-endian elements contiguously from
+/// the page-aligned `base`, one page-sized `write_bytes` run at a time:
+/// the same bytes and write generation as one `write` per element.
+fn write_array<const W: usize>(m: &mut SparseMem, base: u64, elems: impl Iterator<Item = [u8; W]>) {
+    debug_assert_eq!(SparseMem::PAGE_BYTES % W, 0, "elements must tile a page");
+    let mut run = [0u8; SparseMem::PAGE_BYTES];
+    let mut len = 0;
+    let mut addr = base;
+    for e in elems {
+        run[len..len + W].copy_from_slice(&e);
+        len += W;
+        if len == run.len() {
+            m.write_bytes(addr, &run);
+            addr += len as u64;
+            len = 0;
+        }
+    }
+    // An empty run would still make its page resident.
+    if len > 0 {
+        m.write_bytes(addr, &run[..len]);
+    }
 }
 
 #[cfg(test)]

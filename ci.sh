@@ -167,6 +167,25 @@ sampled_keys="$(grep -cE '[|]baseline[|].*[|]interval@' "$sampled_err" || true)"
 }
 rm -f "$sampled_err"
 
+echo "== repro output does not depend on the worker count =="
+# Executor threads share use-case memory images page by page (a clone
+# copies a page only when it writes it), so one job and four must print
+# the same bytes. Only the plan: line, which carries wall-clock time
+# and the job count, may differ.
+jobs_dir="$(mktemp -d)"
+for jobs in 1 4; do
+    "$repro_bin" fig2 fig14 fig17 --quick --no-store --jobs "$jobs" \
+        > "$jobs_dir/j$jobs.out" 2> "$jobs_dir/j$jobs.log" || {
+        cat "$jobs_dir/j$jobs.log" >&2
+        exit 1
+    }
+done
+diff <(grep -v '^plan:' "$jobs_dir/j1.out") <(grep -v '^plan:' "$jobs_dir/j4.out") || {
+    echo "repro output at --jobs 1 differs from --jobs 4 (diff above)" >&2
+    exit 1
+}
+rm -rf "$jobs_dir"
+
 echo "== repro --all reproduces repro_output.txt =="
 # The committed tables and figures must be what the code computes: any
 # drift fails the run and prints the diff. Only the plan: line, which

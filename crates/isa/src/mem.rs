@@ -22,13 +22,19 @@
 //! accesses per simulated load/store), so they avoid hashing wherever
 //! possible:
 //!
-//! * [`SparseMem`] stores pages in an arena (`Vec<Box<page>>`) with a
+//! * [`SparseMem`] stores pages in an arena (`Vec<Arc<page>>`) with a
 //!   hash index from page number to arena slot, plus a one-entry
 //!   *last-page cache* of the most recent slot. The cache holds arena
 //!   indices, not pointers, so it stays valid across `Clone` and map
-//!   growth; pages are never deallocated, so a cached slot can go stale
-//!   only by pointing at the wrong page number, which the tag compare
-//!   catches.
+//!   growth; slots never move and are never freed, so a cached slot can
+//!   go stale only by pointing at the wrong page number, which the tag
+//!   compare catches.
+//! * Pages are copy-on-write: a `Clone` shares every page (one refcount
+//!   bump each), and every write path goes through `Arc::make_mut`, so
+//!   the first write to a page another image still holds copies that
+//!   one page into the same slot. Reads never touch a refcount.
+//!   Use-case images are built once and cloned into every run, which
+//!   then pays only for the pages it writes.
 //! * Aligned-in-page accesses (any access that does not cross a 4 KiB
 //!   boundary — all 1/2/4/8-byte accesses with natural alignment, and
 //!   most without) take a single page lookup instead of one per byte;
@@ -49,6 +55,7 @@
 use crate::fxhash::FxHashMap;
 use crate::snap::{Dec, Enc, SnapError};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -59,6 +66,9 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 const NO_PAGE: u64 = u64::MAX;
 
 /// A sparse, paged, byte-addressable memory. Unwritten bytes read zero.
+///
+/// Cloning is cheap: the clone shares every page with the original,
+/// and either side copies a page on its first write to it.
 ///
 /// ```
 /// use pfm_isa::mem::SparseMem;
@@ -72,8 +82,9 @@ const NO_PAGE: u64 = u64::MAX;
 pub struct SparseMem {
     /// Page number → arena slot. Point lookups only (never iterated).
     index: FxHashMap<u64, u32>,
-    /// Page storage; slots are stable for the life of the memory.
-    arena: Vec<Box<[u8; PAGE_SIZE]>>,
+    /// Page storage, shared copy-on-write with clones; slots are stable
+    /// for the life of the memory.
+    arena: Vec<Arc<[u8; PAGE_SIZE]>>,
     /// Last-page cache tag ([`NO_PAGE`] when empty) and arena slot.
     /// Updated by `&mut self` paths; `&self` reads may still *hit* it.
     last_page: u64,
@@ -170,7 +181,7 @@ impl SparseMem {
             Some(&s) => s,
             None => {
                 let s = self.arena.len() as u32;
-                self.arena.push(Box::new([0u8; PAGE_SIZE]));
+                self.arena.push(Arc::new([0u8; PAGE_SIZE]));
                 self.index.insert(page, s);
                 s
             }
@@ -178,6 +189,14 @@ impl SparseMem {
         self.last_page = page;
         self.last_slot = slot;
         slot
+    }
+
+    /// Writable page for `addr`, allocating a zero page on first touch
+    /// and copying the page out of any image it is shared with.
+    #[inline]
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        let slot = self.slot_of_alloc(addr >> PAGE_SHIFT);
+        Arc::make_mut(&mut self.arena[slot as usize])
     }
 
     /// Reads one byte.
@@ -192,8 +211,7 @@ impl SparseMem {
     /// Writes one byte, allocating the page on demand.
     #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let slot = self.slot_of_alloc(addr >> PAGE_SHIFT);
-        self.arena[slot as usize][(addr & PAGE_MASK) as usize] = value;
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
         self.generation += 1;
     }
 
@@ -251,17 +269,20 @@ impl SparseMem {
 
     /// Writes a little-endian byte run of any length, allocating pages
     /// on demand. `generation` advances by `bytes.len()`, exactly as if
-    /// each byte were written individually.
+    /// each byte were written individually; an empty run changes
+    /// nothing (no page becomes resident or is copied).
     // Never inlined: with the page split out of line this body is small
     // enough to inline into `write` and the overlay commit, which would
     // re-lay-out the functional and detailed store paths around it.
     #[inline(never)]
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
         let off = (addr & PAGE_MASK) as usize;
         if off + bytes.len() <= PAGE_SIZE {
             // Fast path: one lookup for the whole run.
-            let slot = self.slot_of_alloc(addr >> PAGE_SHIFT);
-            self.arena[slot as usize][off..off + bytes.len()].copy_from_slice(bytes);
+            self.page_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
             self.generation += bytes.len() as u64;
             return;
         }
@@ -276,8 +297,7 @@ impl SparseMem {
         while !bytes.is_empty() {
             let off = (addr & PAGE_MASK) as usize;
             let len = bytes.len().min(PAGE_SIZE - off);
-            let slot = self.slot_of_alloc(addr >> PAGE_SHIFT);
-            self.arena[slot as usize][off..off + len].copy_from_slice(&bytes[..len]);
+            self.page_mut(addr)[off..off + len].copy_from_slice(&bytes[..len]);
             self.generation += len as u64;
             addr = addr.wrapping_add(len as u64);
             bytes = &bytes[len..];
@@ -325,10 +345,10 @@ impl SparseMem {
             }
             prev = Some(page);
             let bytes = d.bytes(PAGE_SIZE)?;
-            let mut data = Box::new([0u8; PAGE_SIZE]);
+            let mut data = [0u8; PAGE_SIZE];
             data.copy_from_slice(bytes);
             let slot = mem.arena.len() as u32;
-            mem.arena.push(data);
+            mem.arena.push(Arc::new(data));
             mem.index.insert(page, slot);
         }
         mem.generation = generation;
@@ -740,6 +760,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_run_is_a_no_op() {
+        let mut m = SparseMem::new();
+        m.write_bytes(0x1234, &[]);
+        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.generation(), 0);
+    }
+
+    #[test]
     fn generation_counts_bytes_on_every_path() {
         let mut m = SparseMem::new();
         m.write(0x100, 8, 1); // intra-page fast path
@@ -761,6 +789,42 @@ mod tests {
         c.write(0x8000, 8, 0x1234);
         assert_eq!(m.read(0x8000, 8), 0xabcd);
         assert_eq!(c.read(0x8000, 8), 0x1234);
+    }
+
+    /// Pages of `a` and `b`, slot by slot, that are one allocation.
+    fn shared_slots(a: &SparseMem, b: &SparseMem) -> usize {
+        a.arena
+            .iter()
+            .zip(&b.arena)
+            .filter(|(x, y)| Arc::ptr_eq(x, y))
+            .count()
+    }
+
+    #[test]
+    fn clone_shares_every_page_and_a_write_unshares_one() {
+        let mut m = SparseMem::new();
+        for page in 0..8u64 {
+            m.write((page << PAGE_SHIFT) | 0x10, 8, page + 1);
+        }
+        let mut c = m.clone();
+        assert_eq!(shared_slots(&m, &c), 8);
+        // An empty run writes nothing, so it copies nothing either.
+        c.write_bytes(0x5000, &[]);
+        assert_eq!(shared_slots(&m, &c), 8);
+        assert_eq!(c.generation(), m.generation());
+        // A page-crossing store into the last two pages: the first
+        // write to a shared page copies it, its bytes included.
+        c.write(0x6FFC, 8, u64::MAX);
+        assert_eq!(shared_slots(&m, &c), 6);
+        assert_eq!(c.read(0x6010, 8), 7);
+        assert_eq!(c.read(0x7010, 8), 8);
+        assert_eq!(m.read(0x6FFC, 8), 0);
+        // Writes to a page this side already owns copy nothing more,
+        // and the original unshares only what it writes itself.
+        c.write_u8(0x6000, 1);
+        m.write_bytes(0x0, &[1, 2, 3]);
+        assert_eq!(shared_slots(&m, &c), 5);
+        assert_eq!(c.read_u8(0x0), 0);
     }
 
     #[test]

@@ -7,10 +7,53 @@ use pfm_isa::inst::{AluOp, Inst};
 use pfm_isa::machine::Machine;
 use pfm_isa::mem::{SparseMem, SpecMemory};
 use pfm_isa::reg::names::*;
+use pfm_isa::Enc;
 use proptest::prelude::*;
 
 fn access_size() -> impl Strategy<Value = u64> {
     prop_oneof![Just(1u64), Just(2), Just(4), Just(8)]
+}
+
+/// Bytes of address space the copy-on-write property writes into:
+/// eight pages, so an image and the writes of both its clones overlap.
+const COW_SPAN: u64 = 8 * SparseMem::PAGE_BYTES as u64;
+
+/// One write to a [`SparseMem`], through each of its write paths.
+#[derive(Clone, Debug)]
+enum MemWrite {
+    Byte(u64, u8),
+    Sized(u64, u64, u64),
+    /// A run of up to two pages, so most runs cross a page boundary.
+    Run(u64, Vec<u8>),
+}
+
+fn mem_write() -> impl Strategy<Value = MemWrite> {
+    prop_oneof![
+        (0..COW_SPAN, any::<u8>()).prop_map(|(a, v)| MemWrite::Byte(a, v)),
+        (0..COW_SPAN, access_size(), any::<u64>()).prop_map(|(a, s, v)| MemWrite::Sized(a, s, v)),
+        (0..COW_SPAN, 0..=2 * SparseMem::PAGE_BYTES, any::<u8>()).prop_map(|(a, len, fill)| {
+            MemWrite::Run(
+                a,
+                (0..len)
+                    .map(|i| (i as u8).wrapping_mul(31) ^ fill)
+                    .collect(),
+            )
+        }),
+    ]
+}
+
+fn apply(m: &mut SparseMem, w: &MemWrite) {
+    match w {
+        MemWrite::Byte(a, v) => m.write_u8(*a, *v),
+        MemWrite::Sized(a, size, v) => m.write(*a, *size, *v),
+        MemWrite::Run(a, bytes) => m.write_bytes(*a, bytes),
+    }
+}
+
+fn snapshot_bytes(m: &SparseMem) -> Vec<u8> {
+    let mut e = Enc::new();
+    m.snapshot_encode(&mut e);
+    e.finish()
 }
 
 proptest! {
@@ -33,7 +76,13 @@ proptest! {
     #[test]
     fn write_bytes_equals_byte_loop(
         addr in prop_oneof![0u64..0x10_0000, (u64::MAX - 0x4000)..=u64::MAX],
-        len in 0usize..=3 * SparseMem::PAGE_BYTES,
+        // One case in four is an empty run.
+        len in prop_oneof![
+            Just(0),
+            0..=3 * SparseMem::PAGE_BYTES,
+            0..=3 * SparseMem::PAGE_BYTES,
+            0..=3 * SparseMem::PAGE_BYTES,
+        ],
         fill: u8,
         touched in 0u64..0x10_0000,
     ) {
@@ -49,15 +98,46 @@ proptest! {
             looped.write_u8(addr.wrapping_add(i as u64), b);
         }
         prop_assert_eq!(run.generation(), looped.generation());
-        // An empty run still makes its page resident (the in-page path
-        // looks the page up before copying nothing); bytes read zero
-        // there either way.
-        if len > 0 {
-            prop_assert_eq!(run.resident_page_addrs(), looped.resident_page_addrs());
-        }
+        // At every length, 0 included: an empty run makes no page
+        // resident.
+        prop_assert_eq!(run.resident_page_addrs(), looped.resident_page_addrs());
         for i in 0..len as u64 + 16 {
             let a = addr.wrapping_sub(8).wrapping_add(i);
             prop_assert_eq!(run.read_u8(a), looped.read_u8(a), "byte at {:#x}", a);
+        }
+    }
+
+    /// A clone shares its pages with the original until either side
+    /// writes: after any interleaving of writes to the two, each side
+    /// reads, counts, lists and serializes exactly like a deep
+    /// reference that replayed that side's writes on a fresh memory.
+    #[test]
+    fn clones_equal_deep_replays(
+        image in prop::collection::vec(mem_write(), 0..12),
+        writes in prop::collection::vec((any::<bool>(), mem_write()), 0..24),
+    ) {
+        let mut sides = [SparseMem::new(), SparseMem::new()];
+        for w in &image {
+            apply(&mut sides[0], w);
+        }
+        sides[1] = sides[0].clone();
+        let mut deep = [SparseMem::new(), SparseMem::new()];
+        for d in &mut deep {
+            for w in &image {
+                apply(d, w);
+            }
+        }
+        for (to_clone, w) in &writes {
+            apply(&mut sides[*to_clone as usize], w);
+            apply(&mut deep[*to_clone as usize], w);
+        }
+        for (side, deep) in sides.iter().zip(&deep) {
+            prop_assert_eq!(side.generation(), deep.generation());
+            prop_assert_eq!(side.resident_page_addrs(), deep.resident_page_addrs());
+            for a in 0..COW_SPAN + 16 {
+                prop_assert_eq!(side.read_u8(a), deep.read_u8(a), "byte at {:#x}", a);
+            }
+            prop_assert!(snapshot_bytes(side) == snapshot_bytes(deep), "snapshot bytes differ");
         }
     }
 

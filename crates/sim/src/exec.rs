@@ -115,7 +115,7 @@ pub struct ExecReport {
     pub requested: usize,
     /// Unique runs actually simulated.
     pub unique: usize,
-    /// Worker threads used.
+    /// Worker threads used (none when the store served every run).
     pub jobs: usize,
     /// End-to-end wall-clock seconds.
     pub wall_seconds: f64,
@@ -283,8 +283,9 @@ fn run_isolated(spec: &RunSpec) -> (RunOutcome, u32) {
 /// plus a report.
 ///
 /// Work is distributed over `opts.jobs` scoped threads by an atomic
-/// work index; each unique spec is executed exactly once. Determinism
-/// is per-run, so the schedule cannot affect any statistic. A failing
+/// work index (no thread starts when the store serves every spec);
+/// each unique spec is executed exactly once. Determinism is per-run,
+/// so the schedule cannot affect any statistic. A failing
 /// run never takes the process down: it is recorded as its
 /// [`RunOutcome`] and (without [`ExecOptions::keep_going`]) stops
 /// workers from claiming further runs.
@@ -319,7 +320,9 @@ pub fn execute(specs: &[RunSpec], opts: &ExecOptions) -> (RunSet, ExecReport) {
         }
     }
     let store_misses = pending.len();
-    let jobs = opts.jobs.max(1).min(pending.len().max(1));
+    // An execution the store serves wholly starts no worker: starting
+    // and joining one costs more than serving the hits.
+    let jobs = opts.jobs.max(1).min(pending.len());
 
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
@@ -576,6 +579,8 @@ mod tests {
             warm_report.runs.is_empty(),
             "hits must not produce timing rows"
         );
+        assert_eq!(cold_report.jobs, 1);
+        assert_eq!(warm_report.jobs, 0, "no worker starts when nothing misses");
         for spec in &specs {
             let a = cold.get(spec.key()).unwrap();
             let b = warm.get(spec.key()).unwrap();

@@ -6,8 +6,8 @@
 
 use pfm_workloads::graphs::{powerlaw_graph, road_graph, shuffle_labels_fraction};
 use pfm_workloads::{
-    astar, bfs, bwaves, lbm, leslie, libquantum, milc, AstarParams, AstarVariant, BfsParams,
-    BfsVariant, UseCase, UseCaseFactory,
+    astar, bfs, bfs_variant, bwaves, lbm, leslie, libquantum, milc, AstarParams, AstarVariant,
+    BfsParams, BfsVariant, UseCase, UseCaseFactory,
 };
 use std::sync::OnceLock;
 
@@ -54,18 +54,24 @@ fn roads_params() -> BfsParams {
     }
 }
 
+/// The cached Roads use case. Its variants differ only in snoop tables,
+/// template spec and name, so they are derived from it and share its
+/// image's pages.
+fn roads_base() -> &'static UseCase {
+    static UC: OnceLock<UseCase> = OnceLock::new();
+    UC.get_or_init(|| bfs(roads_graph(), "roads", &roads_params()))
+}
+
 /// bfs on the road-network-like input ("Roads" in §4.2), measured in
 /// steady state past the setup phase.
 pub fn bfs_roads() -> UseCase {
-    static UC: OnceLock<UseCase> = OnceLock::new();
-    UC.get_or_init(|| bfs(roads_graph(), "roads", &roads_params()))
-        .clone()
+    roads_base().clone()
 }
 
 /// bfs on Roads with a specific component window size (Figure 14).
 pub fn bfs_roads_with_window(window: usize) -> UseCase {
-    bfs(
-        roads_graph(),
+    bfs_variant(
+        roads_base(),
         "roads",
         &BfsParams {
             window,
@@ -76,8 +82,8 @@ pub fn bfs_roads_with_window(window: usize) -> UseCase {
 
 /// bfs on Roads with slipstream-style pre-execution (Figure 2).
 pub fn bfs_roads_slipstream() -> UseCase {
-    bfs(
-        roads_graph(),
+    bfs_variant(
+        roads_base(),
         "roads",
         &BfsParams {
             variant: BfsVariant::Slipstream,
@@ -185,7 +191,7 @@ pub fn bfs_roads_window_factory(window: usize) -> UseCaseFactory {
         ..roads_params()
     };
     UseCaseFactory::new("bfs-roads", params.key(ROADS_TAG), move || {
-        bfs(roads_graph(), "roads", &params)
+        bfs_roads_with_window(window)
     })
 }
 

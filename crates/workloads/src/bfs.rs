@@ -10,7 +10,7 @@ use pfm_components::{
     BranchSpec, Infer, LaneSpec, Predicate, Source, StageSpec, TemplateComponent, TemplateSpec,
 };
 use pfm_fabric::RstEntry;
-use pfm_isa::{Asm, SparseMem, SpecMemory};
+use pfm_isa::{Asm, Program, SparseMem, SpecMemory};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -221,7 +221,21 @@ pub fn bfs(graph: &Csr, input: &str, params: &BfsParams) -> UseCase {
     a.halt();
 
     let program = crate::assembled("bfs", a.finish());
+    wire(program, mem, input, params)
+}
 
+/// The bfs use case for `params` over the program and memory image of
+/// `base`, a bfs use case built over the same graph, source and start
+/// level: the window and the variant set only the snoop tables, the
+/// template spec and the name. The image is `base`'s clone, so the two
+/// share every page until a run writes one.
+pub fn bfs_variant(base: &UseCase, input: &str, params: &BfsParams) -> UseCase {
+    wire(base.program.clone(), base.memory.clone(), input, params)
+}
+
+/// Snoop tables, component and name of the bfs use case for `params`
+/// over its assembled kernel and image.
+fn wire(program: Program, mem: SpecMemory, input: &str, params: &BfsParams) -> UseCase {
     // ---- snoop tables + component ----
     let roi_pc = program.require_symbol(sym::ROI);
     let frontier_base_pc = program.require_symbol(sym::FR_BASE);
@@ -335,10 +349,7 @@ fn write_array<const W: usize>(m: &mut SparseMem, base: u64, elems: impl Iterato
             len = 0;
         }
     }
-    // An empty run would still make its page resident.
-    if len > 0 {
-        m.write_bytes(addr, &run[..len]);
-    }
+    m.write_bytes(addr, &run[..len]);
 }
 
 #[cfg(test)]
@@ -387,6 +398,43 @@ mod tests {
         assert_eq!(uc.fst.len(), 2);
         assert!(uc.rst.values().any(|e| e.begin_roi));
         assert_eq!(uc.component().name(), "templated-runahead");
+    }
+
+    #[test]
+    fn variants_of_a_built_use_case_equal_fresh_builds() {
+        let g = road_graph(16, 16, 4, 9);
+        let base_params = BfsParams {
+            source: 3,
+            start_level: 2,
+            ..BfsParams::default()
+        };
+        let base = bfs(&g, "t", &base_params);
+        for params in [
+            BfsParams {
+                window: 8,
+                ..base_params.clone()
+            },
+            BfsParams {
+                variant: BfsVariant::Slipstream,
+                ..base_params.clone()
+            },
+        ] {
+            let fresh = bfs(&g, "t", &params);
+            let derived = bfs_variant(&base, "t", &params);
+            assert_eq!(derived.name, fresh.name);
+            assert_eq!(
+                format!("{:?}", derived.program),
+                format!("{:?}", fresh.program)
+            );
+            assert_eq!(derived.fst, fresh.fst);
+            assert_eq!(derived.rst, fresh.rst);
+            let image = |uc: &UseCase| {
+                let mut e = pfm_isa::Enc::new();
+                uc.memory.committed().snapshot_encode(&mut e);
+                e.finish()
+            };
+            assert!(image(&derived) == image(&fresh));
+        }
     }
 
     #[test]

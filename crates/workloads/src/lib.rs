@@ -32,7 +32,7 @@ pub(crate) fn assembled(
 }
 
 pub use astar::{astar, astar_reference, AstarParams, AstarVariant};
-pub use bfs::{bfs, BfsParams, BfsVariant};
+pub use bfs::{bfs, bfs_variant, BfsParams, BfsVariant};
 pub use graphs::{powerlaw_graph, road_graph, Csr};
 pub use spec::{bwaves, lbm, leslie, libquantum, milc};
 pub use usecase::{UseCase, UseCaseFactory};

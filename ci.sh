@@ -204,11 +204,13 @@ rm -f "$repro_all" "$repro_all.log"
 echo "== result store warm-cache gate =="
 # Same smoke plan twice against a fresh store: the second run must be
 # 100% hits with zero simulations, and the assembled stats (everything
-# but the wall-clock plan line) must be bit-identical.
+# but the wall-clock plan line) must be bit-identical. The plan takes
+# every stats layer through the store: chaos-smoke carries FaultStats
+# and context-switch carries CtxStats.
 store_dir="$(mktemp -d)"
-"$repro_bin" fig8 --quick --jobs 4 --store "$store_dir/store" \
+"$repro_bin" fig8 chaos-smoke context-switch --quick --jobs 4 --store "$store_dir/store" \
     > "$store_dir/cold.out" 2> "$store_dir/cold.log"
-"$repro_bin" fig8 --quick --jobs 4 --store "$store_dir/store" \
+"$repro_bin" fig8 chaos-smoke context-switch --quick --jobs 4 --store "$store_dir/store" \
     > "$store_dir/warm.out" 2> "$store_dir/warm.log"
 cold_misses="$(sed -n 's/.*store: [0-9]* hit(s), \([0-9]*\) miss(es).*/\1/p' "$store_dir/cold.out")"
 warm_plan="$(grep '^plan:' "$store_dir/warm.out")"

@@ -1,144 +1,54 @@
 //! Simulation statistics.
 
-use pfm_isa::snap::{Dec, Enc, SnapError};
-
-/// Counters collected during a simulation run.
-///
-/// `Eq` is part of the simulator's public determinism contract: two
-/// runs of the same `RunSpec` must produce identical counters (see the
-/// determinism regression tests in `pfm-sim`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Elapsed core cycles.
-    pub cycles: u64,
-    /// Retired instructions.
-    pub retired: u64,
-    /// Retired conditional branches.
-    pub cond_branches: u64,
-    /// Mispredicted conditional branches (resolved at execute).
-    pub mispredicts: u64,
-    /// Mispredicted return/indirect targets.
-    pub target_mispredicts: u64,
-    /// Pipeline squashes due to branch mispredictions.
-    pub squash_mispredict: u64,
-    /// Pipeline squashes due to memory-disambiguation violations.
-    pub squash_disambiguation: u64,
-    /// Pipeline squashes requested by the Retire Agent (ROI begin).
-    pub squash_roi: u64,
-    /// Cycles fetch stalled waiting for the I-cache.
-    pub fetch_icache_stall_cycles: u64,
-    /// Cycles fetch stalled waiting for a custom prediction (IntQ-F
-    /// empty on an FST hit).
-    pub fetch_fabric_stall_cycles: u64,
-    /// Cycles fetch was idle waiting for a mispredict redirect.
-    pub fetch_redirect_stall_cycles: u64,
-    /// Cycles retire was stalled by the Retire Agent squash protocol.
-    pub retire_agent_stall_cycles: u64,
-    /// Conditional-branch predictions supplied by the Fetch Agent.
-    pub fabric_predictions_used: u64,
-    /// Fabric-supplied predictions that were wrong.
-    pub fabric_mispredicts: u64,
-    /// Loads injected by the Load Agent that were executed.
-    pub fabric_loads: u64,
-    /// Prefetches injected by the Load Agent.
-    pub fabric_prefetches: u64,
-    /// Retired loads.
-    pub loads: u64,
-    /// Retired stores.
-    pub stores: u64,
+pfm_isa::counters! {
+    /// Counters collected during a simulation run.
+    ///
+    /// `Eq` is part of the simulator's public determinism contract: two
+    /// runs of the same `RunSpec` must produce identical counters (see the
+    /// determinism regression tests in `pfm-sim`).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct SimStats {
+        /// Elapsed core cycles.
+        pub cycles: u64,
+        /// Retired instructions.
+        pub retired: u64,
+        /// Retired conditional branches.
+        pub cond_branches: u64,
+        /// Mispredicted conditional branches (resolved at execute).
+        pub mispredicts: u64,
+        /// Mispredicted return/indirect targets.
+        pub target_mispredicts: u64,
+        /// Pipeline squashes due to branch mispredictions.
+        pub squash_mispredict: u64,
+        /// Pipeline squashes due to memory-disambiguation violations.
+        pub squash_disambiguation: u64,
+        /// Pipeline squashes requested by the Retire Agent (ROI begin).
+        pub squash_roi: u64,
+        /// Cycles fetch stalled waiting for the I-cache.
+        pub fetch_icache_stall_cycles: u64,
+        /// Cycles fetch stalled waiting for a custom prediction (IntQ-F
+        /// empty on an FST hit).
+        pub fetch_fabric_stall_cycles: u64,
+        /// Cycles fetch was idle waiting for a mispredict redirect.
+        pub fetch_redirect_stall_cycles: u64,
+        /// Cycles retire was stalled by the Retire Agent squash protocol.
+        pub retire_agent_stall_cycles: u64,
+        /// Conditional-branch predictions supplied by the Fetch Agent.
+        pub fabric_predictions_used: u64,
+        /// Fabric-supplied predictions that were wrong.
+        pub fabric_mispredicts: u64,
+        /// Loads injected by the Load Agent that were executed.
+        pub fabric_loads: u64,
+        /// Prefetches injected by the Load Agent.
+        pub fabric_prefetches: u64,
+        /// Retired loads.
+        pub loads: u64,
+        /// Retired stores.
+        pub stores: u64,
+    }
 }
 
 impl SimStats {
-    /// Serializes every counter, in declaration order.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        for v in self.fields() {
-            e.u64(v);
-        }
-    }
-
-    /// Decodes counters serialized by [`SimStats::snapshot_encode`].
-    ///
-    /// # Errors
-    /// [`SnapError::Truncated`] if the stream ends early.
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<SimStats, SnapError> {
-        Ok(SimStats {
-            cycles: d.u64()?,
-            retired: d.u64()?,
-            cond_branches: d.u64()?,
-            mispredicts: d.u64()?,
-            target_mispredicts: d.u64()?,
-            squash_mispredict: d.u64()?,
-            squash_disambiguation: d.u64()?,
-            squash_roi: d.u64()?,
-            fetch_icache_stall_cycles: d.u64()?,
-            fetch_fabric_stall_cycles: d.u64()?,
-            fetch_redirect_stall_cycles: d.u64()?,
-            retire_agent_stall_cycles: d.u64()?,
-            fabric_predictions_used: d.u64()?,
-            fabric_mispredicts: d.u64()?,
-            fabric_loads: d.u64()?,
-            fabric_prefetches: d.u64()?,
-            loads: d.u64()?,
-            stores: d.u64()?,
-        })
-    }
-
-    fn fields(&self) -> [u64; 18] {
-        [
-            self.cycles,
-            self.retired,
-            self.cond_branches,
-            self.mispredicts,
-            self.target_mispredicts,
-            self.squash_mispredict,
-            self.squash_disambiguation,
-            self.squash_roi,
-            self.fetch_icache_stall_cycles,
-            self.fetch_fabric_stall_cycles,
-            self.fetch_redirect_stall_cycles,
-            self.retire_agent_stall_cycles,
-            self.fabric_predictions_used,
-            self.fabric_mispredicts,
-            self.fabric_loads,
-            self.fabric_prefetches,
-            self.loads,
-            self.stores,
-        ]
-    }
-
-    /// Field-wise difference `self - start`. Every counter is
-    /// monotonic, so this is the activity between two observation
-    /// points; the sampled-run mode uses it to discard detailed
-    /// warm-up before measuring an interval.
-    pub fn delta_since(&self, start: &SimStats) -> SimStats {
-        let a = self.fields();
-        let b = start.fields();
-        let mut d = [0u64; 18];
-        for i in 0..18 {
-            d[i] = a[i].saturating_sub(b[i]);
-        }
-        SimStats {
-            cycles: d[0],
-            retired: d[1],
-            cond_branches: d[2],
-            mispredicts: d[3],
-            target_mispredicts: d[4],
-            squash_mispredict: d[5],
-            squash_disambiguation: d[6],
-            squash_roi: d[7],
-            fetch_icache_stall_cycles: d[8],
-            fetch_fabric_stall_cycles: d[9],
-            fetch_redirect_stall_cycles: d[10],
-            retire_agent_stall_cycles: d[11],
-            fabric_predictions_used: d[12],
-            fabric_mispredicts: d[13],
-            fabric_loads: d[14],
-            fabric_prefetches: d[15],
-            loads: d[16],
-            stores: d[17],
-        }
-    }
-
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -13,7 +13,6 @@ use pfm_core::hooks::{
     FabricLoadResult, FetchOverride, PfmHooks, RetireDirective, RetireInfo, SquashKind,
 };
 use pfm_core::NUM_LANES;
-use pfm_isa::snap::{Dec, Enc, SnapError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How deep the Fetch Agent scans IntQ-F for a PC-matching prediction
@@ -53,114 +52,63 @@ pub enum Residency {
     },
 }
 
-/// Agent-side statistics (Table 2/3 snoop percentages and protocol
-/// health).
-///
-/// `Eq` is part of the simulator's determinism contract (identical
-/// runs must produce identical counters).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FabricStats {
-    /// Instructions fetched while the ROI was active.
-    pub fetched_in_roi: u64,
-    /// Fetched instructions that hit in the FST (supplied custom
-    /// predictions).
-    pub fst_hits: u64,
-    /// Instructions retired while the ROI was active.
-    pub retired_in_roi: u64,
-    /// Retired instructions that hit in the RST (observed).
-    pub rst_hits: u64,
-    /// Observation packets sent to the component.
-    pub obs_packets: u64,
-    /// Custom predictions delivered to the fetch unit.
-    pub preds_delivered: u64,
-    /// Stale predictions dropped by the PC-matching realignment scan.
-    pub preds_dropped: u64,
-    /// FST hits served by the core predictor because no matching
-    /// prediction was found (stream under-supply).
-    pub pred_mismatch_passes: u64,
-    /// Loads injected into the load/store lanes.
-    pub loads_injected: u64,
-    /// Prefetches injected.
-    pub prefetches_injected: u64,
-    /// Missed-load-buffer replays issued.
-    pub mlb_replays: u64,
-    /// Loads dropped because the MLB was full.
-    pub mlb_full_drops: u64,
-    /// Squash packets sent to the component.
-    pub squash_packets: u64,
-    /// Observation packets delayed waiting for a PRF port.
-    pub port_conflict_delays: u64,
-    /// The watchdog disabled the component.
-    pub watchdog_fired: bool,
-    /// Runtime component swaps started ([`Fabric::begin_swap`]).
-    pub swaps: u64,
-    /// Partial-reconfiguration loads restarted by the `swap-abort`
-    /// fault scenario.
-    pub swap_abort_restarts: u64,
-    /// Extra load cycles injected by the `swap-load-spike` fault
-    /// scenario.
-    pub swap_spike_cycles: u64,
-    /// Stale predictions consumed during Draining under the
-    /// `stale-drain` fault scenario.
-    pub stale_drain_leaks: u64,
-    /// Core cycles spent not Resident mid-swap (Draining + Loading).
-    pub reconfig_cycles: u64,
+pfm_isa::counters! {
+    /// Agent-side statistics (Table 2/3 snoop percentages and protocol
+    /// health).
+    ///
+    /// `Eq` is part of the simulator's determinism contract (identical
+    /// runs must produce identical counters).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct FabricStats {
+        /// Instructions fetched while the ROI was active.
+        pub fetched_in_roi: u64,
+        /// Fetched instructions that hit in the FST (supplied custom
+        /// predictions).
+        pub fst_hits: u64,
+        /// Instructions retired while the ROI was active.
+        pub retired_in_roi: u64,
+        /// Retired instructions that hit in the RST (observed).
+        pub rst_hits: u64,
+        /// Observation packets sent to the component.
+        pub obs_packets: u64,
+        /// Custom predictions delivered to the fetch unit.
+        pub preds_delivered: u64,
+        /// Stale predictions dropped by the PC-matching realignment scan.
+        pub preds_dropped: u64,
+        /// FST hits served by the core predictor because no matching
+        /// prediction was found (stream under-supply).
+        pub pred_mismatch_passes: u64,
+        /// Loads injected into the load/store lanes.
+        pub loads_injected: u64,
+        /// Prefetches injected.
+        pub prefetches_injected: u64,
+        /// Missed-load-buffer replays issued.
+        pub mlb_replays: u64,
+        /// Loads dropped because the MLB was full.
+        pub mlb_full_drops: u64,
+        /// Squash packets sent to the component.
+        pub squash_packets: u64,
+        /// Observation packets delayed waiting for a PRF port.
+        pub port_conflict_delays: u64,
+        /// The watchdog disabled the component.
+        pub watchdog_fired: bool,
+        /// Runtime component swaps started ([`Fabric::begin_swap`]).
+        pub swaps: u64,
+        /// Partial-reconfiguration loads restarted by the `swap-abort`
+        /// fault scenario.
+        pub swap_abort_restarts: u64,
+        /// Extra load cycles injected by the `swap-load-spike` fault
+        /// scenario.
+        pub swap_spike_cycles: u64,
+        /// Stale predictions consumed during Draining under the
+        /// `stale-drain` fault scenario.
+        pub stale_drain_leaks: u64,
+        /// Core cycles spent not Resident mid-swap (Draining + Loading).
+        pub reconfig_cycles: u64,
+    }
 }
 
 impl FabricStats {
-    /// Serializes every counter, in declaration order.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u64(self.fetched_in_roi);
-        e.u64(self.fst_hits);
-        e.u64(self.retired_in_roi);
-        e.u64(self.rst_hits);
-        e.u64(self.obs_packets);
-        e.u64(self.preds_delivered);
-        e.u64(self.preds_dropped);
-        e.u64(self.pred_mismatch_passes);
-        e.u64(self.loads_injected);
-        e.u64(self.prefetches_injected);
-        e.u64(self.mlb_replays);
-        e.u64(self.mlb_full_drops);
-        e.u64(self.squash_packets);
-        e.u64(self.port_conflict_delays);
-        e.bool(self.watchdog_fired);
-        e.u64(self.swaps);
-        e.u64(self.swap_abort_restarts);
-        e.u64(self.swap_spike_cycles);
-        e.u64(self.stale_drain_leaks);
-        e.u64(self.reconfig_cycles);
-    }
-
-    /// Decodes counters serialized by [`FabricStats::snapshot_encode`].
-    ///
-    /// # Errors
-    /// [`SnapError::Truncated`] if the stream ends early.
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<FabricStats, SnapError> {
-        Ok(FabricStats {
-            fetched_in_roi: d.u64()?,
-            fst_hits: d.u64()?,
-            retired_in_roi: d.u64()?,
-            rst_hits: d.u64()?,
-            obs_packets: d.u64()?,
-            preds_delivered: d.u64()?,
-            preds_dropped: d.u64()?,
-            pred_mismatch_passes: d.u64()?,
-            loads_injected: d.u64()?,
-            prefetches_injected: d.u64()?,
-            mlb_replays: d.u64()?,
-            mlb_full_drops: d.u64()?,
-            squash_packets: d.u64()?,
-            port_conflict_delays: d.u64()?,
-            watchdog_fired: d.bool()?,
-            swaps: d.u64()?,
-            swap_abort_restarts: d.u64()?,
-            swap_spike_cycles: d.u64()?,
-            stale_drain_leaks: d.u64()?,
-            reconfig_cycles: d.u64()?,
-        })
-    }
-
     /// Percentage of fetched in-ROI instructions that hit in the FST
     /// (Table 2/3, row 2).
     pub fn fst_hit_pct(&self) -> f64 {

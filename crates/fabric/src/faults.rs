@@ -229,66 +229,34 @@ impl FaultRng {
     }
 }
 
-/// Counters describing exactly what a [`FaultyComponent`] injected.
-/// Part of the deterministic fault trace: same [`FaultPlan`] and
-/// workload ⇒ bit-identical `FaultStats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Predictions whose direction was flipped.
-    pub inverted: u64,
-    /// Predictions replaced with garbage PC/direction.
-    pub garbled: u64,
-    /// Loads/prefetches redirected to wild addresses.
-    pub wild: u64,
-    /// Packets dropped (both directions).
-    pub dropped: u64,
-    /// Packets delayed (both directions).
-    pub delayed: u64,
-    /// Packets duplicated (both directions).
-    pub duplicated: u64,
-    /// RF ticks spent frozen in stuck-busy episodes.
-    pub stuck_ticks: u64,
-    /// RF ticks spent inside latency-spike windows.
-    pub spike_ticks: u64,
-    /// Total RNG draws made (fingerprint of the decision sequence).
-    pub rng_draws: u64,
+pfm_isa::counters! {
+    /// Counters describing exactly what a [`FaultyComponent`] injected.
+    /// Part of the deterministic fault trace: same [`FaultPlan`] and
+    /// workload ⇒ bit-identical `FaultStats`.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct FaultStats {
+        /// Predictions whose direction was flipped.
+        pub inverted: u64,
+        /// Predictions replaced with garbage PC/direction.
+        pub garbled: u64,
+        /// Loads/prefetches redirected to wild addresses.
+        pub wild: u64,
+        /// Packets dropped (both directions).
+        pub dropped: u64,
+        /// Packets delayed (both directions).
+        pub delayed: u64,
+        /// Packets duplicated (both directions).
+        pub duplicated: u64,
+        /// RF ticks spent frozen in stuck-busy episodes.
+        pub stuck_ticks: u64,
+        /// RF ticks spent inside latency-spike windows.
+        pub spike_ticks: u64,
+        /// Total RNG draws made (fingerprint of the decision sequence).
+        pub rng_draws: u64,
+    }
 }
 
 impl FaultStats {
-    /// Serializes every counter, in declaration order.
-    pub fn snapshot_encode(&self, e: &mut pfm_isa::snap::Enc) {
-        e.u64(self.inverted);
-        e.u64(self.garbled);
-        e.u64(self.wild);
-        e.u64(self.dropped);
-        e.u64(self.delayed);
-        e.u64(self.duplicated);
-        e.u64(self.stuck_ticks);
-        e.u64(self.spike_ticks);
-        e.u64(self.rng_draws);
-    }
-
-    /// Decodes counters serialized by [`FaultStats::snapshot_encode`].
-    ///
-    /// # Errors
-    /// [`pfm_isa::snap::SnapError::Truncated`] if the stream ends
-    /// early.
-    pub fn snapshot_decode(
-        d: &mut pfm_isa::snap::Dec<'_>,
-    ) -> Result<FaultStats, pfm_isa::snap::SnapError> {
-        Ok(FaultStats {
-            inverted: d.u64()?,
-            garbled: d.u64()?,
-            wild: d.u64()?,
-            dropped: d.u64()?,
-            delayed: d.u64()?,
-            duplicated: d.u64()?,
-            stuck_ticks: d.u64()?,
-            spike_ticks: d.u64()?,
-            rng_draws: d.u64()?,
-        })
-    }
-
     /// Total discrete fault injections (episodic scenarios count ticks).
     pub fn injected(&self) -> u64 {
         self.inverted

@@ -258,6 +258,108 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// The type of a field in a [`counters!`](crate::counters) set: its codec
+/// step and its window diff.
+pub trait Counter: Copy {
+    /// Appends the value.
+    fn encode(self, e: &mut Enc);
+    /// Reads a value written by [`Counter::encode`].
+    ///
+    /// # Errors
+    /// [`SnapError`] on a truncated or corrupt stream.
+    fn decode(d: &mut Dec<'_>) -> Result<Self, SnapError>;
+    /// The value over the window from `start` to `self`.
+    fn delta_since(self, start: Self) -> Self;
+}
+
+/// A monotonic count: the window's share is the difference.
+impl Counter for u64 {
+    #[inline]
+    fn encode(self, e: &mut Enc) {
+        e.u64(self);
+    }
+    #[inline]
+    fn decode(d: &mut Dec<'_>) -> Result<u64, SnapError> {
+        d.u64()
+    }
+    #[inline]
+    fn delta_since(self, start: u64) -> u64 {
+        self.saturating_sub(start)
+    }
+}
+
+/// A latched flag: the window reports its end value.
+impl Counter for bool {
+    #[inline]
+    fn encode(self, e: &mut Enc) {
+        e.bool(self);
+    }
+    #[inline]
+    fn decode(d: &mut Dec<'_>) -> Result<bool, SnapError> {
+        d.bool()
+    }
+    #[inline]
+    fn delta_since(self, _start: bool) -> bool {
+        self
+    }
+}
+
+/// Declares a counter set: a struct whose every field is a [`Counter`]
+/// (`u64` or `bool`). The declaration passes through unchanged, docs
+/// and derives included. It gains `snapshot_encode` and
+/// `snapshot_decode`, one [`Enc`]/[`Dec`] call per field in
+/// declaration order (so reordering fields changes the bytes), and
+/// `delta_since(&start)`, the set over the window from `start` to
+/// `self` ([`Counter::delta_since`] per field).
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                $field_vis:vis $field:ident : $ty:ty
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $(
+                $(#[$field_meta])*
+                $field_vis $field: $ty,
+            )*
+        }
+
+        impl $name {
+            /// Serializes every counter, in declaration order.
+            pub fn snapshot_encode(&self, e: &mut $crate::snap::Enc) {
+                $($crate::snap::Counter::encode(self.$field, e);)*
+            }
+
+            /// Decodes counters serialized by `snapshot_encode`.
+            ///
+            /// # Errors
+            /// A snapshot error if the stream ends early or a flag byte
+            /// is not 0 or 1.
+            pub fn snapshot_decode(
+                d: &mut $crate::snap::Dec<'_>,
+            ) -> Result<$name, $crate::snap::SnapError> {
+                Ok($name {
+                    $($field: $crate::snap::Counter::decode(d)?,)*
+                })
+            }
+
+            /// The counters over the window from `start` to `self`:
+            /// counts are differences, latched flags their end value.
+            pub fn delta_since(&self, start: &$name) -> $name {
+                $name {
+                    $($field: $crate::snap::Counter::delta_since(self.$field, start.$field),)*
+                }
+            }
+        }
+    };
+}
+
 /// Writes the [`SNAP_VERSION`] header.
 pub fn write_version(e: &mut Enc) {
     e.u32(SNAP_VERSION);
@@ -384,6 +486,63 @@ mod tests {
         assert_ne!(content_key(b"abc"), content_key(b"abd"));
         assert_ne!(content_key(b""), content_key(b"\0"));
         assert_ne!(content_key(b"a"), content_key(b"a\0"));
+    }
+
+    crate::counters! {
+        /// Two counts and a latched flag.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        struct Demo {
+            /// Hits.
+            hits: u64,
+            /// Set once, never cleared.
+            tripped: bool,
+            /// Misses.
+            misses: u64,
+        }
+    }
+
+    #[test]
+    fn counters_encode_in_declaration_order_and_diff_per_field() {
+        let end = Demo {
+            hits: 7,
+            tripped: true,
+            misses: 9,
+        };
+        let mut e = Enc::new();
+        end.snapshot_encode(&mut e);
+        let bytes = e.finish();
+        let mut want = Enc::new();
+        want.u64(7);
+        want.bool(true);
+        want.u64(9);
+        assert_eq!(bytes, want.finish());
+        let mut d = Dec::new(&bytes);
+        assert_eq!(Demo::snapshot_decode(&mut d).unwrap(), end);
+        d.finish().unwrap();
+        assert_eq!(
+            Demo::snapshot_decode(&mut Dec::new(&bytes[..8])).unwrap_err(),
+            SnapError::Truncated
+        );
+
+        // Counts subtract (saturating); a latched flag keeps its end
+        // value, whatever it was at the start.
+        let start = Demo {
+            hits: 2,
+            tripped: false,
+            misses: 10,
+        };
+        let window = Demo {
+            hits: 5,
+            tripped: true,
+            misses: 0,
+        };
+        assert_eq!(end.delta_since(&start), window);
+        let backwards = Demo {
+            hits: 0,
+            tripped: false,
+            misses: 1,
+        };
+        assert_eq!(start.delta_since(&end), backwards);
     }
 
     #[test]

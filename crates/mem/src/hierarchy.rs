@@ -15,7 +15,6 @@ use crate::cache::{line_of, Cache, CacheConfig};
 use crate::mshr::MshrFile;
 use crate::prefetch::{NextNLine, Prefetcher, Vldp};
 use crate::tlb::Tlb;
-use pfm_isa::snap::{Dec, Enc, SnapError};
 
 /// Kind of memory access presented to the hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,64 +133,32 @@ impl HierarchyConfig {
     }
 }
 
-/// Hierarchy-level statistics (authoritative for experiments; per-cache
-/// stats additionally track prefetch usefulness).
-///
-/// `Eq` is part of the simulator's determinism contract (identical
-/// runs must produce identical counters).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HierarchyStats {
-    /// Demand data accesses that hit L1D.
-    pub l1d_hits: u64,
-    /// Demand data accesses that missed L1D.
-    pub l1d_misses: u64,
-    /// Demand data accesses merged into an in-flight miss.
-    pub inflight_merges: u64,
-    /// L1D misses satisfied by L2.
-    pub l2_hits: u64,
-    /// L1D misses satisfied by L3.
-    pub l3_hits: u64,
-    /// L1D misses that went to DRAM.
-    pub dram_accesses: u64,
-    /// Instruction-fetch L1I misses.
-    pub l1i_misses: u64,
-    /// Prefetch lines issued (all sources).
-    pub prefetches_issued: u64,
-    /// Cycles of extra latency charged waiting for a free MSHR.
-    pub mshr_wait_cycles: u64,
-}
-
-impl HierarchyStats {
-    /// Serializes every counter, in declaration order.
-    pub fn snapshot_encode(&self, e: &mut Enc) {
-        e.u64(self.l1d_hits);
-        e.u64(self.l1d_misses);
-        e.u64(self.inflight_merges);
-        e.u64(self.l2_hits);
-        e.u64(self.l3_hits);
-        e.u64(self.dram_accesses);
-        e.u64(self.l1i_misses);
-        e.u64(self.prefetches_issued);
-        e.u64(self.mshr_wait_cycles);
-    }
-
-    /// Decodes counters serialized by
-    /// [`HierarchyStats::snapshot_encode`].
+pfm_isa::counters! {
+    /// Hierarchy-level statistics (authoritative for experiments; per-cache
+    /// stats additionally track prefetch usefulness).
     ///
-    /// # Errors
-    /// [`SnapError::Truncated`] if the stream ends early.
-    pub fn snapshot_decode(d: &mut Dec<'_>) -> Result<HierarchyStats, SnapError> {
-        Ok(HierarchyStats {
-            l1d_hits: d.u64()?,
-            l1d_misses: d.u64()?,
-            inflight_merges: d.u64()?,
-            l2_hits: d.u64()?,
-            l3_hits: d.u64()?,
-            dram_accesses: d.u64()?,
-            l1i_misses: d.u64()?,
-            prefetches_issued: d.u64()?,
-            mshr_wait_cycles: d.u64()?,
-        })
+    /// `Eq` is part of the simulator's determinism contract (identical
+    /// runs must produce identical counters).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HierarchyStats {
+        /// Demand data accesses that hit L1D.
+        pub l1d_hits: u64,
+        /// Demand data accesses that missed L1D.
+        pub l1d_misses: u64,
+        /// Demand data accesses merged into an in-flight miss.
+        pub inflight_merges: u64,
+        /// L1D misses satisfied by L2.
+        pub l2_hits: u64,
+        /// L1D misses satisfied by L3.
+        pub l3_hits: u64,
+        /// L1D misses that went to DRAM.
+        pub dram_accesses: u64,
+        /// Instruction-fetch L1I misses.
+        pub l1i_misses: u64,
+        /// Prefetch lines issued (all sources).
+        pub prefetches_issued: u64,
+        /// Cycles of extra latency charged waiting for a free MSHR.
+        pub mshr_wait_cycles: u64,
     }
 }
 

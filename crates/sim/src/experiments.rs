@@ -689,8 +689,8 @@ fn ctx_rows(
             "checksum OK  IPC {:.3}  {per_tenant}  swaps {}  reconfig {} cycles  decisions {} \
              (aborts {} spike {} stale-leaks {} corrupted {})",
             r.ipc(),
-            ctx.swaps,
-            ctx.reconfig_cycles,
+            f.swaps,
+            f.reconfig_cycles,
             ctx.decisions,
             f.swap_abort_restarts,
             f.swap_spike_cycles,

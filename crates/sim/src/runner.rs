@@ -305,17 +305,14 @@ pub struct PhaseStats {
 
 /// Everything a context-switch run measures beyond the aggregate
 /// [`SimStats`]: per-tenant and per-phase breakdowns plus the
-/// scheduler's swap accounting.
+/// scheduler's decision counts. The swaps and reconfiguration cycles
+/// are in the run's [`FabricStats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CtxStats {
     /// Per-tenant totals, in tenant order.
     pub tenants: Vec<TenantStats>,
     /// Per-slice breakdown, in execution order.
     pub phases: Vec<PhaseStats>,
-    /// Component swaps the scheduler performed.
-    pub swaps: u64,
-    /// Core cycles the fabric spent mid-swap (draining + loading).
-    pub reconfig_cycles: u64,
     /// Scheduling decisions taken.
     pub decisions: u64,
     /// Decisions perturbed by an armed `corrupt-signature` fault.
@@ -340,8 +337,6 @@ impl CtxStats {
             e.u64(p.retired);
             e.u64(p.cycles);
         }
-        e.u64(self.swaps);
-        e.u64(self.reconfig_cycles);
         e.u64(self.decisions);
         e.u64(self.corrupted_decisions);
     }
@@ -372,8 +367,6 @@ impl CtxStats {
         Ok(CtxStats {
             tenants,
             phases,
-            swaps: d.u64()?,
-            reconfig_cycles: d.u64()?,
             decisions: d.u64()?,
             corrupted_decisions: d.u64()?,
         })
@@ -414,7 +407,7 @@ pub struct RunResult {
     /// budget-limited one.
     pub completed: bool,
     /// Context-switch breakdown (multi-tenant runs only): per-tenant
-    /// and per-phase statistics plus the scheduler's swap accounting.
+    /// and per-phase statistics plus the scheduler's decision counts.
     pub ctx: Option<CtxStats>,
 }
 
@@ -510,10 +503,12 @@ impl RunResult {
 /// `restore` starts the run from a machine snapshot instead of reset:
 /// the snapshot is restored into a core with cold caches, TLB and
 /// branch history, `warmup` instructions warm them (and the fabric),
-/// and `rc.max_instrs` further instructions are measured. `stats`
-/// then cover only the measured window; `hier`, `fabric` and `faults`
-/// cover warm-up plus measurement, and `arch_checksum` folds the
-/// warm-up leg only, so it is not comparable across positions.
+/// and `rc.max_instrs` further instructions are measured. `stats`,
+/// `hier`, `fabric` and `faults` then cover only the measured window:
+/// each set is diffed against its value at the end of warm-up
+/// (`delta_since`; the latched `watchdog_fired` keeps its end value).
+/// `arch_checksum` folds the warm-up leg only, so it is not
+/// comparable across positions.
 ///
 /// # Errors
 /// [`RunError::Exec`] if the snapshot fails to decode or the machine
@@ -530,34 +525,41 @@ pub(crate) fn drive(
         None => uc.machine(),
     };
     let mut core = Core::new(rc.core.clone(), machine, Hierarchy::new(rc.hier.clone()));
-    let mut no_fabric = NoPfm;
-    let hooks: &mut dyn PfmHooks = match fabric.as_mut() {
-        Some(f) => f,
-        None => &mut no_fabric,
-    };
-    let mut leg = |core: &mut Core, budget: u64| {
+    let leg = |core: &mut Core, fabric: &mut Option<Fabric>, budget: u64| {
+        let hooks: &mut dyn PfmHooks = match fabric {
+            Some(f) => f,
+            None => &mut NoPfm,
+        };
         core.run_watched(hooks, budget, rc.max_cycles, rc.commit_watchdog)
             .map_err(|e| RunError::from_sim(e, core.stats().retired))
     };
-    // Only restored starts run a warm-up leg, even a zero-length one:
-    // the first leg's budget caps the commit checksum.
-    let (warm, budget) = match restore {
-        Some((_, warmup)) => {
-            leg(&mut core, warmup)?;
-            (core.stats().clone(), warmup.saturating_add(rc.max_instrs))
-        }
-        None => (SimStats::default(), rc.max_instrs),
-    };
-    leg(&mut core, budget)?;
-    Ok(RunResult {
+    // Every counter set as it stands, packaged as a result.
+    let observe = |core: &Core, fabric: &Option<Fabric>| RunResult {
         name: uc.name.clone(),
-        stats: core.stats().delta_since(&warm),
+        stats: core.stats().clone(),
         hier: *core.hierarchy().stats(),
+        fabric: fabric.as_ref().map(|f| *f.stats()),
         faults: fabric.as_ref().and_then(|f| f.component().fault_stats()),
-        fabric: fabric.map(|f| *f.stats()),
         arch_checksum: core.commit_checksum(),
         completed: core.finished(),
         ctx: None,
+    };
+    // Only restored starts run a warm-up leg, even a zero-length one:
+    // the first leg's budget caps the commit checksum.
+    let Some((_, warmup)) = restore else {
+        leg(&mut core, &mut fabric, rc.max_instrs)?;
+        return Ok(observe(&core, &fabric));
+    };
+    leg(&mut core, &mut fabric, warmup)?;
+    let warm = observe(&core, &fabric);
+    leg(&mut core, &mut fabric, warmup.saturating_add(rc.max_instrs))?;
+    let end = observe(&core, &fabric);
+    Ok(RunResult {
+        stats: end.stats.delta_since(&warm.stats),
+        hier: end.hier.delta_since(&warm.hier),
+        fabric: end.fabric.zip(warm.fabric).map(|(e, w)| e.delta_since(&w)),
+        faults: end.faults.zip(warm.faults).map(|(e, w)| e.delta_since(&w)),
+        ..end
     })
 }
 
@@ -754,12 +756,9 @@ pub fn run_context_switch(
         cycles: tenants.iter().map(|t| t.cycles).sum(),
         ..SimStats::default()
     };
-    let fabric_stats = sched.as_ref().map(|sf| *sf.stats());
     let ctx = CtxStats {
         tenants,
         phases,
-        swaps: fabric_stats.map_or(0, |f| f.swaps),
-        reconfig_cycles: fabric_stats.map_or(0, |f| f.reconfig_cycles),
         decisions: sched.as_ref().map_or(0, ScheduledFabric::decisions),
         corrupted_decisions: sched
             .as_ref()
@@ -771,7 +770,7 @@ pub fn run_context_switch(
         // Each tenant runs on its own hierarchy; there is no meaningful
         // single-hierarchy aggregate, so this layer stays zero.
         hier: HierarchyStats::default(),
-        fabric: fabric_stats,
+        fabric: sched.as_ref().map(|sf| *sf.stats()),
         faults: None,
         arch_checksum: checksum,
         completed,

@@ -18,10 +18,11 @@
 //! the same driver, under a key that extends the spec's. Each interval
 //! restores the *architectural* snapshot captured by the fast-forward
 //! and starts with cold caches, TLB, branch history and fabric; the
-//! first `warmup_instrs` retired instructions warm those structures
-//! and their statistics are diffed out
-//! ([`pfm_core::SimStats::delta_since`]) before the measured window
-//! begins.
+//! first `warmup_instrs` retired instructions warm those structures.
+//! Every counter set of an interval (`stats`, `hier`, `fabric`,
+//! `faults`) covers the measured window only: each is diffed against
+//! its value at the end of warm-up
+//! ([`pfm_core::SimStats::delta_since`] and its siblings).
 
 use crate::exec::{execute, ExecOptions};
 use crate::plan::{PlanError, RunSpec};
@@ -323,7 +324,7 @@ mod tests {
     use super::*;
     use crate::runner::RunConfig;
     use crate::usecases;
-    use pfm_fabric::FabricParams;
+    use pfm_fabric::{FabricParams, FaultPlan, FaultScenario};
     use pfm_workloads::graphs::{road_graph, shuffle_labels_fraction};
     use pfm_workloads::{bfs, BfsParams, UseCaseFactory};
 
@@ -401,6 +402,24 @@ mod tests {
         // never changes architectural state, so the two warm-up legs
         // commit the same stream.
         assert_eq!(b.arch_checksum, p.arch_checksum);
+
+        // Every counter set covers the measured window only: it is the
+        // difference of two unwarmed runs from the same snapshot that
+        // stop where the warm-up and the window stop.
+        let run = |spec: &RunSpec, warmup, instrs| {
+            let spec = spec.interval(Arc::clone(&snap), 50_000, warmup, instrs);
+            spec.unwrap().execute().unwrap()
+        };
+        let (short, long) = (run(&pfm, 0, 5_000), run(&pfm, 0, 25_000));
+        assert_eq!(p.stats, long.stats.delta_since(&short.stats));
+        assert_eq!(p.hier, long.hier.delta_since(&short.hier));
+        assert_eq!(f, long.fabric.unwrap().delta_since(&short.fabric.unwrap()));
+        let plan = FaultPlan::new(FaultScenario::DelayPackets, 3);
+        let chaos = RunSpec::chaos(uc.clone(), fabric.clone(), plan, &rc);
+        let (short, long) = (run(&chaos, 0, 5_000), run(&chaos, 0, 25_000));
+        let (sq, lq) = (short.faults.unwrap(), long.faults.unwrap());
+        assert!(sq.delayed > 0, "faults fire during the warm-up");
+        assert_eq!(run(&chaos, 5_000, 20_000).faults, Some(lq.delta_since(&sq)));
 
         // No spec describes a run the driver cannot perform.
         assert!(interval(&bi).is_none(), "no interval of an interval");

@@ -56,9 +56,10 @@ use std::sync::Mutex;
 
 /// Version of the serialized [`crate::runner::RunResult`] /
 /// [`RunOutcome`] layout. Part of every [`CodeFingerprint`]; bump on
-/// any change to the stats codecs so old records stop matching instead
-/// of decoding wrongly.
-pub const STATS_SCHEMA_VERSION: u32 = 2;
+/// any change to the layout or meaning of a record (a counter set, the
+/// context-switch stats, or what an interval's counters cover) so old
+/// records stop matching instead of decoding wrongly.
+pub const STATS_SCHEMA_VERSION: u32 = 3;
 
 /// Version of the store's on-disk container format (log header and
 /// frame layout). Records from other container versions are never
@@ -566,8 +567,9 @@ fn write_log_header(path: &Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::plan::RunOutcome;
-    use crate::runner::{RunError, RunResult};
+    use crate::runner::{CtxStats, PhaseStats, RunError, RunResult, TenantStats};
     use pfm_core::SimStats;
+    use pfm_fabric::{FabricStats, FaultStats};
     use pfm_mem::HierarchyStats;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -605,6 +607,107 @@ mod tests {
         }
     }
 
+    /// Each counter set with `i + 1` in its field `i` and the flag set.
+    fn numbered_sets() -> (SimStats, HierarchyStats, FabricStats, FaultStats) {
+        let sim = SimStats {
+            cycles: 1,
+            retired: 2,
+            cond_branches: 3,
+            mispredicts: 4,
+            target_mispredicts: 5,
+            squash_mispredict: 6,
+            squash_disambiguation: 7,
+            squash_roi: 8,
+            fetch_icache_stall_cycles: 9,
+            fetch_fabric_stall_cycles: 10,
+            fetch_redirect_stall_cycles: 11,
+            retire_agent_stall_cycles: 12,
+            fabric_predictions_used: 13,
+            fabric_mispredicts: 14,
+            fabric_loads: 15,
+            fabric_prefetches: 16,
+            loads: 17,
+            stores: 18,
+        };
+        let hier = HierarchyStats {
+            l1d_hits: 1,
+            l1d_misses: 2,
+            inflight_merges: 3,
+            l2_hits: 4,
+            l3_hits: 5,
+            dram_accesses: 6,
+            l1i_misses: 7,
+            prefetches_issued: 8,
+            mshr_wait_cycles: 9,
+        };
+        let fabric = FabricStats {
+            fetched_in_roi: 1,
+            fst_hits: 2,
+            retired_in_roi: 3,
+            rst_hits: 4,
+            obs_packets: 5,
+            preds_delivered: 6,
+            preds_dropped: 7,
+            pred_mismatch_passes: 8,
+            loads_injected: 9,
+            prefetches_injected: 10,
+            mlb_replays: 11,
+            mlb_full_drops: 12,
+            squash_packets: 13,
+            port_conflict_delays: 14,
+            watchdog_fired: true,
+            swaps: 16,
+            swap_abort_restarts: 17,
+            swap_spike_cycles: 18,
+            stale_drain_leaks: 19,
+            reconfig_cycles: 20,
+        };
+        let faults = FaultStats {
+            inverted: 1,
+            garbled: 2,
+            wild: 3,
+            dropped: 4,
+            delayed: 5,
+            duplicated: 6,
+            stuck_ticks: 7,
+            spike_ticks: 8,
+            rng_draws: 9,
+        };
+        (sim, hier, fabric, faults)
+    }
+
+    /// A context-switch result with every optional layer present.
+    fn full_result() -> RunResult {
+        let (stats, hier, fabric, faults) = numbered_sets();
+        let tenant = |name: &str, k: u64| TenantStats {
+            name: name.to_string(),
+            retired: k,
+            cycles: k + 1,
+            checksum: k + 2,
+            completed: !k.is_multiple_of(2),
+        };
+        let phase = |tenant: &str, k: u64| PhaseStats {
+            tenant: tenant.to_string(),
+            retired: k,
+            cycles: k + 1,
+        };
+        RunResult {
+            name: "ctx(astar+bfs)".to_string(),
+            stats,
+            hier,
+            fabric: Some(fabric),
+            faults: Some(faults),
+            arch_checksum: 0x0123_4567_89ab_cdef,
+            completed: true,
+            ctx: Some(CtxStats {
+                tenants: vec![tenant("astar", 30), tenant("bfs", 41)],
+                phases: vec![phase("astar", 50), phase("bfs", 60), phase("astar", 70)],
+                decisions: 80,
+                corrupted_decisions: 81,
+            }),
+        }
+    }
+
     fn assert_same_ok(a: &RunOutcome, b: &RunOutcome) {
         let (a, b) = (a.as_ok().unwrap(), b.as_ok().unwrap());
         assert_eq!(a.name, b.name);
@@ -614,12 +717,32 @@ mod tests {
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.arch_checksum, b.arch_checksum);
         assert_eq!(a.completed, b.completed);
+        assert_eq!(a.ctx, b.ctx);
+    }
+
+    #[test]
+    fn counter_set_encodings_are_pinned() {
+        // Stored records and the benchmark's stats digest are built
+        // from these bytes: one `u64` (or, for the flag, one byte) per
+        // field in declaration order. Reordering a field, or changing
+        // its type, must fail here.
+        let (sim, hier, fabric, faults) = numbered_sets();
+        let key = |encode: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            encode(&mut e);
+            content_key(&e.finish())
+        };
+        assert_eq!(key(&|e| sim.snapshot_encode(e)), 0x27fe_9eba_d618_c6d2);
+        assert_eq!(key(&|e| hier.snapshot_encode(e)), 0xedb5_e8d8_1d29_f504);
+        assert_eq!(key(&|e| fabric.snapshot_encode(e)), 0x6d46_9bd5_9a40_4f34);
+        assert_eq!(key(&|e| faults.snapshot_encode(e)), 0xedb5_e8d8_1d29_f504);
     }
 
     #[test]
     fn outcome_codec_roundtrips_every_variant() {
         let outcomes = vec![
             RunOutcome::Ok(sample_result("astar", 1_000)),
+            RunOutcome::Ok(full_result()),
             RunOutcome::Failed(RunError::Exec("bad pc".to_string())),
             RunOutcome::Panicked("boom".to_string()),
             RunOutcome::TimedOut {

@@ -110,12 +110,14 @@ echo "== cargo test (dev profile: the debug oracles) =="
 # Release builds compile out the debug checks: the core's ready-list
 # oracle (debug_check_ready), the consecutive-seq and waiting_count
 # asserts, the event wheel's due-after-now assert and the hooks'
-# non-interference bracket; the MSHR file's cached earliest ready; and
-# the template component's entered set against whole-set expiry. Run
-# those crates' tests and the golden stats with them compiled in. The
-# input builders (graph CSR counting sort, page-run image writes) run
-# here with overflow checks, against their per-element references.
-cargo test -q --locked -p pfm-core
+# non-interference bracket; the MSHR file's cached earliest ready; the
+# template component's entered set against whole-set expiry; each cache
+# fill's absent-line precondition; and TAGE-SC-L's fold-step and
+# checkpoint-depth asserts. Run those crates' tests and the golden
+# stats with them compiled in. The input builders (graph CSR counting
+# sort, page-run image writes) run here with overflow checks, against
+# their per-element references.
+cargo test -q --locked -p pfm-core -p pfm-bpred
 cargo test -q --locked -p pfm-mem -p pfm-fabric -p pfm-components
 cargo test -q --locked -p pfm-isa -p pfm-workloads
 cargo test -q --locked -p pfm-sim --test golden_stats

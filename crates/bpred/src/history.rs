@@ -6,10 +6,18 @@
 //! width) pair keeps a folded register updated in O(1) per branch —
 //! the same structure used in the reference TAGE implementations.
 //!
+//! A fold's geometry is a compile-time [`Fold`] beside its table's
+//! constants (`tage::HIST_LENGTHS`, `tage::TAG_BITS`, `sc::SC_LENGTHS`),
+//! so the predictors keep only the folded values, one `u16` each.
+//! [`Fold::step`] is the one fold update: TAGE, the statistical
+//! corrector and [`Folded`] all call it. A push reads each history
+//! bit it needs once: the incoming bit is the pushed outcome, and the
+//! folds that share a window share its outgoing bit.
+//!
 //! Checkpoint/restore is O(number of folds): the fetch unit snapshots
-//! before each in-flight branch and restores on mispredict recovery,
-//! exactly like the paper's branch queue that "checkpoints/restores
-//! global branch history".
+//! the push position and the folded values before each in-flight
+//! branch and restores them on mispredict recovery, exactly like the
+//! paper's branch queue that "checkpoints/restores global history".
 
 /// Capacity of the circular global history buffer, in bits. Must
 /// exceed the longest history length plus the maximum number of
@@ -71,48 +79,87 @@ impl GlobalHistory {
         self.pos == 0
     }
 
-    /// Restores the push position (bits newer than `pos` become
-    /// irrelevant; they are rewritten before ever being read as long as
-    /// speculation depth stays below [`GHR_BITS`]).
-    pub fn rewind(&mut self, pos: u64) {
+    /// Restores the push position of a checkpoint whose folds read
+    /// windows of up to `window` bits. Bits newer than `pos` become
+    /// irrelevant: they are rewritten before ever being read. The
+    /// window's bits must have survived the pushes since `pos`, which
+    /// debug builds assert.
+    pub fn rewind(&mut self, pos: u64, window: u32) {
         debug_assert!(pos <= self.pos);
+        debug_assert!(
+            self.pos - pos + u64::from(window) < GHR_BITS as u64,
+            "{} speculative pushes overwrote a {window}-bit window",
+            self.pos - pos
+        );
         self.pos = pos;
     }
 }
 
-/// An incrementally-maintained fold of the most recent `orig_len`
-/// history bits down to `comp_len` bits.
+/// The fixed geometry of one folded history: the most recent
+/// `orig_len` history bits folded down to `comp_len` bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fold {
+    /// Window length in history bits.
+    pub orig_len: u32,
+    /// Folded width in bits.
+    pub comp_len: u32,
+    /// `orig_len % comp_len`: where the outgoing bit leaves.
+    shift: u32,
+    /// `(1 << comp_len) - 1`.
+    mask: u32,
+}
+
+impl Fold {
+    /// The geometry of a window of `orig_len` bits folded to
+    /// `comp_len` bits.
+    ///
+    /// # Panics
+    /// Panics if `comp_len` is zero or greater than 16.
+    pub const fn new(orig_len: u32, comp_len: u32) -> Fold {
+        assert!(comp_len > 0 && comp_len <= 16, "fold width out of range");
+        Fold {
+            orig_len,
+            comp_len,
+            shift: orig_len % comp_len,
+            mask: (1 << comp_len) - 1,
+        }
+    }
+
+    /// One push: `incoming` (the newest bit) enters `comp`, and
+    /// `outgoing` (the bit now `orig_len` old) leaves it.
+    #[inline]
+    pub fn step(self, comp: u16, incoming: u16, outgoing: u16) -> u16 {
+        debug_assert!(u32::from(comp) <= self.mask && incoming <= 1 && outgoing <= 1);
+        let mut c = (u32::from(comp) << 1) | u32::from(incoming);
+        c ^= u32::from(outgoing) << self.shift;
+        c ^= c >> self.comp_len;
+        (c & self.mask) as u16
+    }
+}
+
+/// A fold with its value: one register that follows a
+/// [`GlobalHistory`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Folded {
-    comp: u32,
-    orig_len: u32,
-    comp_len: u32,
-    /// `orig_len % comp_len`, precomputed: `update` runs once per fold
-    /// per branch (24 times per prediction in TAGE).
-    out_shift: u32,
-    /// `(1 << comp_len) - 1`, precomputed likewise.
-    mask: u32,
+    comp: u16,
+    fold: Fold,
 }
 
 impl Folded {
     /// Creates a fold of window `orig_len` producing `comp_len` bits.
     ///
     /// # Panics
-    /// Panics if `comp_len` is zero or greater than 31.
+    /// Panics if `comp_len` is zero or greater than 16.
     pub fn new(orig_len: u32, comp_len: u32) -> Folded {
-        assert!(comp_len > 0 && comp_len < 32, "fold width out of range");
         Folded {
             comp: 0,
-            orig_len,
-            comp_len,
-            out_shift: orig_len % comp_len,
-            mask: (1 << comp_len) - 1,
+            fold: Fold::new(orig_len, comp_len),
         }
     }
 
     /// Current folded value.
     #[inline]
-    pub fn value(&self) -> u32 {
+    pub fn value(&self) -> u16 {
         self.comp
     }
 
@@ -120,12 +167,9 @@ impl Folded {
     /// bit now `orig_len` old leaves.
     #[inline]
     pub fn update(&mut self, hist: &GlobalHistory) {
-        let incoming = hist.bit(0) as u32;
-        let outgoing = hist.bit(self.orig_len as u64) as u32;
-        self.comp = (self.comp << 1) | incoming;
-        self.comp ^= outgoing << self.out_shift;
-        self.comp ^= self.comp >> self.comp_len;
-        self.comp &= self.mask;
+        let incoming = hist.bit(0) as u16;
+        let outgoing = hist.bit(u64::from(self.fold.orig_len)) as u16;
+        self.comp = self.fold.step(self.comp, incoming, outgoing);
     }
 }
 
@@ -134,7 +178,7 @@ mod tests {
     use super::*;
 
     /// Reference fold computed from scratch over the raw history.
-    fn fold_reference(outcomes: &[bool], orig_len: u32, comp_len: u32) -> u32 {
+    fn fold_reference(outcomes: &[bool], orig_len: u32, comp_len: u32) -> u16 {
         // Reconstruct by replaying the incremental update on a fresh
         // pair — the incremental form *is* the definition; this test
         // instead checks window semantics via distinguishability below.
@@ -166,7 +210,7 @@ mod tests {
         let cp = h.len();
         h.push(false);
         h.push(false);
-        h.rewind(cp);
+        h.rewind(cp, 1);
         h.push(true);
         assert_eq!(h.bit(0), 1);
         assert_eq!(h.bit(1), 1);
@@ -213,7 +257,7 @@ mod tests {
             f.update(&h);
         }
         // Recover.
-        h.rewind(cp_pos);
+        h.rewind(cp_pos, 20);
         f = cp_fold;
         // Continue down the right path; compare against an oracle that
         // never went down the wrong path.

@@ -48,9 +48,8 @@ impl Prediction {
 
 /// Speculative-history checkpoint for the unified predictor.
 // Checkpoints are taken on every predicted branch in the timing hot
-// path; keeping the TAGE-SC-L state inline avoids a per-branch heap
-// allocation at the cost of a wide enum.
-#[allow(clippy::large_enum_variant)]
+// path: the TAGE-SC-L state is two push positions and 29 folded
+// values, kept inline to avoid a per-branch heap allocation.
 #[derive(Clone, Debug)]
 pub enum Checkpoint {
     /// TAGE-SC-L checkpoint.
@@ -133,6 +132,13 @@ mod tests {
             p.train(0x1000, true, &pred);
             p.recover(&cp, true);
         }
+    }
+
+    #[test]
+    fn branch_queue_records_stay_small() {
+        // The core copies one of each per conditional branch.
+        assert!(std::mem::size_of::<Checkpoint>() <= 96);
+        assert!(std::mem::size_of::<Prediction>() <= 64);
     }
 
     #[test]

@@ -1,18 +1,33 @@
 //! Statistical Corrector: a small GEHL-style perceptron layer that
 //! overrides TAGE when its weighted vote is confident, per TAGE-SC-L.
 
-use crate::history::{Folded, GlobalHistory};
+use crate::history::{Fold, GlobalHistory};
 
 /// History lengths of the corrector tables (0 = bias table).
 pub const SC_LENGTHS: [u32; 5] = [0, 4, 10, 21, 44];
 const LOG_SC: u32 = 10;
+const NUM_SC: usize = SC_LENGTHS.len();
+
+/// Per-table fold geometry: `SC_LENGTHS` folded to the index width. The
+/// bias table's fold (a 1-bit window) is kept but never read.
+pub const SC_FOLDS: [Fold; NUM_SC] = {
+    let mut f = [Fold::new(1, LOG_SC); NUM_SC];
+    let mut t = 0;
+    while t < NUM_SC {
+        if SC_LENGTHS[t] > 0 {
+            f[t] = Fold::new(SC_LENGTHS[t], LOG_SC);
+        }
+        t += 1;
+    }
+    f
+};
 const SC_CTR_MAX: i8 = 31;
 const SC_CTR_MIN: i8 = -32;
 
 /// Per-prediction metadata from the corrector.
 #[derive(Clone, Copy, Debug)]
 pub struct ScMeta {
-    indices: [u32; SC_LENGTHS.len()],
+    indices: [u16; NUM_SC],
     /// The corrector's weighted sum (including TAGE confidence).
     pub sum: i32,
     /// Final corrected prediction.
@@ -21,11 +36,12 @@ pub struct ScMeta {
     pub overrode: bool,
 }
 
-/// Checkpoint of the corrector's speculative history.
+/// Checkpoint of the corrector's speculative history: the push
+/// position and the folded values.
 #[derive(Clone, Debug)]
 pub struct ScCheckpoint {
     pos: u64,
-    folds: [Folded; SC_LENGTHS.len()],
+    folds: [u16; NUM_SC],
 }
 
 /// The statistical corrector.
@@ -33,7 +49,8 @@ pub struct ScCheckpoint {
 pub struct StatisticalCorrector {
     tables: Vec<Vec<i8>>,
     hist: GlobalHistory,
-    folds: [Folded; SC_LENGTHS.len()],
+    /// One value per [`Fold`] of [`SC_FOLDS`].
+    folds: [u16; NUM_SC],
     /// Adaptive confidence threshold (Seznec's dynamic theta).
     theta: i32,
     theta_ctr: i32,
@@ -49,29 +66,29 @@ impl StatisticalCorrector {
     /// Creates an untrained corrector.
     pub fn new() -> StatisticalCorrector {
         StatisticalCorrector {
-            tables: vec![vec![0i8; 1 << LOG_SC]; SC_LENGTHS.len()],
+            tables: vec![vec![0i8; 1 << LOG_SC]; NUM_SC],
             hist: GlobalHistory::new(),
-            folds: std::array::from_fn(|i| Folded::new(SC_LENGTHS[i].max(1), LOG_SC)),
+            folds: [0; NUM_SC],
             theta: 12,
             theta_ctr: 0,
         }
     }
 
-    fn index(&self, pc: u64, t: usize, tage_pred: bool) -> u32 {
+    fn index(&self, pc: u64, t: usize, tage_pred: bool) -> u16 {
         let pc = pc >> 2;
         let h = if SC_LENGTHS[t] == 0 {
             0
         } else {
-            self.folds[t].value() as u64
+            u64::from(self.folds[t])
         };
-        (((pc ^ (pc >> 6) ^ h) << 1 | tage_pred as u64) & ((1 << LOG_SC) - 1)) as u32
+        (((pc ^ (pc >> 6) ^ h) << 1 | tage_pred as u64) & ((1 << LOG_SC) - 1)) as u16
     }
 
     /// Computes the corrected prediction. `provider_ctr` is TAGE's
     /// provider counter, used as the confidence input. Speculatively
     /// pushes the corrected outcome into the corrector's history.
     pub fn predict(&mut self, pc: u64, tage_pred: bool, provider_ctr: i8) -> ScMeta {
-        let mut indices = [0u32; SC_LENGTHS.len()];
+        let mut indices = [0u16; NUM_SC];
         let mut sum: i32 = 0;
         for (t, idx) in indices.iter_mut().enumerate() {
             *idx = self.index(pc, t, tage_pred);
@@ -94,8 +111,10 @@ impl StatisticalCorrector {
 
     fn push_history(&mut self, taken: bool) {
         self.hist.push(taken);
-        for f in &mut self.folds {
-            f.update(&self.hist);
+        let incoming = u16::from(taken);
+        for (f, fold) in self.folds.iter_mut().zip(SC_FOLDS) {
+            let outgoing = self.hist.bit(u64::from(fold.orig_len)) as u16;
+            *f = fold.step(*f, incoming, outgoing);
         }
     }
 
@@ -109,14 +128,13 @@ impl StatisticalCorrector {
 
     /// Restores a checkpoint without pushing any outcome.
     pub fn restore(&mut self, cp: &ScCheckpoint) {
-        self.hist.rewind(cp.pos);
+        self.hist.rewind(cp.pos, SC_LENGTHS[NUM_SC - 1]);
         self.folds = cp.folds;
     }
 
     /// Restores a checkpoint and pushes the actual outcome.
     pub fn recover(&mut self, cp: &ScCheckpoint, actual: bool) {
-        self.hist.rewind(cp.pos);
-        self.folds = cp.folds;
+        self.restore(cp);
         self.push_history(actual);
     }
 
@@ -125,7 +143,7 @@ impl StatisticalCorrector {
         let sc_dir = meta.sum >= 0;
         // Update on low confidence or a wrong corrected direction.
         if sc_dir != taken || meta.sum.abs() < self.theta {
-            for t in 0..SC_LENGTHS.len() {
+            for t in 0..NUM_SC {
                 let e = &mut self.tables[t][meta.indices[t] as usize];
                 *e = if taken {
                     (*e + 1).min(SC_CTR_MAX)

@@ -1,7 +1,7 @@
 //! TAGE: TAgged GEometric-history-length predictor (Seznec), the core
 //! of the paper's 64 KB TAGE-SC-L baseline.
 
-use crate::history::{Folded, GlobalHistory};
+use crate::history::{Fold, GlobalHistory};
 
 /// Number of tagged tables.
 pub const NUM_TABLES: usize = 8;
@@ -38,6 +38,26 @@ const TAG_MASK: [u32; NUM_TABLES] = {
     }
     m
 };
+
+/// Fold geometry over `HIST_LENGTHS`, `widths[t] - less` bits wide.
+const fn table_folds(widths: [u32; NUM_TABLES], less: u32) -> [Fold; NUM_TABLES] {
+    let mut f = [Fold::new(1, 1); NUM_TABLES];
+    let mut t = 0;
+    while t < NUM_TABLES {
+        f[t] = Fold::new(HIST_LENGTHS[t], widths[t] - less);
+        t += 1;
+    }
+    f
+}
+
+/// Per-table index fold: the table's history folded to its index
+/// width.
+pub const INDEX_FOLDS: [Fold; NUM_TABLES] = table_folds([LOG_TAGGED; NUM_TABLES], 0);
+/// Per-table first tag fold: the history folded to the tag width.
+pub const TAG_FOLDS_A: [Fold; NUM_TABLES] = table_folds(TAG_BITS, 0);
+/// Per-table second tag fold, one bit narrower.
+pub const TAG_FOLDS_B: [Fold; NUM_TABLES] = table_folds(TAG_BITS, 1);
+
 const CTR_MAX: i8 = 3;
 const CTR_MIN: i8 = -4;
 const U_MAX: u8 = 3;
@@ -56,13 +76,13 @@ struct TageEntry {
 /// fetch-time indices.
 #[derive(Clone, Copy, Debug)]
 pub struct TageMeta {
-    indices: [u32; NUM_TABLES],
+    indices: [u16; NUM_TABLES],
     tags: [u16; NUM_TABLES],
-    provider: Option<usize>,
-    alt: Option<usize>,
+    provider: Option<u8>,
+    alt: Option<u8>,
     provider_pred: bool,
     alt_pred: bool,
-    bimodal_idx: u32,
+    bimodal_idx: u16,
     /// Provider entry was weak (newly allocated / low confidence).
     weak_provider: bool,
     /// The final TAGE prediction (after use-alt-on-new-alloc).
@@ -72,13 +92,21 @@ pub struct TageMeta {
     pub provider_ctr: i8,
 }
 
-/// Checkpoint of TAGE's speculative history state.
+/// TAGE's folded histories, one value per [`Fold`] of
+/// [`INDEX_FOLDS`], [`TAG_FOLDS_A`] and [`TAG_FOLDS_B`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Folds {
+    idx: [u16; NUM_TABLES],
+    tag_a: [u16; NUM_TABLES],
+    tag_b: [u16; NUM_TABLES],
+}
+
+/// Checkpoint of TAGE's speculative history state: the push position
+/// and the folded values.
 #[derive(Clone, Debug)]
 pub struct TageCheckpoint {
     pos: u64,
-    idx_folds: [Folded; NUM_TABLES],
-    tag_folds_a: [Folded; NUM_TABLES],
-    tag_folds_b: [Folded; NUM_TABLES],
+    folds: Folds,
 }
 
 /// The TAGE predictor.
@@ -87,9 +115,7 @@ pub struct Tage {
     bimodal: Vec<i8>, // 2-bit: -2..=1
     tables: Vec<Vec<TageEntry>>,
     hist: GlobalHistory,
-    idx_folds: [Folded; NUM_TABLES],
-    tag_folds_a: [Folded; NUM_TABLES],
-    tag_folds_b: [Folded; NUM_TABLES],
+    folds: Folds,
     use_alt_on_na: i8, // -8..=7
     lfsr: u32,
     updates: u64,
@@ -108,9 +134,7 @@ impl Tage {
             bimodal: vec![0; 1 << LOG_BIMODAL],
             tables: vec![vec![TageEntry::default(); 1 << LOG_TAGGED]; NUM_TABLES],
             hist: GlobalHistory::new(),
-            idx_folds: std::array::from_fn(|t| Folded::new(HIST_LENGTHS[t], LOG_TAGGED)),
-            tag_folds_a: std::array::from_fn(|t| Folded::new(HIST_LENGTHS[t], TAG_BITS[t])),
-            tag_folds_b: std::array::from_fn(|t| Folded::new(HIST_LENGTHS[t], TAG_BITS[t] - 1)),
+            folds: Folds::default(),
             use_alt_on_na: 0,
             lfsr: 0xACE1_u32,
             updates: 0,
@@ -126,66 +150,65 @@ impl Tage {
     }
 
     #[inline]
-    fn bimodal_index(pc: u64) -> u32 {
-        ((pc >> 2) & ((1 << LOG_BIMODAL) - 1)) as u32
+    fn bimodal_index(pc: u64) -> u16 {
+        ((pc >> 2) & ((1 << LOG_BIMODAL) - 1)) as u16
     }
 
     #[inline]
-    fn table_index(&self, pc: u64, t: usize) -> u32 {
+    fn table_index(&self, pc: u64, t: usize) -> u16 {
         let pc = pc >> 2;
-        let h = self.idx_folds[t].value() as u64;
-        ((pc ^ (pc >> IDX_SHIFT[t]) ^ h) & ((1 << LOG_TAGGED) - 1)) as u32
+        let h = u64::from(self.folds.idx[t]);
+        ((pc ^ (pc >> IDX_SHIFT[t]) ^ h) & ((1 << LOG_TAGGED) - 1)) as u16
     }
 
     #[inline]
     fn table_tag(&self, pc: u64, t: usize) -> u16 {
         let pc = pc >> 2;
-        let tag = pc as u32 ^ self.tag_folds_a[t].value() ^ (self.tag_folds_b[t].value() << 1);
+        let tag =
+            pc as u32 ^ u32::from(self.folds.tag_a[t]) ^ (u32::from(self.folds.tag_b[t]) << 1);
         (tag & TAG_MASK[t]) as u16
     }
 
-    /// Snapshots speculative history state (cheap; a few dozen words).
+    /// Snapshots speculative history state (cheap; 56 bytes).
     pub fn checkpoint(&self) -> TageCheckpoint {
         TageCheckpoint {
             pos: self.hist.len(),
-            idx_folds: self.idx_folds,
-            tag_folds_a: self.tag_folds_a,
-            tag_folds_b: self.tag_folds_b,
+            folds: self.folds,
         }
     }
 
     /// Restores a checkpoint without pushing any outcome (used when a
     /// squash boundary is not a branch).
     pub fn restore(&mut self, cp: &TageCheckpoint) {
-        self.hist.rewind(cp.pos);
-        self.idx_folds = cp.idx_folds;
-        self.tag_folds_a = cp.tag_folds_a;
-        self.tag_folds_b = cp.tag_folds_b;
+        self.hist.rewind(cp.pos, HIST_LENGTHS[NUM_TABLES - 1]);
+        self.folds = cp.folds;
     }
 
     /// Restores a checkpoint taken before a mispredicted branch, then
     /// pushes the branch's actual outcome.
     pub fn recover(&mut self, cp: &TageCheckpoint, actual: bool) {
-        self.hist.rewind(cp.pos);
-        self.idx_folds = cp.idx_folds;
-        self.tag_folds_a = cp.tag_folds_a;
-        self.tag_folds_b = cp.tag_folds_b;
+        self.restore(cp);
         self.push_history(actual);
     }
 
+    /// Pushes an outcome: the three folds of a table share its window,
+    /// so each table reads one outgoing bit.
     fn push_history(&mut self, taken: bool) {
         self.hist.push(taken);
+        let incoming = u16::from(taken);
+        let f = &mut self.folds;
         for t in 0..NUM_TABLES {
-            self.idx_folds[t].update(&self.hist);
-            self.tag_folds_a[t].update(&self.hist);
-            self.tag_folds_b[t].update(&self.hist);
+            let outgoing = self.hist.bit(u64::from(HIST_LENGTHS[t])) as u16;
+            f.idx[t] = INDEX_FOLDS[t].step(f.idx[t], incoming, outgoing);
+            f.tag_a[t] = TAG_FOLDS_A[t].step(f.tag_a[t], incoming, outgoing);
+            f.tag_b[t] = TAG_FOLDS_B[t].step(f.tag_b[t], incoming, outgoing);
         }
     }
 
     /// Predicts the branch at `pc` and speculatively pushes the
     /// predicted outcome into the global history.
     pub fn predict(&mut self, pc: u64) -> TageMeta {
-        let mut indices = [0u32; NUM_TABLES];
+        let mut indices = [0u16; NUM_TABLES];
         let mut tags = [0u16; NUM_TABLES];
         for t in 0..NUM_TABLES {
             indices[t] = self.table_index(pc, t);
@@ -200,19 +223,19 @@ impl Tage {
             let e = &self.tables[t][indices[t] as usize];
             if e.tag == tags[t] {
                 if provider.is_none() {
-                    provider = Some(t);
+                    provider = Some(t as u8);
                 } else {
-                    alt = Some(t);
+                    alt = Some(t as u8);
                     break;
                 }
             }
         }
 
-        let alt_pred = match alt {
+        let alt_pred = match alt.map(usize::from) {
             Some(t) => self.tables[t][indices[t] as usize].ctr >= 0,
             None => base_pred,
         };
-        let (provider_pred, weak_provider, provider_ctr) = match provider {
+        let (provider_pred, weak_provider, provider_ctr) = match provider.map(usize::from) {
             Some(t) => {
                 let e = &self.tables[t][indices[t] as usize];
                 (e.ctr >= 0, e.ctr == 0 || e.ctr == -1, e.ctr)
@@ -267,7 +290,7 @@ impl Tage {
             }
         }
 
-        match meta.provider {
+        match meta.provider.map(usize::from) {
             Some(t) => {
                 let e = &mut self.tables[t][meta.indices[t] as usize];
                 e.ctr = bump(e.ctr, taken, CTR_MIN, CTR_MAX);
@@ -297,7 +320,7 @@ impl Tage {
         // Allocate a new entry on a final misprediction (unless the
         // provider is already the longest table).
         if final_pred != taken {
-            let start = meta.provider.map(|p| p + 1).unwrap_or(0);
+            let start = meta.provider.map_or(0, |p| usize::from(p) + 1);
             if start < NUM_TABLES {
                 // Skip one table pseudo-randomly to decorrelate
                 // allocation, as in reference TAGE.

@@ -2,14 +2,16 @@
 //! history correctness, checkpoint/recovery equivalence, and
 //! predictor robustness on arbitrary traces.
 
-use pfm_bpred::history::{Folded, GlobalHistory};
+use pfm_bpred::history::{Fold, Folded, GlobalHistory};
+use pfm_bpred::sc::SC_FOLDS;
+use pfm_bpred::tage::{INDEX_FOLDS, TAG_FOLDS_A, TAG_FOLDS_B};
 use pfm_bpred::{Predictor, PredictorKind};
 use proptest::prelude::*;
 
 /// Ground-truth fold: XOR-fold of exactly the last `orig` outcomes
 /// into `width` bits, rotating each bit into position the same way the
 /// incremental fold does.
-fn fold_from_scratch(outcomes: &[bool], orig: u32, width: u32) -> u32 {
+fn fold_from_scratch(outcomes: &[bool], orig: u32, width: u32) -> u16 {
     // Replay the incremental update over only the window, preceded by
     // enough zero-padding that older bits have fully cancelled.
     let mut h = GlobalHistory::new();
@@ -26,8 +28,46 @@ fn fold_from_scratch(outcomes: &[bool], orig: u32, width: u32) -> u32 {
     f.value()
 }
 
+/// Closed form of a fold: the outcome pushed `age` pushes ago sits at
+/// bit `age % comp_len`, for every age inside the window.
+fn fold_closed_form(outcomes: &[bool], fold: Fold) -> u16 {
+    let mut v = 0u16;
+    for (age, &b) in outcomes.iter().rev().enumerate() {
+        if (age as u32) < fold.orig_len && b {
+            v ^= 1 << (age as u32 % fold.comp_len);
+        }
+    }
+    v
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every TAGE and statistical-corrector fold geometry, stepped the
+    /// way the predictors push (the pushed outcome enters, one read of
+    /// the window's outgoing bit leaves), equals `Folded::update` and
+    /// the fold's closed form over a random stream longer than any
+    /// window.
+    #[test]
+    fn predictor_fold_steps_equal_folded_update(
+        outcomes in prop::collection::vec(any::<bool>(), 1..1400),
+    ) {
+        let geometries = INDEX_FOLDS.iter().chain(&TAG_FOLDS_A).chain(&TAG_FOLDS_B).chain(&SC_FOLDS);
+        prop_assert_eq!(geometries.clone().count(), 29);
+        for &fold in geometries {
+            let mut h = GlobalHistory::new();
+            let mut comp = 0u16;
+            let mut folded = Folded::new(fold.orig_len, fold.comp_len);
+            for (i, &b) in outcomes.iter().enumerate() {
+                h.push(b);
+                let outgoing = h.bit(u64::from(fold.orig_len)) as u16;
+                comp = fold.step(comp, u16::from(b), outgoing);
+                folded.update(&h);
+                prop_assert_eq!(comp, folded.value(), "{:?} after {} pushes", fold, i + 1);
+            }
+            prop_assert_eq!(comp, fold_closed_form(&outcomes, fold), "{:?}", fold);
+        }
+    }
 
     /// The incremental fold over a long, arbitrary stream equals the
     /// fold computed from scratch over just the window: bits older

@@ -1924,6 +1924,13 @@ mod tests {
     }
 
     #[test]
+    fn branch_entries_stay_small() {
+        // Fetch writes one per conditional branch: a 64-byte
+        // prediction and an 88-byte checkpoint.
+        assert!(std::mem::size_of::<BranchEntry>() <= 168);
+    }
+
+    #[test]
     fn cycle_limit_guard_fires() {
         let mut a = Asm::new(0x1000);
         let top = a.label();

@@ -4,6 +4,22 @@
 //! is mutated at access time and the computed latency tells the core
 //! when the data arrives. This keeps the model single-pass while still
 //! capturing hit/miss behaviour, eviction and prefetch pollution.
+//!
+//! State is 16 bytes a line, in one zeroed allocation per cache. Set
+//! `s` of a `w`-way cache is the words `[2ws, 2ws + 2w)`: first its `w`
+//! tag words, then its `w` recency words.
+//! - A tag word is `(addr >> LINE_SHIFT) + 1`, so zero means an invalid
+//!   way. Line numbers are below 2^58, so the `+ 1` cannot wrap.
+//! - A recency word is the way's last access or fill stamp (counted
+//!   from 1) shifted left by two, with the dirty and prefetched flags in
+//!   the two low bits. Stamps are unique, so the flags never change
+//!   which way is least recent. An invalid way's recency word is zero.
+//!
+//! A fill replaces the first invalid way by position, otherwise the
+//! way least recently accessed or filled: both are the first way with
+//! the least recency word. The filled line must be absent (a debug
+//! assertion): every caller fills only after a miss or a failed probe
+//! at that level, so a miss scans its set's tags once.
 
 /// Base-2 logarithm of the cache line size (64-byte lines).
 pub const LINE_SHIFT: u64 = 6;
@@ -66,17 +82,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic use stamp for true LRU.
-    lru: u64,
-    /// Whether the line was filled by a prefetch and never demanded.
-    prefetched: bool,
-}
-
 /// Hit/miss statistics for one cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -104,6 +109,26 @@ impl CacheStats {
     }
 }
 
+/// Recency-word flag: the line was written since its fill.
+const DIRTY: u64 = 1;
+/// Recency-word flag: a prefetch filled the line and no demand access
+/// has hit it since.
+const PREFETCHED: u64 = 2;
+/// Recency words hold the stamp above the two flag bits.
+const STAMP_SHIFT: u32 = 2;
+
+/// The tag word of `addr`'s line (never zero).
+#[inline]
+fn tag_word(addr: u64) -> u64 {
+    (addr >> LINE_SHIFT) + 1
+}
+
+/// Where [`Cache::probe`] found a line: hand it to [`Cache::access_way`]
+/// so the access that follows does not scan the set again. It stays
+/// valid until the cache's next fill.
+#[derive(Clone, Copy, Debug)]
+pub struct Way(usize);
+
 /// A single set-associative, write-back, write-allocate cache level.
 ///
 /// ```
@@ -119,19 +144,21 @@ pub struct Cache {
     /// `sets() - 1`, precomputed: set selection is on the per-access
     /// hot path and `sets()` costs a 64-bit division.
     set_mask: u64,
-    lines: Vec<Line>,
+    /// Per set, `ways` tag words then `ways` recency words (module
+    /// docs).
+    words: Vec<u64>,
     stamp: u64,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// Creates an empty (all-invalid) cache.
+    /// Creates an empty (all-invalid) cache: one zeroed allocation.
     pub fn new(config: CacheConfig) -> Cache {
-        let n = (config.sets() as usize) * config.ways;
+        let n = 2 * config.sets() as usize * config.ways;
         Cache {
             config,
             set_mask: config.sets() - 1,
-            lines: vec![Line::default(); n],
+            words: vec![0; n],
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -147,96 +174,95 @@ impl Cache {
         &self.stats
     }
 
+    /// Index of the first tag word of `addr`'s set.
     #[inline]
-    fn set_range(&self, addr: u64) -> (usize, usize) {
-        let set = ((addr >> LINE_SHIFT) & self.set_mask) as usize;
-        let start = set * self.config.ways;
-        (start, start + self.config.ways)
+    fn set_start(&self, addr: u64) -> usize {
+        ((addr >> LINE_SHIFT) & self.set_mask) as usize * 2 * self.config.ways
     }
 
     /// Demand access. Returns whether the line is present; updates LRU
     /// and dirty state on hit, and records statistics.
     #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
-        let tag = addr >> LINE_SHIFT;
-        let (lo, hi) = self.set_range(addr);
-        self.stamp += 1;
-        for line in &mut self.lines[lo..hi] {
-            if line.valid && line.tag == tag {
-                line.lru = self.stamp;
-                line.dirty |= is_write;
-                if line.prefetched {
-                    line.prefetched = false;
-                    self.stats.prefetch_useful += 1;
-                }
-                self.stats.hits += 1;
-                return true;
+        match self.probe(addr) {
+            Some(way) => {
+                self.access_way(way, is_write);
+                true
+            }
+            None => {
+                self.stamp += 1;
+                self.stats.misses += 1;
+                false
             }
         }
-        self.stats.misses += 1;
-        false
     }
 
-    /// Non-mutating presence probe (no LRU update, no stats).
+    /// A demand access that hits the line `probe` just found: the same
+    /// update and statistics as [`Cache::access`]'s hit, without its
+    /// scan.
     #[inline]
-    pub fn probe(&self, addr: u64) -> bool {
-        let tag = addr >> LINE_SHIFT;
-        let (lo, hi) = self.set_range(addr);
-        self.lines[lo..hi].iter().any(|l| l.valid && l.tag == tag)
+    pub fn access_way(&mut self, way: Way, is_write: bool) {
+        debug_assert_ne!(self.words[way.0], 0, "access_way on an invalid way");
+        self.stamp += 1;
+        let recency = &mut self.words[way.0 + self.config.ways];
+        if *recency & PREFETCHED != 0 {
+            self.stats.prefetch_useful += 1;
+        }
+        *recency = (self.stamp << STAMP_SHIFT) | (*recency & DIRTY) | u64::from(is_write);
+        self.stats.hits += 1;
+    }
+
+    /// Non-mutating presence probe (no LRU update, no stats): where the
+    /// line is, if present.
+    #[inline]
+    pub fn probe(&self, addr: u64) -> Option<Way> {
+        let start = self.set_start(addr);
+        let tag = tag_word(addr);
+        self.words[start..start + self.config.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| Way(start + w))
     }
 
     /// Fills the line containing `addr`, evicting the LRU victim.
     /// Returns the evicted line's base address if a dirty line was
     /// displaced (i.e., a writeback is generated).
+    ///
+    /// The line must be absent: call `fill` only after a miss or a
+    /// failed probe of this cache, with no fill of it in between.
+    /// Debug builds assert this; a present line would be duplicated.
     pub fn fill(&mut self, addr: u64, from_prefetch: bool) -> Option<u64> {
-        let tag = addr >> LINE_SHIFT;
-        let (lo, hi) = self.set_range(addr);
+        debug_assert!(
+            self.probe(addr).is_none(),
+            "fill of {addr:#x}, which is already present"
+        );
+        let ways = self.config.ways;
+        let start = self.set_start(addr);
         self.stamp += 1;
-        // Already present (e.g., duplicate fill): refresh only.
-        for line in &mut self.lines[lo..hi] {
-            if line.valid && line.tag == tag {
-                return None;
-            }
-        }
         if from_prefetch {
             self.stats.prefetch_fills += 1;
         }
-        // Choose invalid way or LRU victim.
-        let set = &mut self.lines[lo..hi];
-        let victim = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => {
-                let mut best = 0;
-                for (i, l) in set.iter().enumerate() {
-                    if l.lru < set[best].lru {
-                        best = i;
-                    }
-                }
-                best
+        let (tags, recency) = self.words[start..start + 2 * ways].split_at_mut(ways);
+        // An invalid way's recency word is zero and a valid way's is
+        // not, so the first least word is the first invalid way, else
+        // the least recent one.
+        let mut victim = 0;
+        let mut least = recency[0];
+        for (w, &r) in recency.iter().enumerate().skip(1) {
+            if r < least {
+                victim = w;
+                least = r;
             }
-        };
-        let evicted = if set[victim].valid && set[victim].dirty {
+        }
+        let evicted = if least & DIRTY != 0 {
             self.stats.writebacks += 1;
-            let set_idx = (addr >> LINE_SHIFT) & self.set_mask;
-            Some(((set[victim].tag & !self.set_mask) | set_idx) << LINE_SHIFT)
+            Some((tags[victim] - 1) << LINE_SHIFT)
         } else {
             None
         };
-        set[victim] = Line {
-            tag,
-            valid: true,
-            dirty: false,
-            lru: self.stamp,
-            prefetched: from_prefetch,
-        };
+        tags[victim] = tag_word(addr);
+        recency[victim] = (self.stamp << STAMP_SHIFT) | if from_prefetch { PREFETCHED } else { 0 };
         evicted
-    }
-
-    /// Invalidates every line (used between experiment runs).
-    pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
     }
 }
 
@@ -281,9 +307,9 @@ mod tests {
         c.fill(0x080, false);
         c.access(0x000, false); // make 0x080 the LRU
         c.fill(0x100, false); // evicts 0x080
-        assert!(c.probe(0x000));
-        assert!(!c.probe(0x080));
-        assert!(c.probe(0x100));
+        assert!(c.probe(0x000).is_some());
+        assert!(c.probe(0x080).is_none());
+        assert!(c.probe(0x100).is_some());
     }
 
     #[test]
@@ -311,19 +337,41 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_fill_is_noop() {
+    fn fill_requires_an_absent_line() {
+        // Callers fill only after a miss; debug builds refuse a fill of
+        // a present line instead of scanning for it in every build.
         let mut c = small();
         c.fill(0x000, false);
-        assert!(c.fill(0x000, false).is_none());
-        assert!(c.probe(0x000));
+        let refused = std::panic::catch_unwind(move || c.fill(0x000, false)).is_err();
+        assert_eq!(refused, cfg!(debug_assertions));
     }
 
     #[test]
-    fn flush_empties_cache() {
-        let mut c = small();
-        c.fill(0x000, false);
-        c.flush();
-        assert!(!c.probe(0x000));
+    fn probed_way_takes_the_access() {
+        let mut a = small();
+        let mut b = small();
+        for c in [&mut a, &mut b] {
+            c.fill(0x000, true);
+            c.fill(0x080, false);
+        }
+        let way = a.probe(0x000).expect("filled line is present");
+        a.access_way(way, true);
+        assert!(b.access(0x000, true));
+        assert_eq!(a.stats(), b.stats());
+        // Both now evict 0x080 and write 0x000 back on the next two fills.
+        assert_eq!(a.fill(0x100, false), b.fill(0x100, false));
+        assert_eq!(a.fill(0x180, false), Some(0x000));
+        assert_eq!(b.fill(0x180, false), Some(0x000));
+        assert_eq!(a.words, b.words);
+    }
+
+    #[test]
+    fn table1_l3_keeps_16_bytes_a_line() {
+        let cfg = CacheConfig::new(8 * 1024 * 1024, 16, 42);
+        let c = Cache::new(cfg);
+        let lines = (cfg.size_bytes / LINE_BYTES) as usize;
+        let bytes = c.words.capacity() * std::mem::size_of::<u64>();
+        assert!(bytes <= 16 * lines, "{bytes} bytes for {lines} lines");
     }
 
     #[test]

@@ -390,14 +390,14 @@ impl Hierarchy {
 
     /// Fills `addr`'s line as a prefetch (no demand latency returned).
     fn prefetch_fill(&mut self, addr: u64, cycle: u64) {
-        if self.mshrs.peek(addr).is_some() || self.l1d.probe(addr) {
+        if self.mshrs.peek(addr).is_some() || self.l1d.probe(addr).is_some() {
             return;
         }
-        let latency = if self.l2.probe(addr) {
-            self.l2.access(addr, false);
+        let latency = if let Some(way) = self.l2.probe(addr) {
+            self.l2.access_way(way, false);
             self.config.l2.latency
-        } else if self.l3.probe(addr) {
-            self.l3.access(addr, false);
+        } else if let Some(way) = self.l3.probe(addr) {
+            self.l3.access_way(way, false);
             self.l2.fill(addr, true);
             self.config.l3.latency
         } else {
@@ -417,16 +417,6 @@ impl Hierarchy {
     pub fn external_prefetch(&mut self, addr: u64, cycle: u64) {
         self.stats.prefetches_issued += 1;
         self.prefetch_fill(line_of(addr), cycle);
-    }
-
-    /// Empties all caches, MSHRs and the TLB (for experiment isolation).
-    pub fn flush(&mut self) {
-        self.l1i.flush();
-        self.l1d.flush();
-        self.l2.flush();
-        self.l3.flush();
-        self.mshrs = MshrFile::new(self.config.mshrs);
-        self.tlb = Tlb::new(self.config.tlb_entries, self.config.tlb_walk_latency);
     }
 }
 
@@ -559,15 +549,6 @@ mod tests {
         assert_eq!(o.level, HitLevel::Dram);
         let o2 = h.access(0x70_0000, AccessKind::Load, 1000);
         assert_eq!(o2.level, HitLevel::L1);
-    }
-
-    #[test]
-    fn flush_restores_cold_state() {
-        let mut h = hier();
-        h.access(0x80_0000, AccessKind::Load, 0);
-        h.flush();
-        let o = h.access(0x80_0000, AccessKind::Load, 10_000);
-        assert_eq!(o.level, HitLevel::Dram);
     }
 
     #[test]

@@ -2,17 +2,28 @@
 //! against a naive reference model, MSHR invariants, and latency
 //! sanity across random access streams.
 
-use pfm_mem::cache::{line_of, Cache, CacheConfig};
+use pfm_mem::cache::{line_of, Cache, CacheConfig, CacheStats};
 use pfm_mem::hierarchy::{AccessKind, Hierarchy, HierarchyConfig, HitLevel};
 use pfm_mem::mshr::MshrFile;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
-/// Naive fully-explicit reference for a set-associative LRU cache.
+/// One resident line of the reference model.
+#[derive(Clone, Copy)]
+struct RefLine {
+    line: u64,
+    dirty: bool,
+    prefetched: bool,
+}
+
+/// Naive fully-explicit reference for a set-associative, write-back
+/// LRU cache: each set lists its lines most recent first, and the
+/// model keeps its own statistics.
 struct RefCacheModel {
-    sets: Vec<VecDeque<u64>>, // tags per set, most-recent first
+    sets: Vec<VecDeque<RefLine>>,
     ways: usize,
     num_sets: u64,
+    stats: CacheStats,
 }
 
 impl RefCacheModel {
@@ -21,58 +32,107 @@ impl RefCacheModel {
             sets: (0..cfg.sets()).map(|_| VecDeque::new()).collect(),
             ways: cfg.ways,
             num_sets: cfg.sets(),
+            stats: CacheStats::default(),
         }
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        ((addr >> 6) & (self.num_sets - 1)) as usize
+    fn set_of(&mut self, addr: u64) -> &mut VecDeque<RefLine> {
+        &mut self.sets[((addr >> 6) & (self.num_sets - 1)) as usize]
     }
 
-    fn access(&mut self, addr: u64) -> bool {
-        let tag = addr >> 6;
-        let set = self.set_of(addr);
-        let s = &mut self.sets[set];
-        if let Some(pos) = s.iter().position(|&t| t == tag) {
-            s.remove(pos);
-            s.push_front(tag);
-            true
-        } else {
-            false
-        }
+    fn probe(&mut self, addr: u64) -> bool {
+        self.set_of(addr).iter().any(|l| l.line == addr >> 6)
     }
 
-    fn fill(&mut self, addr: u64) {
-        let tag = addr >> 6;
-        let set = self.set_of(addr);
-        let s = &mut self.sets[set];
-        if s.iter().any(|&t| t == tag) {
-            return;
-        }
-        if s.len() >= self.ways {
-            s.pop_back();
-        }
-        s.push_front(tag);
+    fn access(&mut self, addr: u64, is_write: bool) -> bool {
+        let s = self.set_of(addr);
+        let Some(pos) = s.iter().position(|l| l.line == addr >> 6) else {
+            self.stats.misses += 1;
+            return false;
+        };
+        let mut l = s.remove(pos).unwrap();
+        l.dirty |= is_write;
+        let useful = std::mem::replace(&mut l.prefetched, false);
+        s.push_front(l);
+        self.stats.hits += 1;
+        self.stats.prefetch_useful += u64::from(useful);
+        true
+    }
+
+    /// Fills an absent line; returns the dirty victim's address.
+    fn fill(&mut self, addr: u64, from_prefetch: bool) -> Option<u64> {
+        let ways = self.ways;
+        let s = self.set_of(addr);
+        let victim = if s.len() == ways { s.pop_back() } else { None };
+        s.push_front(RefLine {
+            line: addr >> 6,
+            dirty: false,
+            prefetched: from_prefetch,
+        });
+        self.stats.prefetch_fills += u64::from(from_prefetch);
+        let writeback = victim.filter(|v| v.dirty).map(|v| v.line << 6);
+        self.stats.writebacks += u64::from(writeback.is_some());
+        writeback
     }
 }
+
+/// Associativities the reference test covers.
+const REF_WAYS: [usize; 4] = [1, 3, 8, 16];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The cache's hit/miss stream matches the reference LRU model for
-    /// any access sequence.
+    /// The cache matches the reference LRU model on every hit, every
+    /// writeback address and its full statistics, over geometries of
+    /// 1, 3, 8 and 16 ways by 1 to 64 sets, for reads, writes, probes
+    /// followed by an access, and prefetch fills, at addresses near 0
+    /// or near `u64::MAX`.
     #[test]
-    fn cache_matches_reference_lru(addrs in prop::collection::vec(0u64..0x8000, 1..300)) {
-        let cfg = CacheConfig::new(4096, 4, 1); // 16 sets x 4 ways
+    fn cache_matches_reference_lru(
+        ways_idx in 0usize..4,
+        log_sets in 0u32..7,
+        high in any::<bool>(),
+        ops in prop::collection::vec((any::<u64>(), 0u64..64, 0u8..4), 1..400),
+    ) {
+        let ways = REF_WAYS[ways_idx];
+        let sets = 1u64 << log_sets;
+        let cfg = CacheConfig::new(sets * ways as u64 * 64, ways, 1);
         let mut cache = Cache::new(cfg);
         let mut reference = RefCacheModel::new(&cfg);
-        for &a in &addrs {
-            let hit = cache.access(a, false);
-            let ref_hit = reference.access(a);
-            prop_assert_eq!(hit, ref_hit, "divergence at addr {:#x}", a);
-            if !hit {
-                cache.fill(a, false);
-                reference.fill(a);
+        // A pool of twice the capacity plus one line keeps every set
+        // under conflict.
+        let pool = 2 * sets * ways as u64 + 1;
+        let base = if high { 0u64.wrapping_sub(pool * 64) } else { 0 };
+        for &(pick, offset, op) in &ops {
+            let addr = base + (pick % pool) * 64 + offset;
+            let (hit, ref_hit) = match op {
+                // Prefetch fill: probe, fill only if absent.
+                0 => {
+                    let present = cache.probe(addr).is_some();
+                    prop_assert_eq!(present, reference.probe(addr), "probe {:#x}", addr);
+                    if !present {
+                        let wb = cache.fill(addr, true);
+                        prop_assert_eq!(wb, reference.fill(addr, true), "prefetch fill {:#x}", addr);
+                    }
+                    (present, present)
+                }
+                // Probe, then hand a hit's way to the access.
+                1 => match cache.probe(addr) {
+                    Some(way) => {
+                        cache.access_way(way, false);
+                        (true, reference.access(addr, false))
+                    }
+                    None => (cache.access(addr, false), reference.access(addr, false)),
+                },
+                // Demand read or write.
+                _ => (cache.access(addr, op == 3), reference.access(addr, op == 3)),
+            };
+            prop_assert_eq!(hit, ref_hit, "op {} at {:#x}", op, addr);
+            if !hit && op != 0 {
+                let wb = cache.fill(addr, false);
+                prop_assert_eq!(wb, reference.fill(addr, false), "demand fill {:#x}", addr);
             }
+            prop_assert_eq!(*cache.stats(), reference.stats);
         }
     }
 
@@ -84,7 +144,7 @@ proptest! {
         let mut with_probe = Cache::new(cfg);
         let mut without = Cache::new(cfg);
         for &a in &addrs {
-            with_probe.probe(a ^ 0x40);
+            let _ = with_probe.probe(a ^ 0x40);
             let h1 = with_probe.access(a, false);
             let h2 = without.access(a, false);
             prop_assert_eq!(h1, h2);

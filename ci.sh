@@ -108,8 +108,10 @@ cargo test -q --release --locked
 
 echo "== cargo test (dev profile: the debug oracles) =="
 # Release builds compile out the debug checks: the core's ready-list
-# oracle (debug_check_ready), the consecutive-seq and waiting_count
-# asserts, the event wheel's due-after-now assert and the hooks'
+# oracle (debug_check_ready) and, beside it, the record ring's two
+# asserts (at most rob_size + front_cap records, each slot holding its
+# own seq); the issue-time dispatch_ready and waiting_count asserts,
+# the event wheel's due-after-now assert and the hooks'
 # non-interference bracket; the MSHR file's cached earliest ready; the
 # template component's entered set against whole-set expiry; each cache
 # fill's absent-line precondition; and TAGE-SC-L's fold-step and

@@ -47,6 +47,7 @@ impl Btb {
     }
 
     /// Looks up the predicted target and kind for `pc`.
+    #[inline]
     pub fn lookup(&mut self, pc: u64) -> Option<(u64, BranchKind)> {
         let i = self.idx(pc);
         match self.entries[i] {
@@ -62,6 +63,7 @@ impl Btb {
     }
 
     /// Installs or updates the entry for `pc`.
+    #[inline]
     pub fn update(&mut self, pc: u64, target: u64, kind: BranchKind) {
         let i = self.idx(pc);
         self.entries[i] = Some((pc, target, kind));
@@ -100,6 +102,7 @@ impl Ras {
     }
 
     /// Pushes a return address (on call).
+    #[inline]
     pub fn push(&mut self, addr: u64) {
         self.top = (self.top + 1) % self.depth;
         self.stack[self.top] = addr;
@@ -108,6 +111,7 @@ impl Ras {
 
     /// Pops the predicted return target (on return). Returns `None`
     /// when empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<u64> {
         if self.used == 0 {
             return None;
@@ -119,6 +123,7 @@ impl Ras {
     }
 
     /// Snapshot for squash recovery.
+    #[inline]
     pub fn snapshot(&self) -> (usize, usize) {
         (self.top, self.used)
     }
@@ -126,6 +131,7 @@ impl Ras {
     /// Restores a snapshot (approximate recovery: contents may have
     /// been overwritten on deep wrong-path call chains, as in
     /// hardware).
+    #[inline]
     pub fn restore(&mut self, snap: (usize, usize)) {
         self.top = snap.0;
         self.used = snap.1;

@@ -48,7 +48,7 @@ impl Prediction {
 
 /// Speculative-history checkpoint for the unified predictor.
 // Checkpoints are taken on every predicted branch in the timing hot
-// path: the TAGE-SC-L state is two push positions and 29 folded
+// path: the TAGE-SC-L state is two push positions and 28 folded
 // values, kept inline to avoid a per-branch heap allocation.
 #[derive(Clone, Debug)]
 pub enum Checkpoint {
@@ -78,6 +78,7 @@ impl Predictor {
 
     /// Predicts the conditional branch at `pc`. For the oracle, the
     /// caller passes the actual outcome in `oracle_outcome`.
+    #[inline]
     pub fn predict(&mut self, pc: u64, oracle_outcome: bool) -> Prediction {
         match self {
             Predictor::TageScl(p) => Prediction::TageScl(p.predict(pc)),
@@ -88,6 +89,7 @@ impl Predictor {
     }
 
     /// Snapshots speculative history before a branch.
+    #[inline]
     pub fn checkpoint(&self) -> Checkpoint {
         match self {
             Predictor::TageScl(p) => Checkpoint::TageScl(p.checkpoint()),
@@ -97,6 +99,7 @@ impl Predictor {
 
     /// Restores speculative history to `cp` without pushing an outcome
     /// (squash at a non-branch boundary).
+    #[inline]
     pub fn restore(&mut self, cp: &Checkpoint) {
         if let (Predictor::TageScl(p), Checkpoint::TageScl(c)) = (self, cp) {
             p.restore(c);
@@ -105,6 +108,7 @@ impl Predictor {
 
     /// Recovers from a misprediction: restores `cp` and pushes the
     /// actual outcome.
+    #[inline]
     pub fn recover(&mut self, cp: &Checkpoint, actual: bool) {
         if let (Predictor::TageScl(p), Checkpoint::TageScl(c)) = (self, cp) {
             p.recover(c, actual);
@@ -112,6 +116,7 @@ impl Predictor {
     }
 
     /// Trains at retirement with the actual outcome.
+    #[inline]
     pub fn train(&mut self, pc: u64, taken: bool, pred: &Prediction) {
         if let (Predictor::TageScl(p), Prediction::TageScl(m)) = (self, pred) {
             p.train(pc, taken, m);

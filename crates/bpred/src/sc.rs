@@ -8,15 +8,13 @@ pub const SC_LENGTHS: [u32; 5] = [0, 4, 10, 21, 44];
 const LOG_SC: u32 = 10;
 const NUM_SC: usize = SC_LENGTHS.len();
 
-/// Per-table fold geometry: `SC_LENGTHS` folded to the index width. The
-/// bias table's fold (a 1-bit window) is kept but never read.
-pub const SC_FOLDS: [Fold; NUM_SC] = {
-    let mut f = [Fold::new(1, LOG_SC); NUM_SC];
+/// Fold geometry of the history tables, `SC_LENGTHS[1..]` folded to
+/// the index width (the bias table reads no history).
+pub const SC_FOLDS: [Fold; NUM_SC - 1] = {
+    let mut f = [Fold::new(1, LOG_SC); NUM_SC - 1];
     let mut t = 0;
-    while t < NUM_SC {
-        if SC_LENGTHS[t] > 0 {
-            f[t] = Fold::new(SC_LENGTHS[t], LOG_SC);
-        }
+    while t < NUM_SC - 1 {
+        f[t] = Fold::new(SC_LENGTHS[t + 1], LOG_SC);
         t += 1;
     }
     f
@@ -41,7 +39,7 @@ pub struct ScMeta {
 #[derive(Clone, Debug)]
 pub struct ScCheckpoint {
     pos: u64,
-    folds: [u16; NUM_SC],
+    folds: [u16; NUM_SC - 1],
 }
 
 /// The statistical corrector.
@@ -50,7 +48,7 @@ pub struct StatisticalCorrector {
     tables: Vec<Vec<i8>>,
     hist: GlobalHistory,
     /// One value per [`Fold`] of [`SC_FOLDS`].
-    folds: [u16; NUM_SC],
+    folds: [u16; NUM_SC - 1],
     /// Adaptive confidence threshold (Seznec's dynamic theta).
     theta: i32,
     theta_ctr: i32,
@@ -68,7 +66,7 @@ impl StatisticalCorrector {
         StatisticalCorrector {
             tables: vec![vec![0i8; 1 << LOG_SC]; NUM_SC],
             hist: GlobalHistory::new(),
-            folds: [0; NUM_SC],
+            folds: [0; NUM_SC - 1],
             theta: 12,
             theta_ctr: 0,
         }
@@ -76,10 +74,10 @@ impl StatisticalCorrector {
 
     fn index(&self, pc: u64, t: usize, tage_pred: bool) -> u16 {
         let pc = pc >> 2;
-        let h = if SC_LENGTHS[t] == 0 {
+        let h = if t == 0 {
             0
         } else {
-            u64::from(self.folds[t])
+            u64::from(self.folds[t - 1])
         };
         (((pc ^ (pc >> 6) ^ h) << 1 | tage_pred as u64) & ((1 << LOG_SC) - 1)) as u16
     }

@@ -53,7 +53,7 @@ proptest! {
         outcomes in prop::collection::vec(any::<bool>(), 1..1400),
     ) {
         let geometries = INDEX_FOLDS.iter().chain(&TAG_FOLDS_A).chain(&TAG_FOLDS_B).chain(&SC_FOLDS);
-        prop_assert_eq!(geometries.clone().count(), 29);
+        prop_assert_eq!(geometries.clone().count(), 28);
         for &fold in geometries {
             let mut h = GlobalHistory::new();
             let mut comp = 0u16;

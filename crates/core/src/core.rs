@@ -12,9 +12,9 @@
 //! PFM runs.
 //!
 //! Squashes (mispredicts, disambiguation violations, Retire-Agent ROI
-//! squashes) rewind *timing* state only: squashed records park in a
-//! replay queue and re-enter fetch, while architectural state — which
-//! only ever executed the correct path — is untouched.
+//! squashes) rewind *timing* state only: squashed records stay in their
+//! ring slots and are fetched again in place, while architectural state
+//! — which only ever executed the correct path — is untouched.
 
 use crate::config::{CoreConfig, LaneClass, NUM_LANES};
 use crate::hooks::{
@@ -73,9 +73,10 @@ enum InstState {
     Completed,
 }
 
-/// One in-flight dynamic instruction. A conditional branch's predictor
-/// state lives in the core's branch queue ([`BranchEntry`]), not here,
-/// which keeps the entries the window moves around small.
+/// One in-flight dynamic instruction: its executed record and decode,
+/// then timing fields that each fetch resets. A conditional branch's
+/// predictor state lives in the core's branch queue ([`BranchEntry`]),
+/// not here, which keeps the ring's entries small.
 #[derive(Clone, Debug)]
 struct DynInst {
     step: StepOut,
@@ -111,9 +112,8 @@ struct BranchEntry {
     checkpoint: Option<Checkpoint>,
 }
 
-/// Scheduler state of one window slot, in a ring indexed by
-/// `seq & slot_mask`. The ROB never holds more than `rob_size`
-/// consecutive seqs, so no two in-window instructions share a slot.
+/// Scheduler state of one ROB entry, in a ring indexed like the
+/// record ring, by `seq & mask`.
 #[derive(Clone, Debug, Default)]
 struct Slot {
     /// Source producers still `Waiting` or `Issued` (a `Waiting`
@@ -125,6 +125,20 @@ struct Slot {
 }
 
 impl DynInst {
+    /// Starts a fetch of this record: every timing field is reset, so
+    /// nothing of a squashed incarnation carries over.
+    fn refetch(&mut self, dispatch_ready: u64) {
+        self.state = InstState::InFront;
+        self.dispatch_ready = dispatch_ready;
+        self.srcs = [None, None];
+        self.issue_cycle = 0;
+        self.complete_cycle = 0;
+        self.pred_taken = false;
+        self.mispredicted = false;
+        self.target_mispredicted = false;
+        self.from_fabric = false;
+        self.ras_snap = None;
+    }
     fn is_load(&self) -> bool {
         self.info.class == ExecClass::Load
     }
@@ -318,29 +332,34 @@ pub struct Core {
     ras: Ras,
 
     cycle: u64,
-    /// The ROB followed by the front-end pipe, one run of consecutive
-    /// seqs: the first `rob_len` entries are the ROB, the rest are
-    /// fetched but not yet dispatched. Fetch pushes each instruction
-    /// once, dispatch renames it in place, and retire pops the head.
-    window: VecDeque<DynInst>,
+    /// Every executed, unretired record, indexed by `seq & mask`: the
+    /// ROB is `head..head + rob_len`, the front-end pipe runs on to
+    /// `head + win_len`, and the rest, up to the machine's next seq,
+    /// are squashed records and the one a stall held back, all waiting
+    /// to be fetched again in place. The machine steps only when fetch
+    /// has caught up and the pipe has room, so at most
+    /// `rob_size + front_cap` records, each in its own slot (both
+    /// debug-asserted). The first fetch allocates the ring and the first
+    /// lap fills each slot it reaches, so a core that never runs
+    /// allocates none of it.
+    ring: Vec<DynInst>,
+    mask: u64,
+    /// Seq of the ROB head.
+    head: u64,
     rob_len: usize,
-    replay: VecDeque<StepOut>,
-    peeked: Option<StepOut>,
+    win_len: usize,
     /// Completions: the seq of each issued instruction, at its
     /// `complete_cycle`.
     events: Wheel<u64>,
     /// Fabric-load data returns: `(id, addr, size)`.
     fabric_loads: Wheel<(u64, u64, u64)>,
     last_writer: [Option<u64>; NUM_ARCH_REGS],
-    /// Reused squash scratch: avoids a fresh allocation per squash.
-    squash_scratch: Vec<StepOut>,
 
     /// Unretired conditional branches (front end and ROB), in program
     /// order.
     branches: VecDeque<BranchEntry>,
-    /// Scheduler ring, `rob_size.next_power_of_two()` slots.
+    /// Scheduler ring, the record ring's size.
     slots: Vec<Slot>,
-    slot_mask: u64,
     /// Seqs of the `Waiting` instructions whose producers have all
     /// completed (or left the window), ascending: issue walks only
     /// these, oldest first.
@@ -401,7 +420,8 @@ impl Core {
     pub fn new(config: CoreConfig, machine: Machine, hierarchy: Hierarchy) -> Core {
         let bp = Predictor::new(config.predictor);
         let ras_depth = config.ras_depth;
-        let ring = config.rob_size.next_power_of_two();
+        let size = (config.rob_size + front_cap(&config)).next_power_of_two();
+        let head = machine.next_seq();
         Core {
             config,
             machine,
@@ -410,17 +430,16 @@ impl Core {
             btb: Btb::default(),
             ras: Ras::new(ras_depth),
             cycle: 0,
-            window: VecDeque::new(),
+            ring: Vec::new(),
+            mask: size as u64 - 1,
+            head,
             rob_len: 0,
-            replay: VecDeque::new(),
-            peeked: None,
+            win_len: 0,
             events: Wheel::new(),
             fabric_loads: Wheel::new(),
             last_writer: [None; NUM_ARCH_REGS],
-            squash_scratch: Vec::new(),
             branches: VecDeque::new(),
-            slots: vec![Slot::default(); ring],
-            slot_mask: ring as u64 - 1,
+            slots: vec![Slot::default(); size],
             ready: Vec::new(),
             loads: VecDeque::new(),
             stores: VecDeque::new(),
@@ -585,29 +604,27 @@ impl Core {
     /// [`PfmHooks::quiescent`]); `u64::MAX` if none ever can.
     fn next_active_cycle(&self) -> u64 {
         let soon = self.cycle + 1;
-        // Retire, or a fabric load returns.
+        // Retire, a fabric load returns, or issue: lanes are free at
+        // the top of every cycle, and a ready instruction is past its
+        // `dispatch_ready` (see `issue`).
         if self
             .rob_head()
             .is_some_and(|d| d.state == InstState::Completed)
             || !self.fabric_loads.is_empty()
+            || !self.ready.is_empty()
         {
             return soon;
         }
         let mut next = u64::MAX;
-        // Issue: lanes are free at the top of every cycle.
-        for &seq in &self.ready {
-            next = next.min(self.inst(seq).dispatch_ready);
-        }
         // Dispatch, a cycle before the head is ready (see `dispatch`).
         if let Some(head) = self.front_head().filter(|h| self.can_dispatch(h)) {
             next = next.min(head.dispatch_ready.saturating_sub(1));
         }
         // Fetch.
-        let record_waiting =
-            self.peeked.is_some() || !self.replay.is_empty() || !self.machine.halted();
+        let record_waiting = self.fetch_seq() < self.machine.next_seq() || !self.machine.halted();
         if !(self.halt_fetched || self.finished)
             && self.fetch_blocked_on.is_none()
-            && self.front_len() < self.front_cap()
+            && self.front_len() < front_cap(&self.config)
             && record_waiting
         {
             next = next.min(self.fetch_stall_until);
@@ -680,15 +697,16 @@ impl Core {
             return;
         }
         for _ in 0..self.config.retire_width {
-            // The head is read in place and popped after the Retire
-            // Agent has seen it.
-            let Some(inst) = self.window.front().filter(|_| self.rob_len > 0) else {
+            // The head is read in place and leaves the ROB after the
+            // Retire Agent has seen it.
+            if self.rob_len == 0 {
                 break;
-            };
+            }
+            let seq = self.head;
+            let inst = &self.ring[(seq & self.mask) as usize];
             if inst.state != InstState::Completed || inst.complete_cycle >= self.cycle {
                 break;
             }
-            let seq = inst.step.seq;
 
             // Commit stores: architectural memory + write-buffer D$
             // access (does not stall retire).
@@ -778,8 +796,9 @@ impl Core {
             };
             let halted = inst.step.halted;
             let directive = checked_hook!(self, hooks, "on_retire", hooks.on_retire(&info));
-            self.window.pop_front();
+            self.head += 1;
             self.rob_len -= 1;
+            self.win_len -= 1;
 
             if halted {
                 self.finished = true;
@@ -799,40 +818,46 @@ impl Core {
 
     /// The oldest instruction in the ROB.
     fn rob_head(&self) -> Option<&DynInst> {
-        self.window.front().filter(|_| self.rob_len > 0)
+        (self.rob_len > 0).then(|| self.inst(self.head))
     }
 
     /// The oldest instruction in the front-end pipe.
     fn front_head(&self) -> Option<&DynInst> {
-        self.window.get(self.rob_len)
+        (self.win_len > self.rob_len).then(|| self.inst(self.head + self.rob_len as u64))
     }
 
     /// Instructions in the front-end pipe.
     fn front_len(&self) -> usize {
-        self.window.len() - self.rob_len
+        self.win_len - self.rob_len
     }
 
-    /// ROB position of `seq`: its offset from the head, since the
-    /// window holds consecutive seqs.
-    fn rob_pos(&self, seq: u64) -> Option<usize> {
-        let pos = seq.checked_sub(self.window.front()?.step.seq)?;
-        usize::try_from(pos).ok().filter(|&p| p < self.rob_len)
+    /// The seq fetch takes next.
+    fn fetch_seq(&self) -> u64 {
+        self.head + self.win_len as u64
     }
 
-    /// The in-window instruction `seq` (which must be in the ROB).
+    /// Whether `seq` is in the ROB.
+    fn in_rob(&self, seq: u64) -> bool {
+        seq.wrapping_sub(self.head) < self.rob_len as u64
+    }
+
+    /// The record of `seq`, which must be executed and unretired.
     fn inst(&self, seq: u64) -> &DynInst {
-        let pos = seq - self.window[0].step.seq;
-        &self.window[pos as usize]
+        &self.ring[(seq & self.mask) as usize]
+    }
+
+    /// The ROB's records, oldest first.
+    fn rob(&self) -> impl Iterator<Item = &DynInst> {
+        (self.head..self.head + self.rob_len as u64).map(|seq| self.inst(seq))
     }
 
     /// Whether `seq` is in the ROB and has not completed.
     fn executing(&self, seq: u64) -> bool {
-        self.rob_pos(seq)
-            .is_some_and(|pos| self.window[pos].is_incomplete())
+        self.in_rob(seq) && self.inst(seq).is_incomplete()
     }
 
     fn slot(&mut self, seq: u64) -> &mut Slot {
-        &mut self.slots[(seq & self.slot_mask) as usize]
+        &mut self.slots[(seq & self.mask) as usize]
     }
 
     /// Branch-queue index of conditional branch `seq`.
@@ -879,12 +904,20 @@ impl Core {
     /// Debug oracle for the scheduler: the ready list must be exactly
     /// what a full-window scan finds — every `Waiting` instruction
     /// whose producers are all `Completed` or out of the window, in
-    /// ROB order.
+    /// ROB order. Also checks the ring's invariants: it holds at most
+    /// `rob_size + front_cap` records, each in its own slot.
     #[cfg(debug_assertions)]
     fn debug_check_ready(&self) {
+        let next = self.machine.next_seq();
+        let cap = self.config.rob_size + front_cap(&self.config);
+        debug_assert!(next - self.head <= cap as u64, "ring over {cap} records");
+        debug_assert!(
+            (self.head..next).all(|seq| self.inst(seq).step.seq == seq),
+            "a ring slot lost its record at cycle {}",
+            self.cycle
+        );
         let scan = self
-            .window
-            .range(..self.rob_len)
+            .rob()
             .filter(|d| d.state == InstState::Waiting)
             .filter(|d| !d.srcs.iter().flatten().any(|&p| self.executing(p)))
             .map(|d| d.step.seq);
@@ -915,27 +948,25 @@ impl Core {
             return;
         };
         for &seq in &seqs {
-            let Some(pos) = self.rob_pos(seq) else {
-                continue;
-            };
-            if self.window[pos].state != InstState::Issued
-                || self.window[pos].complete_cycle != self.cycle
+            let i = (seq & self.mask) as usize;
+            if !self.in_rob(seq)
+                || self.ring[i].state != InstState::Issued
+                || self.ring[i].complete_cycle != self.cycle
             {
                 continue; // stale event from a squashed incarnation
             }
-            self.window[pos].state = InstState::Completed;
+            self.ring[i].state = InstState::Completed;
             self.wake_dependents(seq);
 
-            let is_store = self.window[pos].is_store();
-            let mispredicted =
-                self.window[pos].mispredicted || self.window[pos].target_mispredicted;
+            let is_store = self.ring[i].is_store();
+            let mispredicted = self.ring[i].mispredicted || self.ring[i].target_mispredicted;
 
             if is_store {
                 // Memory-disambiguation check: the oldest younger load
                 // that already executed and overlaps this store's bytes
                 // violated the dependence.
                 // pfm-lint: allow(hygiene): stores always carry a memory range
-                let range = self.window[pos].mem_range().expect("store range");
+                let range = self.ring[i].mem_range().expect("store range");
                 let younger = self.loads.partition_point(|&l| l < seq);
                 let violator = self.loads.range(younger..).copied().find(|&l| {
                     let d = self.inst(l);
@@ -953,16 +984,14 @@ impl Core {
             if mispredicted {
                 // Resolve: repair predictor history, notify the fabric,
                 // redirect fetch.
-                // pfm-lint: allow(hygiene): seq was found in the ROB this cycle
-                let pos = self.rob_pos(seq).expect("still present");
-                let actual = self.window[pos].step.taken;
+                let actual = self.ring[i].step.taken;
                 let checkpoint = self
                     .branch_pos(seq)
                     .and_then(|i| self.branches[i].checkpoint.take());
                 if let Some(cp) = checkpoint {
                     self.bp.recover(&cp, actual);
                 }
-                if let Some(snap) = self.window[pos].ras_snap.take() {
+                if let Some(snap) = self.ring[i].ras_snap.take() {
                     self.ras.restore(snap);
                 }
                 self.stats.squash_mispredict += 1;
@@ -1002,19 +1031,21 @@ impl Core {
 
         // Select: the ready list, oldest first. Issued entries leave it;
         // the rest stay for a later cycle.
-        let head = self.window.front().map_or(0, |d| d.step.seq);
         let mut i = 0;
         while i < self.ready.len() && issued < self.config.issue_width {
             let seq = self.ready[i];
-            let pos = (seq - head) as usize;
-            let d = &self.window[pos];
+            let pos = (seq & self.mask) as usize;
+            let d = &self.ring[pos];
+            // Dispatch admits an instruction at most a cycle before its
+            // `dispatch_ready`, and issue runs a cycle after dispatch.
+            debug_assert!(d.dispatch_ready <= cycle, "{seq} issued early");
             let lane = Self::lane_for(d.info.class);
             let lane_idx = match lane {
                 LaneClass::SimpleAlu => 0,
                 LaneClass::LoadStore => 1,
                 LaneClass::Complex => 2,
             };
-            if d.dispatch_ready > cycle || lane_free[lane_idx] == 0 {
+            if lane_free[lane_idx] == 0 {
                 i += 1;
                 continue;
             }
@@ -1066,7 +1097,7 @@ impl Core {
                 }
             }
 
-            let d = &mut self.window[pos];
+            let d = &mut self.ring[pos];
             d.state = InstState::Issued;
             d.issue_cycle = cycle;
             d.complete_cycle = complete_at;
@@ -1130,8 +1161,8 @@ impl Core {
                 break;
             }
             // Entering the ROB is moving the boundary past it.
-            let d = &mut self.window[self.rob_len];
-            let seq = d.step.seq;
+            let seq = self.head + self.rob_len as u64;
+            let d = &mut self.ring[(seq & self.mask) as usize];
             // Rename: source producers from the last-writer map.
             for (i, src) in d.info.srcs.iter().enumerate() {
                 d.srcs[i] = src
@@ -1159,10 +1190,7 @@ impl Core {
         // `waiting_count` tracks that exactly, so the refresh is O(1).
         debug_assert_eq!(
             self.waiting_count,
-            self.window
-                .range(..self.rob_len)
-                .filter(|d| d.state == InstState::Waiting)
-                .count()
+            self.rob().filter(|d| d.state == InstState::Waiting).count()
         );
         self.iq_count = self.waiting_count;
     }
@@ -1170,24 +1198,6 @@ impl Core {
     // ------------------------------------------------------------------
     // Fetch
     // ------------------------------------------------------------------
-
-    fn next_record(&mut self) -> Result<Option<StepOut>, ExecError> {
-        if let Some(r) = self.peeked.take() {
-            return Ok(Some(r));
-        }
-        if let Some(r) = self.replay.pop_front() {
-            return Ok(Some(r));
-        }
-        if self.machine.halted() {
-            return Ok(None);
-        }
-        self.machine.step().map(Some)
-    }
-
-    /// Instructions the front-end pipe holds.
-    fn front_cap(&self) -> usize {
-        self.config.fetch_width * (self.config.front_depth as usize + 1)
-    }
 
     fn fetch(&mut self, hooks: &mut dyn PfmHooks) -> Result<(), SimError> {
         if self.halt_fetched || self.finished {
@@ -1201,62 +1211,52 @@ impl Core {
             self.stats.fetch_icache_stall_cycles += 1;
             return Ok(());
         }
-        let front_cap = self.front_cap();
+        let front_cap = front_cap(&self.config);
         for _ in 0..self.config.fetch_width {
             if self.front_len() >= front_cap {
                 break;
             }
-            let Some(rec) = self.next_record()? else {
-                break;
-            };
+            // The next record is already in its slot, or the machine
+            // executes it there now.
+            let seq = self.fetch_seq();
+            if seq == self.machine.next_seq() {
+                if self.machine.halted() {
+                    break;
+                }
+                self.execute_into_ring()?;
+            }
+            let i = (seq & self.mask) as usize;
+            let (pc, is_cond_branch) = (self.ring[i].step.pc, self.ring[i].info.is_cond_branch);
 
             // I-cache: charge a stall when crossing into a missing line.
-            let pc_line = line_of(rec.pc);
+            let pc_line = line_of(pc);
             if pc_line != self.last_fetch_line {
-                let outcome = self
-                    .hierarchy
-                    .access(rec.pc, AccessKind::Ifetch, self.cycle);
+                let outcome = self.hierarchy.access(pc, AccessKind::Ifetch, self.cycle);
                 self.last_fetch_line = pc_line;
                 if outcome.level != HitLevel::L1 {
                     self.fetch_stall_until = self.cycle + outcome.latency;
-                    self.peeked = Some(rec);
                     break;
                 }
             }
-
-            let info = rec.inst.info();
 
             // Fetch Agent.
             let over = checked_hook!(
                 self,
                 hooks,
                 "fetch_inst",
-                hooks.fetch_inst(rec.seq, rec.pc, info.is_cond_branch)
+                hooks.fetch_inst(seq, pc, is_cond_branch)
             );
             if over == FetchOverride::Stall {
                 self.stats.fetch_fabric_stall_cycles += 1;
-                self.peeked = Some(rec);
                 break;
             }
 
-            let mut d = DynInst {
-                step: rec,
-                info,
-                state: InstState::InFront,
-                dispatch_ready: self.cycle + self.config.front_depth,
-                srcs: [None, None],
-                issue_cycle: 0,
-                complete_cycle: 0,
-                pred_taken: false,
-                mispredicted: false,
-                target_mispredicted: false,
-                from_fabric: false,
-                ras_snap: None,
-            };
-
-            if info.is_cond_branch {
+            let d = &mut self.ring[i];
+            d.refetch(self.cycle + self.config.front_depth);
+            let (taken, next_pc, halted) = (d.step.taken, d.step.next_pc, d.step.halted);
+            if is_cond_branch {
                 let cp = self.bp.checkpoint();
-                let pred = self.bp.predict(rec.pc, rec.taken);
+                let pred = self.bp.predict(pc, taken);
                 let mut used = pred.taken();
                 match over {
                     FetchOverride::Use(dir) => {
@@ -1272,32 +1272,32 @@ impl Core {
                     FetchOverride::Stall => unreachable!(),
                 }
                 d.pred_taken = used;
-                d.mispredicted = used != rec.taken;
-                debug_assert!(self.branches.back().is_none_or(|b| b.seq < rec.seq));
+                d.mispredicted = used != taken;
+                debug_assert!(self.branches.back().is_none_or(|b| b.seq < seq));
                 self.branches.push_back(BranchEntry {
-                    seq: rec.seq,
+                    seq,
                     prediction: pred,
                     checkpoint: Some(cp),
                 });
-            } else if info.is_control {
+            } else if d.info.is_control {
                 // jal/jalr: direction always taken; model RAS for
                 // returns and BTB for other indirect targets.
                 d.pred_taken = true;
-                match rec.inst {
+                match d.step.inst {
                     Inst::Jal { rd, .. } if rd == pfm_isa::Reg::RA => {
                         d.ras_snap = Some(self.ras.snapshot());
-                        self.ras.push(rec.pc + 4);
+                        self.ras.push(pc + 4);
                     }
                     Inst::Jalr { rd, base, .. } => {
                         d.ras_snap = Some(self.ras.snapshot());
                         if rd == pfm_isa::Reg::X0 && base == pfm_isa::Reg::RA {
                             let predicted = self.ras.pop();
-                            d.target_mispredicted = predicted != Some(rec.next_pc);
+                            d.target_mispredicted = predicted != Some(next_pc);
                         } else {
-                            let predicted = self.btb.lookup(rec.pc).map(|(t, _)| t);
-                            d.target_mispredicted = predicted != Some(rec.next_pc);
+                            let predicted = self.btb.lookup(pc).map(|(t, _)| t);
+                            d.target_mispredicted = predicted != Some(next_pc);
                             if rd == pfm_isa::Reg::RA {
-                                self.ras.push(rec.pc + 4);
+                                self.ras.push(pc + 4);
                             }
                         }
                     }
@@ -1305,30 +1305,46 @@ impl Core {
                 }
             }
 
-            let ends_bundle = (d.info.is_control && (d.pred_taken || d.step.taken))
-                || d.step.halted
-                || d.mispredicted
-                || d.target_mispredicted;
-            let seq = d.step.seq;
-            let halted = d.step.halted;
             let blocked = d.mispredicted || d.target_mispredicted;
-            debug_assert!(
-                self.window.back().is_none_or(|b| b.step.seq + 1 == seq),
-                "fetch must extend the window by exactly one seq"
-            );
-            self.window.push_back(d);
-
-            if halted {
-                self.halt_fetched = true;
-                break;
-            }
-            if blocked {
-                self.fetch_blocked_on = Some(seq);
-                break;
-            }
+            let ends_bundle = (d.info.is_control && (d.pred_taken || taken)) || halted || blocked;
+            self.win_len += 1;
+            self.halt_fetched = halted;
+            self.fetch_blocked_on = blocked.then_some(seq);
             if ends_bundle {
                 break;
             }
+        }
+        Ok(())
+    }
+
+    /// Executes the machine's next instruction into its ring slot.
+    fn execute_into_ring(&mut self) -> Result<(), ExecError> {
+        let step = self.machine.step()?;
+        let info = step.inst.info();
+        let i = (step.seq & self.mask) as usize;
+        if let Some(d) = self.ring.get_mut(i) {
+            d.step = step;
+            d.info = info;
+        } else {
+            // The first lap (and, for a machine that starts mid-ring,
+            // the slots below its first seq, which hold no record).
+            let d = DynInst {
+                step,
+                info,
+                state: InstState::InFront,
+                dispatch_ready: 0,
+                srcs: [None, None],
+                issue_cycle: 0,
+                complete_cycle: 0,
+                pred_taken: false,
+                mispredicted: false,
+                target_mispredicted: false,
+                from_fabric: false,
+                ras_snap: None,
+            };
+            self.ring
+                .reserve_exact(self.mask as usize + 1 - self.ring.len());
+            self.ring.resize(i + 1, d);
         }
         Ok(())
     }
@@ -1338,14 +1354,11 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// Rolls all timing state for instructions with `seq >= boundary`
-    /// back to fetch (their records re-enter via the replay queue).
+    /// back to fetch, which takes their records again from their slots.
     fn squash_from(&mut self, boundary: u64, kind: SquashKind, hooks: &mut dyn PfmHooks) {
-        // Split the window. Everything at `cut` and beyond (the ROB's
-        // squashed tail and the whole front-end pipe) is squashed, but
-        // it is walked in place and truncated rather than moved out, so
-        // a squash allocates nothing.
-        let head = self.window.front().map_or(boundary, |d| d.step.seq);
-        let cut = boundary.saturating_sub(head).min(self.rob_len as u64) as usize;
+        // Everything from `cut` on (the ROB's squashed tail and the
+        // whole front-end pipe) is squashed; no record moves.
+        let cut = boundary.saturating_sub(self.head).min(self.rob_len as u64) as usize;
         let first_branch = self.branches.partition_point(|b| b.seq < boundary);
 
         // Repair predictor/RAS speculative state from the oldest
@@ -1353,10 +1366,8 @@ impl Core {
         // checkpoint or a jump's RAS snapshot, whichever is older.
         let cp = (self.branches.range(first_branch..))
             .find_map(|b| b.checkpoint.as_ref().map(|cp| (b.seq, cp)));
-        let ras = self
-            .window
-            .range(cut..)
-            .find_map(|d| d.ras_snap.map(|snap| (d.step.seq, snap)));
+        let ras = (self.head + cut as u64..self.fetch_seq())
+            .find_map(|seq| self.inst(seq).ras_snap.map(|snap| (seq, snap)));
         match (cp, ras) {
             (Some((seq, cp)), ras) if ras.is_none_or(|(r, _)| seq < r) => self.bp.restore(cp),
             (_, Some((_, snap))) => self.ras.restore(snap),
@@ -1364,35 +1375,13 @@ impl Core {
         }
         self.branches.truncate(first_branch);
 
-        // Records back to replay, in order, via the reusable scratch
-        // buffer. Squashed bookkeeping rides along in the same pass.
-        let mut scratch = std::mem::take(&mut self.squash_scratch);
-        scratch.clear();
-        for d in self.window.range(cut..) {
-            scratch.push(d.step);
-            if d.step.halted {
-                self.halt_fetched = false;
-            }
+        // A fetched halt is the youngest record fetched, so any squash
+        // that cuts the window squashes it.
+        if cut < self.win_len {
+            self.halt_fetched = false;
         }
-        scratch.extend(self.peeked.take());
-        self.window.truncate(cut);
         self.rob_len = cut;
-        // The squashed records are in program order and all older than
-        // anything still in the replay queue (replay drains oldest-
-        // first before the machine produces fresh records), so they
-        // prepend without a sort or merge.
-        debug_assert!(scratch.windows(2).all(|w| w[0].seq < w[1].seq));
-        debug_assert!(
-            match (scratch.last(), self.replay.front()) {
-                (Some(s), Some(r)) => s.seq < r.seq,
-                _ => true,
-            },
-            "squashed records must be older than queued replays"
-        );
-        for r in scratch.drain(..).rev() {
-            self.replay.push_front(r);
-        }
-        self.squash_scratch = scratch;
+        self.win_len = cut;
 
         // The seq-ordered lists drop their squashed tails.
         let older = |s: &u64| *s < boundary;
@@ -1400,20 +1389,21 @@ impl Core {
         self.stores.truncate(self.stores.partition_point(older));
         self.ready.truncate(self.ready.partition_point(older));
 
-        // Bookkeeping rebuilds over the surviving window (single pass),
+        // Bookkeeping rebuilds over the surviving ROB (single pass),
         // including pruning squashed consumers from the wakeup lists of
         // producers that are still executing.
         self.last_writer = [None; NUM_ARCH_REGS];
         self.dest_count = 0;
         self.waiting_count = 0;
-        for d in &self.window {
+        for seq in self.head..self.head + cut as u64 {
+            let d = &self.ring[(seq & self.mask) as usize];
             if let Some((reg, _)) = d.step.wrote {
-                self.last_writer[reg.index()] = Some(d.step.seq);
+                self.last_writer[reg.index()] = Some(seq);
             }
             self.dest_count += usize::from(d.step.wrote.is_some());
             self.waiting_count += usize::from(d.state == InstState::Waiting);
             if d.is_incomplete() {
-                let deps = &mut self.slots[(d.step.seq & self.slot_mask) as usize].dependents;
+                let deps = &mut self.slots[(seq & self.mask) as usize].dependents;
                 deps.truncate(deps.partition_point(|&c| c < boundary));
             }
         }
@@ -1430,6 +1420,11 @@ impl Core {
             hooks.on_squash(kind, boundary, self.cycle)
         );
     }
+}
+
+/// Instructions the front-end pipe holds.
+fn front_cap(config: &CoreConfig) -> usize {
+    config.fetch_width * (config.front_depth as usize + 1)
 }
 
 #[cfg(test)]
@@ -1919,14 +1914,14 @@ mod tests {
     #[test]
     fn window_entries_stay_small() {
         // Predictor state lives in the branch queue, not in every
-        // window entry.
+        // ring entry.
         assert!(std::mem::size_of::<DynInst>() <= 256);
     }
 
     #[test]
     fn branch_entries_stay_small() {
         // Fetch writes one per conditional branch: a 64-byte
-        // prediction and an 88-byte checkpoint.
+        // prediction and an 80-byte checkpoint.
         assert!(std::mem::size_of::<BranchEntry>() <= 168);
     }
 

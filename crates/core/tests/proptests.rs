@@ -3,7 +3,7 @@
 //! must respect its structural limits across randomly generated
 //! programs.
 
-use pfm_core::{Core, CoreConfig, NoPfm, PfmHooks};
+use pfm_core::{Core, CoreConfig, FetchOverride, NoPfm, PfmHooks, RetireDirective, RetireInfo};
 use pfm_isa::asm::Asm;
 use pfm_isa::machine::Machine;
 use pfm_isa::mem::SpecMemory;
@@ -144,6 +144,84 @@ fn build_program(ops: &[Op], iters: i64) -> pfm_isa::Program {
 /// core ticks every cycle: the reference for idle skipping.
 struct Ticking;
 impl PfmHooks for Ticking {}
+
+/// Hooks that script what a fabric can do to the pipeline, from a
+/// seed: squash everything younger at some retires, stall fetch at
+/// some instructions (for one to three tries, so retries progress),
+/// supply a direction at some conditional branches, and stall retire
+/// on some cycles. They tally the fabric directions that retired, as
+/// the core must count them: each retired branch's last answer.
+struct Scripted {
+    rng: u64,
+    stalls_left: u32,
+    stalled_seq: u64,
+    /// The direction supplied at each fetched branch's latest fetch.
+    supplied: std::collections::HashMap<u64, bool>,
+    used: u64,
+    wrong: u64,
+}
+
+impl Scripted {
+    fn new(seed: u64) -> Scripted {
+        Scripted {
+            rng: seed,
+            stalls_left: 0,
+            stalled_seq: 0,
+            supplied: Default::default(),
+            used: 0,
+            wrong: 0,
+        }
+    }
+
+    /// splitmix64.
+    fn next(&mut self) -> u64 {
+        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn one_in(&mut self, n: u64) -> bool {
+        self.next().is_multiple_of(n)
+    }
+}
+
+impl PfmHooks for Scripted {
+    fn fetch_inst(&mut self, seq: u64, _pc: u64, is_cond_branch: bool) -> FetchOverride {
+        if seq != self.stalled_seq && self.one_in(8) {
+            self.stalled_seq = seq;
+            self.stalls_left = 1 + (self.next() % 3) as u32;
+        }
+        if seq == self.stalled_seq && self.stalls_left > 0 {
+            self.stalls_left -= 1;
+            return FetchOverride::Stall;
+        }
+        self.supplied.remove(&seq);
+        if is_cond_branch && self.one_in(4) {
+            let dir = self.one_in(2);
+            self.supplied.insert(seq, dir);
+            return FetchOverride::Use(dir);
+        }
+        FetchOverride::Pass
+    }
+
+    fn on_retire(&mut self, info: &RetireInfo<'_>) -> RetireDirective {
+        if let Some(dir) = self.supplied.remove(&info.seq) {
+            self.used += 1;
+            self.wrong += u64::from(dir != info.taken);
+        }
+        if self.one_in(32) {
+            RetireDirective::SquashYounger
+        } else {
+            RetireDirective::Continue
+        }
+    }
+
+    fn retire_stalled(&mut self) -> bool {
+        self.one_in(8)
+    }
+}
 
 fn final_state(core: &Core) -> Vec<u64> {
     let mut v: Vec<u64> = (0..8u8).map(|i| core.machine().reg(reg(i))).collect();
@@ -320,6 +398,62 @@ proptest! {
         perfect.run(&mut NoPfm, u64::MAX, 50_000_000).unwrap();
         prop_assert_eq!(perfect.stats().mispredicts, 0);
         prop_assert!(perfect.stats().cycles <= real.stats().cycles);
+    }
+
+    /// Fabric-driven squashes, fetch stalls, fabric directions and
+    /// retire stalls change timing only. Under `Scripted` hooks the core
+    /// retires `FastExec`'s commit stream and ends in the `NoPfm` run's
+    /// state, counts exactly the fabric directions that retired, and a
+    /// repeat run is identical. The window (`rob_size` plus the
+    /// front-end pipe's `fetch_width * (front_depth + 1)`) is drawn to
+    /// fill a power of two exactly or to pass one by an instruction.
+    #[test]
+    fn scripted_fabric_squashes_and_stalls_are_invisible(
+        ops in prop::collection::vec(op_strategy(), 1..16),
+        iters in 1i64..40,
+        rob in 0usize..3,
+        past in 0usize..2,
+        width_pick in 0usize..8,
+        seed in any::<u64>(),
+    ) {
+        let program = build_program(&ops, iters);
+        let mut cfg = CoreConfig::micro21();
+        cfg.rob_size = [12, 37, 224][rob];
+        let front = cfg.rob_size.next_power_of_two() + past - cfg.rob_size;
+        let widths: Vec<usize> = (1..=8).filter(|w| front.is_multiple_of(*w)).collect();
+        cfg.fetch_width = widths[width_pick % widths.len()];
+        cfg.front_depth = (front / cfg.fetch_width - 1) as u64;
+        let fresh = || Core::new(
+            cfg.clone(),
+            Machine::new(program.clone(), SpecMemory::new()),
+            Hierarchy::new(HierarchyConfig::micro21()),
+        );
+        let scripted = || {
+            let mut core = fresh();
+            let mut hooks = Scripted::new(seed);
+            core.run(&mut hooks, u64::MAX, 50_000_000).unwrap();
+            (core, hooks)
+        };
+
+        let mut fx = FastExec::new(program.clone(), SpecMemory::new());
+        fx.run(10_000_000).unwrap();
+        let mut plain = fresh();
+        plain.run(&mut NoPfm, u64::MAX, 50_000_000).unwrap();
+
+        let (core, hooks) = scripted();
+        prop_assert!(core.finished());
+        prop_assert_eq!(core.commit_checksum(), fx.commit_checksum());
+        prop_assert_eq!(core.stats().retired, fx.retired());
+        prop_assert_eq!(core.stats().loads, fx.loads());
+        prop_assert_eq!(core.stats().stores, fx.stores());
+        prop_assert_eq!(final_state(&core), final_state(&plain));
+        prop_assert_eq!(core.stats().fabric_predictions_used, hooks.used);
+        prop_assert_eq!(core.stats().fabric_mispredicts, hooks.wrong);
+
+        let (again, _) = scripted();
+        prop_assert_eq!(again.stats(), core.stats());
+        prop_assert_eq!(again.hierarchy().stats(), core.hierarchy().stats());
+        prop_assert_eq!(again.commit_checksum(), core.commit_checksum());
     }
 }
 

@@ -395,6 +395,7 @@ pub struct InstInfo {
 
 impl Inst {
     /// Computes the static decode information for this instruction.
+    #[inline]
     pub fn info(&self) -> InstInfo {
         use Inst::*;
         let none = [None, None];

@@ -419,6 +419,7 @@ impl Machine {
     /// # Errors
     /// Returns [`ExecError::Halted`] if the machine already halted, or
     /// [`ExecError::Program`] if the PC is outside the program.
+    #[inline]
     pub fn step(&mut self) -> Result<StepOut, ExecError> {
         if self.halted {
             return Err(ExecError::Halted);

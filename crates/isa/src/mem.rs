@@ -481,6 +481,7 @@ impl SpecMemory {
     ///
     /// Takes `&mut self` to keep the committed image's last-page cache
     /// warm; the architectural state is not modified.
+    #[inline]
     pub fn read_spec(&mut self, addr: u64, size: u64) -> u64 {
         assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         if self.overlay.is_empty() {
@@ -499,6 +500,7 @@ impl SpecMemory {
 
     /// Committed read: ignores all unretired stores. This is the view
     /// fabric (Load Agent) loads see.
+    #[inline]
     pub fn read_committed(&self, addr: u64, size: u64) -> u64 {
         self.committed.read(addr, size)
     }
@@ -508,6 +510,7 @@ impl SpecMemory {
     /// # Panics
     /// Panics if `seq` is not greater than every pending store's seq
     /// (stores must arrive in program order).
+    #[inline]
     pub fn write_spec(&mut self, seq: u64, addr: u64, size: u64, value: u64) {
         assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         if let Some(last) = self.pending.back() {
@@ -579,6 +582,7 @@ impl SpecMemory {
     ///
     /// # Panics
     /// Panics if `seq` is not the oldest pending store.
+    #[inline]
     pub fn commit_store(&mut self, seq: u64) {
         let st = self
             .pending

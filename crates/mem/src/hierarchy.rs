@@ -214,6 +214,7 @@ impl Hierarchy {
     }
 
     /// The active configuration.
+    #[inline]
     pub fn config(&self) -> &HierarchyConfig {
         &self.config
     }
@@ -241,6 +242,7 @@ impl Hierarchy {
     }
 
     /// Performs an access at `cycle` and returns its latency/source.
+    #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind, cycle: u64) -> AccessOutcome {
         match kind {
             AccessKind::Ifetch => self.ifetch(addr),
@@ -414,6 +416,7 @@ impl Hierarchy {
     }
 
     /// Issues an external (fabric) prefetch for `addr` at `cycle`.
+    #[inline]
     pub fn external_prefetch(&mut self, addr: u64, cycle: u64) {
         self.stats.prefetches_issued += 1;
         self.prefetch_fill(line_of(addr), cycle);

@@ -235,6 +235,24 @@ diff <(grep -v '^plan:' "$store_dir/cold.out") \
     echo "warm-cache stats differ from the cold run" >&2
     exit 1
 }
+# Corruption leg: flip the log's last byte, which lies inside the last
+# frame's payload. The store must never serve that record: a third run
+# serves every other record, re-simulates that one alone, and prints
+# the cold run's output.
+python3 -c 'import sys; p = sys.argv[1]; b = bytearray(open(p, "rb").read()); b[-1] ^= 0xFF; open(p, "wb").write(b)' \
+    "$store_dir/store/store.log"
+"$repro_bin" fig8 chaos-smoke context-switch --quick --jobs 4 --store "$store_dir/store" \
+    > "$store_dir/damaged.out" 2> "$store_dir/damaged.log"
+damaged_plan="$(grep '^plan:' "$store_dir/damaged.out")"
+echo "$damaged_plan" | grep -q "store: $((cold_misses - 1)) hit(s), 1 miss(es)" || {
+    echo "a damaged last record was not the one miss: $damaged_plan" >&2
+    exit 1
+}
+diff <(grep -v '^plan:' "$store_dir/cold.out") \
+     <(grep -v '^plan:' "$store_dir/damaged.out") || {
+    echo "stats after a damaged record differ from the cold run" >&2
+    exit 1
+}
 rm -rf "$store_dir"
 
 echo "CI OK"

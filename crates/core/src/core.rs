@@ -983,16 +983,16 @@ impl Core {
 
             if mispredicted {
                 // Resolve: repair predictor history, notify the fabric,
-                // redirect fetch.
+                // redirect fetch. The RAS needs no repair: fetch stopped
+                // right after this instruction, so the RAS already holds
+                // the correct path's state (a jump keeps its `ras_snap`
+                // for a squash from an older instruction).
                 let actual = self.ring[i].step.taken;
                 let checkpoint = self
                     .branch_pos(seq)
                     .and_then(|i| self.branches[i].checkpoint.take());
                 if let Some(cp) = checkpoint {
                     self.bp.recover(&cp, actual);
-                }
-                if let Some(snap) = self.ring[i].ras_snap.take() {
-                    self.ras.restore(snap);
                 }
                 self.stats.squash_mispredict += 1;
                 checked_hook!(
@@ -1739,6 +1739,42 @@ mod tests {
             "RAS should predict returns, got {}",
             core.stats().target_mispredicts
         );
+    }
+
+    #[test]
+    fn indirect_calls_keep_their_return_address_when_the_target_mispredicts() {
+        // 2,000 `jalr ra, a1` calls alternating between two leaf
+        // functions: the BTB holds the other leaf every time, so every
+        // call mispredicts its target. Resolving that mispredict must
+        // not undo the call's RAS push, or each return mispredicts too.
+        let core = run_asm(
+            |a| {
+                let (main, top) = (a.label(), a.label());
+                a.j(main);
+                let leaf0 = a.here();
+                a.addi(S0, S0, 1);
+                a.ret();
+                let leaf1 = a.here();
+                a.addi(S1, S1, 1);
+                a.ret();
+                a.bind(main).unwrap();
+                a.li(A1, leaf0 as i64);
+                a.li(A2, (leaf0 ^ leaf1) as i64);
+                a.li(T0, 2000);
+                a.bind(top).unwrap();
+                a.jalr(RA, A1, 0);
+                a.xor(A1, A1, A2);
+                a.addi(T0, T0, -1);
+                a.bne(T0, X0, top);
+                a.halt();
+            },
+            CoreConfig::micro21(),
+        );
+        assert_eq!(
+            (core.machine().reg(S0), core.machine().reg(S1)),
+            (1000, 1000)
+        );
+        assert_eq!(core.stats().target_mispredicts, 2000);
     }
 
     /// No-op hooks that keep the default `quiescent() == false`, so the

@@ -1,17 +1,21 @@
-//! A tiny deterministic hasher for the simulator's hot-loop hash maps.
+//! A tiny deterministic hasher for the simulator's hash maps.
 //!
 //! `std`'s default `SipHash` is keyed per-process for HashDoS
 //! resistance, which the simulator does not need: every map in the hot
 //! loop is keyed by trusted integers (page numbers, aligned words,
-//! cycle numbers, sequence numbers). This is the classic
-//! multiply-rotate "Fx" hash — a fixed function of the key bytes, so
-//! it is deterministic across processes and hosts, and an order of
-//! magnitude cheaper than SipHash for 8-byte keys.
+//! cycle numbers, sequence numbers), and the executor's and result
+//! store's maps are keyed by run-spec content keys the plan built
+//! itself (the executor's dedup set, `RunSet`, the store's index). This
+//! is the classic multiply-rotate "Fx" hash — a fixed function of the
+//! key bytes, so it is deterministic across processes and hosts, an
+//! order of magnitude cheaper than SipHash for 8-byte keys, and a
+//! multiply per 8 bytes of a string key.
 //!
 //! Determinism note: swapping the hasher changes *iteration order* of a
 //! map, which is why pfm-lint bans iterating hash maps in simulation
-//! crates in the first place. All users of these aliases do point
-//! lookups only, so the change is invisible to simulated statistics.
+//! crates in the first place. Users of these aliases do point lookups
+//! (the store's key listing sorts first), so the change is invisible to
+//! simulated statistics and to every listing.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -14,7 +14,9 @@
 //!   functional stream is executed in program order),
 //! * fabric loads read only the committed image,
 //! * at store retirement the overlay entry is folded into the committed
-//!   image; on a pipeline squash younger overlay entries are dropped.
+//!   image. A pipeline squash leaves the overlay alone: fetch executes
+//!   only the correct path, so a squashed store is re-fetched as the
+//!   same store, and squashes rewind timing state only.
 //!
 //! ## Fast-path invariants
 //!
@@ -46,11 +48,10 @@
 //!   path.
 //! * The overlay is keyed by aligned 8-byte word with per-entry lane
 //!   masks. Entries in a word's stack are in program (seq) order:
-//!   reads apply oldest→youngest so the youngest byte wins, commits
-//!   take the stack front (commit is oldest-first), squashes pop the
-//!   stack back (squash is youngest-first) — the same order contract
-//!   the old per-byte stacks had, at one lookup per word instead of
-//!   one per byte.
+//!   reads apply oldest→youngest so the youngest byte wins, and commits
+//!   take the stack front (commit is oldest-first) — the same order
+//!   contract the old per-byte stacks had, at one lookup per word
+//!   instead of one per byte.
 
 use crate::fxhash::FxHashMap;
 use crate::snap::{Dec, Enc, SnapError};
@@ -400,16 +401,15 @@ struct OverlayEntry {
 /// Committed memory plus a speculative store overlay.
 ///
 /// Sequence numbers must be registered in strictly increasing order
-/// (program order), committed in the same order, and squashed from the
-/// youngest end — which is exactly how an out-of-order core's store
-/// queue behaves.
+/// (program order) and committed in the same order — which is exactly
+/// how an out-of-order core's store queue retires.
 #[derive(Clone, Debug, Default)]
 pub struct SpecMemory {
     committed: SparseMem,
     /// Aligned word (`addr >> 3`) → stack of store contributions in
     /// seq order. Point lookups only (never iterated).
     overlay: FxHashMap<u64, Vec<OverlayEntry>>,
-    /// All unretired stores by seq, for commit/squash bookkeeping.
+    /// All unretired stores by seq, for commit bookkeeping.
     pending: VecDeque<PendingStore>,
 }
 
@@ -541,24 +541,17 @@ impl SpecMemory {
         });
     }
 
-    /// Removes `seq`'s entry for `word` from the stack `end` it is
-    /// required to sit at (front for commit, back for squash), and
-    /// returns it.
+    /// Removes `seq`'s entry for `word`, which must sit at the front of
+    /// the word's stack, and returns it.
     #[inline]
-    fn take_entry(&mut self, word: u64, seq: u64, front: bool) -> OverlayEntry {
-        // write_spec registered this word for `seq`, and only
-        // commit/squash (which take it exactly once) remove entries,
-        // so the stack must be present.
+    fn take_entry(&mut self, word: u64, seq: u64) -> OverlayEntry {
+        // write_spec registered this word for `seq`, and only commit
+        // (which takes it exactly once) removes entries, so the stack
+        // must be present.
         // pfm-lint: allow(hygiene): see the invariant above
         let stack = self.overlay.get_mut(&word).expect("overlay word present");
-        let e = if front {
-            debug_assert_eq!(stack.first().map(|e| e.seq), Some(seq));
-            stack.remove(0)
-        } else {
-            debug_assert_eq!(stack.last().map(|e| e.seq), Some(seq));
-            // pfm-lint: allow(hygiene): non-empty per the same argument
-            stack.pop().expect("overlay stack non-empty")
-        };
+        debug_assert_eq!(stack.first().map(|e| e.seq), Some(seq));
+        let e = stack.remove(0);
         if stack.is_empty() {
             self.overlay.remove(&word);
         }
@@ -596,30 +589,11 @@ impl SpecMemory {
         // stack: commits are oldest-first, so every older store that
         // touched these words has already removed its entries.
         let (word, _, spills) = word_span(st.addr, st.size);
-        let e = self.take_entry(word, seq, true);
+        let e = self.take_entry(word, seq);
         self.fold_entry(word, e);
         if spills {
-            let e = self.take_entry(word + 1, seq, true);
+            let e = self.take_entry(word + 1, seq);
             self.fold_entry(word + 1, e);
-        }
-    }
-
-    /// Squashes all speculative stores with sequence number strictly
-    /// greater than `seq` (youngest-first rollback after a pipeline
-    /// squash).
-    pub fn squash_after(&mut self, seq: u64) {
-        while let Some(last) = self.pending.back().copied() {
-            if last.seq <= seq {
-                break;
-            }
-            self.pending.pop_back();
-            // The squashed store is the youngest, so its entries sit at
-            // the back of each word stack.
-            let (word, _, spills) = word_span(last.addr, last.size);
-            self.take_entry(word, last.seq, false);
-            if spills {
-                self.take_entry(word + 1, last.seq, false);
-            }
         }
     }
 
@@ -851,20 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn squash_discards_young_stores_only() {
-        let mut m = SpecMemory::new();
-        m.write_spec(1, 0x300, 8, 10);
-        m.write_spec(2, 0x300, 8, 20);
-        m.write_spec(3, 0x308, 8, 30);
-        m.squash_after(1);
-        assert_eq!(m.read_spec(0x300, 8), 10);
-        assert_eq!(m.read_spec(0x308, 8), 0);
-        assert_eq!(m.pending_stores(), 1);
-        m.commit_store(1);
-        assert_eq!(m.read_committed(0x300, 8), 10);
-    }
-
-    #[test]
     fn youngest_overlay_byte_wins() {
         let mut m = SpecMemory::new();
         m.write_spec(1, 0x400, 8, 0xAAAA_AAAA_AAAA_AAAA);
@@ -887,16 +847,6 @@ mod tests {
         m.commit_store(1);
         assert_eq!(m.read_committed(0x505, 8), 0xAABB_CCDD_EEFF_0011);
         assert_eq!(m.read_committed(0x500, 4), 0x1111_1111);
-    }
-
-    #[test]
-    fn unaligned_squash_unwinds_both_words() {
-        let mut m = SpecMemory::new();
-        m.write_spec(1, 0x605, 8, u64::MAX);
-        m.squash_after(0);
-        assert_eq!(m.read_spec(0x600, 8), 0);
-        assert_eq!(m.read_spec(0x608, 8), 0);
-        assert_eq!(m.pending_stores(), 0);
     }
 
     #[test]

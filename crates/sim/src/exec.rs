@@ -23,6 +23,7 @@
 use crate::experiments::Experiment;
 use crate::plan::{ExperimentPlan, PlanError, RunOutcome, RunSet, RunSpec};
 use crate::store::ResultStore;
+use pfm_isa::fxhash::FxHashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -224,14 +225,14 @@ impl ExecReport {
 /// Collapses `specs` to the unique set by content key, preserving
 /// first-seen order.
 pub fn dedup_specs(specs: &[RunSpec]) -> Vec<RunSpec> {
-    let mut seen = std::collections::HashSet::new();
-    let mut unique = Vec::new();
-    for spec in specs {
-        if seen.insert(spec.key().to_string()) {
-            unique.push(spec.clone());
-        }
-    }
-    unique
+    unique_specs(specs).into_iter().cloned().collect()
+}
+
+/// The first spec of each content key, in first-seen order, borrowed:
+/// dedup hashes each key once and clones nothing.
+fn unique_specs(specs: &[RunSpec]) -> Vec<&RunSpec> {
+    let mut seen = FxHashSet::with_capacity_and_hasher(specs.len(), Default::default());
+    specs.iter().filter(|s| seen.insert(s.key())).collect()
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -290,7 +291,7 @@ fn run_isolated(spec: &RunSpec) -> (RunOutcome, u32) {
 /// [`RunOutcome`] and (without [`ExecOptions::keep_going`]) stops
 /// workers from claiming further runs.
 pub fn execute(specs: &[RunSpec], opts: &ExecOptions) -> (RunSet, ExecReport) {
-    let unique = dedup_specs(specs);
+    let unique = unique_specs(specs);
     let total = unique.len();
     // pfm-lint: allow(determinism): feeds the wall-clock report only, never results
     let started = Instant::now();
@@ -345,7 +346,7 @@ pub fn execute(specs: &[RunSpec], opts: &ExecOptions) -> (RunSet, ExecReport) {
                 let Some(&idx) = pending.get(at) else {
                     break;
                 };
-                let spec = &unique[idx];
+                let spec = unique[idx];
                 // pfm-lint: allow(determinism): feeds the wall-clock report only, never results
                 let t0 = Instant::now();
                 let (outcome, retries) = run_isolated(spec);
@@ -384,20 +385,23 @@ pub fn execute(specs: &[RunSpec], opts: &ExecOptions) -> (RunSet, ExecReport) {
         }
     });
 
-    let mut runs = RunSet::default();
-    let mut reports = Vec::with_capacity(total);
+    let mut runs = RunSet::with_capacity(total);
+    let mut reports = Vec::with_capacity(pending.len());
     let mut failures = Vec::new();
     let mut skipped = 0;
     let mut retried = 0;
-    let simulated: std::collections::HashSet<usize> = pending.iter().copied().collect();
-    for (idx, (spec, slot)) in unique.iter().zip(slots).enumerate() {
+    let mut simulated = vec![false; total];
+    for &idx in &pending {
+        simulated[idx] = true;
+    }
+    for ((spec, slot), simulated) in unique.into_iter().zip(slots).zip(simulated) {
         let Some((outcome, retries, seconds)) = slot.into_inner() else {
             skipped += 1; // abandoned after an earlier failure
             continue;
         };
         retried += retries as usize;
         // Only simulated runs carry a timing row; hits are free.
-        if simulated.contains(&idx) {
+        if simulated {
             reports.push(RunReport {
                 key: spec.key().to_string(),
                 name: spec.name().to_string(),

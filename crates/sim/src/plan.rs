@@ -36,9 +36,9 @@ use crate::runner::{
     drive, run_context_switch, run_functional, CtxMode, RunConfig, RunError, RunResult,
 };
 use pfm_fabric::{FabricParams, FaultPlan};
+use pfm_isa::fxhash::FxHashMap;
 use pfm_isa::snap::{content_key, Dec, Enc};
 use pfm_workloads::UseCaseFactory;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A typed planning/assembly failure. Everything the old panicking
@@ -519,10 +519,17 @@ impl RunOutcome {
 /// not.
 #[derive(Debug, Default)]
 pub struct RunSet {
-    runs: HashMap<String, RunOutcome>,
+    runs: FxHashMap<String, RunOutcome>,
 }
 
 impl RunSet {
+    /// An empty set with room for `n` runs.
+    pub(crate) fn with_capacity(n: usize) -> RunSet {
+        RunSet {
+            runs: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
     pub(crate) fn insert(&mut self, key: String, outcome: RunOutcome) {
         self.runs.insert(key, outcome);
     }

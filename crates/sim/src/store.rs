@@ -29,17 +29,23 @@
 //! On-disk layout (all little-endian, dependency-free, built on the
 //! [`pfm_isa::snap`] codec):
 //!
-//! * `store.log` — append-only record log. A fixed header, then one
-//!   checksummed frame per completed run (see [`frame_bytes`]):
-//!   `magic, payload_len, fnv64(payload), payload`. The payload is
-//!   `fingerprint, spec key, serialized RunOutcome`. Records are
-//!   appended with a single `write` on an `O_APPEND` handle, so
-//!   concurrent executors sharing a store directory interleave at
-//!   record granularity, never mid-record.
+//! * `store.log` — append-only record log. A fixed header (magic and
+//!   [`STORE_FORMAT_VERSION`]), then one checksummed frame per
+//!   completed run (see [`frame_bytes`]): `magic, payload_len,
+//!   checksum, payload`, where the checksum is the word-wise
+//!   [`frame_checksum`] of the payload. The payload is `fingerprint,
+//!   spec key, serialized RunOutcome`. Records are appended with a
+//!   single `write` on an `O_APPEND` handle, so concurrent executors
+//!   sharing a store directory interleave at record granularity, never
+//!   mid-record.
 //!
-//! `open` reads the whole log and verifies every record's checksum;
-//! there is no side index (a `store.idx` left by an older build is
-//! ignored).
+//! `open` opens the log once and reads and appends through that one
+//! handle. It verifies every frame's checksum and keeps the outcome
+//! bytes of the records matching its fingerprint in one buffer (the
+//! read buffer, compacted in place), indexed by spec key; `put` appends
+//! to that buffer, and `get` decodes an outcome from it under the lock
+//! without copying it out. There is no side index on disk (a
+//! `store.idx` left by an older build is ignored).
 //!
 //! Durability policy: *ignore and skip*. A truncated tail record
 //! (crash mid-append) or a corrupted checksum never panics and never
@@ -47,10 +53,11 @@
 //! on the record magic) and everything that survives is served.
 
 use crate::plan::RunOutcome;
-use pfm_isa::snap::{content_key, Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
-use std::collections::BTreeMap;
+use pfm_isa::fxhash::FxHashMap;
+use pfm_isa::snap::{Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -61,10 +68,12 @@ use std::sync::Mutex;
 /// records stop matching instead of decoding wrongly.
 pub const STATS_SCHEMA_VERSION: u32 = 3;
 
-/// Version of the store's on-disk container format (log header and
-/// frame layout). Records from other container versions are never
-/// read.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+/// Version of the store's on-disk container format (log header, frame
+/// layout and frame checksum). Records from other container versions
+/// are never read: `open` rotates a log with another version's header
+/// aside. Version 2 replaced the byte-wise FNV-1a frame checksum of
+/// version 1 with the word-wise [`frame_checksum`].
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Source digest of the workspace tree this crate was compiled from,
 /// computed by the build script (`build.rs`, mirroring
@@ -94,17 +103,50 @@ const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 // Frames
 // ---------------------------------------------------------------------
 
-/// Builds one checksummed frame (`magic, len, fnv64, payload`). The
-/// whole frame is assembled in memory so it can be appended with a
+/// Builds one checksummed frame (`magic, len, checksum, payload`).
+/// The whole frame is assembled in memory so it can be appended with a
 /// single `write` (atomic record-granularity interleaving on the
 /// `O_APPEND` log).
 pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&content_key(payload).to_le_bytes());
+    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// A frame's checksum: four FNV-1a lanes over the payload's
+/// little-endian 8-byte words (word `i` goes into lane `i % 4`), folded
+/// lane by lane, then the tail bytes, then the payload length.
+///
+/// Every step is `h = (h ^ x) * FNV_PRIME`, a bijection of both `h` and
+/// `x` (the prime is odd), so a change confined to one word or one tail
+/// byte always changes the checksum. The four lanes' multiplies are
+/// independent, so they overlap: a word costs about what one byte of
+/// the byte-wise [`pfm_isa::snap::content_key`] does, and a log of
+/// tens of kilobytes is checked in microseconds.
+pub fn frame_checksum(payload: &[u8]) -> u64 {
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME);
+    let word = |b: &[u8]| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(b);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = [FNV_OFFSET; 4];
+    let mut blocks = payload.chunks_exact(32);
+    for block in blocks.by_ref() {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, w) in lanes.iter_mut().zip(words.by_ref()) {
+        *lane = step(*lane, word(w));
+    }
+    let h = lanes.into_iter().fold(FNV_OFFSET, step);
+    let h = (words.remainder().iter()).fold(h, |h, &b| step(h, b as u64));
+    step(h, payload.len() as u64)
 }
 
 // ---------------------------------------------------------------------
@@ -283,11 +325,15 @@ pub struct OpenReport {
 }
 
 struct Inner {
-    /// Append handle to `store.log` (`O_APPEND`).
+    /// `store.log`, opened once: read at `open`, appended to
+    /// (`O_APPEND`) by every `put`.
     log: File,
-    /// Servable results: spec key → serialized [`RunOutcome`] payload
-    /// suffix. BTreeMap so every listing is deterministically ordered.
-    map: BTreeMap<String, Vec<u8>>,
+    /// The serialized [`RunOutcome`]s of the servable records, back to
+    /// back.
+    outcomes: Vec<u8>,
+    /// Spec key → its outcome's bytes in `outcomes` (the last record
+    /// written under that key). Point lookups only; listings sort.
+    index: FxHashMap<String, Range<usize>>,
 }
 
 /// A content-addressed result store rooted at one directory. Safe to
@@ -321,14 +367,8 @@ impl ResultStore {
     /// not an error — damaged records are ignored and reported in
     /// [`ResultStore::open_report`].
     pub fn open(dir: &Path, fingerprint: CodeFingerprint) -> std::io::Result<ResultStore> {
-        std::fs::create_dir_all(dir)?;
         let log_path = dir.join("store.log");
-
-        // Create the log with its header on first touch.
-        if !log_path.exists() {
-            write_log_header(&log_path)?;
-        }
-        let mut bytes = std::fs::read(&log_path)?;
+        let (mut log, mut bytes) = read_log(dir, &log_path)?;
         let mut report = OpenReport {
             log_bytes: bytes.len() as u64,
             ..OpenReport::default()
@@ -339,28 +379,27 @@ impl ResultStore {
         // after the bad header would be unreadable on all future
         // opens. Rotate the damaged file aside (preserving its bytes
         // for post-mortem) and start a fresh log.
-        let header_ok = bytes.len() >= LOG_HEADER_LEN as usize
-            && bytes[0..8] == LOG_MAGIC.to_le_bytes()
-            && bytes[8..12] == STORE_FORMAT_VERSION.to_le_bytes();
-        if !header_ok {
+        if !bytes.starts_with(&log_header()) {
             std::fs::rename(&log_path, dir.join("store.log.damaged"))?;
-            write_log_header(&log_path)?;
-            bytes = std::fs::read(&log_path)?;
+            (log, bytes) = read_log(dir, &log_path)?;
             report.log_rotated = true;
             report.log_bytes = bytes.len() as u64;
         }
 
         // Full scan: parse frames from the header on, resyncing on the
         // frame magic after any damage.
-        let mut map: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        scan_log(&bytes, &fingerprint, &mut map, &mut report);
+        let mut index = FxHashMap::default();
+        scan_log(&mut bytes, &fingerprint, &mut index, &mut report);
 
-        let log = OpenOptions::new().append(true).open(&log_path)?;
         Ok(ResultStore {
             dir: dir.to_path_buf(),
             fingerprint,
             open_report: report,
-            inner: Mutex::new(Inner { log, map }),
+            inner: Mutex::new(Inner {
+                log,
+                outcomes: bytes,
+                index,
+            }),
         })
     }
 
@@ -382,12 +421,12 @@ impl ResultStore {
     /// Whether a servable result exists for `spec_key` (used by the
     /// store-aware `repro --list`).
     pub fn contains(&self, spec_key: &str) -> bool {
-        self.lock().map.contains_key(spec_key)
+        self.lock().index.contains_key(spec_key)
     }
 
     /// Number of servable results.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().index.len()
     }
 
     /// Whether no servable results exist.
@@ -400,8 +439,9 @@ impl ResultStore {
     /// fingerprint, since the schema version is part of it) is treated
     /// as a miss, never served.
     pub fn get(&self, spec_key: &str) -> Option<RunOutcome> {
-        let payload = self.lock().map.get(spec_key).cloned()?;
-        let mut d = Dec::new(&payload);
+        let inner = self.lock();
+        let at = inner.index.get(spec_key)?.clone();
+        let mut d = Dec::new(inner.outcomes.get(at)?);
         let outcome = RunOutcome::snapshot_decode(&mut d).ok()?;
         d.finish().ok()?;
         Some(outcome)
@@ -412,8 +452,8 @@ impl ResultStore {
     /// immediately servable from this handle.
     ///
     /// # Errors
-    /// Propagates the underlying IO error; the in-memory map is only
-    /// updated after a successful append.
+    /// Propagates the underlying IO error; the in-memory buffer and
+    /// index are only updated after a successful append.
     pub fn put(&self, spec_key: &str, outcome: &RunOutcome) -> std::io::Result<()> {
         let mut e = Enc::new();
         self.fingerprint.encode(&mut e);
@@ -425,14 +465,19 @@ impl ResultStore {
         let frame = frame_bytes(&e.finish());
         let mut inner = self.lock();
         inner.log.write_all(&frame)?;
-        inner.map.insert(spec_key.to_string(), outcome_bytes);
+        let start = inner.outcomes.len();
+        inner.outcomes.extend_from_slice(&outcome_bytes);
+        let end = inner.outcomes.len();
+        inner.index.insert(spec_key.to_string(), start..end);
         Ok(())
     }
 
     /// Servable spec keys, sorted (deterministic listing for
     /// `--store-stats`).
     pub fn keys(&self) -> Vec<String> {
-        self.lock().map.keys().cloned().collect()
+        let mut keys: Vec<String> = self.lock().index.keys().cloned().collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Human-readable store summary for `repro --store-stats`.
@@ -467,8 +512,8 @@ impl ResultStore {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // A poisoned mutex only means another thread panicked mid-put;
-        // the map is a cache and the log append was a single write, so
-        // continuing is safe.
+        // the buffer is a cache and the log append was a single write,
+        // so continuing is safe.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -483,12 +528,17 @@ fn outcome_tag(outcome: &RunOutcome) -> &'static str {
     }
 }
 
-/// A decoded log record: `(spec key, fingerprint, outcome payload)`.
-type ParsedRecord = (String, CodeFingerprint, Vec<u8>);
+/// One verified log record, borrowed from the log bytes.
+struct Record<'a> {
+    fingerprint: CodeFingerprint,
+    key: &'a str,
+    /// Where the serialized [`RunOutcome`] lies in the log bytes.
+    outcome: Range<usize>,
+}
 
 /// Parses and verifies the frame at `start`; returns its length and
-/// the decoded record on success.
-fn verify_record(bytes: &[u8], start: usize) -> Option<(usize, ParsedRecord)> {
+/// the record on success.
+fn verify_record(bytes: &[u8], start: usize) -> Option<(usize, Record<'_>)> {
     let header = bytes.get(start..start + FRAME_HEADER_LEN)?;
     let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
@@ -497,37 +547,52 @@ fn verify_record(bytes: &[u8], start: usize) -> Option<(usize, ParsedRecord)> {
     if magic != FRAME_MAGIC || len > MAX_FRAME_LEN {
         return None;
     }
-    let frame_len = FRAME_HEADER_LEN + len as usize;
-    let payload = bytes.get(start + FRAME_HEADER_LEN..start + frame_len)?;
-    if content_key(payload) != u64::from_le_bytes(sum) {
+    let end = start + FRAME_HEADER_LEN + len as usize;
+    let payload = bytes.get(start + FRAME_HEADER_LEN..end)?;
+    if frame_checksum(payload) != u64::from_le_bytes(sum) {
         return None;
     }
     let mut d = Dec::new(payload);
-    let fp = CodeFingerprint::decode(&mut d).ok()?;
-    let key = d.str().ok()?.to_string();
-    let outcome = payload[payload.len() - d.remaining()..].to_vec();
-    Some((frame_len, (key, fp, outcome)))
+    let fingerprint = CodeFingerprint::decode(&mut d).ok()?;
+    let key = d.str().ok()?;
+    let outcome = end - d.remaining()..end;
+    Some((
+        end - start,
+        Record {
+            fingerprint,
+            key,
+            outcome,
+        },
+    ))
 }
 
 /// Scans log frames after the header, resyncing on the frame magic
-/// after damage; fills `map` with the records matching `fingerprint`
-/// (last write wins).
+/// after damage. The outcome bytes of each record matching
+/// `fingerprint` move down to the front of `bytes` (every record lies
+/// past the bytes kept before it), `index` maps the record's key to
+/// them (last write wins), and `bytes` ends truncated to what was kept.
 fn scan_log(
-    bytes: &[u8],
+    bytes: &mut Vec<u8>,
     fingerprint: &CodeFingerprint,
-    map: &mut BTreeMap<String, Vec<u8>>,
+    index: &mut FxHashMap<String, Range<usize>>,
     report: &mut OpenReport,
 ) {
     let mut pos = LOG_HEADER_LEN as usize;
+    let mut kept = 0;
     let mut in_damage = false;
     while pos + FRAME_HEADER_LEN <= bytes.len() {
         match verify_record(bytes, pos) {
-            Some((frame_len, (key, fp, outcome))) => {
+            Some((frame_len, record)) => {
                 in_damage = false;
                 report.records += 1;
-                if fp == *fingerprint {
+                if record.fingerprint == *fingerprint {
                     report.matching += 1;
-                    map.insert(key, outcome);
+                    let Record { key, outcome, .. } = record;
+                    let key = key.to_string();
+                    let len = outcome.len();
+                    bytes.copy_within(outcome, kept);
+                    index.insert(key, kept..kept + len);
+                    kept += len;
                 }
                 pos += frame_len;
             }
@@ -553,14 +618,48 @@ fn scan_log(
     if pos < bytes.len() && !in_damage {
         report.skipped += 1;
     }
+    bytes.truncate(kept);
 }
 
-/// Writes a fresh log file containing only the header.
-fn write_log_header(path: &Path) -> std::io::Result<()> {
-    let mut header = Vec::with_capacity(LOG_HEADER_LEN as usize);
-    header.extend_from_slice(&LOG_MAGIC.to_le_bytes());
-    header.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-    std::fs::write(path, header)
+/// Opens the log at `path` for reading and appending, creating it (and
+/// `dir`) if absent, and reads it whole. A fresh log gets its header
+/// exactly once: the first opener to take the file lock writes it, and
+/// any other opener of the empty file reads it again under the lock.
+fn read_log(dir: &Path, path: &Path) -> std::io::Result<(File, Vec<u8>)> {
+    let open = || {
+        OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+    };
+    let mut log = match open() {
+        Err(e) if e.kind() == ErrorKind::NotFound => {
+            std::fs::create_dir_all(dir)?;
+            open()?
+        }
+        log => log?,
+    };
+    let mut bytes = Vec::new();
+    log.read_to_end(&mut bytes)?;
+    if bytes.is_empty() {
+        log.lock()?;
+        log.read_to_end(&mut bytes)?;
+        if bytes.is_empty() {
+            bytes = log_header().to_vec();
+            log.write_all(&bytes)?;
+        }
+        log.unlock()?;
+    }
+    Ok((log, bytes))
+}
+
+/// The log header: magic, then the container version.
+fn log_header() -> [u8; LOG_HEADER_LEN as usize] {
+    let mut header = [0; LOG_HEADER_LEN as usize];
+    header[..8].copy_from_slice(&LOG_MAGIC.to_le_bytes());
+    header[8..].copy_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
+    header
 }
 
 #[cfg(test)]
@@ -570,6 +669,7 @@ mod tests {
     use crate::runner::{CtxStats, PhaseStats, RunError, RunResult, TenantStats};
     use pfm_core::SimStats;
     use pfm_fabric::{FabricStats, FaultStats};
+    use pfm_isa::snap::content_key;
     use pfm_mem::HierarchyStats;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -982,5 +1082,91 @@ mod tests {
         assert_eq!(report.skipped, 1);
         assert!(store.get("k3").is_none());
         assert!(store.get("k1").is_some());
+    }
+
+    /// One real record's frame, exactly as `put` appended it to the log.
+    fn real_frame() -> Vec<u8> {
+        let dir = temp_dir("frame");
+        let store = ResultStore::open(&dir, CodeFingerprint::fixed(5)).unwrap();
+        store
+            .put("astar|pfm|frame-check", &RunOutcome::Ok(full_result()))
+            .unwrap();
+        let log = std::fs::read(dir.join("store.log")).unwrap();
+        log[LOG_HEADER_LEN as usize..].to_vec()
+    }
+
+    #[test]
+    fn every_single_byte_payload_change_fails_the_frame_check() {
+        let frame = real_frame();
+        let payload_len = frame.len() - FRAME_HEADER_LEN;
+        assert!(
+            payload_len >= 64 && !payload_len.is_multiple_of(8),
+            "the payload ({payload_len} bytes) must fill every lane and leave tail bytes"
+        );
+        assert!(verify_record(&frame, 0).is_some());
+        let mut bad = frame.clone();
+        for at in FRAME_HEADER_LEN..frame.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                bad[at] ^= mask;
+                assert!(
+                    verify_record(&bad, 0).is_none(),
+                    "payload byte {} ^ {mask:#04x} passed the frame check",
+                    at - FRAME_HEADER_LEN
+                );
+                bad[at] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_fails_the_frame_check() {
+        let frame = real_frame();
+        assert!(verify_record(&frame, 0).is_some());
+        for len in 0..frame.len() {
+            assert!(
+                verify_record(&frame[..len], 0).is_none(),
+                "a frame cut to {len} of {} bytes passed",
+                frame.len()
+            );
+        }
+    }
+
+    #[test]
+    fn version_1_log_is_rotated_aside_and_never_served() {
+        // A version-1 log: container version 1 in the header, and one
+        // frame checksummed with the byte-wise FNV-1a of its payload.
+        let dir = temp_dir("v1");
+        let fp = CodeFingerprint::fixed(9);
+        let ok = RunOutcome::Ok(sample_result("astar", 100));
+        let mut e = Enc::new();
+        fp.encode(&mut e);
+        e.str("k1");
+        ok.snapshot_encode(&mut e);
+        let payload = e.finish();
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&LOG_MAGIC.to_le_bytes());
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&content_key(&payload).to_le_bytes());
+        v1.extend_from_slice(&payload);
+        std::fs::write(dir.join("store.log"), &v1).unwrap();
+
+        let store = ResultStore::open(&dir, fp).unwrap();
+        let report = store.open_report();
+        assert!(report.log_rotated, "a version-1 header must be rotated");
+        assert_eq!(report.records, 0);
+        assert!(
+            store.get("k1").is_none(),
+            "a version-1 record is never served"
+        );
+        assert_eq!(std::fs::read(dir.join("store.log.damaged")).unwrap(), v1);
+
+        store.put("k1", &ok).unwrap();
+        assert_same_ok(&store.get("k1").unwrap(), &ok);
+        drop(store);
+        let store = ResultStore::open(&dir, fp).unwrap();
+        assert!(!store.open_report().log_rotated);
+        assert_same_ok(&store.get("k1").unwrap(), &ok);
     }
 }

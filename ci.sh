@@ -129,8 +129,30 @@ echo "== benchmark smoke tests =="
 # it reaches pfm-workloads and pfm-sim only through their public APIs.
 cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "== repro chaos-smoke (graceful degradation under faults) =="
+echo "== repro menu (ids come from the experiment registry) =="
 repro_bin="$PWD/target/release/repro"
+# --list prints every registry id in registry order; an unknown id
+# prints the same menu on stderr and exits 1.
+menu_ids="fig2 fig8 table2 fig9 fig10 fig12 table3 fig13 fig14 fig17 table4 fig18 \
+ablations chaos chaos-smoke context-switch"
+listed="$("$repro_bin" --list --no-store | awk 'NR > 1 { print $1 }' | xargs)"
+[ "$listed" = "$menu_ids" ] || {
+    echo "repro --list ids differ from the registry: $listed" >&2
+    exit 1
+}
+if unknown_err="$("$repro_bin" fig99 2>&1 > /dev/null)"; then
+    echo "repro fig99 exited 0" >&2
+    exit 1
+fi
+unknown_ids="$(echo "$unknown_err" | sed -n '/^available experiments:/,/^$/p' \
+    | awk 'NR > 1 && NF { print $1 }' | xargs)"
+[ "$unknown_ids" = "$menu_ids" ] || {
+    echo "repro fig99 did not print the menu on stderr:" >&2
+    echo "$unknown_err" >&2
+    exit 1
+}
+
+echo "== repro chaos-smoke (graceful degradation under faults) =="
 "$repro_bin" chaos-smoke --quick --jobs 4 > /dev/null
 
 echo "== repro context-switch (chaos-swap gate) =="

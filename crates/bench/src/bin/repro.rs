@@ -33,7 +33,7 @@
 //! simulator throughput is measured by the standalone `benchmark/`
 //! package.
 
-use pfm_sim::experiments::{plan_for, ALL_IDS, EXTRA_IDS};
+use pfm_sim::experiments::{Group, EXPERIMENTS};
 use pfm_sim::store::{find_workspace_root, CodeFingerprint, ResultStore};
 use pfm_sim::{run_plans, run_sampled, ExecOptions, RunConfig, RunSpec, SampledConfig};
 use std::path::PathBuf;
@@ -59,17 +59,6 @@ fn fail(context: &str, err: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Resolves an experiment id to its plan, exiting with the planner's
-/// typed error when it does not recognise it (ids are validated
-/// against `ALL_IDS`/`EXTRA_IDS` before this point, so a miss means
-/// the menu and planner disagree).
-fn plan_or_exit(id: &str, rc: &RunConfig) -> pfm_sim::plan::ExperimentPlan {
-    match plan_for(id, rc) {
-        Ok(p) => p,
-        Err(e) => fail("cannot plan experiment", e),
-    }
-}
-
 /// Prints the experiment menu. With a store attached, each
 /// experiment's runs are annotated hit/miss against it (at the scale
 /// `rc` implies), so the listing shows what an invocation would
@@ -81,16 +70,17 @@ fn print_menu(out: &mut impl std::io::Write, store: Option<&ResultStore>, rc: &R
         }
     };
     w("available experiments:".to_string());
-    for id in ALL_IDS.into_iter().chain(EXTRA_IDS) {
-        let plan = plan_or_exit(id, rc);
+    for e in &EXPERIMENTS {
         match store {
-            None => w(format!("  {id:<12} {}", plan.title)),
+            None => w(format!("  {:<12} {}", e.id, e.title)),
             Some(store) => {
+                let plan = e.plan(rc);
                 let unique = pfm_sim::exec::dedup_specs(plan.specs());
                 let hits = unique.iter().filter(|s| store.contains(s.key())).count();
                 w(format!(
-                    "  {id:<12} {} [{hits}/{} cached]",
-                    plan.title,
+                    "  {:<12} {} [{hits}/{} cached]",
+                    e.id,
+                    e.title,
                     unique.len()
                 ));
                 for spec in &unique {
@@ -178,9 +168,7 @@ fn main() {
                         Ok(n) => jobs = Some(n),
                         Err(_) => bad_args.push(other.to_string()),
                     }
-                } else if other.starts_with("--")
-                    || !(ALL_IDS.contains(&other) || EXTRA_IDS.contains(&other))
-                {
+                } else if other.starts_with("--") || !EXPERIMENTS.iter().any(|e| e.id == other) {
                     bad_args.push(other.to_string());
                 } else {
                     ids.push(other.to_string());
@@ -263,14 +251,12 @@ fn main() {
         all = true;
     }
 
-    // Paper order regardless of argument order, as before the planner;
-    // the chaos family (never part of `--all`) runs after the paper
-    // set, in EXTRA_IDS order.
-    let plans: Vec<_> = ALL_IDS
+    // Registry order regardless of argument order; `--all` takes every
+    // experiment but those run only when named.
+    let plans: Vec<_> = EXPERIMENTS
         .iter()
-        .filter(|id| all || ids.iter().any(|w| w == *id))
-        .chain(EXTRA_IDS.iter().filter(|id| ids.iter().any(|w| w == *id)))
-        .map(|id| plan_or_exit(id, &rc))
+        .filter(|e| (all && e.group != Group::OnRequest) || ids.iter().any(|w| w == e.id))
+        .map(|e| e.plan(&rc))
         .collect();
 
     let opts = ExecOptions {

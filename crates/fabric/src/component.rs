@@ -124,15 +124,6 @@ impl<'a> FabricIo<'a> {
         self.loads_pushed < self.width && self.loads_pushed < self.load_space
     }
 
-    /// How many more loads/prefetches can be pushed this cycle (the
-    /// lbm-style MLP-aware prefetcher pushes delinquent-load clusters
-    /// only as complete sets).
-    pub fn load_budget(&self) -> usize {
-        self.width
-            .min(self.load_space)
-            .saturating_sub(self.loads_pushed)
-    }
-
     /// Remaining IntQ-IS space irrespective of this cycle's width
     /// budget (a multi-cycle cluster push checks space once, up
     /// front).

@@ -276,6 +276,24 @@ pub fn bfs() -> Design {
     }
 }
 
+/// The design of the component a use case runs, by use-case name: a
+/// variant (`bfs-roads`, `astar-slipstream`) takes its family's design,
+/// and `astar-alt` its own. `None` for a use case with no modeled
+/// design (leslie).
+pub fn for_usecase(name: &str) -> Option<Design> {
+    let design = match name {
+        n if n.starts_with("astar-alt") => astar_alt(),
+        n if n.starts_with("astar") => astar_4wide(),
+        n if n.starts_with("bfs") => bfs(),
+        n if n.starts_with("libquantum") => libquantum(),
+        n if n.starts_with("lbm") => lbm(),
+        n if n.starts_with("bwaves") => bwaves(),
+        n if n.starts_with("milc") => milc(),
+        _ => return None,
+    };
+    Some(design)
+}
+
 /// All Table 4 designs, in row order.
 pub fn table4_designs() -> Vec<Design> {
     vec![

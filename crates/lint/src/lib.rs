@@ -394,13 +394,6 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> Vec<Finding> {
     lint_analysis(&analyze(vec![(ctx.clone(), source.to_string())]))
 }
 
-/// Lints one file on disk, classified relative to `root`.
-pub fn lint_file(root: &Path, path: &Path) -> Result<Vec<Finding>, String> {
-    let source = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    Ok(lint_source(&source, &classify(root, path)))
-}
-
 /// Recursively collects `.rs` files under `dir`, skipping build
 /// output, vendored stubs, and exempt (test/example/bench) trees.
 pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {

@@ -53,14 +53,6 @@ pub struct AccessOutcome {
     pub level: HitLevel,
 }
 
-impl AccessOutcome {
-    /// Whether this access behaved as an L1 hit (used by the Load Agent
-    /// to decide hit-vs-replay for fabric loads).
-    pub fn is_l1_hit(&self) -> bool {
-        self.level == HitLevel::L1
-    }
-}
-
 /// Hierarchy configuration (defaults follow Table 1 of the paper).
 #[derive(Clone, Debug)]
 pub struct HierarchyConfig {
@@ -222,23 +214,6 @@ impl Hierarchy {
     /// Hierarchy statistics.
     pub fn stats(&self) -> &HierarchyStats {
         &self.stats
-    }
-
-    /// Per-level cache statistics `(l1i, l1d, l2, l3)`.
-    pub fn cache_stats(
-        &self,
-    ) -> (
-        crate::cache::CacheStats,
-        crate::cache::CacheStats,
-        crate::cache::CacheStats,
-        crate::cache::CacheStats,
-    ) {
-        (
-            *self.l1i.stats(),
-            *self.l1d.stats(),
-            *self.l2.stats(),
-            *self.l3.stats(),
-        )
     }
 
     /// Performs an access at `cycle` and returns its latency/source.

@@ -1,13 +1,14 @@
 //! Declarative run plans: experiments *describe* the simulation runs
-//! they need and how to turn completed runs into rows; the executor
+//! they need and the rows they read from them; the executor
 //! ([`crate::exec`]) decides what actually gets simulated, once, and
 //! on how many threads.
 //!
 //! The architecture is plan → execute → assemble:
 //!
 //! 1. **Plan.** Each experiment builds an [`ExperimentPlan`]: a list
-//!    of keyed [`RunSpec`]s plus a pure assembly closure. A spec is a
-//!    use-case factory, a run configuration and one engine: the
+//!    of keyed [`RunSpec`]s plus its declared rows, each a label and a
+//!    [`Measure`] that names the runs it reads by [`RunHandle`]. A
+//!    spec is a use-case factory, a run configuration and one engine: the
 //!    functional executor; the detailed core with an attachment
 //!    (baseline, PFM or chaos) starting from reset or, for a sampling
 //!    interval, from a machine snapshot; or a two-tenant context
@@ -18,11 +19,12 @@
 //!    once), and runs the unique set across worker threads, isolating
 //!    each run behind `catch_unwind` and recording a typed
 //!    [`RunOutcome`].
-//! 3. **Assemble.** Each plan's closure maps the completed
-//!    [`RunResult`]s to [`Row`]s — no simulation happens here, so
-//!    assembly is cheap, deterministic, and order-independent. Lookup
-//!    failures are typed [`PlanError`]s, not panics, so one failed run
-//!    fails its experiments, never the whole suite.
+//! 3. **Assemble.** One assembler turns each declared row's
+//!    [`RunResult`]s into a printable row — no simulation happens
+//!    here, so assembly is cheap, deterministic, and
+//!    order-independent. Lookup failures are typed [`PlanError`]s, not
+//!    panics, so one failed run fails its experiments, never the whole
+//!    suite.
 //!
 //! Dedup correctness rests on the canonical content keys introduced
 //! across the stack: `UseCaseFactory::key` (pfm-workloads),
@@ -31,7 +33,7 @@
 //! each cover *every* field of their layer, so equal keys imply
 //! behaviourally identical runs.
 
-use crate::experiments::{Experiment, Row};
+use crate::experiments::{Entry, Experiment, Measure};
 use crate::runner::{
     drive, run_context_switch, run_functional, CtxMode, RunConfig, RunError, RunResult,
 };
@@ -51,15 +53,14 @@ pub enum PlanError {
         /// The requested id.
         id: String,
     },
-    /// An assembly closure asked for a run that was never executed
-    /// (not planned, or abandoned after an earlier failure without
-    /// `--keep-going`).
+    /// A row read a run that was never executed (not planned, or
+    /// abandoned after an earlier failure without `--keep-going`).
     MissingRun {
         /// The requested run key.
         key: String,
     },
-    /// An assembly closure asked for a run that was executed but did
-    /// not produce a result.
+    /// A row read a run that was executed but did not produce a
+    /// result, or whose result lacks the counters the row reads.
     RunFailed {
         /// The requested run key.
         key: String,
@@ -569,8 +570,8 @@ impl RunSet {
     }
 }
 
-/// Handle to one requested run, returned while building a plan's spec
-/// list and redeemed inside its assembly closure.
+/// Handle to one requested run, returned while building a plan and
+/// named by the rows that read it.
 #[derive(Clone, Debug)]
 pub struct RunHandle(String);
 
@@ -589,99 +590,36 @@ impl RunHandle {
     }
 }
 
-/// Accumulates the runs an experiment needs while handing back
-/// [`RunHandle`]s for its assembly closure.
-#[derive(Debug, Default)]
-pub struct SpecSet {
+/// A planned (not yet executed) experiment: the runs it requests, in
+/// request order, and the rows it declares over them.
+#[derive(Debug)]
+pub struct ExperimentPlan {
+    /// The registry entry planned (id, title, paper claim).
+    pub entry: &'static Entry,
     specs: Vec<RunSpec>,
+    rows: Vec<(String, Measure)>,
 }
 
-impl SpecSet {
-    /// Requests a baseline run.
-    pub fn baseline(&mut self, uc: &UseCaseFactory, rc: &RunConfig) -> RunHandle {
-        self.push(RunSpec::baseline(uc.clone(), rc))
+impl ExperimentPlan {
+    /// `entry`'s experiment with no runs or rows yet.
+    pub(crate) fn new(entry: &'static Entry) -> ExperimentPlan {
+        ExperimentPlan {
+            entry,
+            specs: Vec::new(),
+            rows: Vec::new(),
+        }
     }
 
-    /// Requests a PFM run.
-    pub fn pfm(&mut self, uc: &UseCaseFactory, params: FabricParams, rc: &RunConfig) -> RunHandle {
-        self.push(RunSpec::pfm(uc.clone(), params, rc))
-    }
-
-    /// Requests a chaos (fault-injected PFM) run.
-    pub fn chaos(
-        &mut self,
-        uc: &UseCaseFactory,
-        params: FabricParams,
-        plan: FaultPlan,
-        rc: &RunConfig,
-    ) -> RunHandle {
-        self.push(RunSpec::chaos(uc.clone(), params, plan, rc))
-    }
-
-    /// Requests a context-switch run (two tenants sharing a fabric
-    /// slot).
-    pub fn context_switch(
-        &mut self,
-        a: &UseCaseFactory,
-        b: &UseCaseFactory,
-        mode: CtxMode,
-        params: Option<FabricParams>,
-        fault: Option<FaultPlan>,
-        rc: &RunConfig,
-    ) -> RunHandle {
-        self.push(RunSpec::context_switch(
-            a.clone(),
-            b.clone(),
-            mode,
-            params,
-            fault,
-            rc,
-        ))
-    }
-
-    fn push(&mut self, spec: RunSpec) -> RunHandle {
+    /// Requests a run, handing back the handle its rows read it by.
+    pub fn request(&mut self, spec: RunSpec) -> RunHandle {
         let handle = RunHandle(spec.key().to_string());
         self.specs.push(spec);
         handle
     }
 
-    /// The accumulated specs.
-    pub fn into_specs(self) -> Vec<RunSpec> {
-        self.specs
-    }
-}
-
-type AssembleFn = Box<dyn FnOnce(&RunSet) -> Result<Vec<Row>, PlanError> + Send>;
-
-/// A planned (not yet executed) experiment: requested runs + pure
-/// assembly.
-pub struct ExperimentPlan {
-    /// Paper identifier (e.g. `fig8`, `table2`).
-    pub id: &'static str,
-    /// Title as in the paper.
-    pub title: &'static str,
-    /// The paper's reported numbers, for side-by-side comparison.
-    pub paper: &'static str,
-    specs: Vec<RunSpec>,
-    assemble: AssembleFn,
-}
-
-impl ExperimentPlan {
-    /// Bundles a plan from its requested runs and assembly closure.
-    pub fn new(
-        id: &'static str,
-        title: &'static str,
-        paper: &'static str,
-        specs: SpecSet,
-        assemble: impl FnOnce(&RunSet) -> Result<Vec<Row>, PlanError> + Send + 'static,
-    ) -> ExperimentPlan {
-        ExperimentPlan {
-            id,
-            title,
-            paper,
-            specs: specs.into_specs(),
-            assemble: Box::new(assemble),
-        }
+    /// Declares the next row: `label`, valued by `measure`.
+    pub fn row(&mut self, label: impl Into<String>, measure: Measure) {
+        self.rows.push((label.into(), measure));
     }
 
     /// The runs this experiment needs (possibly overlapping other
@@ -690,28 +628,29 @@ impl ExperimentPlan {
         &self.specs
     }
 
-    /// Maps completed runs to the final experiment. Pure: no
-    /// simulation happens here.
+    /// The rows this experiment declares, label and measure, in output
+    /// order.
+    pub fn rows(&self) -> &[(String, Measure)] {
+        &self.rows
+    }
+
+    /// Maps completed runs to the final experiment, row by row in
+    /// declaration order. Pure: no simulation happens here.
     ///
     /// # Errors
-    /// Returns the assembly closure's [`PlanError`] if a needed run is
-    /// missing, failed, or violated the chaos invariant.
+    /// The first row's [`PlanError`] if a run it reads is missing,
+    /// failed, or violated a checksum invariant.
     pub fn assemble(self, runs: &RunSet) -> Result<Experiment, PlanError> {
+        let mut rows = Vec::with_capacity(self.rows.len());
+        for (label, measure) in &self.rows {
+            measure.assemble(label, runs, &mut rows)?;
+        }
         Ok(Experiment {
-            id: self.id,
-            title: self.title,
-            paper: self.paper,
-            rows: (self.assemble)(runs)?,
+            id: self.entry.id,
+            title: self.entry.title,
+            paper: self.entry.paper,
+            rows,
         })
-    }
-}
-
-impl std::fmt::Debug for ExperimentPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExperimentPlan")
-            .field("id", &self.id)
-            .field("specs", &self.specs.len())
-            .finish()
     }
 }
 

@@ -62,17 +62,12 @@ impl CustomComponent for IdleComponent {
 }
 
 /// Partial-reconfiguration load latency (core cycles) for a tenant,
-/// derived from the FPGA resource model: tenants whose names map to a
-/// known design use its resource estimate, anything else pays the
-/// astar (4wide) cost (the largest Table 4 design — a conservative
-/// default).
+/// derived from the FPGA resource model: a tenant with a modeled
+/// design ([`designs::for_usecase`]) uses its resource estimate,
+/// anything else pays the astar (4wide) cost (the largest Table 4
+/// design — a conservative default).
 pub fn load_cycles_for(name: &str) -> u64 {
-    let design = match name {
-        n if n.starts_with("bfs") => designs::bfs(),
-        n if n.starts_with("libquantum") => designs::libquantum(),
-        n if n.starts_with("astar-alt") => designs::astar_alt(),
-        _ => designs::astar_4wide(),
-    };
+    let design = designs::for_usecase(name).unwrap_or_else(designs::astar_4wide);
     reconfig_cycles(&design.resources())
 }
 
@@ -369,6 +364,20 @@ mod tests {
         assert!(astar > bfs, "astar (4wide) outweighs the bfs design");
         assert!(bfs > libq, "bfs outweighs the tiny libq prefetcher");
         assert!(libq > 2_048, "every load pays the setup cost");
+        let pinned = [astar, load_cycles_for("astar-alt"), bfs, libq];
+        assert_eq!(pinned, [6016, 3264, 2624, 2176]);
+        // Each prefetcher pays its own design's window, not astar's.
+        for (name, design) in [
+            ("lbm", designs::lbm()),
+            ("bwaves", designs::bwaves()),
+            ("milc", designs::milc()),
+        ] {
+            let own = reconfig_cycles(&design.resources());
+            assert_eq!(load_cycles_for(name), own, "{name}");
+            assert!(own < astar, "{name}");
+        }
+        // Only a use case with no modeled design falls back to astar's.
+        assert_eq!(load_cycles_for("leslie"), astar);
     }
 
     #[test]

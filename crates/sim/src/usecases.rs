@@ -17,14 +17,6 @@ pub fn astar_custom() -> UseCase {
     astar(&AstarParams::default())
 }
 
-/// astar with a specific index_queue scope (Figure 10).
-pub fn astar_with_scope(scope: usize) -> UseCase {
-    astar(&AstarParams {
-        scope,
-        ..AstarParams::default()
-    })
-}
-
 /// astar with the slipstream-style restricted pre-execution (§1.1).
 pub fn astar_slipstream() -> UseCase {
     astar(&AstarParams {

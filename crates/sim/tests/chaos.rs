@@ -11,7 +11,7 @@ use pfm_fabric::{
 use pfm_isa::reg::names::*;
 use pfm_isa::{Asm, SpecMemory};
 use pfm_sim::exec::{execute, run_plans, ExecOptions, RETRY_WATCHDOG_FACTOR};
-use pfm_sim::experiments::plan_chaos_smoke;
+use pfm_sim::experiments::plan_for;
 use pfm_sim::plan::{RunOutcome, RunSpec};
 use pfm_sim::{run_chaos, run_pfm, RunConfig, RunError};
 use pfm_workloads::{UseCase, UseCaseFactory};
@@ -326,7 +326,8 @@ fn retry_runs_at_the_raised_cap_and_is_surfaced() {
 #[test]
 fn chaos_smoke_plan_assembles_with_every_checksum_intact() {
     let rc = tiny_rc();
-    let (experiments, report) = run_plans(vec![plan_chaos_smoke(&rc)], &ExecOptions::serial());
+    let plan = plan_for("chaos-smoke", &rc).expect("chaos-smoke is registered");
+    let (experiments, report) = run_plans(vec![plan], &ExecOptions::serial());
     assert!(report.failures.is_empty(), "{}", report.failure_table());
     let exp = experiments
         .into_iter()
